@@ -27,8 +27,9 @@ race-net:
 # detector: the injector/proxy unit tests, the seeded end-to-end storms
 # (TestControlPlaneUnderChaos / TestNodeUnderChaos: full sessions
 # through 20% loss + reorder + dup, bit-identical results required),
-# the scripted load-resumption and dedup regressions, and the client
-# retry/backoff tests.
+# the scripted load-resumption and dedup regressions, the held-wait
+# tests (a wait the server answers early is re-issued at the poll
+# interval), and the client retry/backoff tests.
 chaos:
 	$(GO) test -race ./internal/chaos/...
 	$(GO) test -race -run 'Chaos|Retransmit|Resume|Suppressed|Dedup|Backoff|Jitter|WaitResult|WaitHold|HeldWait|LoadError|WrongBoard|StaleSeq|Windowed' \
@@ -114,8 +115,11 @@ trace-smoke:
 
 # sim-smoke is the deterministic-simulation gate: the model-based
 # cluster runner must match the sequential reference model over 100
-# pinned seeds (randomized op mixes, wire revs v1..v6, lossy links),
-# and the planted dedup bug must be caught with a replayable seed.
+# pinned seeds (randomized op mixes across boards, the current client
+# over lossy links), and the planted dedup bug must be caught with a
+# replayable seed. It also runs the in-fabric chaos ports and the 2×2
+# compat matrix (the paper's v1 packets and the current v4 client,
+# against a one- and a two-board node).
 # LIQUID_SIM_SEEDS raises the sweep; the nightly workflow runs 400.
 SIM_SEEDS ?= 100
 sim-smoke:

@@ -5,11 +5,11 @@
 //
 // Usage:
 //
-//	liquid-server -listen 127.0.0.1:5001 [-boards N] [-cache-dir DIR] [-metrics-addr 127.0.0.1:9090] [-max-rev N] [-dcache 4096 ...] [-v]
+//	liquid-server -listen 127.0.0.1:5001 [-boards N] [-cache-dir DIR] [-metrics-addr 127.0.0.1:9090] [-dcache 4096 ...] [-v]
 //
 // With -boards N the node hosts N independent boards (platforms) behind
-// one UDP socket, routed by the board byte of the v2 control header
-// (board 0 keeps the wire-compatible v1 header; select a board with
+// one UDP socket, routed by the board byte of the v4 control header
+// (the paper's v1 header reaches board 0; select a board with
 // `liquidctl -board N`). Each board executes asynchronously on its own
 // worker, so a long run on one never delays control traffic to another.
 // All boards share one reconfiguration manager: concurrent reconfigure
@@ -67,7 +67,6 @@ func main() {
 	synthWorkers := fs.Int("synth-workers", 0, "bound on concurrent synthesis jobs (0 = GOMAXPROCS)")
 	trace := fs.Bool("trace", true, "record per-exchange span traces (fetch via liquidctl trace or /debug/traces)")
 	flightDir := fs.String("flightrec-dir", ".", "directory for flight-recorder dump files")
-	maxRev := fs.Int("max-rev", 0, "cap the served command revision 1..6 (0 = latest); older revs emulate legacy servers: <6 synchronous reconfigure, <5 no held waits, <2 blocking start")
 	buildCfg := cliutil.ConfigFlags(fs)
 	fs.Parse(os.Args[1:])
 
@@ -77,9 +76,6 @@ func main() {
 	}
 	if *boards < 1 {
 		cliutil.Fatalf("liquid-server: -boards must be at least 1")
-	}
-	if *maxRev < 0 || *maxRev > fpx.LatestCommandRev {
-		cliutil.Fatalf("liquid-server: -max-rev must be 0..%d", fpx.LatestCommandRev)
 	}
 	if *cacheDir == "" {
 		*cacheDir = *cacheDirOld
@@ -116,7 +112,6 @@ func main() {
 		}
 		systems[i] = sys
 		platforms[i] = sys.Platform()
-		platforms[i].CommandRev = uint8(*maxRev)
 	}
 	sys := systems[0]
 

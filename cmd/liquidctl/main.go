@@ -22,9 +22,9 @@
 // networks: -timeout, -max-timeout, -retries, -backoff, -jitter and
 // -wait-timeout (zero values keep the client defaults). Loads keep a
 // sliding window of chunks in flight (-window, default 16; 1 restores
-// stop-and-wait), and result waits are parked on the server for
-// -wait-hold (default 500ms) so completion is reported at network
-// latency; negative -wait-hold falls back to pure polling.
+// stop-and-wait), and result and reconfigure waits are parked on the
+// server for -wait-hold (default 500ms) so completion is reported at
+// network latency.
 //
 // Every verb also accepts -trace: the invocation mints one 64-bit
 // trace id, stamps it on every datagram (v4 header), records the
@@ -35,7 +35,7 @@
 // Perfetto).
 // start is asynchronous on
 // the wire: it acks as soon as the board begins executing, then (with
-// -wait, the default) polls until completion and prints the report;
+// -wait, the default) waits for completion and prints the report;
 // with -wait=false it returns immediately and `liquidctl result`
 // collects the report later (status shows the live cycle counter in
 // the meantime).
@@ -43,7 +43,7 @@
 // reconfig is asynchronous the same way: the server acks with the
 // ticket state the instant the request is registered (a cache hit
 // applies inside the ack), then (with -wait, the default) the client
-// waits — held on the server where supported — and prints the final
+// waits — held on the server — and prints the final
 // state; with -wait=false it returns after the ack and a later bare
 // `liquidctl reconfig` (no -spec) polls the state. reconfigure is the
 // legacy blocking spelling of `reconfig -wait`. prewarm queues a list
@@ -79,7 +79,7 @@ func main() {
 	entry := fs.String("entry", "0", "entry address (0 = last load)")
 	budget := fs.Uint64("budget", 0, "cycle budget (0 = default)")
 	board := fs.Uint("board", 0, "board number on a multi-board node")
-	wait := fs.Bool("wait", true, "start: poll until the run completes (false = return after the ack)")
+	wait := fs.Bool("wait", true, "start: wait until the run completes (false = return after the ack)")
 	cSrc := fs.String("c", "", "C source to compile and run")
 	sSrc := fs.String("s", "", "assembly source to build and run")
 	mac := fs.Bool("mac", false, "allow the __mac builtin when compiling")
@@ -91,7 +91,7 @@ func main() {
 	jitter := fs.Float64("jitter", 0, "± randomisation applied to each backoff wait (0 = client default, negative = none)")
 	waitTimeout := fs.Duration("wait-timeout", 0, "overall budget for waiting on a run result (0 = client default)")
 	window := fs.Int("window", 0, "load chunks kept in flight (0 = client default, 1 = stop-and-wait)")
-	waitHold := fs.Duration("wait-hold", 0, "server-side hold per result wait (0 = client default, negative = poll only)")
+	waitHold := fs.Duration("wait-hold", 0, "server-side hold per result or reconfigure wait (0 = client default)")
 	traceOn := fs.Bool("trace", false, "trace this invocation end-to-end and write a Chrome trace-event timeline")
 	traceOut := fs.String("trace-out", "liquidctl-trace.json", "output file for the -trace timeline")
 
@@ -152,7 +152,7 @@ func main() {
 	if *window > 0 {
 		c.Window = *window
 	}
-	if *waitHold != 0 {
+	if *waitHold > 0 {
 		c.WaitHold = *waitHold
 	}
 	if *traceOn {
@@ -415,7 +415,7 @@ func buildImage(cSrc, sSrc string, mac bool) *link.Image {
 	return img
 }
 
-// printReconfigStatus renders one rev-6 reconfiguration status line.
+// printReconfigStatus renders one reconfiguration status line.
 func printReconfigStatus(st netproto.ReconfigStatusResp) {
 	switch {
 	case st.State == netproto.ReconfigNone:

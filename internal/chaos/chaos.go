@@ -145,7 +145,7 @@ func (inj *injector) count(event string, p []byte) {
 		return
 	}
 	pkt, err := netproto.ParsePacket(p)
-	if err != nil || !pkt.HasTrace || pkt.TraceID == 0 {
+	if err != nil || pkt.TraceID == 0 {
 		return
 	}
 	inj.tracer.Trace(pkt.TraceID).Event("fault:"+event,

@@ -59,10 +59,10 @@ type Rule struct {
 //
 // where dir is up|down, cmd is a control command label ("status",
 // "load", "start", "readmem", "writemem", "reconfigure", "getconfig",
-// "trace", "stats", "result", "startsync", "wait", "error"), @n
-// selects the
-// nth matching packet (append + for "nth onward"; omit for every),
-// and action is drop | dup | reorder | trunc:BYTES | delay:DURATION.
+// "trace", "stats", "result", "traces", "wait", "reconfigstatus",
+// "waitreconfig", "error"), @n selects the nth matching packet
+// (append + for "nth onward"; omit for every), and action is drop |
+// dup | reorder | trunc:BYTES | delay:DURATION.
 //
 // Examples:
 //

@@ -5,7 +5,7 @@
 // the transport the paper actually assumes — the open Internet, where
 // datagrams drop, duplicate, reorder and truncate:
 //
-//   - every exchange is stamped with a sequence number (v3 header)
+//   - every exchange is stamped with a sequence number (v4 header)
 //     that responses echo, so duplicated or delayed responses from an
 //     earlier exchange are discarded instead of being mistaken for
 //     fresh ones;
@@ -100,8 +100,7 @@ func (e *LoadError) Unwrap() error { return e.Err }
 // ServerError is a CmdError response matched to this exchange: the
 // server handled the request and refused it. Cmd is the request
 // command the error answers, so callers can react to specific
-// rejections (WaitResult falls back to polling when an old server
-// rejects CmdWaitResult as unknown).
+// rejections.
 type ServerError struct {
 	Cmd uint8
 	Msg string
@@ -126,7 +125,6 @@ type clientMetrics struct {
 	resumedLoads  *metrics.Counter
 	chunkResends  *metrics.Counter
 	waitHolds     *metrics.Counter
-	waitFallback  *metrics.Counter
 	rtt           *metrics.Histogram
 }
 
@@ -143,8 +141,7 @@ func newClientMetrics(r *metrics.Registry) clientMetrics {
 		resumedChunks: r.Counter("liquid_client_load_chunks_skipped_total", "Load chunks skipped because the server already held them (resume)."),
 		resumedLoads:  r.Counter("liquid_client_loads_resumed_total", "Loads that resumed from server-side progress instead of restarting."),
 		chunkResends:  r.Counter("liquid_client_load_chunk_resends_total", "Load chunk datagrams retransmitted by the sliding window after a silent round."),
-		waitHolds:     r.Counter("liquid_client_wait_holds_total", "Server-held result waits issued (CmdWaitResult exchanges)."),
-		waitFallback:  r.Counter("liquid_client_wait_fallback_total", "WaitResult downgrades to the poll loop because the server rejected CmdWaitResult."),
+		waitHolds:     r.Counter("liquid_client_wait_holds_total", "Server-held waits issued (CmdWaitResult and CmdWaitReconfig exchanges)."),
 		rtt:           r.Histogram("liquid_client_rtt_seconds", "Round-trip latency of successful exchanges.", metrics.DefSecondsBuckets),
 	}
 }
@@ -183,34 +180,23 @@ type Client struct {
 	Retries int
 	// Board selects the destination board on a multi-board node.
 	Board uint8
-	// PollInterval is the delay between completion polls in
-	// WaitResult (default 2ms — well under the control plane's
-	// latency target, far above the per-request cost). Since the
-	// server-held wait it is the fallback pace, used only when the
-	// server does not support CmdWaitResult or WaitHold is negative.
+	// PollInterval paces a held wait the server answered early (hold
+	// budget expired, waiter table full): the next wait exchange is
+	// issued no sooner than this after the previous one (default 2ms —
+	// well under the control plane's latency target, far above the
+	// per-request cost).
 	PollInterval time.Duration
-	// WaitTimeout bounds how long WaitResult polls before giving up
-	// (0 = 2 minutes).
+	// WaitTimeout bounds how long WaitResult and WaitReconfigure wait
+	// before giving up (0 = 2 minutes).
 	WaitTimeout time.Duration
 	// Window is the sliding-window depth LoadProgram keeps in flight
 	// (0 = DefaultWindow, 1 = stop-and-wait).
 	Window int
-	// WaitHold is the server-side hold WaitResult requests per
-	// CmdWaitResult exchange: the server parks the exchange up to this
-	// long and answers the instant the run completes. 0 = the
-	// DefaultWaitHold; negative disables the held wait entirely and
-	// polls at PollInterval like the pre-v5 client.
+	// WaitHold is the server-side hold each CmdWaitResult or
+	// CmdWaitReconfig exchange requests: the server parks the exchange
+	// up to this long and answers the instant the run completes or the
+	// swap lands (0 = DefaultWaitHold).
 	WaitHold time.Duration
-	// WireRev pins the client to a historical protocol generation
-	// (0 = latest). It controls both the header shape and the command
-	// vocabulary: rev 1 emits the v1 header (no board byte — Board must
-	// be 0), rev 2 adds the board byte, rev<3 sends no exchange seq and
-	// loads stop-and-wait, rev<4 stamps no trace id, rev<5 never issues
-	// CmdWaitResult (polls instead), rev<6 never issues
-	// CmdWaitReconfig/CmdReconfigStatus holds. Compatibility tests pin
-	// it to drive every client generation against every server
-	// generation.
-	WireRev uint8
 
 	// Tracer, when set, records one span tree per exchange: an
 	// "exchange:<cmd>" span with an "attempt" child for the first
@@ -227,15 +213,6 @@ type Client struct {
 	seq uint16
 	rng *rand.Rand
 	op  tracing.Ctx // active operation span context, if any
-
-	// noServerWait latches after the server rejects CmdWaitResult as
-	// unknown (a pre-v5 node): every later WaitResult goes straight to
-	// the poll loop instead of re-probing per wait.
-	noServerWait bool
-	// noReconfigWait is the rev-6 twin: latched after the server
-	// rejects CmdWaitReconfig as unknown, downgrading WaitReconfigure
-	// to CmdReconfigStatus polling for the life of this client.
-	noReconfigWait bool
 
 	reg *metrics.Registry
 	m   clientMetrics
@@ -273,14 +250,6 @@ func New(conn Conn, clk sim.Clock) *Client {
 		reg:           reg,
 		m:             newClientMetrics(reg),
 	}
-}
-
-// wireRev resolves the pinned protocol generation (0 = latest).
-func (c *Client) wireRev() uint8 {
-	if c.WireRev == 0 {
-		return 6
-	}
-	return c.WireRev
 }
 
 // SetSeed re-seeds the jitter source, pinning the retransmission
@@ -344,37 +313,25 @@ func (c *Client) jittered(d time.Duration) time.Duration {
 // roundTrip sends pkt and waits for a response to the same exchange,
 // retransmitting with exponential backoff on timeout.
 func (c *Client) roundTrip(pkt netproto.Packet) (netproto.Packet, error) {
-	return c.exchange(pkt, time.Time{})
+	return c.exchangeCtx(context.Background(), pkt, time.Time{}, 0)
 }
 
-// exchange is roundTrip bounded by an optional overall deadline (zero
-// = none): attempts stop, and per-attempt read deadlines are capped,
-// at the deadline — so a caller-level budget like WaitTimeout is
-// honored even when every poll in a streak times out.
+// exchangeCtx is roundTrip with the extensions the server-held wait
+// needs: an optional overall deadline (zero = none) at which attempts
+// stop and per-attempt read deadlines are capped — so WaitTimeout is
+// honored even when every exchange in a streak times out; extraWait,
+// which stretches every attempt's read deadline beyond the backoff
+// schedule (a parked wait legitimately answers up to the hold late,
+// which must not read as loss); and a ctx whose cancellation
+// interrupts even a blocked read by expiring the socket's read
+// deadline from the context's watcher goroutine.
 //
 // A CmdError response becomes an error; responses carrying a stale
 // exchange seq (duplicates, reordered strays) are counted and
 // discarded.
-func (c *Client) exchange(pkt netproto.Packet, overall time.Time) (netproto.Packet, error) {
-	return c.exchangeCtx(context.Background(), pkt, overall, 0)
-}
-
-// exchangeCtx is exchange with two extensions the server-held wait
-// needs: extraWait stretches every attempt's read deadline beyond the
-// backoff schedule (a parked CmdWaitResult legitimately answers up to
-// the hold late, which must not read as loss), and a canceled ctx
-// interrupts even a blocked read by expiring the socket's read
-// deadline from the context's watcher goroutine.
 func (c *Client) exchangeCtx(ctx context.Context, pkt netproto.Packet, overall time.Time, extraWait time.Duration) (netproto.Packet, error) {
-	rev := c.wireRev()
-	pkt.Board = c.Board
 	c.seq++
-	if rev >= 3 {
-		pkt.Seq, pkt.HasSeq = c.seq, true
-	}
-	if c.TraceID != 0 && rev >= 4 {
-		pkt.TraceID, pkt.HasTrace = c.TraceID, true
-	}
+	pkt.Board, pkt.Seq, pkt.HasSeq, pkt.TraceID = c.Board, c.seq, true, c.TraceID
 	want := pkt.Command | netproto.RespFlag
 	raw := pkt.Marshal()
 	buf := make([]byte, 64<<10)
@@ -473,10 +430,10 @@ func (c *Client) exchangeCtx(ctx context.Context, pkt netproto.Packet, overall t
 			if err != nil {
 				continue // stray datagram
 			}
-			if resp.HasSeq && resp.Seq != pkt.Seq {
+			if !resp.HasSeq || resp.Seq != pkt.Seq {
 				// A duplicated or delayed response from an earlier
-				// exchange: suppress it instead of mistaking it for
-				// this one's answer.
+				// exchange (or an unsequenced stray): suppress it
+				// instead of mistaking it for this one's answer.
 				c.m.dupSuppressed.Inc()
 				continue
 			}
@@ -566,11 +523,6 @@ func (c *Client) LoadProgram(addr uint32, image []byte) (err error) {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	if c.wireRev() < 3 {
-		// No exchange seqs on the wire means acks cannot be matched to
-		// chunks: load stop-and-wait, like the pre-v3 client did.
-		window = 1
-	}
 	return c.loadWindowed(netproto.ChunkImage(addr, image), window)
 }
 
@@ -615,24 +567,18 @@ func (c *Client) loadWindowed(chunks []netproto.LoadChunk, window int) error {
 		}
 	}
 
-	rev := c.wireRev()
-
 	send := func(i int) error {
 		if !assigned[i] {
 			c.seq++
 			seqs[i] = c.seq
-			pkt := netproto.Packet{
+			raws[i] = netproto.Packet{
 				Command: netproto.CmdLoadProgram,
 				Board:   c.Board,
+				Seq:     c.seq,
+				HasSeq:  true,
+				TraceID: c.TraceID,
 				Body:    chunks[i].Marshal(),
-			}
-			if rev >= 3 {
-				pkt.Seq, pkt.HasSeq = c.seq, true
-			}
-			if c.TraceID != 0 && rev >= 4 {
-				pkt.TraceID, pkt.HasTrace = c.TraceID, true
-			}
-			raws[i] = pkt.Marshal()
+			}.Marshal()
 			assigned[i] = true
 			pend[seqs[i]] = i
 			c.m.requests.With("load").Inc()
@@ -660,9 +606,8 @@ func (c *Client) loadWindowed(chunks []netproto.LoadChunk, window int) error {
 
 	// advance lifts the cumulative floor to the max of the server's
 	// advertised next-needed chunk and the locally-acked contiguous
-	// prefix (pre-progress servers advertise nothing), retiring
-	// outstanding exchanges below it and skipping never-sent chunks
-	// the server already holds (resume).
+	// prefix, retiring outstanding exchanges below it and skipping
+	// never-sent chunks the server already holds (resume).
 	advance := func(serverNext int) {
 		nb := base
 		if serverNext > nb {
@@ -750,24 +695,20 @@ func (c *Client) loadWindowed(chunks []netproto.LoadChunk, window int) error {
 				break
 			}
 			resp, perr := netproto.ParsePacket(buf[:nr])
-			if perr != nil {
+			if perr != nil || !resp.HasSeq {
 				continue // stray datagram
 			}
 			if resp.Board != c.Board {
 				c.m.dupSuppressed.Inc()
 				continue
 			}
-			idx := -1
-			if resp.HasSeq {
-				j, ok := pend[resp.Seq]
-				if !ok {
-					// An ack for a chunk already retired (a duplicated
-					// or reordered response), or a stray from an earlier
-					// exchange: suppress.
-					c.m.dupSuppressed.Inc()
-					continue
-				}
-				idx = j
+			idx, ok := pend[resp.Seq]
+			if !ok {
+				// An ack for a chunk already retired (a duplicated or
+				// reordered response), or a stray from an earlier
+				// exchange: suppress.
+				c.m.dupSuppressed.Inc()
+				continue
 			}
 			if resp.Command == netproto.CmdError {
 				er, eperr := netproto.ParseErrorResp(resp.Body)
@@ -783,19 +724,6 @@ func (c *Client) loadWindowed(chunks []netproto.LoadChunk, window int) error {
 			}
 			if resp.Command != netproto.CmdLoadProgram|netproto.RespFlag {
 				continue // stale response from an earlier exchange
-			}
-			if idx < 0 {
-				// A pre-seq server's bare ack credits the oldest
-				// outstanding chunk — acks arrive in send order there.
-				for _, j := range pend {
-					if idx < 0 || j < idx {
-						idx = j
-					}
-				}
-				if idx < 0 {
-					c.m.dupSuppressed.Inc()
-					continue
-				}
 			}
 			rep, rperr := netproto.ParseRunReport(resp.Body)
 			if rperr != nil {
@@ -867,45 +795,28 @@ func (c *Client) loadWindowed(chunks []netproto.LoadChunk, window int) error {
 }
 
 // Start executes the loaded program (entry 0 = last load address) and
-// blocks until it completes, returning the cycle-counter report. Since
-// the asynchronous control plane it is a convenience composition of
-// StartAsync + WaitResult: the board is started with one round trip,
-// then polled for completion every PollInterval. The signature and
-// observable behavior match the historical blocking call.
+// blocks until it completes, returning the cycle-counter report: the
+// StartAsync ack, then a held WaitResult.
 func (c *Client) Start(entry uint32, maxCycles uint64) (netproto.RunReport, error) {
-	rep, err := c.startAck(entry, maxCycles)
-	if err != nil {
+	if err := c.StartAsync(entry, maxCycles); err != nil {
 		return netproto.RunReport{}, err
-	}
-	if rep.Status != netproto.StatusRunning {
-		// A pre-async (rev<2) server blocks through the run inside
-		// CmdStartLEON: the ack IS the final report, and polling a
-		// server that old for a result it never stores would fail.
-		return rep, nil
 	}
 	return c.WaitResult()
-}
-
-// startAck issues the CmdStartLEON exchange and returns the raw ack
-// report: StatusRunning from an asynchronous server, the final report
-// from a blocking pre-async one.
-func (c *Client) startAck(entry uint32, maxCycles uint64) (rep netproto.RunReport, err error) {
-	op := c.beginOp("start")
-	defer func() { c.endOp(op, err) }()
-	req := netproto.StartReq{Entry: entry, MaxCycles: maxCycles}
-	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdStartLEON, Body: req.Marshal()})
-	if err != nil {
-		return netproto.RunReport{}, err
-	}
-	return netproto.ParseRunReport(resp.Body)
 }
 
 // StartAsync starts the loaded program and returns as soon as the board
 // acknowledges the handoff — the "started" ack of the asynchronous
 // control plane. Poll Status (CurCycles advances while running) and
 // collect the report with Result or WaitResult.
-func (c *Client) StartAsync(entry uint32, maxCycles uint64) error {
-	rep, err := c.startAck(entry, maxCycles)
+func (c *Client) StartAsync(entry uint32, maxCycles uint64) (err error) {
+	op := c.beginOp("start")
+	defer func() { c.endOp(op, err) }()
+	req := netproto.StartReq{Entry: entry, MaxCycles: maxCycles}
+	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdStartLEON, Body: req.Marshal()})
+	if err != nil {
+		return err
+	}
+	rep, err := netproto.ParseRunReport(resp.Body)
 	if err != nil {
 		return err
 	}
@@ -919,15 +830,10 @@ func (c *Client) StartAsync(entry uint32, maxCycles uint64) error {
 // is still in flight the report has Status == StatusRunning and a live
 // cycle counter; once complete it is the final report (idempotent — the
 // server keeps answering with the last result).
-func (c *Client) Result() (netproto.RunReport, error) {
-	return c.resultWithin(time.Time{})
-}
-
-// resultWithin is Result bounded by an overall deadline.
-func (c *Client) resultWithin(deadline time.Time) (rep netproto.RunReport, err error) {
+func (c *Client) Result() (rep netproto.RunReport, err error) {
 	op := c.beginOp("result")
 	defer func() { c.endOp(op, err) }()
-	resp, err := c.exchange(netproto.Packet{Command: netproto.CmdResult}, deadline)
+	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdResult})
 	if err != nil {
 		return netproto.RunReport{}, err
 	}
@@ -935,16 +841,13 @@ func (c *Client) resultWithin(deadline time.Time) (rep netproto.RunReport, err e
 }
 
 // WaitResult waits for the run to leave StatusRunning and returns the
-// final report. Against a v5 server it uses the server-held wait:
-// each CmdWaitResult exchange asks the server to park the reply up to
-// WaitHold and answer the instant the run completes, so completion
-// latency is one network trip rather than a poll interval. When the
-// server rejects CmdWaitResult as unknown (a pre-v5 node) the client
-// falls back — permanently, for this client — to polling Result every
-// PollInterval. WaitTimeout (default 2 minutes) bounds the whole
-// wait, including streaks where every exchange is lost: the
-// retransmission schedule is capped at the overall deadline, so the
-// wait never overshoots it by a retry cycle.
+// final report. Each CmdWaitResult exchange asks the server to park the
+// reply up to WaitHold and answer the instant the run completes, so
+// completion latency is one network trip rather than a poll interval.
+// WaitTimeout (default 2 minutes) bounds the whole wait, including
+// streaks where every exchange is lost: the retransmission schedule is
+// capped at the overall deadline, so the wait never overshoots it by a
+// retry cycle.
 func (c *Client) WaitResult() (netproto.RunReport, error) {
 	return c.WaitResultContext(context.Background())
 }
@@ -956,6 +859,22 @@ func (c *Client) WaitResult() (netproto.RunReport, error) {
 func (c *Client) WaitResultContext(ctx context.Context) (rep netproto.RunReport, err error) {
 	op := c.beginOp("wait_result")
 	defer func() { c.endOp(op, err) }()
+	err = c.heldWait(ctx, netproto.CmdWaitResult, "run", func(body []byte) (bool, error) {
+		var perr error
+		rep, perr = netproto.ParseRunReport(body)
+		return rep.Status != netproto.StatusRunning, perr
+	})
+	return rep, err
+}
+
+// heldWait is the one server-held wait loop behind WaitResultContext
+// and WaitReconfigure. It re-issues cmd — each exchange asking the
+// server to hold the reply up to WaitHold — until done reports the
+// answer's body final. A reply that comes back sooner than
+// PollInterval (the server could not park it) paces the next exchange
+// at PollInterval. WaitTimeout and ctx bound the whole wait; what names
+// the awaited outcome in errors.
+func (c *Client) heldWait(ctx context.Context, cmd uint8, what string, done func(body []byte) (bool, error)) error {
 	interval := c.PollInterval
 	if interval <= 0 {
 		interval = 2 * time.Millisecond
@@ -965,7 +884,7 @@ func (c *Client) WaitResultContext(ctx context.Context) (rep netproto.RunReport,
 		limit = 2 * time.Minute
 	}
 	hold := c.WaitHold
-	if hold == 0 {
+	if hold <= 0 {
 		hold = DefaultWaitHold
 	}
 	deadline := c.clk.Now().Add(limit)
@@ -974,98 +893,50 @@ func (c *Client) WaitResultContext(ctx context.Context) (rep netproto.RunReport,
 	}
 	for {
 		if err := ctx.Err(); err != nil {
-			return netproto.RunReport{}, fmt.Errorf("client: wait canceled: %w", err)
+			return fmt.Errorf("client: wait canceled: %w", err)
 		}
-		useHold := hold > 0 && !c.noServerWait && c.wireRev() >= 5
-		var (
-			rep  netproto.RunReport
-			rerr error
-			held time.Duration
-		)
-		if useHold {
-			h := hold
-			if remain := c.clk.Until(deadline); remain < h {
-				h = remain // never ask the server to outlast our own budget
-			}
-			if h < time.Millisecond {
-				h = time.Millisecond
-			}
-			before := c.clk.Now()
-			rep, rerr = c.waitHeld(ctx, h, deadline)
-			held = c.clk.Since(before)
-			if rerr != nil {
-				var se *ServerError
-				if errors.As(rerr, &se) && se.Cmd == netproto.CmdWaitResult {
-					// This server predates CmdWaitResult: downgrade to the
-					// poll loop and stop probing.
-					c.noServerWait = true
-					c.m.waitFallback.Inc()
-					continue
-				}
-			}
-		} else {
-			rep, rerr = c.resultWithin(deadline)
+		h := hold
+		if remain := c.clk.Until(deadline); remain < h {
+			h = remain // never ask the server to outlast our own budget
 		}
-		if rerr != nil {
+		if h < time.Millisecond {
+			h = time.Millisecond
+		}
+		c.m.waitHolds.Inc()
+		before := c.clk.Now()
+		// The server may delay the reply up to h, so every read
+		// deadline is stretched by h beyond the retransmission schedule.
+		req := netproto.WaitResultReq{HoldMs: uint32(h / time.Millisecond)}
+		resp, err := c.exchangeCtx(ctx, netproto.Packet{Command: cmd, Body: req.Marshal()}, deadline, h)
+		held := c.clk.Since(before)
+		if err != nil {
 			if ctx.Err() != nil {
-				return netproto.RunReport{}, fmt.Errorf("client: wait canceled: %w", ctx.Err())
+				return fmt.Errorf("client: wait canceled: %w", ctx.Err())
 			}
 			var ue *UnreachableError
-			if errors.As(rerr, &ue) && !c.clk.Now().Before(deadline) {
-				return netproto.RunReport{}, fmt.Errorf("client: run still unconfirmed after %v: %w", limit, rerr)
+			if errors.As(err, &ue) && !c.clk.Now().Before(deadline) {
+				return fmt.Errorf("client: %s still unconfirmed after %v: %w", what, limit, err)
 			}
-			return netproto.RunReport{}, rerr
+			return err
 		}
-		if rep.Status != netproto.StatusRunning {
-			return rep, nil
+		if fin, err := done(resp.Body); fin || err != nil {
+			return err
 		}
 		remain := c.clk.Until(deadline)
 		if remain <= 0 {
-			return rep, fmt.Errorf("client: run still in flight after %v", limit)
+			return fmt.Errorf("client: %s still in flight after %v", what, limit)
 		}
-		if useHold && held >= interval {
-			// The server held the exchange and the run outlasted the
+		if held >= interval {
+			// The server held the exchange and the wait outlasted the
 			// hold: re-issue immediately; the exchange itself paced us.
 			continue
 		}
-		sleep := interval
-		if sleep > remain {
-			sleep = remain
-		}
 		select {
 		case <-ctx.Done():
-			return netproto.RunReport{}, fmt.Errorf("client: wait canceled: %w", ctx.Err())
-		case <-c.clk.After(sleep):
+			return fmt.Errorf("client: wait canceled: %w", ctx.Err())
+		case <-c.clk.After(min(interval, remain)):
 		}
 	}
-}
-
-// waitHeld issues one server-held result exchange: the server may
-// delay the reply up to h, so every read deadline is stretched by h
-// beyond the normal retransmission schedule.
-func (c *Client) waitHeld(ctx context.Context, h time.Duration, overall time.Time) (netproto.RunReport, error) {
-	c.m.waitHolds.Inc()
-	req := netproto.WaitResultReq{HoldMs: uint32(h / time.Millisecond)}
-	resp, err := c.exchangeCtx(ctx, netproto.Packet{Command: netproto.CmdWaitResult, Body: req.Marshal()}, overall, h)
-	if err != nil {
-		return netproto.RunReport{}, err
-	}
-	return netproto.ParseRunReport(resp.Body)
-}
-
-// StartSync executes the program with the blocking wire command
-// (CmdStartSync): one request, one response carrying the final report.
-// It is the v1-compatible path for short programs; prefer
-// StartAsync/WaitResult, which keeps the control channel responsive.
-func (c *Client) StartSync(entry uint32, maxCycles uint64) (rep netproto.RunReport, err error) {
-	op := c.beginOp("start_sync")
-	defer func() { c.endOp(op, err) }()
-	req := netproto.StartReq{Entry: entry, MaxCycles: maxCycles}
-	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdStartSync, Body: req.Marshal()})
-	if err != nil {
-		return netproto.RunReport{}, err
-	}
-	return netproto.ParseRunReport(resp.Body)
 }
 
 // ReadMemory reads n bytes from addr, issuing as many requests as the
@@ -1110,11 +981,9 @@ func (c *Client) WriteMemory(addr uint32, data []byte) error {
 
 // Reconfigure asks the platform to swap in a different architecture
 // configuration (the liquid step) and blocks until the swap lands.
-// spec is the platform-defined configuration description. Since
-// protocol rev 6 it is a composition of ReconfigureAsync +
-// WaitReconfigure; against a pre-rev-6 server the ack itself carries
-// the outcome and no wait is issued, so the observable behavior
-// matches the historical blocking call either way.
+// spec is the platform-defined configuration description. It is
+// ReconfigureAsync followed, unless the ack already carries the
+// outcome, by WaitReconfigure.
 func (c *Client) Reconfigure(spec []byte) (err error) {
 	op := c.beginOp("reconfigure")
 	defer func() { c.endOp(op, err) }()
@@ -1140,9 +1009,7 @@ func (c *Client) Reconfigure(spec []byte) (err error) {
 // server's immediate ack as a ticket status: Applied for a cache hit
 // on an idle board (the millisecond path), Queued/Synthesizing when
 // the modelled tool run proceeds in the background (follow up with
-// ReconfigStatus or WaitReconfigure). A pre-rev-6 server blocks
-// through the whole swap and its ack maps onto the terminal states, so
-// callers need not know which protocol generation answered.
+// ReconfigStatus or WaitReconfigure).
 func (c *Client) ReconfigureAsync(spec []byte) (st netproto.ReconfigStatusResp, err error) {
 	op := c.beginOp("reconfigure")
 	defer func() { c.endOp(op, err) }()
@@ -1161,8 +1028,7 @@ func (c *Client) ReconfigureAsync(spec []byte) (st netproto.ReconfigStatusResp, 
 // specs into its reconfiguration cache without swapping any of them
 // in, returning how many tickets the server queued. Synthesis
 // proceeds on the server's shared worker pool; later Reconfigure
-// calls to these points become cache hits. A pre-rev-6 server does
-// not understand prewarm bodies and reports 0 queued.
+// calls to these points become cache hits.
 func (c *Client) Prewarm(specs []json.RawMessage) (queued uint32, err error) {
 	op := c.beginOp("prewarm")
 	defer func() { c.endOp(op, err) }()
@@ -1184,17 +1050,13 @@ func (c *Client) Prewarm(specs []json.RawMessage) (queued uint32, err error) {
 }
 
 // ReconfigStatus polls the board's asynchronous reconfiguration state
-// with a single round trip (rev 6; older servers reject it as
-// unknown). The poll also pumps: an image whose synthesis completed
-// while the board was busy is swapped in by this very exchange.
-func (c *Client) ReconfigStatus() (netproto.ReconfigStatusResp, error) {
-	return c.reconfigStatusWithin(time.Time{})
-}
-
-func (c *Client) reconfigStatusWithin(deadline time.Time) (st netproto.ReconfigStatusResp, err error) {
+// with a single round trip. The poll also pumps: an image whose
+// synthesis completed while the board was busy is swapped in by this
+// very exchange.
+func (c *Client) ReconfigStatus() (st netproto.ReconfigStatusResp, err error) {
 	op := c.beginOp("reconfig_status")
 	defer func() { c.endOp(op, err) }()
-	resp, err := c.exchange(netproto.Packet{Command: netproto.CmdReconfigStatus}, deadline)
+	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdReconfigStatus})
 	if err != nil {
 		return netproto.ReconfigStatusResp{}, err
 	}
@@ -1202,110 +1064,20 @@ func (c *Client) reconfigStatusWithin(deadline time.Time) (st netproto.ReconfigS
 }
 
 // WaitReconfigure blocks until the asynchronous reconfiguration
-// reaches a terminal state and returns it. Like WaitResult it prefers
-// the server-held wait — each CmdWaitReconfig exchange parks on the
-// board worker up to WaitHold and answers the instant the swap lands —
-// and downgrades permanently to CmdReconfigStatus polling when the
-// server rejects the command as unknown. WaitTimeout bounds the whole
-// wait; ctx cancels it early, interrupting even a held exchange.
+// reaches a terminal state and returns it. Like WaitResult it is a
+// server-held wait: each CmdWaitReconfig exchange parks on the board
+// worker up to WaitHold and answers the instant the swap lands.
+// WaitTimeout bounds the whole wait; ctx cancels it early, interrupting
+// even a held exchange.
 func (c *Client) WaitReconfigure(ctx context.Context) (st netproto.ReconfigStatusResp, err error) {
 	op := c.beginOp("wait_reconfig")
 	defer func() { c.endOp(op, err) }()
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 2 * time.Millisecond
-	}
-	limit := c.WaitTimeout
-	if limit <= 0 {
-		limit = 2 * time.Minute
-	}
-	hold := c.WaitHold
-	if hold == 0 {
-		hold = DefaultWaitHold
-	}
-	deadline := c.clk.Now().Add(limit)
-	if cd, ok := ctx.Deadline(); ok && cd.Before(deadline) {
-		deadline = cd
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return netproto.ReconfigStatusResp{}, fmt.Errorf("client: wait canceled: %w", err)
-		}
-		useHold := hold > 0 && !c.noReconfigWait && c.wireRev() >= 6
-		var (
-			rst  netproto.ReconfigStatusResp
-			rerr error
-			held time.Duration
-		)
-		if useHold {
-			h := hold
-			if remain := c.clk.Until(deadline); remain < h {
-				h = remain // never ask the server to outlast our own budget
-			}
-			if h < time.Millisecond {
-				h = time.Millisecond
-			}
-			before := c.clk.Now()
-			rst, rerr = c.waitReconfigHeld(ctx, h, deadline)
-			held = c.clk.Since(before)
-			if rerr != nil {
-				var se *ServerError
-				if errors.As(rerr, &se) && se.Cmd == netproto.CmdWaitReconfig {
-					// This server predates CmdWaitReconfig: downgrade to
-					// the status-poll loop and stop probing.
-					c.noReconfigWait = true
-					c.m.waitFallback.Inc()
-					continue
-				}
-			}
-		} else {
-			rst, rerr = c.reconfigStatusWithin(deadline)
-		}
-		if rerr != nil {
-			if ctx.Err() != nil {
-				return netproto.ReconfigStatusResp{}, fmt.Errorf("client: wait canceled: %w", ctx.Err())
-			}
-			var ue *UnreachableError
-			if errors.As(rerr, &ue) && !c.clk.Now().Before(deadline) {
-				return netproto.ReconfigStatusResp{}, fmt.Errorf("client: reconfiguration still unconfirmed after %v: %w", limit, rerr)
-			}
-			return netproto.ReconfigStatusResp{}, rerr
-		}
-		if rst.Terminal() || rst.State == netproto.ReconfigNone {
-			return rst, nil
-		}
-		remain := c.clk.Until(deadline)
-		if remain <= 0 {
-			return rst, fmt.Errorf("client: reconfiguration still in flight after %v", limit)
-		}
-		if useHold && held >= interval {
-			// The server held the exchange and the swap outlasted the
-			// hold: re-issue immediately; the exchange itself paced us.
-			continue
-		}
-		sleep := interval
-		if sleep > remain {
-			sleep = remain
-		}
-		select {
-		case <-ctx.Done():
-			return netproto.ReconfigStatusResp{}, fmt.Errorf("client: wait canceled: %w", ctx.Err())
-		case <-c.clk.After(sleep):
-		}
-	}
-}
-
-// waitReconfigHeld issues one server-held reconfiguration wait; the
-// server may delay the reply up to h, so every read deadline is
-// stretched by h beyond the normal retransmission schedule.
-func (c *Client) waitReconfigHeld(ctx context.Context, h time.Duration, overall time.Time) (netproto.ReconfigStatusResp, error) {
-	c.m.waitHolds.Inc()
-	req := netproto.WaitReconfigReq{HoldMs: uint32(h / time.Millisecond)}
-	resp, err := c.exchangeCtx(ctx, netproto.Packet{Command: netproto.CmdWaitReconfig, Body: req.Marshal()}, overall, h)
-	if err != nil {
-		return netproto.ReconfigStatusResp{}, err
-	}
-	return netproto.ParseReconfigStatusResp(resp.Body)
+	err = c.heldWait(ctx, netproto.CmdWaitReconfig, "reconfiguration", func(body []byte) (bool, error) {
+		var perr error
+		st, perr = netproto.ParseReconfigStatusResp(body)
+		return st.Terminal() || st.State == netproto.ReconfigNone, perr
+	})
+	return st, err
 }
 
 // GetConfig fetches the platform's active configuration description.

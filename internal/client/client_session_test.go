@@ -8,6 +8,8 @@ import (
 
 	"liquidarch/internal/fpx"
 	"liquidarch/internal/leon"
+	"liquidarch/internal/netproto"
+	"liquidarch/internal/tracing"
 )
 
 // emulatorServer serves an Emulator-backed platform over loopback.
@@ -19,7 +21,9 @@ func emulatorServer(t *testing.T) (string, *fpx.Platform) {
 		blob, _ := json.Marshal(map[string]int{"dcache_bytes": 4096})
 		return blob
 	}
-	platform.ReconfigureFn = func(spec []byte) error { return nil }
+	platform.ReconfigAsyncFn = func(tracing.Ctx, []byte) (netproto.ReconfigStatusResp, error) {
+		return netproto.ReconfigStatusResp{Status: netproto.StatusOK, State: netproto.ReconfigApplied}, nil
+	}
 	platform.TraceFn = func() ([]byte, error) { return []byte(`{"instructions":1}`), nil }
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {

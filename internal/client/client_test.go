@@ -10,7 +10,10 @@ import (
 	"liquidarch/internal/netproto"
 )
 
-// scriptServer answers UDP requests with a scripted handler.
+// scriptServer answers UDP requests with a scripted handler. A reply
+// the handler marshals without an exchange seq is stamped with the
+// request's board, seq and trace id, as a node echoes them; replies
+// that carry a seq (or do not parse) go out as scripted.
 func scriptServer(t *testing.T, handle func(req netproto.Packet) [][]byte) string {
 	t.Helper()
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -30,6 +33,10 @@ func scriptServer(t *testing.T, handle func(req netproto.Packet) [][]byte) strin
 				continue
 			}
 			for _, resp := range handle(pkt) {
+				if rp, err := netproto.ParsePacket(resp); err == nil && !rp.HasSeq {
+					rp.Board, rp.Seq, rp.HasSeq, rp.TraceID = pkt.Board, pkt.Seq, true, pkt.TraceID
+					resp = rp.Marshal()
+				}
 				conn.WriteToUDP(resp, peer)
 			}
 		}
@@ -209,10 +216,18 @@ func TestReadMemoryShortReadDetected(t *testing.T) {
 	}
 }
 
+// TestReconfigureStatusChecked: an error-status ack carrying no ticket
+// state never reads as a landed swap.
 func TestReconfigureStatusChecked(t *testing.T) {
 	addr := scriptServer(t, func(req netproto.Packet) [][]byte {
-		return [][]byte{netproto.Packet{Command: netproto.CmdReconfigure | netproto.RespFlag,
-			Body: netproto.RunReport{Status: netproto.StatusError}.Marshal()}.Marshal()}
+		switch req.Command {
+		case netproto.CmdReconfigure:
+			return [][]byte{netproto.Packet{Command: netproto.CmdReconfigure | netproto.RespFlag,
+				Body: netproto.RunReport{Status: netproto.StatusError}.Marshal()}.Marshal()}
+		case netproto.CmdWaitReconfig:
+			return [][]byte{reconfigStatusPacket(netproto.CmdWaitReconfig, netproto.ReconfigStatusResp{})}
+		}
+		return nil
 	})
 	c := dialFast(t, addr)
 	if err := c.Reconfigure([]byte("{}")); err == nil {

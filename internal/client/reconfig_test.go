@@ -6,12 +6,13 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"liquidarch/internal/netproto"
 )
 
 // reconfigAckPacket builds the RunReport-shaped CmdReconfigure ack a
-// rev-6 server sends for the given ticket status.
+// server sends for the given ticket status.
 func reconfigAckPacket(st netproto.ReconfigStatusResp) []byte {
 	return netproto.Packet{
 		Command: netproto.CmdReconfigure | netproto.RespFlag,
@@ -44,7 +45,7 @@ func TestReconfigureAsyncAck(t *testing.T) {
 	}
 }
 
-// TestReconfigStatusRoundTrip: all fields of the rev-6 status body
+// TestReconfigStatusRoundTrip: all fields of the status body
 // survive the wire.
 func TestReconfigStatusRoundTrip(t *testing.T) {
 	want := netproto.ReconfigStatusResp{
@@ -128,44 +129,43 @@ func TestWaitReconfigureHeld(t *testing.T) {
 	}
 }
 
-// TestWaitReconfigureFallback: a server that rejects CmdWaitReconfig
-// as unknown downgrades the client to status polling, permanently.
+// TestWaitReconfigureFallback: a server that answers CmdWaitReconfig
+// early (it could not park the exchange) gets the wait re-issued,
+// paced at PollInterval, until the swap is terminal — never a
+// CmdReconfigStatus poll.
 func TestWaitReconfigureFallback(t *testing.T) {
 	var waits, polls atomic.Int64
 	addr := scriptServer(t, func(req netproto.Packet) [][]byte {
 		switch req.Command {
 		case netproto.CmdWaitReconfig:
-			waits.Add(1)
-			return [][]byte{netproto.Packet{Command: netproto.CmdError,
-				Body: netproto.ErrorResp{Code: netproto.CmdWaitReconfig, Msg: "unknown command"}.Marshal()}.Marshal()}
-		case netproto.CmdReconfigStatus:
 			st := netproto.ReconfigStatusResp{Status: netproto.StatusOK, State: netproto.ReconfigSynthesizing}
-			if polls.Add(1) >= 2 {
+			if waits.Add(1) >= 3 {
 				st.State = netproto.ReconfigApplied
 			}
-			return [][]byte{reconfigStatusPacket(netproto.CmdReconfigStatus, st)}
+			return [][]byte{reconfigStatusPacket(netproto.CmdWaitReconfig, st)}
+		case netproto.CmdReconfigStatus:
+			polls.Add(1)
 		}
 		return nil
 	})
 	c := dialFast(t, addr)
+	c.PollInterval = 20 * time.Millisecond
+	start := time.Now()
 	st, err := c.WaitReconfigure(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.State != netproto.ReconfigApplied {
-		t.Errorf("fallback wait returned %+v", st)
+		t.Errorf("wait returned %+v", st)
 	}
-	if got := waits.Load(); got != 1 {
-		t.Errorf("CmdWaitReconfig probed %d times, want exactly 1 (sticky downgrade)", got)
+	if got := waits.Load(); got != 3 {
+		t.Errorf("CmdWaitReconfig sent %d times, want 3", got)
 	}
-	// The downgrade is per-connection sticky: a second wait never
-	// probes the held path again.
-	polls.Store(1)
-	if _, err := c.WaitReconfigure(context.Background()); err != nil {
-		t.Fatal(err)
+	if polls.Load() != 0 {
+		t.Errorf("wait issued %d CmdReconfigStatus polls", polls.Load())
 	}
-	if got := waits.Load(); got != 1 {
-		t.Errorf("second wait re-probed CmdWaitReconfig (%d sends)", got)
+	if elapsed := time.Since(start); elapsed < 2*c.PollInterval {
+		t.Errorf("two early answers re-issued after %v, want paced at %v", elapsed, c.PollInterval)
 	}
 }
 
@@ -191,32 +191,6 @@ func TestReconfigureBlockingComposition(t *testing.T) {
 	c := dialFast(t, addr)
 	if err := c.Reconfigure([]byte(`{"dcache_bytes":8192}`)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestReconfigurePreRev6Ack: an old blocking server answers with a
-// plain StatusOK report (no state in the spares); the client treats
-// the ack as the terminal outcome and issues no follow-up exchanges.
-func TestReconfigurePreRev6Ack(t *testing.T) {
-	var followups atomic.Int64
-	addr := scriptServer(t, func(req netproto.Packet) [][]byte {
-		switch req.Command {
-		case netproto.CmdReconfigure:
-			return [][]byte{netproto.Packet{
-				Command: netproto.CmdReconfigure | netproto.RespFlag,
-				Body:    netproto.RunReport{Status: netproto.StatusOK}.Marshal(),
-			}.Marshal()}
-		case netproto.CmdReconfigStatus, netproto.CmdWaitReconfig:
-			followups.Add(1)
-		}
-		return nil
-	})
-	c := dialFast(t, addr)
-	if err := c.Reconfigure([]byte(`{"dcache_bytes":8192}`)); err != nil {
-		t.Fatal(err)
-	}
-	if got := followups.Load(); got != 0 {
-		t.Errorf("blocking ack triggered %d follow-up exchanges, want 0", got)
 	}
 }
 

@@ -24,9 +24,8 @@ func deafServer(t *testing.T) string {
 	return conn.LocalAddr().String()
 }
 
-// seqServer is scriptServer with the v3 echo discipline every real
-// platform follows: responses carry the request's board and exchange
-// seq.
+// seqServer is scriptServer with the header echo every real platform
+// follows: responses carry the request's board and exchange seq.
 func seqServer(t *testing.T, handle func(req netproto.Packet) []netproto.Packet) string {
 	t.Helper()
 	return scriptServer(t, func(req netproto.Packet) [][]byte {
@@ -222,21 +221,20 @@ func TestWaitResultHonorsWaitTimeout(t *testing.T) {
 	}
 }
 
-func TestWaitResultContextCancel(t *testing.T) {
-	// A pre-v5 server: CmdWaitResult is unknown, so the client falls
-	// back to polling CmdResult.
-	addr := seqServer(t, func(req netproto.Packet) []netproto.Packet {
-		if req.Command == netproto.CmdWaitResult {
-			return []netproto.Packet{{Command: netproto.CmdError,
-				Body: netproto.ErrorResp{Code: req.Command, Msg: "unknown command"}.Marshal()}}
-		}
-		if req.Command != netproto.CmdResult {
+// earlyWaitServer answers every CmdWaitResult at once with a running
+// report, as a node does when it cannot park the exchange.
+func earlyWaitServer(t *testing.T) string {
+	return seqServer(t, func(req netproto.Packet) []netproto.Packet {
+		if req.Command != netproto.CmdWaitResult {
 			return nil
 		}
-		return []netproto.Packet{{Command: netproto.CmdResult | netproto.RespFlag,
+		return []netproto.Packet{{Command: netproto.CmdWaitResult | netproto.RespFlag,
 			Body: netproto.RunReport{Status: netproto.StatusRunning, Cycles: 5}.Marshal()}}
 	})
-	c := dialFast(t, addr)
+}
+
+func TestWaitResultContextCancel(t *testing.T) {
+	c := dialFast(t, earlyWaitServer(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -253,18 +251,7 @@ func TestWaitResultContextCancel(t *testing.T) {
 }
 
 func TestWaitResultContextDeadline(t *testing.T) {
-	addr := seqServer(t, func(req netproto.Packet) []netproto.Packet {
-		if req.Command == netproto.CmdWaitResult {
-			return []netproto.Packet{{Command: netproto.CmdError,
-				Body: netproto.ErrorResp{Code: req.Command, Msg: "unknown command"}.Marshal()}}
-		}
-		if req.Command != netproto.CmdResult {
-			return nil
-		}
-		return []netproto.Packet{{Command: netproto.CmdResult | netproto.RespFlag,
-			Body: netproto.RunReport{Status: netproto.StatusRunning, Cycles: 5}.Marshal()}}
-	})
-	c := dialFast(t, addr)
+	c := dialFast(t, earlyWaitServer(t))
 	c.WaitTimeout = time.Minute // ctx deadline is sooner and must win
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -278,15 +265,14 @@ func TestWaitResultContextDeadline(t *testing.T) {
 	}
 }
 
+// TestWaitResultPollsUntilDone: a server that answers each held wait
+// early gets the wait re-issued, paced at PollInterval, until the run
+// is done — always CmdWaitResult, never a CmdResult poll.
 func TestWaitResultPollsUntilDone(t *testing.T) {
 	var mu sync.Mutex
 	polls := 0
 	addr := seqServer(t, func(req netproto.Packet) []netproto.Packet {
-		if req.Command == netproto.CmdWaitResult {
-			return []netproto.Packet{{Command: netproto.CmdError,
-				Body: netproto.ErrorResp{Code: req.Command, Msg: "unknown command"}.Marshal()}}
-		}
-		if req.Command != netproto.CmdResult {
+		if req.Command != netproto.CmdWaitResult {
 			return nil
 		}
 		mu.Lock()
@@ -297,9 +283,11 @@ func TestWaitResultPollsUntilDone(t *testing.T) {
 		if n > 3 {
 			rep = netproto.RunReport{Status: netproto.StatusOK, Cycles: 77}
 		}
-		return []netproto.Packet{{Command: netproto.CmdResult | netproto.RespFlag, Body: rep.Marshal()}}
+		return []netproto.Packet{{Command: netproto.CmdWaitResult | netproto.RespFlag, Body: rep.Marshal()}}
 	})
 	c := dialFast(t, addr)
+	c.PollInterval = 20 * time.Millisecond
+	start := time.Now()
 	rep, err := c.WaitResult()
 	if err != nil {
 		t.Fatal(err)
@@ -307,19 +295,20 @@ func TestWaitResultPollsUntilDone(t *testing.T) {
 	if rep.Status != netproto.StatusOK || rep.Cycles != 77 {
 		t.Errorf("report = %+v", rep)
 	}
+	if elapsed := time.Since(start); elapsed < 3*c.PollInterval {
+		t.Errorf("three early answers re-issued after %v, want paced at %v", elapsed, c.PollInterval)
+	}
 	mu.Lock()
 	defer mu.Unlock()
-	if polls < 4 {
-		t.Errorf("server saw %d polls, want >= 4", polls)
+	if polls != 4 {
+		t.Errorf("server saw %d waits, want 4", polls)
 	}
-	// The held wait was tried exactly once: after the server rejected
-	// CmdWaitResult the client downgraded for the connection's lifetime.
 	snap := c.Metrics().Snapshot()
-	if got := snap.Counters["liquid_client_wait_fallback_total"]; got != 1 {
-		t.Errorf("wait fallbacks = %d, want exactly 1 (downgrade is sticky)", got)
+	if got := snap.Counters["liquid_client_wait_holds_total"]; got != 4 {
+		t.Errorf("wait holds = %d, want 4", got)
 	}
-	if got := snap.Counter(`liquid_client_requests_total{cmd="wait"}`); got != 1 {
-		t.Errorf("requests{wait} = %d, want 1", got)
+	if got := snap.Counter(`liquid_client_requests_total{cmd="result"}`); got != 0 {
+		t.Errorf("requests{result} = %d, want 0", got)
 	}
 }
 

@@ -27,30 +27,6 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStartSyncRoundTrip: the blocking compat verb answers with the
-// final report in one exchange.
-func TestStartSyncRoundTrip(t *testing.T) {
-	want := netproto.RunReport{Status: netproto.StatusOK, Cycles: 99}
-	addr := seqServer(t, func(req netproto.Packet) []netproto.Packet {
-		if req.Command != netproto.CmdStartSync {
-			return nil
-		}
-		sr, err := netproto.ParseStartReq(req.Body)
-		if err != nil || sr.Entry != 0x40001000 {
-			t.Errorf("start req = %+v, %v", sr, err)
-		}
-		return []netproto.Packet{{Command: netproto.CmdStartSync | netproto.RespFlag, Body: want.Marshal()}}
-	})
-	c := dialFast(t, addr)
-	rep, err := c.StartSync(0x40001000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep != want {
-		t.Errorf("report = %+v, want %+v", rep, want)
-	}
-}
-
 // TestStatsRoundTrip: the stats verb hands back the server's JSON
 // document untouched.
 func TestStatsRoundTrip(t *testing.T) {

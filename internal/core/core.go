@@ -9,11 +9,11 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 	"time"
 
@@ -155,8 +155,6 @@ func New(cfg leon.Config, opts Options) (*System, error) {
 	if err := s.instantiate(cfg, img, nil, nil); err != nil {
 		return nil, err
 	}
-	s.platform.ReconfigureFn = s.reconfigureFromSpec
-	s.platform.ReconfigureCtxFn = s.reconfigureFromSpecCtx
 	s.platform.ReconfigAsyncFn = s.reconfigAsyncFromSpec
 	s.platform.ReconfigStatusFn = s.ReconfigureStatus
 	s.platform.ConfigFn = func() []byte {
@@ -302,82 +300,33 @@ func (s *System) LastReconfigureHit() bool {
 // the swap is performed as a partial runtime reconfiguration in the
 // style of the paper's reference [2]: the cache plugins are replaced
 // under the live processor, without a reset or memory copy (disable
-// with Options.DisablePartial).
+// with Options.DisablePartial). A full swap requested while a run is
+// in flight waits for the run to complete.
 func (s *System) Reconfigure(cfg leon.Config) (cacheHit bool, err error) {
 	return s.ReconfigureCtx(tracing.Ctx{}, cfg)
 }
 
-// ReconfigureCtx is Reconfigure with an exchange-trace context: the
-// whole swap becomes one "reconfigure" span annotated with the cache
-// outcome (hit|miss) and the swap path (partial|full), with the wait
-// for the synthesis service recorded as a "synthesize" child span.
+// ReconfigureCtx is Reconfigure under an exchange-trace context: it is
+// ReconfigureAsyncCtx followed by WaitReconfigure, so the swap records
+// the same "reconfigure" span (cache outcome, partial|full, with a
+// "synthesize" child for a miss) as a networked reconfiguration.
 func (s *System) ReconfigureCtx(tc tracing.Ctx, cfg leon.Config) (cacheHit bool, err error) {
-	span := tc.Start("reconfigure")
-	kind := "none"
-	defer func() {
-		if !span.On() {
-			return
-		}
-		outcome := "miss"
-		if cacheHit {
-			outcome = "hit"
-		}
-		status := "ok"
-		if err != nil {
-			status = "error"
-		}
-		span.EndAttrs(
-			tracing.A("cache", outcome),
-			tracing.A("kind", kind),
-			tracing.A("status", status),
-		)
-	}()
-	t, coalesced := s.manager.Acquire(cfg)
-	img, hit, err := s.waitTicket(span.Ctx(), t, coalesced)
+	st, err := s.ReconfigureAsyncCtx(tc, cfg)
+	if err == nil && !st.Terminal() {
+		st, err = s.WaitReconfigure(context.Background())
+	}
 	if err != nil {
 		return false, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	partial, err := s.applyLocked(cfg, img, hit, !hit && !coalesced)
-	if partial {
-		kind = "partial"
-	} else {
-		kind = "full"
+	if st.State != netproto.ReconfigApplied {
+		return false, errors.New(st.Msg)
 	}
-	return hit, err
-}
-
-// waitTicket blocks until a synthesis ticket completes, wrapping a
-// non-hit wait in a "synthesize" child span (attributed with whether
-// this caller coalesced onto another request's in-flight job).
-func (s *System) waitTicket(tc tracing.Ctx, t *reconfig.Ticket, coalesced bool) (*synth.Image, bool, error) {
-	if !t.CacheHit() {
-		ss := tc.Start("synthesize")
-		<-t.Done()
-		if ss.On() {
-			_, err := t.Image()
-			status := "ok"
-			if err != nil {
-				status = "error"
-			}
-			ss.EndAttrs(
-				tracing.A("coalesced", strconv.FormatBool(coalesced)),
-				tracing.A("status", status),
-			)
-		}
-	}
-	<-t.Done()
-	img, err := t.Image()
-	if err != nil {
-		return nil, false, err
-	}
-	return img, t.CacheHit(), nil
+	return st.CacheHit, nil
 }
 
 // errRunInFlight defers a full swap: the bitfile reload would kill the
-// in-flight run, so the caller parks (async path) or fails (blocking
-// path, preserving the pre-rev-6 contract).
+// in-flight run, so the swap parks (ReconfigSwapping) and lands at the
+// first pump after the run completes.
 var errRunInFlight = errors.New("core: cannot reconfigure while a run is in flight")
 
 // applyLocked swaps the board to cfg/img with s.mu held: a partial
@@ -408,8 +357,8 @@ func (s *System) applyLocked(cfg leon.Config, img *synth.Image, hit, synthesized
 		return true, nil
 	}
 	// A full image load resets the processor; refuse while a run is in
-	// flight (the client collects or abandons first — or the async
-	// path parks on errRunInFlight and swaps at run completion).
+	// flight (the pending swap parks on errRunInFlight and lands at run
+	// completion).
 	if s.actrl.State() == leon.StateRunning {
 		return false, errRunInFlight
 	}
@@ -454,25 +403,6 @@ func (s *System) LastReconfigureWasPartial() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lastPartial
-}
-
-// reconfigureFromSpec handles the network CmdReconfigure payload.
-func (s *System) reconfigureFromSpec(blob []byte) error {
-	return s.reconfigureFromSpecCtx(tracing.Ctx{}, blob)
-}
-
-// reconfigureFromSpecCtx is the trace-aware CmdReconfigure handler.
-func (s *System) reconfigureFromSpecCtx(tc tracing.Ctx, blob []byte) error {
-	var spec Spec
-	if err := json.Unmarshal(blob, &spec); err != nil {
-		return fmt.Errorf("core: bad reconfigure spec: %w", err)
-	}
-	cfg, err := spec.ToConfig(s.Config())
-	if err != nil {
-		return err
-	}
-	_, err = s.ReconfigureCtx(tc, cfg)
-	return err
 }
 
 // CompileC compiles Liquid-C source and links it into a loadable

@@ -193,9 +193,9 @@ func TestNetworkReconfigure(t *testing.T) {
 		t.Errorf("reported D$ = %d", spec.DCacheBytes)
 	}
 
-	// Reconfigure to 8 KB over the wire. Since rev 6 the ack is
-	// immediate — a miss reports its ticket state in the spare fields —
-	// and the client follows up with CmdReconfigStatus until terminal.
+	// Reconfigure to 8 KB over the wire. The ack is immediate — a miss
+	// reports its ticket state in the spare fields — and the client
+	// follows up with CmdReconfigStatus until terminal.
 	// Synthesis completion is signaled through the reconfigure wake
 	// hook (this test plays the server's role); each wake is answered
 	// with one status poll, which also pumps the swap.

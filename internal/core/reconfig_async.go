@@ -200,17 +200,20 @@ func (s *System) finishPendingLocked(p *pendingReconfig, hit, partial bool, err 
 // itself so it completes even without a server mounted. It returns the
 // terminal status; the error is non-nil only for ctx expiry.
 func (s *System) WaitReconfigure(ctx context.Context) (netproto.ReconfigStatusResp, error) {
-	st := s.ReconfigureStatus()
-	if st.Terminal() || st.State == netproto.ReconfigNone {
-		return st, nil
-	}
 	clk := sim.Or(s.opts.Clock)
 	for {
+		s.mu.Lock()
+		st := s.pumpLocked()
+		p := s.pending
+		s.mu.Unlock()
+		if p == nil {
+			return st, nil
+		}
 		select {
+		case <-p.done:
 		case <-clk.After(time.Millisecond):
-			if st := s.ReconfigureStatus(); st.Terminal() || st.State == netproto.ReconfigNone {
-				return st, nil
-			}
+			// Re-pump: a full swap deferred behind a run lands once the
+			// run completes.
 		case <-ctx.Done():
 			return s.ReconfigureStatus(), ctx.Err()
 		}
@@ -229,7 +232,7 @@ func (s *System) Prewarm(cfgs []leon.Config) int {
 	return len(cfgs)
 }
 
-// reconfigAsyncFromSpec is the rev-6 CmdReconfigure handler: a
+// reconfigAsyncFromSpec is the CmdReconfigure handler: a
 // {"prewarm":[spec,...]} body queues a sweep on the synthesis pool; a
 // plain spec body starts (or coalesces onto) an asynchronous swap. The
 // returned status is compressed into the RunReport-shaped ack.

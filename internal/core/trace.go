@@ -102,17 +102,6 @@ func (t tracedControl) CollectResult() (leon.RunResult, error) {
 	return t.sys.async().CollectResult()
 }
 
-func (t tracedControl) Execute(entry uint32, maxCycles uint64) (leon.RunResult, error) {
-	s := t.sys
-	return s.async().ExecuteOpts(entry, maxCycles, s.netRunOpts(tracing.Ctx{}))
-}
-
-// ExecuteCtx is the trace-aware blocking path (fpx.CtxExecutor).
-func (t tracedControl) ExecuteCtx(tc tracing.Ctx, entry uint32, maxCycles uint64) (leon.RunResult, error) {
-	s := t.sys
-	return s.async().ExecuteOpts(entry, maxCycles, s.netRunOpts(tc))
-}
-
 // LastTrace returns the recorder from the most recent networked run
 // (nil before any).
 func (s *System) LastTrace() *trace.Recorder {

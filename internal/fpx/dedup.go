@@ -13,7 +13,7 @@ const DedupWindow = 128
 
 // dedupKey identifies one request/response exchange: the peer that
 // issued it (empty for the direct payload path), the command and the
-// client-stamped exchange sequence number from the v3 header.
+// client-stamped exchange sequence number from the v4 header.
 type dedupKey struct {
 	src string
 	cmd uint8

@@ -67,7 +67,7 @@ func TestDedupCacheUpdateInPlace(t *testing.T) {
 	}
 }
 
-// TestRetransmitAnsweredFromCache: a v3 exchange handled twice from
+// TestRetransmitAnsweredFromCache: a v4 exchange handled twice from
 // the same source is answered from the dedup window the second time —
 // identical responses, no second dispatch.
 func TestRetransmitAnsweredFromCache(t *testing.T) {
@@ -98,16 +98,16 @@ func TestRetransmitAnsweredFromCache(t *testing.T) {
 	}
 }
 
-// countingCtrl counts Execute calls so a test can prove a duplicated
+// countingCtrl counts Start calls so a test can prove a duplicated
 // start never re-runs the program.
 type countingCtrl struct {
 	*Emulator
-	executes int
+	starts int
 }
 
-func (c *countingCtrl) Execute(entry uint32, maxCycles uint64) (leon.RunResult, error) {
-	c.executes++
-	return c.Emulator.Execute(entry, maxCycles)
+func (c *countingCtrl) Start(entry uint32, maxCycles uint64) error {
+	c.starts++
+	return c.Emulator.Start(entry, maxCycles)
 }
 
 // TestRetransmittedWriteNotReapplied: the dedup window makes mutating
@@ -122,13 +122,15 @@ func TestRetransmittedWriteNotReapplied(t *testing.T) {
 	if resps := p.HandlePayloadFrom("src:1", load); len(resps) != 1 {
 		t.Fatalf("load responses: %d", len(resps))
 	}
-	start := netproto.Packet{Command: netproto.CmdStartSync, Seq: 2, HasSeq: true,
+	start := netproto.Packet{Command: netproto.CmdStartLEON, Seq: 2, HasSeq: true,
 		Body: netproto.StartReq{Entry: leon.DefaultLoadAddr}.Marshal()}.Marshal()
 	r1 := p.HandlePayloadFrom("src:1", start)
-	runs := em.executes
+	if em.starts != 1 {
+		t.Fatalf("start ran the program %d times, want 1", em.starts)
+	}
 	r2 := p.HandlePayloadFrom("src:1", start) // retransmission
-	if em.executes != runs {
-		t.Errorf("retransmitted start re-ran the program (%d → %d executes)", runs, em.executes)
+	if em.starts != 1 {
+		t.Errorf("retransmitted start re-ran the program (%d starts)", em.starts)
 	}
 	if !bytes.Equal(r1[0].Marshal(), r2[0].Marshal()) {
 		t.Error("retransmitted start drew a different report")
@@ -146,8 +148,8 @@ func TestV1RequestsBypassDedup(t *testing.T) {
 	}
 	// Responses to v1 requests stay v1-shaped.
 	resps := p.HandlePayload(req)
-	if len(resps) != 1 || resps[0].HasSeq {
-		t.Errorf("v1 request drew a v3 response: %+v", resps)
+	if len(resps) != 1 || resps[0].HasSeq || resps[0].Marshal()[2] != netproto.Version {
+		t.Errorf("v1 request drew a v4 response: %+v", resps)
 	}
 }
 
@@ -205,6 +207,27 @@ func TestDuplicateChunkReackedWithProgress(t *testing.T) {
 	}
 	if got := snap.Counters["liquid_fpx_load_chunks_dup_total"]; got != 1 {
 		t.Errorf("dup chunks = %d, want 1", got)
+	}
+}
+
+// TestForgedLoadLengthRefused: a single v1 datagram claiming a
+// 3.75 GiB image in two chunks is answered with CmdError and leaves no
+// reassembly buffer behind — the length never sizes an allocation.
+func TestForgedLoadLengthRefused(t *testing.T) {
+	p := New(NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
+	forged := netproto.LoadChunk{Seq: 0, Total: 2, Addr: leon.DefaultLoadAddr, TotalLen: 0xF0000000}
+	resps := p.HandlePayload(netproto.Packet{Command: netproto.CmdLoadProgram, Body: forged.Marshal()}.Marshal())
+	if len(resps) != 1 || resps[0].Command != netproto.CmdError {
+		t.Fatalf("forged chunk answered %+v, want CmdError", resps)
+	}
+	if er, err := netproto.ParseErrorResp(resps[0].Body); err != nil || er.Code != netproto.CmdLoadProgram {
+		t.Errorf("error = %+v, %v", er, err)
+	}
+	if p.load != nil {
+		t.Errorf("forged chunk left a %d-byte reassembly buffer", len(p.load.buf))
+	}
+	if got := p.Metrics().Snapshot().Counters["liquid_fpx_load_chunks_total"]; got != 0 {
+		t.Errorf("forged chunk counted as received (%d)", got)
 	}
 }
 

@@ -174,9 +174,8 @@ func (e *Emulator) CollectResult() (leon.RunResult, error) {
 	return e.last, nil
 }
 
-// Execute implements LEONControl: the blocking path, identical in
-// observable behavior to the historical emulator (budget overruns
-// report a faulted result with a nil error).
+// Execute is the blocking convenience, Start + CollectResult (budget
+// overruns report a faulted result with a nil error).
 func (e *Emulator) Execute(entry uint32, maxCycles uint64) (leon.RunResult, error) {
 	if err := e.Start(entry, maxCycles); err != nil {
 		return leon.RunResult{}, err

@@ -27,15 +27,13 @@ import (
 // Cycles are poll-safe while the run is in flight, and CollectResult
 // blocks until the run completes (for a self-driving implementation
 // like the AsyncController) or drives it to completion (for the bare
-// Controller). Execute remains the blocking convenience used by the
-// CmdStartSync compatibility path.
+// Controller).
 type LEONControl interface {
 	State() leon.State
 	LoadProgram(addr uint32, image []byte) error
 	Start(entry uint32, maxCycles uint64) error
 	Cycles() uint64
 	CollectResult() (leon.RunResult, error)
-	Execute(entry uint32, maxCycles uint64) (leon.RunResult, error)
 	ReadMemory(addr uint32, n int) ([]byte, error)
 	WriteMemory(addr uint32, p []byte) error
 	LastResult() leon.RunResult
@@ -102,16 +100,9 @@ type Platform struct {
 	IP   [4]byte
 	Port uint16
 
-	// ReconfigureFn, when set, implements CmdReconfigure (wired up by
-	// the core liquid system, which can rebuild the SoC).
-	ReconfigureFn func(spec []byte) error
-	// ReconfigureCtxFn is the trace-aware variant; when set it takes
-	// precedence over ReconfigureFn and receives the exchange's trace
-	// context so the reconfiguration path (cache hit/miss,
-	// partial/full rebuild) appears in the span tree.
-	ReconfigureCtxFn func(tc tracing.Ctx, spec []byte) error
-	// ReconfigAsyncFn is the rev-6 non-blocking CmdReconfigure handler;
-	// when set it takes precedence over both blocking variants. It
+	// ReconfigAsyncFn, when set, implements the non-blocking
+	// CmdReconfigure (wired up by the core liquid system, which can
+	// rebuild the SoC). It receives the exchange's trace context and
 	// returns the ticket status the ack compresses into RunReport spare
 	// fields instead of holding the board through synthesis.
 	ReconfigAsyncFn func(tc tracing.Ctx, spec []byte) (netproto.ReconfigStatusResp, error)
@@ -128,13 +119,6 @@ type Platform struct {
 	// the network, summarized.
 	TraceFn func() ([]byte, error)
 
-	// CommandRev caps the command-set revision this platform answers
-	// (0 = latest). Lower revs restore era semantics for
-	// compatibility testing: commands that did not exist yet are
-	// rejected as unknown, rev<2 blocks inside CmdStartLEON (the
-	// pre-async control plane), rev<3 has no dedup window, rev<6
-	// reconfigures synchronously. Set before serving traffic.
-	CommandRev uint8
 	// DedupDisabled skips the at-most-once dedup window entirely — a
 	// deliberate protocol-bug knob so the model-based simulation
 	// tests can prove that a missing dedup re-ack is caught.
@@ -203,7 +187,7 @@ func (p *Platform) Events() *eventlog.Log { return p.events }
 // EnableTracing attaches a span collector to the platform's handle
 // path: every exchange records a span tree under the trace id the
 // request carried (v4 header), or under a server-assigned id for
-// v1–v3 clients. A multi-board node passes the same collector to all
+// untraced requests. A multi-board node passes the same collector to all
 // its platforms so the node exports one merged timeline.
 func (p *Platform) EnableTracing(col *tracing.Collector) { p.tracer = col }
 
@@ -371,7 +355,7 @@ func (p *Platform) HandlePayload(payload []byte) []netproto.Packet {
 // for the OS-socket server, which receives payloads with the IP/UDP
 // headers already stripped by the kernel.
 //
-// Requests carrying a v3 exchange sequence number pass through the
+// Requests carrying an exchange seq (the v4 header) pass through the
 // per-board dedup window: a retransmission of an exchange this board
 // already answered — the client's ack was lost or delayed — is
 // answered with the cached responses instead of being re-applied, so
@@ -416,7 +400,7 @@ func (p *Platform) HandlePayloadFromTraced(src string, payload []byte, assigned 
 	}
 
 	var key dedupKey
-	useDedup := pkt.HasSeq && p.CmdRev() >= 3 && !p.DedupDisabled
+	useDedup := pkt.HasSeq && !p.DedupDisabled
 	if useDedup {
 		key = dedupKey{src: src, cmd: pkt.Command, seq: pkt.Seq}
 		if resp, ok := p.dedup.lookup(key); ok {
@@ -435,7 +419,6 @@ func (p *Platform) HandlePayloadFromTraced(src string, payload []byte, assigned 
 		resps[i].Seq = pkt.Seq
 		resps[i].HasSeq = pkt.HasSeq
 		resps[i].TraceID = pkt.TraceID
-		resps[i].HasTrace = pkt.HasTrace
 		if resps[i].Command == netproto.CmdError {
 			isErr = true
 		}
@@ -477,17 +460,6 @@ func (p *Platform) flightOnError(traceID uint64) {
 // exchange's trace context (disabled when tracing is off); only the
 // handlers that hand work to lower layers thread it further.
 func (p *Platform) dispatch(pkt netproto.Packet, tc tracing.Ctx) []netproto.Packet {
-	rev := p.CmdRev()
-	if minCmdRev(pkt.Command) > rev {
-		// This command did not exist at the emulated revision; answer
-		// exactly like an unrouted opcode so clients downgrade.
-		return []netproto.Packet{p.errResp(pkt.Command, fmt.Errorf("unknown command %#02x", pkt.Command))}
-	}
-	if pkt.Command == netproto.CmdStartLEON && rev < 2 {
-		// Pre-async era: the start exchange blocks until the run
-		// completes and the ack is the final report.
-		return []netproto.Packet{p.startSyncAs(netproto.CmdStartLEON, pkt.Body, tc)}
-	}
 	switch pkt.Command {
 	case netproto.CmdStatus:
 		return []netproto.Packet{p.status()}
@@ -509,8 +481,6 @@ func (p *Platform) dispatch(pkt netproto.Packet, tc tracing.Ctx) []netproto.Pack
 		return []netproto.Packet{p.statsReport()}
 	case netproto.CmdResult:
 		return []netproto.Packet{p.result()}
-	case netproto.CmdStartSync:
-		return []netproto.Packet{p.startSync(pkt.Body, tc)}
 	case netproto.CmdTraces:
 		return []netproto.Packet{p.tracesCmd(pkt.Body)}
 	case netproto.CmdWaitResult:
@@ -524,47 +494,12 @@ func (p *Platform) dispatch(pkt netproto.Packet, tc tracing.Ctx) []netproto.Pack
 	}
 }
 
-// LatestCommandRev is the newest command-set revision this platform
-// implements: rev 6, asynchronous reconfiguration.
-const LatestCommandRev = 6
-
-// CmdRev resolves the emulated command-set revision (0 = latest).
-func (p *Platform) CmdRev() uint8 {
-	if p.CommandRev == 0 {
-		return LatestCommandRev
-	}
-	return p.CommandRev
-}
-
-// minCmdRev maps each command to the command-set revision that
-// introduced it (rev 1 for the original blocking control plane).
-func minCmdRev(cmd uint8) uint8 {
-	switch cmd {
-	case netproto.CmdResult, netproto.CmdStartSync:
-		return 2 // asynchronous control plane
-	case netproto.CmdTraces:
-		return 4 // exchange tracing
-	case netproto.CmdWaitResult:
-		return 5 // server-held result wait
-	case netproto.CmdReconfigStatus, netproto.CmdWaitReconfig:
-		return 6 // reconfiguration as a service
-	default:
-		return 1
-	}
-}
-
 // CtxStarter is the optional LEONControl extension a trace-aware
 // controller implements: Start with the exchange's trace context, so
 // the asynchronous run's spans (run, slices) nest under the trace that
 // started it.
 type CtxStarter interface {
 	StartCtx(tc tracing.Ctx, entry uint32, maxCycles uint64) error
-}
-
-// CtxExecutor is the blocking counterpart of CtxStarter for the
-// CmdStartSync compatibility path.
-type CtxExecutor interface {
-	ExecuteCtx(tc tracing.Ctx, entry uint32, maxCycles uint64) (leon.RunResult, error)
 }
 
 // tracesCmd answers CmdTraces with completed exchange traces as JSON.
@@ -730,12 +665,13 @@ func (p *Platform) loadChunk(body []byte) netproto.Packet {
 // start implements the paper's true §3.1 handoff: CmdStartLEON writes
 // the entry address and acks immediately with StatusRunning — the
 // "Start LEON" acknowledgement — while the run proceeds on the board.
-// The client observes completion by polling CmdStatus and fetches the
-// final RunResult with CmdResult.
+// The client observes completion with a held CmdWaitResult (or, like
+// the paper's client, by polling CmdStatus) and the final RunResult
+// comes back in the wait's answer or from CmdResult.
 func (p *Platform) start(body []byte, tc tracing.Ctx) netproto.Packet {
-	entry, maxCycles, errPkt := p.parseStart(netproto.CmdStartLEON, body)
-	if errPkt != nil {
-		return *errPkt
+	entry, maxCycles, err := p.parseStart(body)
+	if err != nil {
+		return p.errResp(netproto.CmdStartLEON, err)
 	}
 	// Idempotent under retransmission: if the run is already in flight
 	// (the start ack was lost and the UDP client retried), acknowledge
@@ -744,7 +680,6 @@ func (p *Platform) start(body []byte, tc tracing.Ctx) netproto.Packet {
 		rep := netproto.RunReport{Status: netproto.StatusRunning, Cycles: p.ctrl.Cycles()}
 		return netproto.Packet{Command: netproto.CmdStartLEON | netproto.RespFlag, Body: rep.Marshal()}
 	}
-	var err error
 	if cs, ok := p.ctrl.(CtxStarter); ok && tc.On() {
 		err = cs.StartCtx(tc, entry, maxCycles)
 	} else {
@@ -757,56 +692,19 @@ func (p *Platform) start(body []byte, tc tracing.Ctx) netproto.Packet {
 	return netproto.Packet{Command: netproto.CmdStartLEON | netproto.RespFlag, Body: rep.Marshal()}
 }
 
-// startSync is the blocking compatibility path (CmdStartSync): start
-// the program AND run it to completion in one round trip, answering
-// with the final RunReport exactly as the pre-async CmdStartLEON did.
-// It occupies the board's command queue for the whole run.
-func (p *Platform) startSync(body []byte, tc tracing.Ctx) netproto.Packet {
-	return p.startSyncAs(netproto.CmdStartSync, body, tc)
-}
-
-// startSyncAs is the blocking start body shared by CmdStartSync and
-// the rev-1 era CmdStartLEON (which blocked before the asynchronous
-// control plane existed).
-func (p *Platform) startSyncAs(cmd uint8, body []byte, tc tracing.Ctx) netproto.Packet {
-	entry, maxCycles, errPkt := p.parseStart(cmd, body)
-	if errPkt != nil {
-		return *errPkt
-	}
-	var (
-		res leon.RunResult
-		err error
-	)
-	if ce, ok := p.ctrl.(CtxExecutor); ok && tc.On() {
-		res, err = ce.ExecuteCtx(tc, entry, maxCycles)
-	} else {
-		res, err = p.ctrl.Execute(entry, maxCycles)
-	}
-	rep := runReport(res)
-	if err != nil && !res.Faulted {
-		return p.errResp(cmd, err)
-	}
-	if err != nil {
-		rep.Status = netproto.StatusFault
-	}
-	return netproto.Packet{Command: cmd | netproto.RespFlag, Body: rep.Marshal()}
-}
-
 // parseStart decodes a StartReq body and resolves the entry address
 // (0 means "address of the last load").
-func (p *Platform) parseStart(cmd uint8, body []byte) (entry uint32, maxCycles uint64, errPkt *netproto.Packet) {
+func (p *Platform) parseStart(body []byte) (entry uint32, maxCycles uint64, err error) {
 	req, err := netproto.ParseStartReq(body)
 	if err != nil {
-		pkt := p.errResp(cmd, err)
-		return 0, 0, &pkt
+		return 0, 0, err
 	}
 	entry = req.Entry
 	if entry == 0 {
 		entry = p.loadedAddr
 	}
 	if entry == 0 {
-		pkt := p.errResp(cmd, fmt.Errorf("no program loaded"))
-		return 0, 0, &pkt
+		return 0, 0, fmt.Errorf("no program loaded")
 	}
 	return entry, req.MaxCycles, nil
 }
@@ -881,40 +779,24 @@ func (p *Platform) writeMem(body []byte) netproto.Packet {
 }
 
 func (p *Platform) reconfigure(body []byte, tc tracing.Ctx) netproto.Packet {
-	if p.ReconfigAsyncFn != nil && p.CmdRev() >= 6 {
-		st, err := p.ReconfigAsyncFn(tc, body)
-		if err != nil {
-			return p.errResp(netproto.CmdReconfigure, err)
-		}
-		if st.State == netproto.ReconfigApplied {
-			// The swap already happened inside the ack (cache hit on an
-			// idle board) — a new bitfile clears loaded state. Deferred
-			// swaps do NOT clear it: the SRAM/SDRAM contents are copied
-			// across, and a later ack must not clobber loads made while
-			// synthesis was still running.
-			p.loadedAddr = 0
-		}
-		return netproto.Packet{
-			Command: netproto.CmdReconfigure | netproto.RespFlag,
-			Body:    netproto.ReconfigAckReport(st).Marshal(),
-		}
-	}
-	if p.ReconfigureCtxFn == nil && p.ReconfigureFn == nil {
+	if p.ReconfigAsyncFn == nil {
 		return p.errResp(netproto.CmdReconfigure, fmt.Errorf("reconfiguration not wired on this platform"))
 	}
-	var err error
-	if p.ReconfigureCtxFn != nil {
-		err = p.ReconfigureCtxFn(tc, body)
-	} else {
-		err = p.ReconfigureFn(body)
-	}
+	st, err := p.ReconfigAsyncFn(tc, body)
 	if err != nil {
 		return p.errResp(netproto.CmdReconfigure, err)
 	}
-	p.loadedAddr = 0 // a new bitfile clears loaded state
+	if st.State == netproto.ReconfigApplied {
+		// The swap already happened inside the ack (cache hit on an
+		// idle board) — a new bitfile clears loaded state. Deferred
+		// swaps do NOT clear it: the SRAM/SDRAM contents are copied
+		// across, and a later ack must not clobber loads made while
+		// synthesis was still running.
+		p.loadedAddr = 0
+	}
 	return netproto.Packet{
 		Command: netproto.CmdReconfigure | netproto.RespFlag,
-		Body:    netproto.RunReport{Status: netproto.StatusOK}.Marshal(),
+		Body:    netproto.ReconfigAckReport(st).Marshal(),
 	}
 }
 

@@ -3,12 +3,14 @@ package fpx
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"liquidarch/internal/asm"
 	"liquidarch/internal/leon"
 	"liquidarch/internal/netproto"
+	"liquidarch/internal/tracing"
 )
 
 var (
@@ -166,38 +168,6 @@ func TestFullRemoteSession(t *testing.T) {
 	}
 }
 
-// TestStartSyncCompat locks the blocking compatibility path: one
-// CmdStartSync round trip answers with the final RunReport, exactly as
-// the pre-async CmdStartLEON did.
-func TestStartSyncCompat(t *testing.T) {
-	p := newLEONPlatform(t)
-	obj := testProgram(t)
-	for _, c := range netproto.ChunkImage(obj.Origin, obj.Code) {
-		sendCmd(t, p, netproto.Packet{Command: netproto.CmdLoadProgram, Body: c.Marshal()})
-	}
-	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartSync, Body: netproto.StartReq{}.Marshal()})
-	rep, err := netproto.ParseRunReport(resps[0].Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Status != netproto.StatusOK || rep.Cycles == 0 {
-		t.Fatalf("startsync report %+v", rep)
-	}
-	// Result afterwards is idempotent and matches.
-	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdResult})
-	rep2, err := netproto.ParseRunReport(resps[0].Body)
-	if err != nil || rep2 != rep {
-		t.Errorf("result after startsync = %+v, %v (want %+v)", rep2, err, rep)
-	}
-	// StartSync without a load errors with its own code.
-	p2 := newLEONPlatform(t)
-	resps = sendCmd(t, p2, netproto.Packet{Command: netproto.CmdStartSync, Body: netproto.StartReq{}.Marshal()})
-	er, err := netproto.ParseErrorResp(resps[0].Body)
-	if err != nil || er.Code != netproto.CmdStartSync {
-		t.Errorf("startsync no-load error = %+v, %v", er, err)
-	}
-}
-
 // TestMultiPacketLoadOutOfOrder delivers a multi-chunk load shuffled
 // and with duplicates, as UDP may: reassembly must still be exact.
 func TestMultiPacketLoadOutOfOrder(t *testing.T) {
@@ -289,19 +259,18 @@ func TestFaultingProgramReportsStatusFault(t *testing.T) {
 	for _, c := range netproto.ChunkImage(obj.Origin, obj.Code) {
 		sendCmd(t, p, netproto.Packet{Command: netproto.CmdLoadProgram, Body: c.Marshal()})
 	}
-	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartSync, Body: netproto.StartReq{}.Marshal()})
-	rep, err := netproto.ParseRunReport(resps[0].Body)
-	if err != nil {
-		t.Fatal(err)
+	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
+	if resps[0].Command != netproto.CmdStartLEON|netproto.RespFlag {
+		t.Fatalf("start response %#x", resps[0].Command)
 	}
-	if rep.Status != netproto.StatusFault || rep.TT != 0x02 {
-		t.Errorf("report = %+v, want fault tt=2", rep)
-	}
-	// The async path reports the same fault via CmdResult.
-	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdResult})
-	rep2, err := netproto.ParseRunReport(resps[0].Body)
-	if err != nil || rep2.Status != netproto.StatusFault || rep2.TT != 0x02 {
-		t.Errorf("result report = %+v, %v, want fault tt=2", rep2, err)
+	// CmdResult collects the faulted run; CmdWaitResult reports the
+	// same final report.
+	for _, cmd := range []uint8{netproto.CmdResult, netproto.CmdWaitResult} {
+		resps = sendCmd(t, p, netproto.Packet{Command: cmd})
+		rep, err := netproto.ParseRunReport(resps[0].Body)
+		if err != nil || rep.Status != netproto.StatusFault || rep.TT != 0x02 {
+			t.Errorf("%s report = %+v, %v, want fault tt=2", netproto.CommandName(cmd), rep, err)
+		}
 	}
 }
 
@@ -331,9 +300,16 @@ func TestReadLengthCap(t *testing.T) {
 
 func TestUnknownCommand(t *testing.T) {
 	p := newLEONPlatform(t)
-	resps := sendCmd(t, p, netproto.Packet{Command: 0x7F})
-	if resps[0].Command != netproto.CmdError {
-		t.Errorf("response command %#x", resps[0].Command)
+	// 0x0B was the retired blocking start; it is unrouted like 0x7F.
+	for _, cmd := range []uint8{0x7F, 0x0B} {
+		resps := sendCmd(t, p, netproto.Packet{Command: cmd})
+		if resps[0].Command != netproto.CmdError {
+			t.Fatalf("opcode %#x: response command %#x", cmd, resps[0].Command)
+		}
+		er, err := netproto.ParseErrorResp(resps[0].Body)
+		if err != nil || er.Code != cmd || !strings.Contains(er.Msg, "unknown command") {
+			t.Errorf("opcode %#x: error = %+v, %v", cmd, er, err)
+		}
 	}
 }
 
@@ -343,16 +319,20 @@ func TestReconfigureUnwired(t *testing.T) {
 	if _, err := netproto.ParseErrorResp(resps[0].Body); err != nil {
 		t.Error("unwired reconfigure did not error")
 	}
-	// Wired: succeeds and clears loaded address.
+	// Wired: a swap applied inside the ack answers StatusOK with the
+	// ticket state in the spares.
 	called := false
-	p.ReconfigureFn = func(spec []byte) error { called = true; return nil }
+	p.ReconfigAsyncFn = func(tc tracing.Ctx, spec []byte) (netproto.ReconfigStatusResp, error) {
+		called = true
+		return netproto.ReconfigStatusResp{Status: netproto.StatusOK, State: netproto.ReconfigApplied}, nil
+	}
 	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdReconfigure, Body: []byte("{}")})
 	rep, err := netproto.ParseRunReport(resps[0].Body)
-	if err != nil || rep.Status != netproto.StatusOK {
+	if err != nil || rep.Status != netproto.StatusOK || netproto.ReconfigAckInfo(rep).State != netproto.ReconfigApplied {
 		t.Errorf("reconfigure resp %+v, %v", rep, err)
 	}
 	if !called {
-		t.Error("ReconfigureFn not invoked")
+		t.Error("ReconfigAsyncFn not invoked")
 	}
 }
 

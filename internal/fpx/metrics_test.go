@@ -136,8 +136,8 @@ func TestCommandName(t *testing.T) {
 		netproto.CmdTraceReport:               "trace",
 		netproto.CmdStats:                     "stats",
 		netproto.CmdResult:                    "result",
-		netproto.CmdStartSync:                 "startsync",
-		netproto.CmdStats | netproto.RespFlag: "stats", // RespFlag stripped
+		0x0B:                                  "unknown", // the retired blocking start
+		netproto.CmdStats | netproto.RespFlag: "stats",   // RespFlag stripped
 		netproto.CmdError:                     "error",
 		0x42:                                  "unknown",
 	}

@@ -2,7 +2,6 @@ package fpx
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"liquidarch/internal/leon"
@@ -53,8 +52,8 @@ func TestPlatformAccessors(t *testing.T) {
 }
 
 // TestUnwiredReconfigSurface: a platform without the core's
-// reconfiguration functions rejects the rev-6 conversation cleanly and
-// reports itself hold-incapable to the server layer.
+// reconfiguration functions rejects the reconfigure commands cleanly
+// and reports itself hold-incapable to the server layer.
 func TestUnwiredReconfigSurface(t *testing.T) {
 	p := New(NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
 	if p.NotifyReconfig() {
@@ -75,35 +74,5 @@ func TestUnwiredReconfigSurface(t *testing.T) {
 		if len(resps) != 1 || resps[0].Command != netproto.CmdError {
 			t.Errorf("unwired %s answered %+v, want CmdError", netproto.CommandName(cmd), resps)
 		}
-	}
-}
-
-// TestCommandRevRejectsNewerCommands: an emulated older command set
-// rejects commands from later protocol generations as unknown, and
-// CmdRev resolves 0 to the latest revision.
-func TestCommandRevRejectsNewerCommands(t *testing.T) {
-	p := New(NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
-	if p.CmdRev() != LatestCommandRev {
-		t.Errorf("CmdRev() = %d with CommandRev unset, want %d", p.CmdRev(), LatestCommandRev)
-	}
-	p.CommandRev = 4
-	if p.CmdRev() != 4 {
-		t.Errorf("CmdRev() = %d, want 4", p.CmdRev())
-	}
-	resps := p.HandlePayload(netproto.Packet{Command: netproto.CmdWaitResult, Body: netproto.WaitResultReq{HoldMs: 1}.Marshal()}.Marshal())
-	if len(resps) != 1 || resps[0].Command != netproto.CmdError {
-		t.Fatalf("rev-4 platform answered CmdWaitResult with %+v, want CmdError", resps)
-	}
-	er, err := netproto.ParseErrorResp(resps[0].Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(er.Msg, "unknown command") {
-		t.Errorf("rejection message %q does not read as an unknown command", er.Msg)
-	}
-	// A rev-4 command still works on the rev-4 platform.
-	resps = p.HandlePayload(netproto.Packet{Command: netproto.CmdStatus}.Marshal())
-	if len(resps) != 1 || resps[0].Command != netproto.CmdStatus|netproto.RespFlag {
-		t.Errorf("rev-4 platform rejected CmdStatus: %+v", resps)
 	}
 }

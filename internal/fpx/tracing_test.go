@@ -28,20 +28,21 @@ func benchPlatform(b *testing.B) *Platform {
 }
 
 // TestV4TraceEcho pins the trace-context propagation contract: a v4
-// request's trace id is echoed on the response, and v1–v3 requests
-// keep getting v1–v3 responses (no trace fields).
+// request's trace id is echoed on the response, an untraced v4 request
+// (trace id 0) gets trace id 0 back, and a v1 request gets a v1
+// response.
 func TestV4TraceEcho(t *testing.T) {
 	p := newLEONPlatform(t)
 
 	resps := sendCmd(t, p, netproto.Packet{
 		Command: netproto.CmdStatus,
 		Seq:     7, HasSeq: true,
-		TraceID: 0xDEADBEEFCAFE, HasTrace: true,
+		TraceID: 0xDEADBEEFCAFE,
 	})
 	if len(resps) != 1 {
 		t.Fatalf("%d responses", len(resps))
 	}
-	if !resps[0].HasTrace || resps[0].TraceID != 0xDEADBEEFCAFE {
+	if resps[0].TraceID != 0xDEADBEEFCAFE {
 		t.Errorf("trace id not echoed: %+v", resps[0])
 	}
 	if !resps[0].HasSeq || resps[0].Seq != 7 {
@@ -49,8 +50,12 @@ func TestV4TraceEcho(t *testing.T) {
 	}
 
 	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdStatus, Seq: 8, HasSeq: true})
-	if resps[0].HasTrace {
-		t.Errorf("v3 request got a v4 response: %+v", resps[0])
+	if resps[0].TraceID != 0 || resps[0].Seq != 8 {
+		t.Errorf("untraced request got a traced response: %+v", resps[0])
+	}
+	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdStatus})
+	if resps[0].HasSeq || resps[0].Marshal()[2] != netproto.Version {
+		t.Errorf("v1 request got a v4 response: %+v", resps[0])
 	}
 }
 
@@ -63,7 +68,7 @@ func TestTracesCommand(t *testing.T) {
 	p.EnableTracing(col)
 
 	id := col.NewTraceID()
-	sendCmd(t, p, netproto.Packet{Command: netproto.CmdStatus, Seq: 1, HasSeq: true, TraceID: id, HasTrace: true})
+	sendCmd(t, p, netproto.Packet{Command: netproto.CmdStatus, Seq: 1, HasSeq: true, TraceID: id})
 
 	fetch := netproto.Packet{Command: netproto.CmdTraces, Seq: 2, HasSeq: true,
 		Body: netproto.TracesReq{TraceID: id}.Marshal()}
@@ -120,7 +125,7 @@ func TestFlightDumpOnCmdError(t *testing.T) {
 	id := col.NewTraceID()
 	req := netproto.StartReq{Entry: 0, MaxCycles: 10}
 	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Seq: 1, HasSeq: true,
-		TraceID: id, HasTrace: true, Body: req.Marshal()})
+		TraceID: id, Body: req.Marshal()})
 	if resps[0].Command != netproto.CmdError {
 		t.Fatalf("expected CmdError, got %#x", resps[0].Command)
 	}
@@ -154,40 +159,40 @@ func TestFlightDumpOnCmdError(t *testing.T) {
 }
 
 // TestDisabledTracingAddsZeroAllocs enforces the hot-path guarantee:
-// with no tracer attached, handling a v4 packet (trace id present)
-// allocates exactly as much as handling the same v3 packet — the
+// with no tracer attached, handling a v4 packet that carries a trace
+// id allocates exactly as much as handling one with trace id 0 — the
 // tracing plumbing costs nothing when it is off.
 func TestDisabledTracingAddsZeroAllocs(t *testing.T) {
 	p := newLEONPlatform(t)
 
-	v3 := netproto.Packet{Command: netproto.CmdStatus, Seq: 1, HasSeq: true}.Marshal()
-	v4 := netproto.Packet{Command: netproto.CmdStatus, Seq: 1, HasSeq: true,
-		TraceID: 0xABCD, HasTrace: true}.Marshal()
+	untraced := netproto.Packet{Command: netproto.CmdStatus, Seq: 1, HasSeq: true}.Marshal()
+	withID := netproto.Packet{Command: netproto.CmdStatus, Seq: 1, HasSeq: true,
+		TraceID: 0xABCD}.Marshal()
 
 	// Same seq every run: the dedup cache answers from memory, so the
 	// measurement isolates the parse/trace/echo plumbing.
 	base := testing.AllocsPerRun(200, func() {
-		if out := p.HandlePayloadFrom("10.0.0.1:41000", v3); len(out) != 1 {
+		if out := p.HandlePayloadFrom("10.0.0.1:41000", untraced); len(out) != 1 {
 			t.Fatal("no response")
 		}
 	})
 	traced := testing.AllocsPerRun(200, func() {
-		if out := p.HandlePayloadFrom("10.0.0.1:41000", v4); len(out) != 1 {
+		if out := p.HandlePayloadFrom("10.0.0.1:41000", withID); len(out) != 1 {
 			t.Fatal("no response")
 		}
 	})
 	if traced > base {
-		t.Errorf("disabled tracing allocates: v4=%v allocs/op, v3=%v", traced, base)
+		t.Errorf("disabled tracing allocates: trace id=%v allocs/op, trace id 0=%v", traced, base)
 	}
 }
 
-// BenchmarkHandleStatusV4Untraced is the benchmark-enforced view of
-// the same guarantee (run with -benchmem; allocs/op must match the v3
-// figure).
-func BenchmarkHandleStatusV4Untraced(b *testing.B) {
+// BenchmarkHandleStatusTraceIDNoTracer is the benchmark-enforced view
+// of the same guarantee (run with -benchmem; allocs/op must match the
+// untraced figure).
+func BenchmarkHandleStatusTraceIDNoTracer(b *testing.B) {
 	p := benchPlatform(b)
 	raw := netproto.Packet{Command: netproto.CmdStatus, Seq: 1, HasSeq: true,
-		TraceID: 0xABCD, HasTrace: true}.Marshal()
+		TraceID: 0xABCD}.Marshal()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -195,8 +200,9 @@ func BenchmarkHandleStatusV4Untraced(b *testing.B) {
 	}
 }
 
-// BenchmarkHandleStatusV3 is the baseline for the benchmark above.
-func BenchmarkHandleStatusV3(b *testing.B) {
+// BenchmarkHandleStatusUntraced is the baseline for the benchmark
+// above: the same v4 packet with trace id 0.
+func BenchmarkHandleStatusUntraced(b *testing.B) {
 	p := benchPlatform(b)
 	raw := netproto.Packet{Command: netproto.CmdStatus, Seq: 1, HasSeq: true}.Marshal()
 	b.ReportAllocs()

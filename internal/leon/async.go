@@ -374,11 +374,6 @@ func (a *AsyncController) StartCtx(tc tracing.Ctx, entry uint32, maxCycles uint6
 	return a.StartOpts(entry, maxCycles, RunOptions{Trace: tc})
 }
 
-// ExecuteCtx is the trace-aware blocking path (fpx.CtxExecutor).
-func (a *AsyncController) ExecuteCtx(tc tracing.Ctx, entry uint32, maxCycles uint64) (RunResult, error) {
-	return a.ExecuteOpts(entry, maxCycles, RunOptions{Trace: tc})
-}
-
 // CollectResult blocks until the in-flight run completes and returns
 // its result; with no run in flight it returns the last result. Calling
 // it repeatedly is idempotent — the §2.6 UDP client may retransmit.

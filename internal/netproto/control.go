@@ -17,15 +17,14 @@ const (
 	CmdGetConfig   uint8 = 0x07 // report the active configuration
 	CmdTraceReport uint8 = 0x08 // pull the last run's instrumented trace summary
 	CmdStats       uint8 = 0x09 // pull the platform's telemetry snapshot (JSON)
-	CmdResult      uint8 = 0x0A // collect the completed run's result (blocking runs report live state)
-	CmdStartSync   uint8 = 0x0B // compatibility path: start AND run to completion in one round trip
+	CmdResult      uint8 = 0x0A // collect the completed run's result (an in-flight run reports live state)
 	CmdTraces      uint8 = 0x0C // pull the server-side exchange-trace spans (JSON); 8-byte body selects one trace id
 	CmdWaitResult  uint8 = 0x0D // long-poll result: the server holds the exchange (bounded) and answers the instant the run completes
 
-	// Command-set revision 6: the non-blocking reconfigure protocol.
-	// CmdReconfigure now acks immediately with a ticket state packed in
-	// the RunReport spare fields (see ReconfigAckReport); these two
-	// commands observe the in-flight synthesis.
+	// The non-blocking reconfigure protocol: CmdReconfigure acks
+	// immediately with a ticket state packed in the RunReport spare
+	// fields (see ReconfigAckReport); these two commands observe the
+	// in-flight synthesis.
 	CmdReconfigStatus uint8 = 0x0E // poll the board's reconfiguration ticket (ReconfigStatusResp)
 	CmdWaitReconfig   uint8 = 0x0F // long-poll reconfigure: the server holds the exchange (bounded) and answers when the swap lands
 
@@ -61,8 +60,6 @@ func CommandName(cmd uint8) string {
 		return "stats"
 	case CmdResult:
 		return "result"
-	case CmdStartSync:
-		return "startsync"
 	case CmdTraces:
 		return "traces"
 	case CmdWaitResult:
@@ -92,92 +89,51 @@ const (
 // route them (other traffic passes through the wrappers untouched).
 var Magic = [2]byte{'L', 'Q'}
 
-// Version is the original (single-board) control protocol version:
-// magic(2) + version(1) + command(1).
+// Version is the paper's control packet header: magic(2) + version(1)
+// + command(1). It has no board byte and no exchange seq, so it always
+// addresses board 0 and bypasses the dedup window; a node answers it
+// in the same shape.
 const Version uint8 = 1
 
-// VersionBoard is the multi-board header revision: magic(2) +
-// version(1) + command(1) + board(1). Packets addressed to board 0
-// keep the v1 shape so every pre-existing client and capture stays
-// byte-identical; the extra board byte appears only when a node hosts
-// more than one platform.
-const VersionBoard uint8 = 2
-
-// VersionSeq is the exchange-sequenced header revision: magic(2) +
-// version(1) + command(1) + board(1) + seq(2). The 16-bit sequence
-// number identifies one request/response exchange: the client stamps
-// each NEW request with a fresh seq (retransmissions of the same
-// request reuse it), and the platform echoes the seq in every response
-// it generates for that request. This is what makes the control plane
-// safe on a duplicating, reordering transport — the client discards
-// responses whose seq is not the one in flight, and the server's
-// dedup window re-acks retransmitted requests from cache instead of
-// re-applying them. v1/v2 peers keep working: packets without a seq
-// simply bypass both mechanisms.
-const VersionSeq uint8 = 3
-
-// VersionTrace is the trace-context header revision: magic(2) +
-// version(1) + command(1) + board(1) + seq(2) + traceid(8). The 64-bit
-// trace id names the end-to-end exchange trace the packet belongs to:
-// the client mints one per logical operation and stamps every request;
-// the platform echoes it in responses and attributes its own spans
-// (queue wait, run slices, reconfiguration) to the same trace. A v4
-// packet always carries a seq (HasTrace implies HasSeq on the wire) —
-// tracing builds on the v3 exchange identity. Clients that send no
-// trace id (v1–v3) keep working: the server assigns one internally
-// when tracing is enabled, and responds with the version the request
-// used.
+// VersionTrace is the current header: magic(2) + version(1) +
+// command(1) + board(1) + seq(2) + traceid(8). The 16-bit seq names
+// one request/response exchange: the client stamps each new request
+// with a fresh seq (retransmissions reuse it), the platform echoes it,
+// the client discards responses for any other seq, and the server's
+// dedup window re-acks retransmissions instead of re-applying them.
+// The 64-bit trace id names the end-to-end exchange trace the packet
+// belongs to; 0 means untraced (the server then assigns its own id
+// when tracing is enabled). Responses echo the request's header.
 const VersionTrace uint8 = 4
 
 // headerLen is the v1 header: magic(2) + version(1) + command(1).
 const headerLen = 4
 
+// traceHeaderLen is the v4 header: the v1 fields plus board(1) +
+// seq(2) + traceid(8).
+const traceHeaderLen = headerLen + 11
+
 // Packet is one control packet: a command code, the destination board
-// on a multi-board node (0 for the classic single-board case), an
-// optional exchange sequence number, and the body.
+// on a multi-board node, the exchange sequence number and trace id,
+// and the body.
 type Packet struct {
 	Command uint8
 	Board   uint8
-	// Seq is the exchange sequence number carried by the v3 header;
-	// valid only when HasSeq is set. Responses echo the request's seq.
+	// Seq is the exchange sequence number; valid only when HasSeq is
+	// set. Responses echo the request's seq.
 	Seq    uint16
 	HasSeq bool
-	// TraceID is the 64-bit exchange-trace id carried by the v4
-	// header; valid only when HasTrace is set. Responses echo the
-	// request's trace id. HasTrace forces the v4 wire shape, which
-	// always carries the seq as well.
-	TraceID  uint64
-	HasTrace bool
-	Body     []byte
+	// TraceID is the exchange-trace id (0 = untraced). Responses echo
+	// the request's trace id.
+	TraceID uint64
+	Body    []byte
 }
 
-// Marshal produces the UDP payload for the packet. A packet carrying
-// a trace id marshals as the v4 header, one carrying only a sequence
-// number as v3; otherwise board 0 marshals as the wire-compatible v1
-// header and other boards use the v2 header carrying the board byte.
+// Marshal produces the UDP payload for the packet: the v4 header when
+// the packet carries a seq, a board other than 0 or a trace id, and
+// otherwise the paper's v1 header.
 func (p Packet) Marshal() []byte {
-	if p.HasTrace {
-		out := make([]byte, headerLen+11+len(p.Body))
-		out[0], out[1] = Magic[0], Magic[1]
-		out[2] = VersionTrace
-		out[3] = p.Command
-		out[4] = p.Board
-		binary.BigEndian.PutUint16(out[5:], p.Seq)
-		binary.BigEndian.PutUint64(out[7:], p.TraceID)
-		copy(out[headerLen+11:], p.Body)
-		return out
-	}
-	if p.HasSeq {
-		out := make([]byte, headerLen+3+len(p.Body))
-		out[0], out[1] = Magic[0], Magic[1]
-		out[2] = VersionSeq
-		out[3] = p.Command
-		out[4] = p.Board
-		binary.BigEndian.PutUint16(out[5:], p.Seq)
-		copy(out[headerLen+3:], p.Body)
-		return out
-	}
-	if p.Board == 0 {
+	if !p.HasSeq && p.Board == 0 && p.TraceID == 0 {
 		out := make([]byte, headerLen+len(p.Body))
 		out[0], out[1] = Magic[0], Magic[1]
 		out[2] = Version
@@ -185,19 +141,20 @@ func (p Packet) Marshal() []byte {
 		copy(out[headerLen:], p.Body)
 		return out
 	}
-	out := make([]byte, headerLen+1+len(p.Body))
+	out := make([]byte, traceHeaderLen+len(p.Body))
 	out[0], out[1] = Magic[0], Magic[1]
-	out[2] = VersionBoard
+	out[2] = VersionTrace
 	out[3] = p.Command
 	out[4] = p.Board
-	copy(out[headerLen+1:], p.Body)
+	binary.BigEndian.PutUint16(out[5:], p.Seq)
+	binary.BigEndian.PutUint64(out[7:], p.TraceID)
+	copy(out[traceHeaderLen:], p.Body)
 	return out
 }
 
 // ParsePacket validates the header and returns the command, board,
-// sequence number, trace id and body. The v1 (implicit board 0), v2
-// (board byte), v3 (board + exchange seq) and v4 (board + seq + trace
-// id) headers are all accepted.
+// sequence number, trace id and body. Exactly two headers are
+// accepted: v1 (implicit board 0, no seq) and v4.
 func ParsePacket(b []byte) (Packet, error) {
 	if len(b) < headerLen {
 		return Packet{}, fmt.Errorf("netproto: control packet truncated (%d bytes)", len(b))
@@ -208,34 +165,17 @@ func ParsePacket(b []byte) (Packet, error) {
 	switch b[2] {
 	case Version:
 		return Packet{Command: b[3], Body: b[headerLen:]}, nil
-	case VersionBoard:
-		if len(b) < headerLen+1 {
-			return Packet{}, fmt.Errorf("netproto: v2 control packet truncated (%d bytes)", len(b))
-		}
-		return Packet{Command: b[3], Board: b[4], Body: b[headerLen+1:]}, nil
-	case VersionSeq:
-		if len(b) < headerLen+3 {
-			return Packet{}, fmt.Errorf("netproto: v3 control packet truncated (%d bytes)", len(b))
+	case VersionTrace:
+		if len(b) < traceHeaderLen {
+			return Packet{}, fmt.Errorf("netproto: v4 control packet truncated (%d bytes)", len(b))
 		}
 		return Packet{
 			Command: b[3],
 			Board:   b[4],
 			Seq:     binary.BigEndian.Uint16(b[5:]),
 			HasSeq:  true,
-			Body:    b[headerLen+3:],
-		}, nil
-	case VersionTrace:
-		if len(b) < headerLen+11 {
-			return Packet{}, fmt.Errorf("netproto: v4 control packet truncated (%d bytes)", len(b))
-		}
-		return Packet{
-			Command:  b[3],
-			Board:    b[4],
-			Seq:      binary.BigEndian.Uint16(b[5:]),
-			HasSeq:   true,
-			TraceID:  binary.BigEndian.Uint64(b[7:]),
-			HasTrace: true,
-			Body:     b[headerLen+11:],
+			TraceID: binary.BigEndian.Uint64(b[7:]),
+			Body:    b[traceHeaderLen:],
 		}, nil
 	default:
 		return Packet{}, fmt.Errorf("netproto: unsupported version %d", b[2])
@@ -302,6 +242,11 @@ func ParseLoadChunk(b []byte) (LoadChunk, error) {
 	if uint64(c.Offset)+uint64(len(c.Data)) > uint64(c.TotalLen) {
 		return c, fmt.Errorf("netproto: chunk [%d,+%d) exceeds image length %d", c.Offset, len(c.Data), c.TotalLen)
 	}
+	// The receiver allocates TotalLen bytes on an image's first chunk;
+	// no image split by ChunkImage is longer than its chunks can carry.
+	if uint64(c.TotalLen) > uint64(c.Total)*MaxChunkData {
+		return c, fmt.Errorf("netproto: image length %d exceeds %d chunks of %d bytes", c.TotalLen, c.Total, MaxChunkData)
+	}
 	return c, nil
 }
 
@@ -331,8 +276,8 @@ func ChunkImage(addr uint32, image []byte) []LoadChunk {
 	return chunks
 }
 
-// Load acks reuse the RunReport body (wire-shape compatibility with
-// every pre-existing client and capture) and carry reassembly progress
+// Load acks reuse the RunReport body (the paper's v1 clients parse it
+// unchanged) and carry reassembly progress
 // in the report's otherwise-unused numeric fields: Cycles holds the
 // count of distinct chunks received so far and Instructions holds the
 // next missing sequence number (== Total once the image is complete).
@@ -348,9 +293,7 @@ func LoadAckReport(status uint8, received, nextSeq int) RunReport {
 	}
 }
 
-// LoadAckProgress extracts (received, nextSeq) from a load ack. Acks
-// from a pre-progress server report (0, 0), which callers must treat
-// as "no progress information".
+// LoadAckProgress extracts (received, nextSeq) from a load ack.
 func LoadAckProgress(rep RunReport) (received, nextSeq int) {
 	return int(rep.Cycles), int(rep.Instructions)
 }
@@ -422,11 +365,8 @@ func ParseRunReport(b []byte) (RunReport, error) {
 // same RunReport body CmdResult uses — the instant the board's run
 // completes. A server whose board is not running, whose hold budget
 // expires, or whose waiter table is full answers immediately
-// (StatusRunning while in flight), and the client falls back to
-// polling. HoldMs 0 means "answer immediately" (equivalent to
-// CmdResult). The command reuses the v1–v4 headers unchanged; servers
-// predating command-set revision 5 answer CmdError "unknown command",
-// which clients treat as "poll instead".
+// (StatusRunning while in flight), and the client asks again. HoldMs
+// 0 means "answer immediately" (equivalent to CmdResult).
 type WaitResultReq struct {
 	HoldMs uint32
 }

@@ -8,23 +8,22 @@ import (
 // The native fuzz targets complement TestParsersNeverPanic with
 // round-trip invariants: whatever a parser accepts must re-marshal to
 // something the parser accepts again, with identical semantics. Seed
-// inputs covering the v1/v2/v3 headers and the CmdResult/CmdStartSync
+// inputs covering the v1/v4 headers and the CmdResult/CmdStartLEON
 // body codecs live in testdata/fuzz; `go test -fuzz` grows them.
 
-// FuzzParsePacket covers the four header revisions: v1 (implicit
-// board 0), v2 (board byte), v3 (board + exchange seq) and v4 (board
-// + seq + trace id).
+// FuzzParsePacket covers the two header generations: v1 (the paper's
+// packet, implicit board 0) and v4 (board + seq + trace id).
 func FuzzParsePacket(f *testing.F) {
 	f.Add(Packet{Command: CmdStatus}.Marshal())
-	f.Add(Packet{Command: CmdResult, Board: 3}.Marshal())
-	f.Add(Packet{Command: CmdStartSync, Board: 2, Seq: 0xBEEF, HasSeq: true, Body: []byte{1, 2, 3}}.Marshal())
+	f.Add(Packet{Command: CmdResult, Board: 3, Seq: 1, HasSeq: true}.Marshal())
+	f.Add(Packet{Command: CmdStartLEON, Board: 2, Seq: 0xBEEF, HasSeq: true, Body: []byte{1, 2, 3}}.Marshal())
 	f.Add(Packet{Command: CmdError, Seq: 1, HasSeq: true, Body: ErrorResp{Code: CmdStatus, Msg: "x"}.Marshal()}.Marshal())
 	f.Add(Packet{Command: CmdStartLEON, Board: 1, Seq: 7, HasSeq: true,
-		TraceID: 0x0123456789ABCDEF, HasTrace: true, Body: []byte{9}}.Marshal())
-	f.Add(Packet{Command: CmdTraces, HasSeq: true, TraceID: 1, HasTrace: true,
+		TraceID: 0x0123456789ABCDEF, Body: []byte{9}}.Marshal())
+	f.Add(Packet{Command: CmdTraces, HasSeq: true, TraceID: 1,
 		Body: TracesReq{TraceID: 42}.Marshal()}.Marshal())
 	f.Add([]byte{'L', 'Q', 9, 9})             // unsupported version
-	f.Add([]byte{'L', 'Q', 3, 1})             // v3 header truncated
+	f.Add([]byte{'L', 'Q', 3, 1, 0, 0, 7})    // retired v3 header
 	f.Add([]byte{'L', 'Q', 4, 1, 0, 0, 0, 0}) // v4 header truncated
 	f.Add([]byte("not a packet"))             // bad magic
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -39,10 +38,23 @@ func FuzzParsePacket(f *testing.F) {
 			t.Fatalf("re-parse of marshalled packet failed: %v (pkt %+v)", err, pkt)
 		}
 		if again.Command != pkt.Command || again.Board != pkt.Board ||
-			again.HasSeq != pkt.HasSeq || (pkt.HasSeq && again.Seq != pkt.Seq) ||
-			again.HasTrace != pkt.HasTrace || (pkt.HasTrace && again.TraceID != pkt.TraceID) ||
-			!bytes.Equal(again.Body, pkt.Body) {
+			again.HasSeq != pkt.HasSeq || again.Seq != pkt.Seq ||
+			again.TraceID != pkt.TraceID || !bytes.Equal(again.Body, pkt.Body) {
 			t.Fatalf("round trip diverged: %+v → %+v", pkt, again)
+		}
+		// Exactly two generations: v1 carries no board, seq or trace;
+		// v4 always carries a seq.
+		switch raw[2] {
+		case Version:
+			if pkt.Board != 0 || pkt.HasSeq || pkt.TraceID != 0 {
+				t.Fatalf("v1 packet parsed with v4 fields: %+v", pkt)
+			}
+		case VersionTrace:
+			if !pkt.HasSeq {
+				t.Fatalf("v4 packet parsed without a seq: %+v", pkt)
+			}
+		default:
+			t.Fatalf("ParsePacket accepted header version %d", raw[2])
 		}
 		if !IsLiquidPacket(raw) {
 			t.Fatalf("ParsePacket accepted a payload IsLiquidPacket rejects")
@@ -57,6 +69,7 @@ func FuzzParseLoadChunk(f *testing.F) {
 		f.Add(c.Marshal())
 	}
 	f.Add(LoadChunk{Seq: 0, Total: 1, TotalLen: 0}.Marshal())
+	f.Add(LoadChunk{Seq: 0, Total: 2, TotalLen: 0xF0000000}.Marshal()) // forged length
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		c, err := ParseLoadChunk(raw)
@@ -69,6 +82,9 @@ func FuzzParseLoadChunk(f *testing.F) {
 		if uint64(c.Offset)+uint64(len(c.Data)) > uint64(c.TotalLen) {
 			t.Fatalf("accepted chunk overrunning its image: [%d,+%d) > %d", c.Offset, len(c.Data), c.TotalLen)
 		}
+		if uint64(c.TotalLen) > uint64(c.Total)*MaxChunkData {
+			t.Fatalf("accepted image length %d beyond %d chunks", c.TotalLen, c.Total)
+		}
 		again, err := ParseLoadChunk(c.Marshal())
 		if err != nil {
 			t.Fatalf("re-parse failed: %v", err)
@@ -80,7 +96,7 @@ func FuzzParseLoadChunk(f *testing.F) {
 	})
 }
 
-// FuzzParseRunReport covers the CmdResult / CmdStartSync response body
+// FuzzParseRunReport covers the CmdResult / CmdWaitResult response body
 // (and the load-ack progress encoding that rides in it).
 func FuzzParseRunReport(f *testing.F) {
 	f.Add(RunReport{Status: StatusOK, Cycles: 123456, Instructions: 99}.Marshal())
@@ -107,8 +123,7 @@ func FuzzParseRunReport(f *testing.F) {
 	})
 }
 
-// FuzzParseStartReq covers the CmdStartLEON / CmdStartSync request
-// body.
+// FuzzParseStartReq covers the CmdStartLEON request body.
 func FuzzParseStartReq(f *testing.F) {
 	f.Add(StartReq{Entry: 0x40001000, MaxCycles: 1 << 40}.Marshal())
 	f.Add(StartReq{}.Marshal())

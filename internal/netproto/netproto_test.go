@@ -127,38 +127,40 @@ func TestControlPacketRoundTrip(t *testing.T) {
 }
 
 func TestControlPacketBoardHeader(t *testing.T) {
-	// Board 0 marshals as the byte-identical v1 header.
+	// Board 0 without a seq marshals as the paper's v1 header.
 	p0 := Packet{Command: CmdStatus, Body: []byte{1}}
 	raw0 := p0.Marshal()
 	if raw0[2] != Version || len(raw0) != headerLen+1 {
 		t.Errorf("board-0 packet not v1: % x", raw0)
 	}
-	// Non-zero boards use the v2 header and round-trip the board byte.
-	p2 := Packet{Command: CmdStartLEON, Board: 3, Body: []byte{4, 5}}
-	raw2 := p2.Marshal()
-	if raw2[2] != VersionBoard {
-		t.Errorf("board-3 packet version = %d", raw2[2])
+	// A non-zero board needs the v4 header: v1 has no board byte.
+	p3 := Packet{Command: CmdStartLEON, Board: 3, Body: []byte{4, 5}}
+	raw3 := p3.Marshal()
+	if raw3[2] != VersionTrace {
+		t.Errorf("board-3 packet version = %d, want v4", raw3[2])
 	}
-	got, err := ParsePacket(raw2)
+	got, err := ParsePacket(raw3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Command != CmdStartLEON || got.Board != 3 || !bytes.Equal(got.Body, []byte{4, 5}) {
-		t.Errorf("v2 packet = %+v", got)
+		t.Errorf("board-3 packet = %+v", got)
 	}
-	if !IsLiquidPacket(raw2) {
-		t.Error("IsLiquidPacket false for v2 packet")
+	if !IsLiquidPacket(raw3) {
+		t.Error("IsLiquidPacket false for v4 packet")
 	}
-	// A v2 header without the board byte is truncated.
-	if _, err := ParsePacket([]byte{'L', 'Q', VersionBoard, 1}); err == nil {
-		t.Error("truncated v2 packet accepted")
+	// The retired v2 (board) and v3 (board + seq) headers are refused.
+	for _, v := range []uint8{2, 3} {
+		if _, err := ParsePacket([]byte{'L', 'Q', v, 1, 3, 0, 9}); err == nil {
+			t.Errorf("v%d packet accepted", v)
+		}
 	}
 }
 
 func TestControlPacketTraceHeader(t *testing.T) {
-	// A trace id forces the v4 header: board + seq + 64-bit trace id.
+	// The v4 header: board + seq + 64-bit trace id.
 	p := Packet{Command: CmdStartLEON, Board: 2, Seq: 0x1234, HasSeq: true,
-		TraceID: 0xDEADBEEFCAFEF00D, HasTrace: true, Body: []byte{7, 8}}
+		TraceID: 0xDEADBEEFCAFEF00D, Body: []byte{7, 8}}
 	raw := p.Marshal()
 	if raw[2] != VersionTrace || len(raw) != headerLen+11+2 {
 		t.Fatalf("v4 packet shape: % x", raw)
@@ -168,19 +170,19 @@ func TestControlPacketTraceHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Command != CmdStartLEON || got.Board != 2 || !got.HasSeq || got.Seq != 0x1234 ||
-		!got.HasTrace || got.TraceID != 0xDEADBEEFCAFEF00D || !bytes.Equal(got.Body, []byte{7, 8}) {
+		got.TraceID != 0xDEADBEEFCAFEF00D || !bytes.Equal(got.Body, []byte{7, 8}) {
 		t.Fatalf("v4 packet = %+v", got)
 	}
 	if !IsLiquidPacket(raw) {
 		t.Error("IsLiquidPacket false for v4 packet")
 	}
-	// Without a trace id the wire shape is unchanged from before v4:
-	// HasSeq alone still yields the v3 header, board alone v2, plain v1.
-	if raw := (Packet{Command: CmdStatus, Seq: 9, HasSeq: true}).Marshal(); raw[2] != VersionSeq {
-		t.Errorf("HasSeq-only packet version = %d, want v3", raw[2])
+	// An untraced sequenced packet is still v4, with trace id 0.
+	raw = (Packet{Command: CmdStatus, Seq: 9, HasSeq: true}).Marshal()
+	if raw[2] != VersionTrace || len(raw) != headerLen+11 {
+		t.Errorf("untraced seq packet: % x, want a bare v4 header", raw)
 	}
-	if raw := (Packet{Command: CmdStatus, Board: 1}).Marshal(); raw[2] != VersionBoard {
-		t.Errorf("board-only packet version = %d, want v2", raw[2])
+	if got, err := ParsePacket(raw); err != nil || got.TraceID != 0 || !got.HasSeq || got.Seq != 9 {
+		t.Errorf("untraced v4 packet = %+v, %v", got, err)
 	}
 	if raw := (Packet{Command: CmdStatus}).Marshal(); raw[2] != Version {
 		t.Errorf("plain packet version = %d, want v1", raw[2])
@@ -241,6 +243,16 @@ func TestLoadChunkValidation(t *testing.T) {
 	bad = LoadChunk{Seq: 0, Total: 1, TotalLen: 2, Offset: 0, Data: []byte{1, 2, 3}}
 	if _, err := ParseLoadChunk(bad.Marshal()); err == nil {
 		t.Error("overlong chunk accepted")
+	}
+	// A forged image length the chunk count cannot carry is refused
+	// before any receiver sizes a buffer from it.
+	bad = LoadChunk{Seq: 0, Total: 2, Addr: 1, TotalLen: 0xF0000000}
+	if _, err := ParseLoadChunk(bad.Marshal()); err == nil {
+		t.Error("image length beyond Total×MaxChunkData accepted")
+	}
+	ok := LoadChunk{Seq: 1, Total: 2, Addr: 1, TotalLen: 2 * MaxChunkData, Offset: MaxChunkData}
+	if _, err := ParseLoadChunk(ok.Marshal()); err != nil {
+		t.Errorf("full-length two-chunk image refused: %v", err)
 	}
 }
 

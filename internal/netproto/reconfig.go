@@ -5,15 +5,11 @@ import (
 	"fmt"
 )
 
-// Command-set revision 6 turns CmdReconfigure into a non-blocking
-// protocol: the server acks a reconfigure request immediately with the
-// state of its synthesis ticket, CmdReconfigStatus polls that ticket,
-// and CmdWaitReconfig parks the exchange server-side (like
-// CmdWaitResult) until the swap lands or the hold expires. All three
-// ride the unchanged v1–v4 headers; servers predating rev 6 block on
-// CmdReconfigure and answer CmdError "unknown command" to the two new
-// commands, which clients treat as "this server already finished the
-// work inside the ack" / "poll instead".
+// CmdReconfigure is a non-blocking protocol: the server acks a
+// reconfigure request immediately with the state of its synthesis
+// ticket, CmdReconfigStatus polls that ticket, and CmdWaitReconfig
+// parks the exchange server-side (like CmdWaitResult) until the swap
+// lands or the hold expires.
 
 // Reconfiguration ticket states on the wire, in lifecycle order.
 const (
@@ -104,16 +100,12 @@ func ParseReconfigStatusResp(b []byte) (ReconfigStatusResp, error) {
 	}, nil
 }
 
-// The CmdReconfigure ack keeps the RunReport wire shape every v1–v5
-// client parses, and packs the rev-6 ticket state into the report's
-// otherwise-unused fields (the same spare-field scheme load acks use):
-// Cycles holds the Reconfig* state, Instructions the prewarm queue
-// count, and TT the hit/partial flags. A pre-rev-6 server that blocked
-// through the whole swap reports plain StatusOK with zeroed spares —
-// ReconfigAckInfo maps that to ReconfigApplied, so new clients read
-// old acks correctly, and old clients see StatusOK from new servers
-// exactly when the swap already happened inside the ack (the cached
-// path — the common case the old blocking protocol optimized).
+// The CmdReconfigure ack keeps the RunReport wire shape and packs the
+// ticket state into the report's otherwise-unused fields (the same
+// spare-field scheme load acks use): Cycles holds the Reconfig* state,
+// Instructions the prewarm queue count, and TT the hit/partial flags.
+// Status is StatusOK exactly when the swap already happened inside the
+// ack (the cached path on an idle board).
 
 // ReconfigAckReport compresses a ticket status into the RunReport-
 // shaped CmdReconfigure ack.
@@ -134,25 +126,15 @@ func ReconfigAckReport(st ReconfigStatusResp) RunReport {
 }
 
 // ReconfigAckInfo recovers the ticket status from a CmdReconfigure
-// ack, mapping pre-rev-6 blocking acks (no state in the spares) onto
-// the terminal states.
+// ack.
 func ReconfigAckInfo(rep RunReport) ReconfigStatusResp {
-	st := ReconfigStatusResp{
+	return ReconfigStatusResp{
 		Status:   rep.Status,
 		State:    uint8(rep.Cycles),
 		CacheHit: rep.TT&reconfigFlagHit != 0,
 		Partial:  rep.TT&reconfigFlagPartial != 0,
 		Queued:   uint32(rep.Instructions),
 	}
-	if st.State == ReconfigNone {
-		// Blocking server: the ack itself is the outcome.
-		if rep.Status == StatusOK {
-			st.State = ReconfigApplied
-		} else {
-			st.State = ReconfigFailed
-		}
-	}
-	return st
 }
 
 // Terminal reports whether the state is final (Applied or Failed).

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"liquidarch/internal/asm"
 	"liquidarch/internal/core"
 	"liquidarch/internal/fpx"
 	"liquidarch/internal/leon"
@@ -16,195 +18,227 @@ import (
 	"liquidarch/internal/synth"
 )
 
-// TestCompatMatrix runs every client wire revision v1..v6 against
-// every server command revision v1..v6 — 36 cells on the simulated
-// fabric. Each cell drives two full load→start→result cycles plus a
-// readback, asserting the final report is identical everywhere and
-// that the negotiated downgrades take the documented shape:
+// compatProg spins long enough for a held wait to park, stores a
+// marker at result and exits through the poll address; the .space tail
+// makes its load three chunks.
+const compatProg = `
+_start:
+	set 400000, %g2
+loop:
+	subcc %g2, 1, %g2
+	bne loop
+	nop
+	set 0xC0FFEE, %o0
+	set result, %g1
+	st %o0, [%g1]
+	set 0x1000, %g7
+	jmp %g7
+	nop
+result:
+	.word 0
+	.space 3000
+`
+
+// TestCompatMatrix runs the two wire generations against two node
+// shapes — 2×2 cells on the simulated fabric:
 //
-//   - rs < 2: CmdStartLEON blocks; the ack IS the final report, so the
-//     client issues zero CmdResult polls and zero held waits.
-//   - rc < 5 (against rs ≥ 2): the client resolves runs by CmdResult
-//     polling, never putting CmdWaitResult on the wire.
-//   - rc ≥ 5, rs < 5: the client probes CmdWaitResult exactly once,
-//     the server rejects it as unknown, and the downgrade to polling is
-//     sticky — the second run issues no further probes.
-//   - rc ≥ 5, rs ≥ 5: runs resolve through server-held waits with zero
-//     CmdResult polls; the server visibly parks the exchanges.
+//   - v1: the paper's four-command conversation (Fig. 4, §2.6) in
+//     hand-built v1 packets — status, stop-and-wait load, start,
+//     status polls until the state leaves Running, read memory;
+//   - client: the current client — windowed load, StartAsync, held
+//     WaitResult, ReadMemory and Reconfigure;
 //
-// A pre-v5 server must never park a wait, whatever the client speaks.
+// on a 1-board node and on a 2-board node (where v1 reaches board 0
+// and the client drives board 1). Every cell must report the cycles of
+// an in-process reference run and read back the program's marker; v1
+// replies must come back in v1 shape; only the client cells park waits.
 func TestCompatMatrix(t *testing.T) {
-	img := make([]byte, 2*netproto.MaxChunkData+100) // 3 chunks
-	for i := range img {
-		img[i] = byte(i*31 + 5)
+	obj, err := asm.AssembleAt(compatProg, leon.DefaultLoadAddr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for rs := uint8(1); rs <= fpx.LatestCommandRev; rs++ {
-		for rc := uint8(1); rc <= 6; rc++ {
-			rs, rc := rs, rc
-			t.Run(fmt.Sprintf("server=v%d/client=v%d", rs, rc), func(t *testing.T) {
+	soc, err := leon.New(leon.DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := leon.NewController(soc)
+	if err := ref.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.LoadProgram(obj.Origin, obj.Code); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Execute(obj.Origin, 0)
+	if err != nil || want.Faulted {
+		t.Fatalf("reference run: %+v, %v", want, err)
+	}
+	result := mustSym(t, obj, "result")
+
+	for _, boards := range []int{1, 2} {
+		for _, conv := range []string{"v1", "client"} {
+			boards, conv := boards, conv
+			t.Run(fmt.Sprintf("boards=%d/%s", boards, conv), func(t *testing.T) {
 				t.Parallel()
-				compatCell(t, rc, rs, img)
+				w := sim.NewWorld(int64(boards))
+				t.Cleanup(w.Close)
+				srv, addr := compatNode(t, w, boards)
+				var cycles uint64
+				var marker []byte
+				if conv == "v1" {
+					cycles, marker = v1Conversation(t, w, addr, obj, result)
+				} else {
+					cycles, marker = clientConversation(t, w, addr, uint8(boards-1), obj, result)
+				}
+				if cycles != want.Cycles {
+					t.Errorf("run took %d cycles, reference %d", cycles, want.Cycles)
+				}
+				if !bytes.Equal(marker, []byte{0x00, 0xC0, 0xFF, 0xEE}) {
+					t.Errorf("read back % x, want the program's marker", marker)
+				}
+				parked := srv.Metrics().Snapshot().Counters["liquid_server_waits_parked_total"]
+				if (parked > 0) != (conv == "client") {
+					t.Errorf("%s conversation parked %d waits", conv, parked)
+				}
 			})
 		}
 	}
 }
 
-func compatCell(t *testing.T, rc, rs uint8, img []byte) {
-	w := sim.NewWorld(int64(rs)<<8 | int64(rc))
-	t.Cleanup(w.Close)
-
-	// Emulated hardware on the virtual clock: every run stays Running
-	// for exactly 30 ms of virtual time and reports a cycle count that
-	// is a pure function of the image — identical across all 36 cells.
-	em := fpx.NewEmulator()
-	em.AsyncDelay = 30 * time.Millisecond
-	em.Clock = w.Clock
-	plat := fpx.New(em, [4]byte{10, 0, 0, 2}, 5001)
-	plat.CommandRev = rs
-
+// compatNode serves n core-backed boards on the world's fabric; the
+// modelled ≈1 h synthesis collapses to ~3.6 ms of clock time.
+func compatNode(t *testing.T, w *sim.World, n int) (*Server, net.Addr) {
+	t.Helper()
+	restoreGOMAXPROCS(t)
+	plats := make([]*fpx.Platform, n)
+	for i := range plats {
+		sys, err := core.New(leon.DefaultConfig(), core.Options{
+			Synth: synth.Options{BitstreamBytes: 256, TimeScale: 1e-6, Clock: w.Clock},
+			IP:    [4]byte{10, 0, 0, byte(2 + i)},
+			Clock: w.Clock,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sys.Close)
+		plats[i] = sys.Platform()
+	}
 	pc, err := w.Net.Listen("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewNodeConn(pc, w.Clock, plat)
+	srv, err := NewNodeConn(pc, w.Clock, plats...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serveNode(t, srv)
-
-	c, _ := dialSim(t, w, pc.LocalAddr(), int64(rs)*100+int64(rc), cleanLink())
-	c.WireRev = rc
-
-	wantCycles := uint64(len(img)) * 10 // emulator: CyclesPerByte * image
-	for cycle := 0; cycle < 2; cycle++ {
-		if err := c.LoadProgram(leon.DefaultLoadAddr, img); err != nil {
-			t.Fatalf("cycle %d load: %v", cycle, err)
-		}
-		rep, err := c.Start(leon.DefaultLoadAddr, 0)
-		if err != nil {
-			t.Fatalf("cycle %d start: %v", cycle, err)
-		}
-		if rep.Status != netproto.StatusOK || rep.Cycles != wantCycles {
-			t.Fatalf("cycle %d report = %+v, want OK with %d cycles", cycle, rep, wantCycles)
-		}
-	}
-	head, err := c.ReadMemory(leon.DefaultLoadAddr, 64)
-	if err != nil {
-		t.Fatalf("readback: %v", err)
-	}
-	if !bytes.Equal(head, img[:64]) {
-		t.Error("loaded image diverged across the compat pairing")
-	}
-
-	csnap := c.Metrics().Snapshot()
-	resultPolls := csnap.Counter(`liquid_client_requests_total{cmd="result"}`)
-	waitReqs := csnap.Counter(`liquid_client_requests_total{cmd="wait"}`)
-	holds := csnap.Counters["liquid_client_wait_holds_total"]
-	fallback := csnap.Counters["liquid_client_wait_fallback_total"]
-	parked := srv.Metrics().Snapshot().Counters["liquid_server_waits_parked_total"]
-
-	switch {
-	case rs < 2:
-		// Sync-start downgrade: the start ack carried the final report.
-		if resultPolls != 0 || waitReqs != 0 {
-			t.Errorf("blocking-start server still saw polls=%d waits=%d", resultPolls, waitReqs)
-		}
-	case rc < 5:
-		// Poll-era client: CmdWaitResult must never hit the wire.
-		if waitReqs != 0 || holds != 0 {
-			t.Errorf("pre-v5 client issued waits=%d holds=%d", waitReqs, holds)
-		}
-		if resultPolls == 0 {
-			t.Error("poll-era client resolved two runs without a single CmdResult")
-		}
-	case rs < 5:
-		// Modern client, pre-hold server: one rejected probe, then a
-		// sticky downgrade to polling.
-		if fallback == 0 {
-			t.Error("client never recorded the wait downgrade")
-		}
-		if waitReqs != 1 {
-			t.Errorf("wait probes = %d, want exactly 1 (downgrade must be sticky)", waitReqs)
-		}
-		if resultPolls == 0 {
-			t.Error("downgraded client never polled CmdResult")
-		}
-	default:
-		// Held-wait era on both ends: no polling at all.
-		if holds == 0 {
-			t.Error("v5+ pairing never used a held wait")
-		}
-		if fallback != 0 {
-			t.Errorf("v5+ pairing recorded %d spurious downgrades", fallback)
-		}
-		if resultPolls != 0 {
-			t.Errorf("held-wait era still issued %d CmdResult polls", resultPolls)
-		}
-	}
-	if rs < 5 && parked != 0 {
-		t.Errorf("pre-v5 server parked %d waits", parked)
-	}
-	if rc >= 5 && rs >= 5 && parked == 0 {
-		t.Error("v5+ pairing parked no waits server-side")
-	}
+	return srv, pc.LocalAddr()
 }
 
-// TestCompatReconfigureAcrossServerRevs: a rev-6 client's Reconfigure
-// lands against every server generation. Pre-rev-6 servers block
-// through the whole swap and the ack carries the outcome; a rev-6
-// server acks immediately and the client follows the asynchronous
-// conversation to its terminal state. Either way the board's active
-// configuration must reflect the requested spec afterwards.
-func TestCompatReconfigureAcrossServerRevs(t *testing.T) {
-	for rs := uint8(1); rs <= fpx.LatestCommandRev; rs++ {
-		rs := rs
-		t.Run(fmt.Sprintf("server=v%d", rs), func(t *testing.T) {
-			t.Parallel()
-			w := sim.NewWorld(int64(rs))
-			t.Cleanup(w.Close)
-
-			// A core-backed board: reconfiguration is wired, and the
-			// modelled ≈1 h synthesis collapses to ~3.6 ms of clock time.
-			opts := synth.Options{BitstreamBytes: 256, TimeScale: 1e-6, Clock: w.Clock}
-			sys, err := core.New(leon.DefaultConfig(), core.Options{
-				Synth: opts,
-				IP:    [4]byte{10, 0, 0, 2},
-				Clock: w.Clock,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(sys.Close)
-			plat := sys.Platform()
-			plat.CommandRev = rs
-
-			pc, err := w.Net.Listen("")
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv, err := NewNodeConn(pc, w.Clock, plat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			serveNode(t, srv)
-
-			c, _ := dialSim(t, w, pc.LocalAddr(), int64(rs), cleanLink())
-			c.WireRev = 6
-
-			spec, err := json.Marshal(core.Spec{DCacheBytes: 8 << 10})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Reconfigure(spec); err != nil {
-				t.Fatalf("reconfigure against v%d server: %v", rs, err)
-			}
-			blob, err := c.GetConfig()
-			if err != nil {
-				t.Fatalf("get config: %v", err)
-			}
-			if !strings.Contains(string(blob), "8192") {
-				t.Errorf("active config does not reflect the 8 KiB D-cache: %s", blob)
-			}
-		})
+// v1Conversation drives the paper's four commands in v1 packets and
+// returns the run's cycles and the word at result.
+func v1Conversation(t *testing.T, w *sim.World, addr net.Addr, obj *asm.Object, result uint32) (uint64, []byte) {
+	t.Helper()
+	conn, err := w.Net.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { conn.Close() })
+	w.Net.SetLink(conn.LocalAddr(), addr, cleanLink())
+	w.Net.SetLink(addr, conn.LocalAddr(), cleanLink())
+	buf := make([]byte, 64<<10)
+	exchange := func(cmd uint8, body []byte) []byte {
+		t.Helper()
+		if _, err := conn.Write(netproto.Packet{Command: cmd, Body: body}.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(w.Clock.Now().Add(time.Second))
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", netproto.CommandName(cmd), err)
+		}
+		if buf[2] != netproto.Version {
+			t.Fatalf("%s reply in header version %d, want v1", netproto.CommandName(cmd), buf[2])
+		}
+		resp, err := netproto.ParsePacket(buf[:n])
+		if err != nil || resp.Command != cmd|netproto.RespFlag {
+			t.Fatalf("%s reply %+v, %v", netproto.CommandName(cmd), resp, err)
+		}
+		return append([]byte(nil), resp.Body...)
+	}
+	status := func() netproto.StatusResp {
+		t.Helper()
+		st, err := netproto.ParseStatusResp(exchange(netproto.CmdStatus, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	if !status().BootOK {
+		t.Fatal("board not booted")
+	}
+	for _, ch := range netproto.ChunkImage(obj.Origin, obj.Code) {
+		rep, err := netproto.ParseRunReport(exchange(netproto.CmdLoadProgram, ch.Marshal()))
+		if err != nil || (rep.Status != netproto.StatusPending && rep.Status != netproto.StatusOK) {
+			t.Fatalf("load chunk %d: %+v, %v", ch.Seq, rep, err)
+		}
+	}
+	rep, err := netproto.ParseRunReport(exchange(netproto.CmdStartLEON, netproto.StartReq{Entry: obj.Origin}.Marshal()))
+	if err != nil || rep.Status != netproto.StatusRunning {
+		t.Fatalf("start ack %+v, %v", rep, err)
+	}
+	st := status()
+	for polls := 0; st.State == uint8(leon.StateRunning); polls++ {
+		if polls > 100_000 {
+			t.Fatal("run never left Running")
+		}
+		w.Clock.Sleep(time.Millisecond)
+		st = status()
+	}
+	if st.State != uint8(leon.StateDone) || st.Last.Status != netproto.StatusOK {
+		t.Fatalf("final status %+v", st)
+	}
+	mr, err := netproto.ParseMemResp(exchange(netproto.CmdReadMemory, netproto.MemReq{Addr: result, Length: 4}.Marshal()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Last.Cycles, mr.Data
+}
+
+// clientConversation drives the current client against board and
+// returns the run's cycles and the word at result; it then
+// reconfigures the board and checks the swap landed.
+func clientConversation(t *testing.T, w *sim.World, addr net.Addr, board uint8, obj *asm.Object, result uint32) (uint64, []byte) {
+	t.Helper()
+	c, _ := dialSim(t, w, addr, int64(board)+1, cleanLink())
+	c.Board = board
+	if err := c.LoadProgram(obj.Origin, obj.Code); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.StartAsync(obj.Origin, 0); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.WaitResult()
+	if err != nil || rep.Status != netproto.StatusOK {
+		t.Fatalf("wait: %+v, %v", rep, err)
+	}
+	marker, err := c.ReadMemory(result, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := json.Marshal(core.Spec{DCacheBytes: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Reconfigure(spec); err != nil {
+		t.Fatalf("reconfigure: %v", err)
+	}
+	blob, err := c.GetConfig()
+	if err != nil {
+		t.Fatalf("get config: %v", err)
+	}
+	if !strings.Contains(string(blob), "8192") {
+		t.Errorf("active config does not reflect the 8 KiB D-cache: %s", blob)
+	}
+	return rep.Cycles, marker
 }

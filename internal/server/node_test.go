@@ -214,8 +214,50 @@ func TestBadBoardRejected(t *testing.T) {
 	}
 }
 
-// stuckCtrl blocks Execute until released, simulating a board whose
-// worker is pinned by a blocking command.
+// TestReadLoopErrorKeepsTrace: a v4 request the read loop rejects (a
+// board the node does not have) is answered in v4 shape with the
+// request's board, seq and trace id — the same header echo the worker
+// path gives board 0.
+func TestReadLoopErrorKeepsTrace(t *testing.T) {
+	_, addr := startNode(t, 1)
+	ua, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.DialUDP("udp", nil, ua)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	buf := make([]byte, 4096)
+	for _, board := range []uint8{5, 0} {
+		req := netproto.Packet{Command: netproto.CmdStatus, Board: board, Seq: 0x1234, HasSeq: true, TraceID: 0xABCDEF}
+		if _, err := conn.Write(req.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf[2] != netproto.VersionTrace {
+			t.Errorf("board %d: reply header version %d, want %d", board, buf[2], netproto.VersionTrace)
+		}
+		resp, err := netproto.ParsePacket(buf[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Board != board || resp.Seq != 0x1234 || resp.TraceID != 0xABCDEF {
+			t.Errorf("board %d: reply header %+v does not echo the request", board, resp)
+		}
+		if (resp.Command == netproto.CmdError) != (board == 5) {
+			t.Errorf("board %d: reply command %#x", board, resp.Command)
+		}
+	}
+}
+
+// stuckCtrl blocks ReadMemory until released, simulating a board whose
+// worker is pinned inside a command.
 type stuckCtrl struct {
 	*fpx.Emulator
 	entered chan struct{}
@@ -223,10 +265,10 @@ type stuckCtrl struct {
 	once    sync.Once
 }
 
-func (sc *stuckCtrl) Execute(entry uint32, maxCycles uint64) (leon.RunResult, error) {
+func (sc *stuckCtrl) ReadMemory(addr uint32, n int) ([]byte, error) {
 	sc.once.Do(func() { close(sc.entered) })
 	<-sc.release
-	return sc.Emulator.Execute(entry, maxCycles)
+	return sc.Emulator.ReadMemory(addr, n)
 }
 
 // TestBusyBackpressure: with a queue bound of 1 and a pinned worker,
@@ -257,18 +299,18 @@ func TestBusyBackpressure(t *testing.T) {
 	}
 	defer conn.Close()
 
-	// Job 1: a blocking sync start pins the worker.
-	start := netproto.Packet{
-		Command: netproto.CmdStartSync,
-		Body:    netproto.StartReq{Entry: leon.DefaultLoadAddr}.Marshal(),
+	// Job 1: a read the stub blocks in pins the worker.
+	read := netproto.Packet{
+		Command: netproto.CmdReadMemory,
+		Body:    netproto.MemReq{Addr: leon.DefaultLoadAddr, Length: 4}.Marshal(),
 	}
-	if _, err := conn.Write(start.Marshal()); err != nil {
+	if _, err := conn.Write(read.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case <-sc.entered:
 	case <-time.After(2 * time.Second):
-		t.Fatal("worker never reached Execute")
+		t.Fatal("worker never reached ReadMemory")
 	}
 	// Job 2 fills the 1-slot queue; job 3 must bounce as busy.
 	status := netproto.Packet{Command: netproto.CmdStatus}.Marshal()

@@ -7,8 +7,8 @@
 //
 // A Server is a node hosting one or more boards (platforms), mirroring
 // the four-port NID switch of Fig. 2. Datagrams carry a board id in
-// the v2 control header (board 0 keeps the wire-compatible v1 header);
-// the read loop only parses the header for routing and NEVER blocks on
+// the v4 control header (the paper's v1 header reaches board 0); the
+// read loop only parses the header for routing and NEVER blocks on
 // execution — each board has a bounded FIFO command queue drained by
 // its own worker goroutine, so a long run on one board cannot delay a
 // status poll on another, and a full queue applies backpressure with a
@@ -46,9 +46,9 @@ const DefaultQueueCap = 64
 
 // maxParkedPerBoard bounds how many CmdWaitResult/CmdWaitReconfig
 // exchanges one board worker will hold at once; beyond it waits are
-// answered immediately (StatusRunning / the live ticket state),
-// degrading to the client's poll loop instead of buffering
-// unboundedly.
+// answered immediately (StatusRunning / the live ticket state) and
+// the client re-issues them at its poll interval, instead of the node
+// buffering unboundedly.
 const maxParkedPerBoard = 64
 
 // Parked-exchange kinds: what completion event releases the wait.
@@ -102,7 +102,7 @@ type job struct {
 	// queue-wait hop of the exchange trace); zero when tracing is off.
 	qspan tracing.SpanHandle
 	// traceID is the exchange's resolved trace id — the one the packet
-	// carried, or a server-assigned id for v1–v3 clients — passed down
+	// carried, or a server-assigned id for untraced requests — passed down
 	// so the platform's spans land in the same trace.
 	traceID uint64
 }
@@ -220,8 +220,8 @@ func newNodeConn(conn net.PacketConn, clk sim.Clock, queueCap int, platforms ...
 // read loop records a queue-wait span per routed datagram and every
 // board platform records its handle spans into the same collector, so
 // one export shows the full server-side timeline of an exchange.
-// Requests that carry no trace id (v1–v3 clients) get a server-
-// assigned one at dispatch time. Call before Serve.
+// Requests that carry no trace id (v1, or v4 with trace id 0) get a
+// server-assigned one at dispatch time. Call before Serve.
 func (s *Server) EnableTracing(col *tracing.Collector) {
 	s.tracer = col
 	for _, p := range s.boards {
@@ -360,16 +360,13 @@ func (s *Server) dispatch(bufp *[]byte, payload []byte, peer *net.UDPAddr) {
 
 // replyError sends a CmdError straight from the read loop (for
 // failures the board worker never sees: bad board, full queue). The
-// request's board and exchange seq are echoed so a sequencing client
-// attributes the error to the right request.
+// whole request header — board, exchange seq and trace id — is echoed,
+// as the worker path does, so a sequencing client attributes the error
+// to the right request and trace.
 func (s *Server) replyError(peer *net.UDPAddr, req netproto.Packet, msg string) {
-	pkt := netproto.Packet{
-		Command: netproto.CmdError,
-		Board:   req.Board,
-		Seq:     req.Seq,
-		HasSeq:  req.HasSeq,
-		Body:    netproto.ErrorResp{Code: req.Command, Msg: msg}.Marshal(),
-	}
+	pkt := req
+	pkt.Command = netproto.CmdError
+	pkt.Body = netproto.ErrorResp{Code: req.Command, Msg: msg}.Marshal()
 	raw := pkt.Marshal()
 	if n, err := s.conn.WriteTo(raw, peer); err != nil {
 		s.m.sendErrors.Inc()
@@ -557,14 +554,12 @@ func (s *Server) tryPark(p *fpx.Platform, j job, canPark, canParkReconfig bool, 
 	var kind string
 	switch pkt.Command {
 	case netproto.CmdWaitResult:
-		// A platform emulating a pre-rev-5 command set rejects the
-		// command outright — never park what dispatch will refuse.
-		if !canPark || p.CmdRev() < 5 {
+		if !canPark {
 			return parkedWait{}, false
 		}
 		kind = waitKindResult
 	case netproto.CmdWaitReconfig:
-		if !canParkReconfig || p.CmdRev() < 6 {
+		if !canParkReconfig {
 			return parkedWait{}, false
 		}
 		kind = waitKindReconfig

@@ -135,9 +135,6 @@ func TestWaitResultHeldByServer(t *testing.T) {
 	if csnap.Counters["liquid_client_wait_holds_total"] == 0 {
 		t.Error("client did not count the held wait")
 	}
-	if csnap.Counters["liquid_client_wait_fallback_total"] != 0 {
-		t.Error("client fell back to polling against a server that supports CmdWaitResult")
-	}
 }
 
 // TestWaitHoldExpiresAndRearms: a hold shorter than the run expires
@@ -170,39 +167,6 @@ func TestWaitHoldExpiresAndRearms(t *testing.T) {
 	csnap := c.Metrics().Snapshot()
 	if csnap.Counters["liquid_client_wait_holds_total"] < 2 {
 		t.Error("client did not re-arm the hold after expiry")
-	}
-}
-
-// TestWaitHoldDisabledPolls: WaitHold<0 is the operator opt-out — the
-// client must never put CmdWaitResult on the wire and instead resolve
-// the run through the classic CmdResult poll loop. (The downgrade
-// against an old server that rejects CmdWaitResult is covered in the
-// client package's retry tests.)
-func TestWaitHoldDisabledPolls(t *testing.T) {
-	_, addr := startServer(t)
-	obj := assembleAt(t, countProg(1_000_000))
-
-	c := dial(t, addr)
-	c.WaitHold = -1 // pretend the operator disabled the held wait
-	if err := c.LoadProgram(obj.Origin, obj.Code); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.StartAsync(obj.Origin, 0); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.WaitResult()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Status != netproto.StatusOK {
-		t.Fatalf("report = %+v", rep)
-	}
-	csnap := c.Metrics().Snapshot()
-	if csnap.Counter(`liquid_client_requests_total{cmd="wait"}`) != 0 {
-		t.Error("WaitHold<0 still issued held waits")
-	}
-	if csnap.Counter(`liquid_client_requests_total{cmd="result"}`) == 0 {
-		t.Error("disabled hold never polled")
 	}
 }
 

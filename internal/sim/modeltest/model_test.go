@@ -31,7 +31,7 @@ func smokeSeeds(t *testing.T) int {
 }
 
 // TestModelSmoke sweeps pinned seeds 1..N: every randomized cluster
-// run — lossy links, mixed boards, mixed wire revisions — must match
+// run — lossy links, mixed boards — must match
 // the sequential reference model on every observable.
 func TestModelSmoke(t *testing.T) {
 	n := smokeSeeds(t)
@@ -47,8 +47,7 @@ func TestModelSmoke(t *testing.T) {
 }
 
 // TestModelReconfigIdleMix sweeps pinned seeds over the
-// reconfiguration-plus-idle op mix on rev-6 clients across lossy
-// links: budget-length poll-loop idles (fast-forwarded by the
+// reconfiguration-plus-idle op mix across lossy links: budget-length poll-loop idles (fast-forwarded by the
 // simulator, but every virtual cycle must read back as simulated
 // time in the run reports) interleaved with cache reconfigurations
 // and enough runs and reads to keep memory and configuration state
@@ -59,7 +58,7 @@ func TestModelReconfigIdleMix(t *testing.T) {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
 			t.Parallel()
-			if err := Run(Config{Seed: seed, WireRev: 6, IdleMix: true}); err != nil {
+			if err := Run(Config{Seed: seed, IdleMix: true}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -83,7 +82,6 @@ func TestModelReplay(t *testing.T) {
 func bugConfig(seed int64, disabled bool) Config {
 	return Config{
 		Seed:          seed,
-		WireRev:       6,
 		Ops:           18,
 		LoadHeavy:     true,
 		DedupDisabled: disabled,

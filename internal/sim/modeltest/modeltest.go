@@ -1,7 +1,6 @@
 // Package modeltest is the model-based cluster test runner: it drives
-// a randomized operation sequence — loads (windowed and legacy
-// stop-and-wait), starts, waits, memory traffic, reconfigurations,
-// prewarm sweeps, across boards and client wire revisions — against a
+// a randomized operation sequence — loads, starts, waits, memory
+// traffic, reconfigurations, prewarm sweeps, across boards — against a
 // simulated multi-board node behind the in-memory fault fabric, and
 // checks every observable against a sequential reference model (the
 // same board logic driven directly, with no server, network, or
@@ -65,12 +64,7 @@ type Config struct {
 	Seed int64
 	// Ops is the operation count (0 = a seed-derived default).
 	Ops int
-	// WireRev pins the client protocol generation (0 = seed-derived,
-	// uniform over v1..v6).
-	WireRev uint8
-	// Faults overrides the fault profile (nil = seed-derived; clean
-	// link for wire revs <3, which predate the dedup window and the
-	// exchange seq that loss recovery needs).
+	// Faults overrides the fault profile (nil = seed-derived).
 	Faults *Faults
 	// DedupDisabled plants the deliberate protocol bug — the server
 	// skips the at-most-once dedup window — to prove the model harness
@@ -92,7 +86,6 @@ type Config struct {
 // observably disagreed with the sequential model.
 type Divergence struct {
 	Seed    int64
-	Rev     uint8
 	OpIndex int
 	Op      string
 	Got     string // observable from the simulated cluster
@@ -102,7 +95,7 @@ type Divergence struct {
 
 func (d *Divergence) Error() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "model divergence at seed %d (wire rev %d), op %d: %s\n", d.Seed, d.Rev, d.OpIndex, d.Op)
+	fmt.Fprintf(&b, "model divergence at seed %d, op %d: %s\n", d.Seed, d.OpIndex, d.Op)
 	fmt.Fprintf(&b, "  sut: %s\n  ref: %s\n", d.Got, d.Want)
 	b.WriteString("  op trace:\n")
 	for i, op := range d.Trace {
@@ -295,7 +288,6 @@ func asServerError(err error, out **client.ServerError) bool {
 type harness struct {
 	cfg   Config
 	rng   *rand.Rand
-	rev   uint8
 	world *sim.World
 	sut   *boardSet
 	srv   *server.Server
@@ -312,12 +304,7 @@ func Run(cfg Config) error {
 		return err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	rev := cfg.WireRev
-	if rev == 0 {
-		rev = uint8(1 + rng.Intn(6))
-	}
-
-	h := &harness{cfg: cfg, rng: rng, rev: rev}
+	h := &harness{cfg: cfg, rng: rng}
 	h.world = sim.NewWorld(cfg.Seed)
 	defer h.world.Close()
 
@@ -356,19 +343,12 @@ func Run(cfg Config) error {
 
 	f := cfg.Faults
 	if f == nil {
-		if rev >= 3 {
-			// The dedup + seq era handles loss; derive a lossy profile.
-			f = &Faults{
-				Drop:    0.03 + 0.07*rng.Float64(),
-				Dup:     0.03 + 0.07*rng.Float64(),
-				Reorder: 0.02 + 0.05*rng.Float64(),
-				Latency: time.Duration(1+rng.Intn(2)) * time.Millisecond,
-				Jitter:  500 * time.Microsecond,
-			}
-		} else {
-			// Pre-seq clients have no duplicate suppression: keep the
-			// link clean (latency only), as the era's LANs did.
-			f = &Faults{Latency: time.Millisecond}
+		f = &Faults{
+			Drop:    0.03 + 0.07*rng.Float64(),
+			Dup:     0.03 + 0.07*rng.Float64(),
+			Reorder: 0.02 + 0.05*rng.Float64(),
+			Latency: time.Duration(1+rng.Intn(2)) * time.Millisecond,
+			Jitter:  500 * time.Microsecond,
 		}
 	}
 	lp := sim.LinkParams{
@@ -380,7 +360,6 @@ func Run(cfg Config) error {
 
 	h.cli = client.New(conn, h.world.Clock)
 	h.cli.SetSeed(cfg.Seed ^ 0x6a09e667)
-	h.cli.WireRev = rev
 	h.cli.Timeout = 50 * time.Millisecond
 	h.cli.MaxTimeout = 400 * time.Millisecond
 	h.cli.Retries = 8
@@ -405,7 +384,7 @@ func (h *harness) loadHeavy() bool { return h.cfg.LoadHeavy }
 // diverge records the mismatch with the full op trace.
 func (h *harness) diverge(i int, op, got, want string) *Divergence {
 	return &Divergence{
-		Seed: h.cfg.Seed, Rev: h.rev, OpIndex: i, Op: op,
+		Seed: h.cfg.Seed, OpIndex: i, Op: op,
 		Got: got, Want: want, Trace: h.trace,
 	}
 }
@@ -414,12 +393,7 @@ func (h *harness) diverge(i int, op, got, want string) *Divergence {
 // drawn before execution so the op sequence is a pure function of the
 // seed regardless of outcomes.
 func (h *harness) step(i int) *Divergence {
-	board := 0
-	if h.rev >= 2 {
-		// The v1 header has no board byte; a rev-1 client can only ever
-		// talk to board 0.
-		board = h.rng.Intn(nBoards)
-	}
+	board := h.rng.Intn(nBoards)
 	h.cli.Board = uint8(board)
 
 	kind := h.rng.Intn(10)
@@ -469,12 +443,7 @@ func (h *harness) step(i int) *Divergence {
 		got, want = h.opWrite(board, addr, data)
 	default:
 		dcache := []int{4 << 10, 8 << 10}[h.rng.Intn(2)]
-		if h.rev < 6 {
-			// Asynchronous reconfiguration is a rev-6 conversation;
-			// earlier clients ask for status instead.
-			op = fmt.Sprintf("status board=%d", board)
-			got, want = h.opStatus(board)
-		} else if h.rng.Intn(4) == 0 {
+		if h.rng.Intn(4) == 0 {
 			op = fmt.Sprintf("prewarm board=%d dcache=%d", board, dcache)
 			got, want = h.opPrewarm(board, dcache)
 		} else {
