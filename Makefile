@@ -72,11 +72,14 @@ bench:
 	$(GO) test -bench . -benchtime 1x
 
 # bench-smoke runs every root-level benchmark exactly once with tests
-# disabled, with the throughput gate armed: the steady-state stepping
+# disabled, with the throughput gates armed: the steady-state stepping
 # loop must allocate nothing and its measured ns/step must stay within
-# 10% of the checked-in BENCH_throughput.json baseline. The freshly
-# measured figure is re-emitted to BENCH_throughput.json (commit the
-# refresh when the number moves for a real reason).
+# 10% of the checked-in BENCH_throughput.json baseline, and with a
+# trace.Recorder attached it must step at no more than 2x the
+# unrecorded ns/step measured in the same process (median of 3
+# alternating rounds; no baseline file). The freshly measured figure is
+# re-emitted to BENCH_throughput.json (commit the refresh when the
+# number moves for a real reason).
 bench-smoke:
 	LIQUID_BENCH_GATE=1 LIQUID_BENCH_JSON=$(CURDIR)/BENCH_throughput.json \
 		$(GO) test -run '^$$' -bench . -benchtime 1x -v .

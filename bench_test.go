@@ -9,7 +9,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"testing"
+	"time"
 
 	"liquidarch/internal/ahbadapter"
 	"liquidarch/internal/amba"
@@ -25,6 +27,7 @@ import (
 	"liquidarch/internal/mem"
 	"liquidarch/internal/server"
 	"liquidarch/internal/synth"
+	"liquidarch/internal/trace"
 )
 
 // BenchmarkStepThroughput measures the simulator's core metric:
@@ -119,6 +122,85 @@ func gateAndEmitThroughput(b *testing.B) {
 		b.Fatalf("bench gate: write %s: %v", out, err)
 	}
 	b.Logf("bench gate: wrote %s", out)
+}
+
+// BenchmarkStepThroughputRecorded is BenchmarkStepThroughput with the
+// Trace Analyzer's recorder attached, as on every networked run: the
+// execution profile keeps the run on the superblock dispatcher, and
+// only the memory-event stream costs per access. When the smoke gate
+// is armed it also enforces the recording-overhead ratio.
+func BenchmarkStepThroughputRecorded(b *testing.B) {
+	soc, err := bench.ThroughputSoC(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := trace.NewRecorder()
+	rec.Attach(soc.CPU)
+	b.ResetTimer()
+	if _, err := bench.StepSteady(soc, uint64(b.N)); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	rec.Detach()
+	gateRecordedRatio(b)
+}
+
+// recordedRatioCeiling bounds recorded over unrecorded ns/step.
+const recordedRatioCeiling = 2.0
+
+// gateRecordedRatio is the bench-smoke recording-overhead gate. When
+// LIQUID_BENCH_GATE=1 it times the 2M-step throughput kernel without
+// and with a recorder in 3 alternating rounds and fails if the median
+// recorded ns/step exceeds recordedRatioCeiling times the median
+// unrecorded one. Both sides are measured in this process, so the
+// gate needs no checked-in baseline and host speed cancels out.
+func gateRecordedRatio(b *testing.B) {
+	if os.Getenv("LIQUID_BENCH_GATE") == "" {
+		return
+	}
+	var plain, recorded []float64
+	for round := 0; round < 3; round++ {
+		for _, rec := range []bool{round%2 == 1, round%2 == 0} {
+			ns, err := stepNsPerStep(rec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rec {
+				recorded = append(recorded, ns)
+			} else {
+				plain = append(plain, ns)
+			}
+		}
+	}
+	sort.Float64s(plain)
+	sort.Float64s(recorded)
+	ratio := recorded[1] / plain[1]
+	if ratio > recordedRatioCeiling {
+		b.Fatalf("bench gate: recorded %.2f ns/step is %.2fx unrecorded %.2f (ceiling %.1fx)",
+			recorded[1], ratio, plain[1], recordedRatioCeiling)
+	}
+	b.Logf("bench gate: recorded %.2f ns/step, %.2fx unrecorded %.2f (ceiling %.1fx)",
+		recorded[1], ratio, plain[1], recordedRatioCeiling)
+}
+
+// stepNsPerStep times 2M steps of the throughput kernel on a fresh
+// SoC, with or without a trace.Recorder attached.
+func stepNsPerStep(recorded bool) (float64, error) {
+	soc, err := bench.ThroughputSoC(0)
+	if err != nil {
+		return 0, err
+	}
+	if recorded {
+		rec := trace.NewRecorder()
+		rec.Attach(soc.CPU)
+		defer rec.Detach()
+	}
+	const steps = 2_000_000
+	start := time.Now()
+	if _, err := bench.StepSteady(soc, steps); err != nil {
+		return 0, err
+	}
+	return float64(time.Since(start).Nanoseconds()) / steps, nil
 }
 
 // BenchmarkSweepParallel measures the parallel sweep runner: the whole

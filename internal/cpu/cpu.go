@@ -316,8 +316,12 @@ type CPU struct {
 
 	stats Stats
 
+	// profile is the execution-profile table (profile.go); prof points
+	// at it while a profile is attached and is nil otherwise.
+	profile profile
+	prof    *profile
+
 	// Trace hooks; nil hooks cost nothing.
-	OnExec func(pc uint32, in isa.Inst)
 	OnMem  func(addr uint32, size amba.Size, write bool)
 	OnTrap func(tt uint8, pc uint32)
 }
@@ -607,8 +611,8 @@ func (c *CPU) Step() error {
 		}
 		e.tag, e.word, e.kind, e.cls, e.in = c.pc+1, word, classify(in.Op), in.Op.Class(), in
 	}
-	if c.OnExec != nil {
-		c.OnExec(c.pc, e.in)
+	if c.prof != nil {
+		c.prof.credit(c.pc)
 	}
 	c.stats.Instructions++
 

@@ -3,6 +3,7 @@ package cpu
 import (
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 
 	"liquidarch/internal/amba"
@@ -766,21 +767,23 @@ func TestCycleAccounting(t *testing.T) {
 }
 
 func TestTraceHooks(t *testing.T) {
-	var execs, mems int
+	var mems int
 	c, _ := newCPU(t, DefaultConfig(),
 		enc(t, movImm(isa.L0, 0x800)),
 		enc(t, isa.Inst{Op: isa.OpLD, Rd: isa.O0, Rs1: isa.L0, UseImm: true, Imm: 0}),
 		enc(t, isa.Inst{Op: isa.OpST, Rd: isa.O0, Rs1: isa.L0, UseImm: true, Imm: 4}),
 	)
 	var memWrites []bool
-	c.OnExec = func(pc uint32, in isa.Inst) { execs++ }
+	c.StartProfile()
 	c.OnMem = func(addr uint32, size amba.Size, write bool) {
 		mems++
 		memWrites = append(memWrites, write)
 	}
 	run(t, c, 3)
-	if execs != 3 {
-		t.Errorf("OnExec fired %d times", execs)
+	heat := map[uint32]uint64{}
+	c.StopProfile(heat)
+	if want := map[uint32]uint64{0x1000: 1, 0x1004: 1, 0x1008: 1}; !reflect.DeepEqual(heat, want) {
+		t.Errorf("profile = %v, want %v", heat, want)
 	}
 	if mems != 2 || !memWrites[1] || memWrites[0] {
 		t.Errorf("OnMem fired %d times, writes=%v", mems, memWrites)

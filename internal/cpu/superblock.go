@@ -112,11 +112,11 @@ func (c *CPU) StepN(maxSteps int, cycleLimit uint64, stopPC uint32) (int, error)
 		}
 		// Block entry requires the sequential-flow invariant
 		// npc==pc+4 with no annul pending, an aligned PC, a
-		// line-peekable fetch path, and no exec/trap hooks (the
-		// dispatcher settles the shared step counters at block exit,
-		// so a mid-block hook could observe them stale).
+		// line-peekable fetch path, and no trap hook (the dispatcher
+		// settles the shared step counters at block exit, so a
+		// mid-block hook could observe them stale).
 		if c.annul || c.npc != c.pc+4 || c.pc&3 != 0 || c.lfetch == nil ||
-			c.OnExec != nil || c.OnTrap != nil {
+			c.OnTrap != nil {
 			if err := c.Step(); err != nil {
 				return steps, err
 			}
@@ -151,10 +151,12 @@ func (c *CPU) StepN(maxSteps int, cycleLimit uint64, stopPC uint32) (int, error)
 			continue
 		}
 
-		// Poll-loop fast-forward bookkeeping (allocation-free).
+		// Poll-loop fast-forward bookkeeping (allocation-free). It is
+		// off while a profile or a memory hook is attached: a
+		// forwarded iteration would credit no PC and report no access.
 		switch c.spin.mode {
 		case spinIdle:
-			if c.spin.lastHead == head+1 && !c.spin.blacklisted(head) && c.OnMem == nil {
+			if c.spin.lastHead == head+1 && !c.spin.blacklisted(head) && c.prof == nil && c.OnMem == nil {
 				c.spinProbeStart(head, steps)
 			} else {
 				c.spin.lastHead = head + 1
@@ -195,13 +197,16 @@ func (c *CPU) StepN(maxSteps int, cycleLimit uint64, stopPC uint32) (int, error)
 func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit uint64, stopPC uint32, steps int) (int, error) {
 	lineMask := uint32(len(line) - 1)
 	lineBase := head &^ lineMask
-	// The step counter, the instruction counter and the fetch-hit
-	// counter all advance by exactly 1 per dispatched instruction, so
-	// the loop keeps a single local count and settles all three at
-	// block exit (nothing inside a block reads them: exec/trap hooks
-	// are gated off at block entry, and the spin probe samples them
-	// between blocks). The lone exception is a decode failure, whose
-	// step consumes a fetch hit but no instruction.
+	// The step counter, the instruction counter, the fetch-hit counter
+	// and the execution profile all advance by exactly 1 per
+	// dispatched instruction, so the loop keeps a single local count
+	// and settles all four at block exit (nothing inside a block reads
+	// them: the trap hook is gated off at block entry, and the spin
+	// probe samples them between blocks). The lone exception is a
+	// decode failure, whose step consumes a fetch hit but no
+	// instruction. The dispatched instructions are the contiguous
+	// words [head, head+4k): sequential flow, then at most one CTI and
+	// its delay slot.
 	kmax := maxSteps - steps
 	k := 0
 	extra := 0 // decode-failure step: 1 step, 1 fetch hit, no instruction
@@ -263,6 +268,9 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 		}
 	}
 	c.stats.Instructions += uint64(k)
+	if c.prof != nil {
+		c.prof.creditRange(head, k)
+	}
 	if hits := uint64(k + extra); hits > 0 {
 		c.lfetch.AddFetchHits(hits)
 	}

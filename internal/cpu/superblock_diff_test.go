@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"liquidarch/internal/amba"
@@ -16,7 +17,9 @@ import (
 // deferred accounting, poll-loop fast-forward — must be bit-identical
 // to one driven through Step alone: registers, control state, memory,
 // cycle count, statistics, fetch counters. Any divergence means a
-// scheduling transformation leaked into architectural behaviour.
+// scheduling transformation leaked into architectural behaviour. Each
+// case runs again with an execution profile attached, whose per-PC
+// counts must equal those of a hook-free single-step oracle.
 
 // lineFlat wraps flatMem with the LineFetcher surface: every fetch is
 // a pure 1-cycle resident hit and PeekLine exposes 32-byte lines
@@ -53,9 +56,21 @@ func (m *lineFlat) FetchCounts() (uint64, uint64) { return m.hits, m.misses }
 
 const noStopPC = ^uint32(0) // unaligned: never matches a fetch PC
 
-// sbPair builds two identical machines over independent memories; A is
-// meant to run through StepN, B through Step.
-func sbPair(t *testing.T, airq, birq IRQSource, words ...uint32) (a, b *CPU, am, bm *lineFlat) {
+// sbRig is one differential run: machine a steps through StepN,
+// reference b through Step alone, over independent but identical
+// memories. With prof set, a carries an execution profile, checked
+// against a hook-free oracle: every reference step that advances the
+// instruction counter credits the PC it started at.
+type sbRig struct {
+	a, b   *CPU
+	am, bm *lineFlat
+	prof   bool
+	got    map[uint32]uint64 // a's harvested profile
+	want   map[uint32]uint64 // the oracle's
+	aInsts uint64            // a's instruction counter at the start
+}
+
+func newRig(t *testing.T, prof bool, airq, birq IRQSource, words ...uint32) *sbRig {
 	t.Helper()
 	const progBase = 0x1000
 	build := func(irq IRQSource) (*CPU, *lineFlat) {
@@ -72,32 +87,76 @@ func sbPair(t *testing.T, airq, birq IRQSource, words ...uint32) (a, b *CPU, am,
 		c.SetPC(progBase)
 		return c, m
 	}
-	a, am = build(airq)
-	b, bm = build(birq)
-	return a, b, am, bm
+	r := &sbRig{prof: prof, got: map[uint32]uint64{}, want: map[uint32]uint64{}}
+	r.a, r.am = build(airq)
+	r.b, r.bm = build(birq)
+	if prof {
+		r.aInsts = r.a.Stats().Instructions
+		r.a.StartProfile()
+	}
+	return r
 }
 
-// sbDiff fails on any state, accounting or fetch-counter divergence.
-func sbDiff(t *testing.T, a, b *CPU, am, bm *lineFlat, tag string) {
-	t.Helper()
-	if d := diffState(a, b); d != "" {
-		t.Fatalf("%s: superblock CPU diverged: %s", tag, d)
-	}
-	if am.hits != bm.hits || am.misses != bm.misses {
-		t.Fatalf("%s: fetch counters diverged: %d/%d vs %d/%d",
-			tag, am.hits, am.misses, bm.hits, bm.misses)
-	}
+// poke writes one word into both memories.
+func (r *sbRig) poke(addr, w uint32) {
+	binary.BigEndian.PutUint32(r.am.data[addr:], w)
+	binary.BigEndian.PutUint32(r.bm.data[addr:], w)
 }
 
-// stepRef advances the reference CPU n single steps.
-func stepRef(t *testing.T, b *CPU, n int, tag string) {
+// step advances the reference one Step, feeding the oracle.
+func (r *sbRig) step() error {
+	pc, n := r.b.PC(), r.b.Stats().Instructions
+	err := r.b.Step()
+	if r.b.Stats().Instructions != n {
+		r.want[pc]++
+	}
+	return err
+}
+
+// stepRef advances the reference n single steps.
+func (r *sbRig) stepRef(t *testing.T, n int, tag string) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := b.Step(); err != nil {
-			t.Fatalf("%s: reference step %d (pc=%#x): %v", tag, i, b.PC(), err)
+		if err := r.step(); err != nil {
+			t.Fatalf("%s: reference step %d (pc=%#x): %v", tag, i, r.b.PC(), err)
 		}
 	}
 }
+
+// check fails on any state, accounting or fetch-counter divergence.
+// When profiled it also harvests a's profile (re-attaching it, so later
+// checks exercise the harvest as a running total) and fails unless it
+// equals the oracle's and sums to a's instruction-counter advance.
+func (r *sbRig) check(t *testing.T, tag string) {
+	t.Helper()
+	tag = fmt.Sprintf("%s (profiled=%v)", tag, r.prof)
+	if d := diffState(r.a, r.b); d != "" {
+		t.Fatalf("%s: superblock CPU diverged: %s", tag, d)
+	}
+	if r.am.hits != r.bm.hits || r.am.misses != r.bm.misses {
+		t.Fatalf("%s: fetch counters diverged: %d/%d vs %d/%d",
+			tag, r.am.hits, r.am.misses, r.bm.hits, r.bm.misses)
+	}
+	if !r.prof {
+		return
+	}
+	r.a.StopProfile(r.got)
+	r.a.StartProfile()
+	if !reflect.DeepEqual(r.got, r.want) {
+		t.Fatalf("%s: profile diverged from the oracle:\n got %v\nwant %v", tag, r.got, r.want)
+	}
+	var sum uint64
+	for _, n := range r.got {
+		sum += n
+	}
+	if d := r.a.Stats().Instructions - r.aInsts; sum != d {
+		t.Fatalf("%s: profile sums to %d, instruction counter advanced %d", tag, sum, d)
+	}
+}
+
+// profModes runs each differential case unprofiled (fast-forward on)
+// and profiled (fast-forward off, every count checked).
+var profModes = []bool{false, true}
 
 // countedLoop builds the standard store-and-count loop ending in an
 // annulling self-branch (the spin the fast-forward probe feeds on).
@@ -130,26 +189,28 @@ func TestDiffSuperblockRandomStreams(t *testing.T) {
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			words := randProgram(t, rng, progLen)
-			words = append(words, enc(t, isa.Inst{Op: isa.OpBicc, Cond: isa.CondA, Annul: true, Imm: 0}))
-			a, b, am, bm := sbPair(t, nil, nil, words...)
-			total := 0
-			for total < len(words)+64 {
-				n := 1 + rng.Intn(23)
-				got, err := a.StepN(n, ^uint64(0), noStopPC)
-				if err != nil {
-					t.Fatalf("StepN after %d steps: %v", total, err)
+			for _, prof := range profModes {
+				rng := rand.New(rand.NewSource(seed))
+				words := randProgram(t, rng, progLen)
+				words = append(words, enc(t, isa.Inst{Op: isa.OpBicc, Cond: isa.CondA, Annul: true, Imm: 0}))
+				r := newRig(t, prof, nil, nil, words...)
+				total := 0
+				for total < len(words)+64 {
+					n := 1 + rng.Intn(23)
+					got, err := r.a.StepN(n, ^uint64(0), noStopPC)
+					if err != nil {
+						t.Fatalf("StepN after %d steps: %v", total, err)
+					}
+					if got != n {
+						t.Fatalf("StepN(%d) executed %d steps with no gate to close", n, got)
+					}
+					r.stepRef(t, got, "random stream")
+					total += got
+					r.check(t, fmt.Sprintf("after %d steps", total))
 				}
-				if got != n {
-					t.Fatalf("StepN(%d) executed %d steps with no gate to close", n, got)
+				if !bytes.Equal(r.am.data, r.bm.data) {
+					t.Fatal("memory images diverged")
 				}
-				stepRef(t, b, got, "random stream")
-				total += got
-				sbDiff(t, a, b, am, bm, fmt.Sprintf("after %d steps", total))
-			}
-			if !bytes.Equal(am.data, bm.data) {
-				t.Fatal("memory images diverged")
 			}
 		})
 	}
@@ -174,19 +235,21 @@ func TestDiffSuperblockSelfModifyingMidBlock(t *testing.T) {
 		enc(t, isa.Inst{Op: isa.OpADD, Rd: isa.O0, Rs1: isa.O0, UseImm: true, Imm: 1}), // overwritten with +100
 		enc(t, isa.Inst{Op: isa.OpBicc, Cond: isa.CondA, Annul: true, Imm: 0}),         // spin
 	}
-	a, b, am, bm := sbPair(t, nil, nil, words...)
-	const steps = 7 // up to and including the overwritten slot
-	got, err := a.StepN(steps, ^uint64(0), noStopPC)
-	if err != nil || got != steps {
-		t.Fatalf("StepN = %d, %v", got, err)
-	}
-	stepRef(t, b, steps, "self-modify")
-	sbDiff(t, a, b, am, bm, "after overwritten slot")
-	if o0 := a.Reg(isa.O0); o0 != 108 {
-		t.Fatalf("%%o0 = %d, want 108 (stale predecode or stale line view executed?)", o0)
-	}
-	if !bytes.Equal(am.data, bm.data) {
-		t.Fatal("memory images diverged")
+	for _, prof := range profModes {
+		r := newRig(t, prof, nil, nil, words...)
+		const steps = 7 // up to and including the overwritten slot
+		got, err := r.a.StepN(steps, ^uint64(0), noStopPC)
+		if err != nil || got != steps {
+			t.Fatalf("StepN = %d, %v", got, err)
+		}
+		r.stepRef(t, steps, "self-modify")
+		r.check(t, "after overwritten slot")
+		if o0 := r.a.Reg(isa.O0); o0 != 108 {
+			t.Fatalf("%%o0 = %d, want 108 (stale predecode or stale line view executed?)", o0)
+		}
+		if !bytes.Equal(r.am.data, r.bm.data) {
+			t.Fatal("memory images diverged")
+		}
 	}
 }
 
@@ -202,31 +265,33 @@ func TestDiffSuperblockCycleLimitEveryOffset(t *testing.T) {
 	if testing.Short() {
 		maxLimit = 130
 	}
-	for limit := uint64(1); limit <= maxLimit; limit++ {
-		a, b, am, bm := sbPair(t, nil, nil, words...)
-		n1, err := a.StepN(1<<30, limit, noStopPC)
-		if err != nil {
-			t.Fatalf("limit %d: StepN: %v", limit, err)
-		}
-		n1b := 0
-		for b.Cycles < limit {
-			if err := b.Step(); err != nil {
-				t.Fatalf("limit %d: reference: %v", limit, err)
+	for _, prof := range profModes {
+		for limit := uint64(1); limit <= maxLimit; limit++ {
+			r := newRig(t, prof, nil, nil, words...)
+			n1, err := r.a.StepN(1<<30, limit, noStopPC)
+			if err != nil {
+				t.Fatalf("limit %d: StepN: %v", limit, err)
 			}
-			n1b++
-		}
-		if n1 != n1b {
-			t.Fatalf("limit %d: steps to boundary: superblock %d vs single-step %d", limit, n1, n1b)
-		}
-		sbDiff(t, a, b, am, bm, fmt.Sprintf("limit %d at boundary", limit))
-		if rest := total - n1; rest > 0 {
-			got, err := a.StepN(rest, ^uint64(0), noStopPC)
-			if err != nil || got != rest {
-				t.Fatalf("limit %d: resume StepN = %d, %v", limit, got, err)
+			n1b := 0
+			for r.b.Cycles < limit {
+				if err := r.step(); err != nil {
+					t.Fatalf("limit %d: reference: %v", limit, err)
+				}
+				n1b++
 			}
-			stepRef(t, b, rest, fmt.Sprintf("limit %d resume", limit))
+			if n1 != n1b {
+				t.Fatalf("limit %d: steps to boundary: superblock %d vs single-step %d", limit, n1, n1b)
+			}
+			r.check(t, fmt.Sprintf("limit %d at boundary", limit))
+			if rest := total - n1; rest > 0 {
+				got, err := r.a.StepN(rest, ^uint64(0), noStopPC)
+				if err != nil || got != rest {
+					t.Fatalf("limit %d: resume StepN = %d, %v", limit, got, err)
+				}
+				r.stepRef(t, rest, fmt.Sprintf("limit %d resume", limit))
+			}
+			r.check(t, fmt.Sprintf("limit %d at end", limit))
 		}
-		sbDiff(t, a, b, am, bm, fmt.Sprintf("limit %d at end", limit))
 	}
 }
 
@@ -245,45 +310,46 @@ func TestDiffSuperblockIRQEveryOffset(t *testing.T) {
 	if testing.Short() {
 		maxOffset = 130
 	}
-	for off := uint64(1); off <= maxOffset; off++ {
-		airq, birq := &fakeIRQ{}, &fakeIRQ{}
-		a, b, am, bm := sbPair(t, airq, birq, words...)
-		if spin == 0 {
-			spin = enc(t, isa.Inst{Op: isa.OpBicc, Cond: isa.CondA, Annul: true, Imm: 0})
-		}
-		// Park a spin at the interrupt vector so execution continues
-		// (ET is 0 inside the handler; a trap there would freeze).
-		binary.BigEndian.PutUint32(am.data[vector:], spin)
-		binary.BigEndian.PutUint32(bm.data[vector:], spin)
-
-		n1, err := a.StepN(1<<30, off, noStopPC)
-		if err != nil {
-			t.Fatalf("offset %d: StepN: %v", off, err)
-		}
-		airq.level = lvl
-		if rest := total - n1; rest > 0 {
-			got, err := a.StepN(rest, ^uint64(0), noStopPC)
-			if err != nil || got != rest {
-				t.Fatalf("offset %d: resume StepN = %d, %v", off, got, err)
+	for _, prof := range profModes {
+		for off := uint64(1); off <= maxOffset; off++ {
+			airq, birq := &fakeIRQ{}, &fakeIRQ{}
+			r := newRig(t, prof, airq, birq, words...)
+			if spin == 0 {
+				spin = enc(t, isa.Inst{Op: isa.OpBicc, Cond: isa.CondA, Annul: true, Imm: 0})
 			}
-		}
+			// Park a spin at the interrupt vector so execution continues
+			// (ET is 0 inside the handler; a trap there would freeze).
+			r.poke(vector, spin)
 
-		n1b := 0
-		for b.Cycles < off {
-			if err := b.Step(); err != nil {
-				t.Fatalf("offset %d: reference: %v", off, err)
+			n1, err := r.a.StepN(1<<30, off, noStopPC)
+			if err != nil {
+				t.Fatalf("offset %d: StepN: %v", off, err)
 			}
-			n1b++
-		}
-		if n1 != n1b {
-			t.Fatalf("offset %d: steps to assert point: %d vs %d", off, n1, n1b)
-		}
-		birq.level = lvl
-		stepRef(t, b, total-n1b, fmt.Sprintf("offset %d", off))
+			airq.level = lvl
+			if rest := total - n1; rest > 0 {
+				got, err := r.a.StepN(rest, ^uint64(0), noStopPC)
+				if err != nil || got != rest {
+					t.Fatalf("offset %d: resume StepN = %d, %v", off, got, err)
+				}
+			}
 
-		sbDiff(t, a, b, am, bm, fmt.Sprintf("IRQ at cycle offset %d", off))
-		if airq.acked != birq.acked {
-			t.Fatalf("offset %d: ack divergence: %d vs %d", off, airq.acked, birq.acked)
+			n1b := 0
+			for r.b.Cycles < off {
+				if err := r.step(); err != nil {
+					t.Fatalf("offset %d: reference: %v", off, err)
+				}
+				n1b++
+			}
+			if n1 != n1b {
+				t.Fatalf("offset %d: steps to assert point: %d vs %d", off, n1, n1b)
+			}
+			birq.level = lvl
+			r.stepRef(t, total-n1b, fmt.Sprintf("offset %d", off))
+
+			r.check(t, fmt.Sprintf("IRQ at cycle offset %d", off))
+			if airq.acked != birq.acked {
+				t.Fatalf("offset %d: ack divergence: %d vs %d", off, airq.acked, birq.acked)
+			}
 		}
 	}
 }
@@ -294,23 +360,92 @@ func TestDiffSuperblockStopPC(t *testing.T) {
 	words := countedLoop(t, 20)
 	const progBase = 0x1000
 	stop := uint32(progBase + 5*4) // the SUBcc inside the loop body
-	a, b, am, bm := sbPair(t, nil, nil, words...)
-	n, err := a.StepN(1<<30, ^uint64(0), stop)
-	if err != nil {
-		t.Fatalf("StepN: %v", err)
-	}
-	if a.PC() != stop {
-		t.Fatalf("stopped at %#x, want %#x", a.PC(), stop)
-	}
-	nb := 0
-	for b.PC() != stop {
-		if err := b.Step(); err != nil {
-			t.Fatalf("reference: %v", err)
+	for _, prof := range profModes {
+		r := newRig(t, prof, nil, nil, words...)
+		n, err := r.a.StepN(1<<30, ^uint64(0), stop)
+		if err != nil {
+			t.Fatalf("StepN: %v", err)
 		}
-		nb++
+		if r.a.PC() != stop {
+			t.Fatalf("stopped at %#x, want %#x", r.a.PC(), stop)
+		}
+		nb := 0
+		for r.b.PC() != stop {
+			if err := r.step(); err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			nb++
+		}
+		if n != nb {
+			t.Fatalf("steps to stop PC: superblock %d vs single-step %d", n, nb)
+		}
+		r.check(t, "at stop PC")
 	}
-	if n != nb {
-		t.Fatalf("steps to stop PC: superblock %d vs single-step %d", n, nb)
+}
+
+// TestDiffSuperblockUncreditedSteps runs a block that annuls a delay
+// slot, then branches 32 KB ahead onto PCs whose profile slots the
+// first block already holds (so they are counted in the spill map),
+// where an illegal word fails to decode mid-block. The annulled slot
+// and the decode-failure step retire no instruction, so neither may be
+// credited. Every batch size splits the run at a different boundary.
+func TestDiffSuperblockUncreditedSteps(t *testing.T) {
+	const (
+		progBase = 0x1000
+		far      = progBase + 0x8000 // same predecode index as progBase
+		slot     = progBase + 3*4
+		illegal  = far + 2*4
+	)
+	words := []uint32{
+		enc(t, movImm(isa.O0, 1)),
+		enc(t, isa.Inst{Op: isa.OpSUBcc, Rd: isa.G0, Rs1: isa.O0, UseImm: true, Imm: 1}),
+		enc(t, isa.Inst{Op: isa.OpBicc, Cond: isa.CondNE, Annul: true, Imm: 2}), // untaken: annuls the slot
+		enc(t, isa.Inst{Op: isa.OpADD, Rd: isa.O0, Rs1: isa.O0, UseImm: true, Imm: 100}),
+		enc(t, isa.Inst{Op: isa.OpBicc, Cond: isa.CondA, Imm: (far - (progBase + 4*4)) / 4}),
+		enc(t, movImm(isa.G0, 0)), // delay-slot nop
 	}
-	sbDiff(t, a, b, am, bm, "at stop PC")
+	farWords := []uint32{
+		enc(t, movImm(isa.O0+1, 2)),
+		enc(t, isa.Inst{Op: isa.OpADD, Rd: isa.O0 + 1, Rs1: isa.O0 + 1, UseImm: true, Imm: 1}),
+		0x00400000, // format-2 op2=1: does not decode
+	}
+	spin := enc(t, isa.Inst{Op: isa.OpBicc, Cond: isa.CondA, Annul: true, Imm: 0})
+	const total = 40
+	for _, prof := range profModes {
+		for batch := 1; batch <= 8; batch++ {
+			r := newRig(t, prof, nil, nil, words...)
+			for i, w := range farWords {
+				r.poke(far+uint32(i)*4, w)
+			}
+			r.poke(TrapIllegalInst<<4, spin) // TBR is 0
+			for done := 0; done < total; {
+				n := min(batch, total-done)
+				got, err := r.a.StepN(n, ^uint64(0), noStopPC)
+				if err != nil || got != n {
+					t.Fatalf("batch %d: StepN(%d) = %d, %v", batch, n, got, err)
+				}
+				r.stepRef(t, n, fmt.Sprintf("batch %d", batch))
+				done += n
+				r.check(t, fmt.Sprintf("batch %d after %d steps", batch, done))
+			}
+			if r.want[slot] != 0 || r.want[illegal] != 0 || r.want[progBase] != 1 || r.want[far] != 1 {
+				t.Fatalf("oracle %v: the run did not annul the slot, fail the decode and reach both colliding PCs", r.want)
+			}
+		}
+	}
+}
+
+// TestStepNProfiledAllocatesNothing: once a loop's PCs are in the
+// table, profiled dispatch allocates nothing.
+func TestStepNProfiledAllocatesNothing(t *testing.T) {
+	r := newRig(t, true, nil, nil, countedLoop(t, 4000)...)
+	step := func() {
+		if _, err := r.a.StepN(4096, ^uint64(0), noStopPC); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("profiled StepN allocates %.1f times per 4096 steps", allocs)
+	}
 }

@@ -25,20 +25,22 @@ var ErrClosed = errors.New("leon: async controller closed")
 // itself. Superblock dispatch dropped the per-step cost well below the
 // old interpreter's, so the slice grew with it: a StepRun slice is now
 // a run of event-horizon batches (SoC.StepN) whose size derives from
-// the peripheral deadline, and 2^14 steps of block dispatch still
-// complete in a few hundred microseconds.
+// the peripheral deadline, and 2^14 steps of block dispatch complete
+// in a few hundred microseconds. That holds for networked runs too:
+// the trace recorder attached to each of them counts per-PC
+// executions inside the block dispatcher (cpu.CPU.StartProfile), so a
+// recorded run stays on the block path.
 const sliceSteps = 1 << 14
 
 // RunOptions decorate one run. Both hooks are invoked on the actor
 // goroutine, so they may touch the SoC without synchronization: Before
 // immediately after the §3.1 handoff, ahead of the first step slice
 // (attach a trace recorder here — the handoff's ROM poll wait is not
-// part of the run, and keeping per-instruction hooks off the CPU while
-// it waits lets the poll loop fast-forward instead of being emulated
-// one instruction at a time), After exactly once when the run
-// completes, exhausts its budget, hits error mode — or when the
-// handoff itself fails (Before fires first even then, so a recorder
-// attached in Before is always detached).
+// part of the run, and keeping the recorder off the CPU while it waits
+// lets the poll loop fast-forward, which recording turns off), After
+// exactly once when the run completes, exhausts its budget, hits error
+// mode — or when the handoff itself fails (Before fires first even
+// then, so a recorder attached in Before is always detached).
 type RunOptions struct {
 	Before func(c *Controller)
 	After  func(c *Controller, res RunResult, wall time.Duration, err error)

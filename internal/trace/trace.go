@@ -1,12 +1,12 @@
 // Package trace implements the Trace Analyzer of Fig. 1: "execution
 // traces are analyzed to identify candidate portions of an application
 // whose performance could be improved through reconfigurability". It
-// captures instruction and data streams from the CPU's trace hooks and
-// answers the questions the Architecture Generator asks: where are the
-// hot spots, how big is the working set, and how would a different
-// cache geometry have behaved (by replaying the recorded address
-// stream through cache models, far cheaper than re-running the
-// program).
+// captures the instruction stream as the CPU's per-PC execution profile
+// and the data stream from the CPU's memory hook, and answers the
+// questions the Architecture Generator asks: where are the hot spots,
+// how big is the working set, and how would a different cache geometry
+// have behaved (by replaying the recorded address stream through cache
+// models, far cheaper than re-running the program).
 package trace
 
 import (
@@ -16,7 +16,6 @@ import (
 	"liquidarch/internal/amba"
 	"liquidarch/internal/cache"
 	"liquidarch/internal/cpu"
-	"liquidarch/internal/isa"
 )
 
 // MemEvent is one data-memory access.
@@ -27,7 +26,11 @@ type MemEvent struct {
 }
 
 // Recorder captures a program's execution behaviour. Attach it to a
-// CPU before the run and Detach after.
+// CPU before the run and Detach after. The per-PC counts come from the
+// CPU's execution profile (cpu.CPU.StartProfile), which keeps the run
+// on the superblock dispatcher; they and the instruction count land in
+// the recorder at Detach. The data stream is recorded live through the
+// CPU's OnMem hook.
 type Recorder struct {
 	// MaxEvents caps the stored data stream (default 4M); further
 	// events are counted in Dropped but not stored.
@@ -35,11 +38,10 @@ type Recorder struct {
 
 	pcHeat  map[uint32]uint64
 	mem     []MemEvent
-	opMix   map[isa.Op]uint64
 	insts   uint64
 	dropped uint64
 
-	prevExec func(uint32, isa.Inst)
+	instBase uint64 // CPU instruction counter at Attach
 	prevMem  func(uint32, amba.Size, bool)
 	attached *cpu.CPU
 }
@@ -49,23 +51,16 @@ func NewRecorder() *Recorder {
 	return &Recorder{
 		MaxEvents: 4 << 20,
 		pcHeat:    make(map[uint32]uint64),
-		opMix:     make(map[isa.Op]uint64),
 	}
 }
 
-// Attach installs the recorder on c's trace hooks (chaining any
-// existing hooks).
+// Attach starts c's execution profile and installs the recorder on c's
+// memory hook (chaining any existing one).
 func (r *Recorder) Attach(c *cpu.CPU) {
 	r.attached = c
-	r.prevExec, r.prevMem = c.OnExec, c.OnMem
-	c.OnExec = func(pc uint32, in isa.Inst) {
-		r.insts++
-		r.pcHeat[pc]++
-		r.opMix[in.Op]++
-		if r.prevExec != nil {
-			r.prevExec(pc, in)
-		}
-	}
+	r.instBase = c.Stats().Instructions
+	c.StartProfile()
+	r.prevMem = c.OnMem
 	c.OnMem = func(addr uint32, size amba.Size, write bool) {
 		if len(r.mem) < r.MaxEvents {
 			r.mem = append(r.mem, MemEvent{Addr: addr, Size: uint8(size), Write: write})
@@ -78,25 +73,33 @@ func (r *Recorder) Attach(c *cpu.CPU) {
 	}
 }
 
-// Detach removes the recorder, restoring prior hooks.
+// Detach removes the recorder, harvesting the CPU's execution profile
+// and instruction count and restoring the prior memory hook.
 func (r *Recorder) Detach() {
-	if r.attached == nil {
+	c := r.attached
+	if c == nil {
 		return
 	}
-	r.attached.OnExec = r.prevExec
-	r.attached.OnMem = r.prevMem
+	c.StopProfile(r.pcHeat)
+	r.insts += c.Stats().Instructions - r.instBase
+	c.OnMem = r.prevMem
 	r.attached = nil
 }
 
-// Reset discards captured data.
+// Reset discards captured data, including what an attached CPU's
+// profile has counted so far.
 func (r *Recorder) Reset() {
 	r.pcHeat = make(map[uint32]uint64)
-	r.opMix = make(map[isa.Op]uint64)
 	r.mem = r.mem[:0]
 	r.insts, r.dropped = 0, 0
+	if c := r.attached; c != nil {
+		c.StartProfile()
+		r.instBase = c.Stats().Instructions
+	}
 }
 
-// Instructions returns the executed-instruction count.
+// Instructions returns the executed-instruction count: how far the
+// CPU's instruction counter advanced while the recorder was attached.
 func (r *Recorder) Instructions() uint64 { return r.insts }
 
 // MemEvents returns the captured data stream.
@@ -104,15 +107,6 @@ func (r *Recorder) MemEvents() []MemEvent { return r.mem }
 
 // Dropped returns how many events exceeded MaxEvents.
 func (r *Recorder) Dropped() uint64 { return r.dropped }
-
-// OpMix returns per-operation execution counts.
-func (r *Recorder) OpMix() map[isa.Op]uint64 {
-	out := make(map[isa.Op]uint64, len(r.opMix))
-	for k, v := range r.opMix {
-		out[k] = v
-	}
-	return out
-}
 
 // HotSpot is a program counter and its execution count.
 type HotSpot struct {

@@ -73,9 +73,12 @@ func TestRecorderCapturesRun(t *testing.T) {
 	if rec.Dropped() != 0 {
 		t.Errorf("%d events dropped", rec.Dropped())
 	}
-	mix := rec.OpMix()
-	if len(mix) == 0 {
-		t.Error("empty op mix")
+	var sum uint64
+	for _, h := range rec.HotSpots(0) {
+		sum += h.Count
+	}
+	if sum != rec.Instructions() {
+		t.Errorf("per-PC counts sum to %d, instruction count %d", sum, rec.Instructions())
 	}
 }
 
