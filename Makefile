@@ -37,10 +37,13 @@ chaos:
 
 # fuzz-smoke gives each native fuzz target a few seconds on top of the
 # committed corpus (testdata/fuzz); `go test -fuzz` grows it locally.
+# The nightly workflow runs it.
 fuzz-smoke:
 	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 5s
 	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParseLoadChunk -fuzztime 5s
 	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParseRunReport -fuzztime 5s
+	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParseStartReq -fuzztime 5s
+	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParseStatusResp -fuzztime 5s
 	$(GO) test ./internal/reconfig/ -run '^$$' -fuzz FuzzImageCodec -fuzztime 5s
 
 # cover-gate fails if statement coverage of the transport packages —
@@ -77,9 +80,11 @@ bench:
 # 10% of the checked-in BENCH_throughput.json baseline, and with a
 # trace.Recorder attached it must step at no more than 2x the
 # unrecorded ns/step measured in the same process (median of 3
-# alternating rounds; no baseline file). The freshly measured figure is
-# re-emitted to BENCH_throughput.json (commit the refresh when the
-# number moves for a real reason).
+# alternating rounds; no baseline file). A cached full reconfiguration
+# must allocate at most 1 MB (BenchmarkReconfigCache/hit-full: the
+# board memories are handed over, not copied). The freshly measured
+# ns/step figure is re-emitted to BENCH_throughput.json (commit the
+# refresh when the number moves for a real reason).
 bench-smoke:
 	LIQUID_BENCH_GATE=1 LIQUID_BENCH_JSON=$(CURDIR)/BENCH_throughput.json \
 		$(GO) test -run '^$$' -bench . -benchtime 1x -v .

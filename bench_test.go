@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -365,8 +366,16 @@ func BenchmarkAdapterWriteRMW(b *testing.B) {
 	})
 }
 
+// fullSwapAllocCeiling bounds the bytes one cached full swap allocates
+// (bench-smoke gate). The swap builds a new fabric but hands the 10 MB
+// of board memory over; bytes allocated, unlike ns/step, do not drift
+// with the host.
+const fullSwapAllocCeiling = 1 << 20
+
 // BenchmarkReconfigCache measures E6: swapping to a pre-generated
-// image (cache hit) versus paying the modelled synthesis run.
+// image (cache hit) versus paying the modelled synthesis run. With
+// LIQUID_BENCH_GATE=1 the hit-full leg fails if a full swap allocates
+// more than fullSwapAllocCeiling.
 func BenchmarkReconfigCache(b *testing.B) {
 	small := synth.Options{BitstreamBytes: 4096}
 	// Default path: cache-only swaps use partial reconfiguration.
@@ -395,7 +404,8 @@ func BenchmarkReconfigCache(b *testing.B) {
 	})
 	b.Run("hit-full", func(b *testing.B) {
 		// Ablation: same swap with the partial path disabled — pays
-		// the full rebuild + board-memory copy every time.
+		// the full fabric rebuild (CPU, caches, SDRAM controller,
+		// actor) on the board's own memories every time.
 		sys, err := core.New(leon.DefaultConfig(), core.Options{Synth: small, DisablePartial: true})
 		if err != nil {
 			b.Fatal(err)
@@ -406,14 +416,25 @@ func BenchmarkReconfigCache(b *testing.B) {
 			b.Fatal(err)
 		}
 		cfgs := [2]leon.Config{leon.DefaultConfig(), alt}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		allocated := ms.TotalAlloc
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := sys.Reconfigure(cfgs[i%2]); err != nil {
 				b.Fatal(err)
 			}
 		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		perSwap := float64(ms.TotalAlloc-allocated) / float64(b.N)
+		b.ReportMetric(perSwap, "B-alloc/swap")
 		if sys.PartialReconfigurations() != 0 {
 			b.Fatal("partial path used")
+		}
+		if os.Getenv("LIQUID_BENCH_GATE") != "" && perSwap > fullSwapAllocCeiling {
+			b.Fatalf("bench gate: a full swap allocates %.0f bytes; ceiling %d (the board memories must be handed over, not copied)",
+				perSwap, fullSwapAllocCeiling)
 		}
 	})
 	b.Run("miss", func(b *testing.B) {

@@ -152,7 +152,11 @@ func New(cfg leon.Config, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.instantiate(cfg, img, nil, nil); err != nil {
+	soc, err := leon.New(cfg, opts.UARTOut)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.instantiate(soc, img); err != nil {
 		return nil, err
 	}
 	s.platform.ReconfigAsyncFn = s.reconfigAsyncFromSpec
@@ -172,21 +176,16 @@ func New(cfg leon.Config, opts Options) (*System, error) {
 	return s, nil
 }
 
-// instantiate builds and boots a SoC for cfg, optionally restoring
-// board-memory contents (which survive FPGA reconfiguration), and
-// spawns the board's actor (shutting down the previous one — the
-// bitfile reload kills whatever was executing).
-func (s *System) instantiate(cfg leon.Config, img *synth.Image, sram, sdram []byte) error {
-	soc, err := leon.New(cfg, s.opts.UARTOut)
-	if err != nil {
-		return err
-	}
-	if sram != nil {
-		copy(soc.SRAM.Raw(), sram)
-	}
-	if sdram != nil {
-		copy(soc.SDRAM.Raw(), sdram)
-	}
+// instantiate boots soc — a fresh board, or the current SoC's Reload
+// onto the same board memories — and makes it the board's processor
+// with a new actor. The order keeps the memories with one user at a
+// time: Boot runs with main memory disconnected, so it touches neither
+// memory while the previous actor still serves; that actor is then
+// closed (the bitfile reload kills whatever was executing), and Close
+// returns only once its goroutine has exited, so every load or write
+// it acknowledged is already in the memories the new actor starts on.
+// A failed boot leaves the previous board serving.
+func (s *System) instantiate(soc *leon.SoC, img *synth.Image) error {
 	ctrl := leon.NewController(soc)
 	if err := ctrl.Boot(); err != nil {
 		return err
@@ -194,7 +193,7 @@ func (s *System) instantiate(cfg leon.Config, img *synth.Image, sram, sdram []by
 	if s.actrl != nil {
 		s.actrl.Close()
 	}
-	s.cfg, s.soc, s.ctrl, s.active = cfg, soc, ctrl, img
+	s.cfg, s.soc, s.ctrl, s.active = soc.Config, soc, ctrl, img
 	s.actrl = leon.NewAsyncController(ctrl)
 	s.actrl.SetClock(s.opts.Clock)
 	s.hookMu.Lock()
@@ -294,14 +293,17 @@ func (s *System) LastReconfigureHit() bool {
 // reconfiguration cache when pre-generated (milliseconds) or a fresh
 // synthesis run (≈1 modelled hour). Board memories — and therefore the
 // loaded program and its data — survive the swap, exactly as the FPX's
-// external SRAM/SDRAM survive FPGA reprogramming.
+// external SRAM/SDRAM survive FPGA reprogramming: a full swap builds
+// the new SoC on the same SRAM and SDRAM (leon.SoC.Reload), so nothing
+// is copied, and a cfg whose memory sizes differ from the board's is
+// refused with the old configuration left running.
 //
 // When only the cache modules differ from the active configuration,
 // the swap is performed as a partial runtime reconfiguration in the
 // style of the paper's reference [2]: the cache plugins are replaced
-// under the live processor, without a reset or memory copy (disable
-// with Options.DisablePartial). A full swap requested while a run is
-// in flight waits for the run to complete.
+// under the live processor, without a reset (disable with
+// Options.DisablePartial). A full swap requested while a run is in
+// flight waits for the run to complete.
 func (s *System) Reconfigure(cfg leon.Config) (cacheHit bool, err error) {
 	return s.ReconfigureCtx(tracing.Ctx{}, cfg)
 }
@@ -362,14 +364,11 @@ func (s *System) applyLocked(cfg leon.Config, img *synth.Image, hit, synthesized
 	if s.actrl.State() == leon.StateRunning {
 		return false, errRunInFlight
 	}
-	var sram, sdram []byte
-	if derr := s.actrl.Do(func(c *leon.Controller) {
-		sram = append([]byte(nil), c.SoC().SRAM.Raw()...)
-		sdram = append([]byte(nil), c.SoC().SDRAM.Raw()...)
-	}); derr != nil {
-		return false, derr
+	soc, err := s.soc.Reload(cfg)
+	if err != nil {
+		return false, err
 	}
-	if err := s.instantiate(cfg, img, sram, sdram); err != nil {
+	if err := s.instantiate(soc, img); err != nil {
 		return false, err
 	}
 	if s.platform != nil {

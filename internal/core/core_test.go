@@ -322,6 +322,20 @@ int main() {
 	if uart.String() != "xx" {
 		t.Errorf("uart after reconfigure = %q", uart.String())
 	}
+	// And a full swap: the reloaded fabric's UART drives the same sink.
+	cfg.CPU.NWindows = 16
+	if _, err := s.Reconfigure(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if s.LastReconfigureWasPartial() {
+		t.Fatal("window change took the partial path")
+	}
+	if _, err := s.Run(img, 0); err != nil {
+		t.Fatal(err)
+	}
+	if uart.String() != "xxx" {
+		t.Errorf("uart after full reconfigure = %q", uart.String())
+	}
 }
 
 func TestMACReconfigurationEnablesBuiltin(t *testing.T) {

@@ -789,9 +789,9 @@ func (p *Platform) reconfigure(body []byte, tc tracing.Ctx) netproto.Packet {
 	if st.State == netproto.ReconfigApplied {
 		// The swap already happened inside the ack (cache hit on an
 		// idle board) — a new bitfile clears loaded state. Deferred
-		// swaps do NOT clear it: the SRAM/SDRAM contents are copied
-		// across, and a later ack must not clobber loads made while
-		// synthesis was still running.
+		// swaps do NOT clear it: the SRAM/SDRAM are board chips that
+		// outlive the bitfile, and a later ack must not clobber loads
+		// made while synthesis was still running.
 		p.loadedAddr = 0
 	}
 	return netproto.Packet{
@@ -812,8 +812,8 @@ func (p *Platform) reconfigStatus(cmd uint8) netproto.Packet {
 	}
 	// Deliberately no loadedAddr clearing here: Applied is sticky in
 	// the status (it reports the last terminal outcome), so a late poll
-	// must not clobber loads made after the swap. The swap copies the
-	// memories across anyway, so the loaded image survives it.
+	// must not clobber loads made after the swap. The new SoC runs on
+	// the same board memories anyway, so the loaded image survives it.
 	return netproto.Packet{Command: cmd | netproto.RespFlag, Body: p.ReconfigStatusFn().Marshal()}
 }
 

@@ -9,6 +9,8 @@ package leon
 import (
 	"fmt"
 	"io"
+	"maps"
+	"sync"
 
 	"liquidarch/internal/ahbadapter"
 	"liquidarch/internal/amba"
@@ -141,7 +143,7 @@ type SoC struct {
 	GPIO      *periph.GPIO
 
 	ROM     *ROM
-	BootMap map[string]uint32 // boot ROM symbol table
+	BootMap map[string]uint32 // boot ROM symbol table (this SoC's copy)
 
 	// Quantum caps the event-horizon batch in CPU cycles (0 =
 	// uncapped): StepN never runs the CPU more than Quantum cycles
@@ -152,6 +154,7 @@ type SoC struct {
 
 	sramSwitch *sramSwitch
 	imem, dmem *splitMem
+	uartOut    io.Writer // UART sink, carried over by Reload
 
 	// settled is the CPU cycle count already delivered to the
 	// prescaler. Between a settle point and the next event horizon the
@@ -167,10 +170,11 @@ type Options struct {
 	Quantum uint64
 }
 
-// New builds and boots a Liquid processor system. UART transmit output
-// goes to uartOut (nil discards it). On return the CPU is parked in the
-// boot ROM's poll loop with main memory disconnected, exactly the §3.1
-// idle state.
+// New builds a Liquid processor system on a fresh board: zeroed SRAM
+// and SDRAM of the sizes cfg names. UART transmit output goes to
+// uartOut (nil discards it). Boot it with Controller.Boot, which parks
+// the CPU in the boot ROM's poll loop with main memory disconnected,
+// exactly the §3.1 idle state.
 func New(cfg Config, uartOut io.Writer) (*SoC, error) {
 	return NewWithOptions(cfg, uartOut, Options{})
 }
@@ -180,7 +184,35 @@ func NewWithOptions(cfg Config, uartOut io.Writer, opts Options) (*SoC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &SoC{Config: cfg, Quantum: opts.Quantum}
+	return newSoC(cfg, uartOut, opts, mem.NewSRAM(cfg.SRAMSize), mem.NewSDRAM(cfg.SDRAMSize))
+}
+
+// Reload is a full FPGA reprogramming of s's board: it builds the SoC
+// for cfg on s's SRAM and SDRAM, which are chips on the board and keep
+// their contents (§3.1), with the same UART sink and scheduling
+// options. Everything in the fabric is new — CPU, caches, SDRAM
+// controller and ports, adapter, peripherals, boot ROM — so statistics
+// and simulated time start from zero. The board's memory sizes are
+// fixed: a cfg naming other sizes is an error. Building and booting the
+// new SoC touch neither memory, so s may keep serving until the new SoC
+// starts; from then on only the new SoC may use the memories.
+func (s *SoC) Reload(cfg Config) (*SoC, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.SRAMSize != s.Config.SRAMSize {
+		return nil, fmt.Errorf("leon: reload asks for %d bytes of SRAM; the board has %d", cfg.SRAMSize, s.Config.SRAMSize)
+	}
+	if cfg.SDRAMSize != s.Config.SDRAMSize {
+		return nil, fmt.Errorf("leon: reload asks for %d bytes of SDRAM; the board has %d", cfg.SDRAMSize, s.Config.SDRAMSize)
+	}
+	return newSoC(cfg, s.uartOut, Options{Quantum: s.Quantum}, s.SRAM, s.SDRAM)
+}
+
+// newSoC builds the fabric for a validated cfg around the board
+// memories sram and sdram.
+func newSoC(cfg Config, uartOut io.Writer, opts Options, sram *mem.SRAM, sdram *mem.SDRAM) (*SoC, error) {
+	s := &SoC{Config: cfg, Quantum: opts.Quantum, SRAM: sram, SDRAM: sdram, uartOut: uartOut}
 
 	// Peripherals.
 	s.IRQCtrl = &periph.IRQCtrl{}
@@ -207,10 +239,9 @@ func NewWithOptions(cfg Config, uartOut io.Writer, opts Options) (*SoC, error) {
 		}
 	}
 
-	// Memories.
-	s.SRAM = mem.NewSRAM(cfg.SRAMSize)
+	// Memory paths: the disconnect switch in front of SRAM and the
+	// SDRAM controller's module ports.
 	s.sramSwitch = &sramSwitch{inner: s.SRAM}
-	s.SDRAM = mem.NewSDRAM(cfg.SDRAMSize)
 	s.SDRAMCtrl = mem.NewController(s.SDRAM)
 	leonPort, err := s.SDRAMCtrl.Port("leon")
 	if err != nil {
@@ -224,12 +255,11 @@ func NewWithOptions(cfg Config, uartOut io.Writer, opts Options) (*SoC, error) {
 	s.Adapter.BurstWords = cfg.BurstWords
 
 	// Boot ROM.
-	roms, err := BuildBootROM(cfg.CPU.NWindows, SRAMBase+uint32(cfg.SRAMSize))
+	s.ROM, err = bootROM(cfg.CPU.NWindows, SRAMBase+uint32(cfg.SRAMSize))
 	if err != nil {
 		return nil, fmt.Errorf("leon: boot ROM: %w", err)
 	}
-	s.ROM = roms
-	s.BootMap = roms.Symbols
+	s.BootMap = s.ROM.Symbols
 
 	// Bus.
 	s.Bus = amba.NewAHB()
@@ -528,6 +558,36 @@ func BuildBootROM(nwindows int, stackTop uint32) (*ROM, error) {
 	data := make([]byte, ROMSize)
 	copy(data, obj.Code)
 	return &ROM{data: data, Symbols: obj.Symbols, WaitStates: 2}, nil
+}
+
+// bootROMKey identifies one boot PROM image: BootROMSource depends on
+// nothing else.
+type bootROMKey struct {
+	nwindows int
+	stackTop uint32
+}
+
+// bootROMs memoizes BuildBootROM for the process: assembling the ROM
+// would otherwise dominate the cost of a full reconfiguration
+// (SoC.Reload). Stored ROMs are never written.
+var bootROMs sync.Map // bootROMKey → *ROM
+
+// bootROM returns a ROM for a new SoC. The image bytes are shared
+// read-only with every SoC of the same key; the ROM value and its
+// symbol table are the SoC's own.
+func bootROM(nwindows int, stackTop uint32) (*ROM, error) {
+	key := bootROMKey{nwindows, stackTop}
+	v, ok := bootROMs.Load(key)
+	if !ok {
+		rom, err := BuildBootROM(nwindows, stackTop)
+		if err != nil {
+			return nil, err
+		}
+		v, _ = bootROMs.LoadOrStore(key, rom)
+	}
+	rom := *v.(*ROM)
+	rom.Symbols = maps.Clone(rom.Symbols)
+	return &rom, nil
 }
 
 // Read implements amba.Slave.

@@ -3,6 +3,7 @@ package leon
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"strings"
 	"testing"
 
@@ -465,6 +466,34 @@ func TestBootROMSourceListsHandlers(t *testing.T) {
 	}
 	if got, ok := rom.Symbols["CheckReady"]; !ok || got != ROMPollAddr {
 		t.Errorf("CheckReady = %#x, want %#x", got, ROMPollAddr)
+	}
+}
+
+// TestBootROMSharedAcrossSoCs: SoCs with the same window count and
+// stack top share one assembled ROM image, but each keeps its own
+// symbol table.
+func TestBootROMSharedAcrossSoCs(t *testing.T) {
+	a, err := New(DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := a.Reload(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.ROM.data[0] != &b.ROM.data[0] {
+		t.Error("same key assembled the boot ROM twice")
+	}
+	fresh, err := BuildBootROM(a.Config.CPU.NWindows, SRAMBase+uint32(a.Config.SRAMSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.ROM.data, fresh.data) || !maps.Equal(a.BootMap, fresh.Symbols) {
+		t.Error("shared boot ROM differs from a fresh assembly")
+	}
+	a.BootMap["CheckReady"] = 0
+	if b.BootMap["CheckReady"] != ROMPollAddr {
+		t.Error("SoCs share one boot ROM symbol table")
 	}
 }
 

@@ -22,10 +22,6 @@ func NewSDRAM(size int) *SDRAM {
 // Size returns the capacity in bytes.
 func (d *SDRAM) Size() int { return len(d.data) }
 
-// Raw exposes the backing store for whole-memory transfer across
-// reconfigurations (the SDRAM is a board component; see SRAM.Raw).
-func (d *SDRAM) Raw() []byte { return d.data }
-
 // ControllerStats counts controller activity; the adapter benchmarks
 // (§3.2, experiment E5) read these to show where handshakes go.
 type ControllerStats struct {

@@ -117,12 +117,6 @@ func (s *SRAM) Poke32(addr uint32, v uint32) error {
 	return s.Poke(addr, b[:])
 }
 
-// Raw exposes the backing store for whole-memory transfer. The FPX
-// memories are board components outside the FPGA: their contents
-// survive reconfiguration, which the liquid system models by copying
-// Raw between processor instantiations.
-func (s *SRAM) Raw() []byte { return s.data }
-
 // Peek32 reads a single big-endian word through the user-side port.
 func (s *SRAM) Peek32(addr uint32) (uint32, error) {
 	var b [4]byte
