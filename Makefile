@@ -37,6 +37,8 @@ chaos:
 
 # fuzz-smoke gives each native fuzz target a few seconds on top of the
 # committed corpus (testdata/fuzz); `go test -fuzz` grows it locally.
+# FuzzParseFrame holds the in-place IPv4/UDP wrappers to a byte-wise
+# reference verifier kept in its test file.
 # The nightly workflow runs it.
 fuzz-smoke:
 	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 5s
@@ -44,6 +46,7 @@ fuzz-smoke:
 	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParseRunReport -fuzztime 5s
 	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParseStartReq -fuzztime 5s
 	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParseStatusResp -fuzztime 5s
+	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParseFrame -fuzztime 5s
 	$(GO) test ./internal/reconfig/ -run '^$$' -fuzz FuzzImageCodec -fuzztime 5s
 
 # cover-gate fails if statement coverage of the transport packages —
@@ -82,7 +85,12 @@ bench:
 # unrecorded ns/step measured in the same process (median of 3
 # alternating rounds; no baseline file). A cached full reconfiguration
 # must allocate at most 1 MB (BenchmarkReconfigCache/hit-full: the
-# board memories are handed over, not copied). The freshly measured
+# board memories are handed over, not copied). An untraced client's
+# remote-run-shaped op (32 KB load, start, held wait, read-back) on a
+# node that traces with a flight recorder must take at most 1.15x the
+# same op on a node that does not trace (BenchmarkNodeTracingOverhead:
+# both nodes in this process, median of 9 rounds of 50 interleaved op
+# pairs; no baseline file). The freshly measured
 # ns/step figure is re-emitted to BENCH_throughput.json (commit the
 # refresh when the number moves for a real reason).
 bench-smoke:

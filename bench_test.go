@@ -26,9 +26,12 @@ import (
 	"liquidarch/internal/leon"
 	"liquidarch/internal/link"
 	"liquidarch/internal/mem"
+	"liquidarch/internal/metrics/eventlog"
+	"liquidarch/internal/netproto"
 	"liquidarch/internal/server"
 	"liquidarch/internal/synth"
 	"liquidarch/internal/trace"
+	"liquidarch/internal/tracing"
 )
 
 // BenchmarkStepThroughput measures the simulator's core metric:
@@ -515,6 +518,172 @@ result:	.word 0
 			b.Fatalf("bad session: %+v % x", rep, data)
 		}
 	}
+}
+
+// tracingNode is one in-process node with a stock (untraced) client,
+// for BenchmarkNodeTracingOverhead.
+type tracingNode struct {
+	c      *client.Client
+	obj    *asm.Object
+	result uint32
+}
+
+// newTracingNode boots a one-board node on loopback as liquid-server
+// runs by default (info-level event log), tracing with a flight
+// recorder or not tracing.
+func newTracingNode(b *testing.B, traced bool) *tracingNode {
+	b.Helper()
+	soc, err := leon.New(leon.DefaultConfig(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctrl := leon.NewController(soc)
+	if err := ctrl.Boot(); err != nil {
+		b.Fatal(err)
+	}
+	actrl := leon.NewAsyncController(ctrl)
+	b.Cleanup(actrl.Close)
+	platform := fpx.New(actrl, [4]byte{10, 0, 0, 2}, 5001)
+	srv, err := server.New(platform, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv.Events().MinLevel = eventlog.Info
+	if traced {
+		col := tracing.New("server")
+		srv.EnableTracing(col)
+		srv.SetFlightRecorder(&tracing.FlightRecorder{
+			Collectors: []*tracing.Collector{col},
+			Events:     srv.Events(),
+			Dir:        b.TempDir(),
+		})
+	}
+	go srv.Serve()
+	b.Cleanup(func() { srv.Close() })
+	c, err := client.Dial(srv.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	// A 32 KB image whose run stores 7 and exits at once: the op's time
+	// is the wire and the node, not the simulator.
+	obj, err := asm.AssembleAt(`
+_start:
+	set result, %g1
+	mov 7, %g2
+	st %g2, [%g1]
+	set 0x1000, %g7
+	jmp %g7
+	nop
+result:	.word 0
+	.space 32736
+`, leon.DefaultLoadAddr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return &tracingNode{c: c, obj: obj, result: mustSym(b, obj, "result")}
+}
+
+// op is one remote-run-shaped op: load, start, held wait, read-back.
+func (n *tracingNode) op() error {
+	if err := n.c.LoadProgram(n.obj.Origin, n.obj.Code); err != nil {
+		return err
+	}
+	if err := n.c.StartAsync(n.obj.Origin, 0); err != nil {
+		return err
+	}
+	rep, err := n.c.WaitResult()
+	if err != nil {
+		return err
+	}
+	if rep.Status != netproto.StatusOK || rep.Cycles == 0 {
+		return fmt.Errorf("run report %+v", rep)
+	}
+	data, err := n.c.ReadMemory(n.result, 4)
+	if err != nil {
+		return err
+	}
+	if len(data) != 4 || data[3] != 7 {
+		return fmt.Errorf("read back % x, want 00 00 00 07", data)
+	}
+	return nil
+}
+
+// BenchmarkNodeTracingOverhead runs remote-run-shaped ops (a 32 KB
+// load, a start, a held wait and a read-back) from a stock untraced
+// client against a node that traces with a flight recorder, as
+// liquid-server does by default. When the smoke gate is armed it also
+// enforces the tracing-overhead ratio.
+func BenchmarkNodeTracingOverhead(b *testing.B) {
+	traced, plain := newTracingNode(b, true), newTracingNode(b, false)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := traced.op(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	gateTracingRatio(b, traced, plain)
+}
+
+// tracingRatioCeiling bounds a tracing node's op time over a
+// non-tracing node's, for untraced traffic.
+const tracingRatioCeiling = 1.15
+
+// gateTracingRatio is the bench-smoke tracing-overhead gate. When
+// LIQUID_BENCH_GATE=1 it warms both nodes (enough exchanges to fill a
+// collector's active map), then runs 9 rounds of 50 op pairs, one op
+// on each node per pair in alternating order, and fails if the median
+// round's tracing-over-non-tracing time ratio exceeds
+// tracingRatioCeiling. Both nodes live in this process and interleave
+// op by op, so the gate needs no baseline file and host speed and
+// drift cancel out.
+func gateTracingRatio(b *testing.B, traced, plain *tracingNode) {
+	if os.Getenv("LIQUID_BENCH_GATE") == "" {
+		return
+	}
+	const warm, pairs, rounds = 20, 50, 9
+	for i := 0; i < warm; i++ {
+		for _, n := range []*tracingNode{traced, plain} {
+			if err := n.op(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	type round struct {
+		ratio   float64
+		on, off time.Duration
+	}
+	var rs []round
+	for r := 0; r < rounds; r++ {
+		var on, off time.Duration
+		for i := 0; i < pairs; i++ {
+			order := [2]*tracingNode{traced, plain}
+			if i%2 == 1 {
+				order = [2]*tracingNode{plain, traced}
+			}
+			for _, n := range order {
+				start := time.Now()
+				if err := n.op(); err != nil {
+					b.Fatal(err)
+				}
+				if n == traced {
+					on += time.Since(start)
+				} else {
+					off += time.Since(start)
+				}
+			}
+		}
+		rs = append(rs, round{float64(on) / float64(off), on / pairs, off / pairs})
+	}
+	sort.Slice(rs, func(i, j int) bool { return rs[i].ratio < rs[j].ratio })
+	med := rs[rounds/2]
+	msg := fmt.Sprintf("an untraced op on a tracing node takes %.2fx a non-tracing node's (median round: %v vs %v per op; ceiling %.2fx)",
+		med.ratio, med.on, med.off, tracingRatioCeiling)
+	if med.ratio > tracingRatioCeiling {
+		b.Fatalf("bench gate: %s", msg)
+	}
+	b.Logf("bench gate: %s", msg)
 }
 
 func mustSym(b *testing.B, obj *asm.Object, name string) uint32 {

@@ -145,6 +145,10 @@ type Platform struct {
 	// flight, when non-nil, dumps the recent traces + eventlog tail
 	// whenever this platform answers with CmdError.
 	flight *tracing.FlightRecorder
+	// spanAttrs caches the handle-span annotations of board spanBoard
+	// (see handleAttrs).
+	spanAttrs *[numOutcomes][]tracing.Attr
+	spanBoard uint8
 }
 
 type loadState struct {
@@ -186,9 +190,13 @@ func (p *Platform) Events() *eventlog.Log { return p.events }
 
 // EnableTracing attaches a span collector to the platform's handle
 // path: every exchange records a span tree under the trace id the
-// request carried (v4 header), or under a server-assigned id for
-// untraced requests. A multi-board node passes the same collector to all
-// its platforms so the node exports one merged timeline.
+// request carried (v4 header), or, for an untraced request, under the
+// id the server assigned it — or one the platform mints and finishes
+// itself when no server did. Such an exchange-scoped trace covers the
+// exchange only: the run or reconfiguration it starts records spans
+// only when the client sent a trace id. A multi-board node passes the
+// same collector to all its platforms so the node exports one merged
+// timeline.
 func (p *Platform) EnableTracing(col *tracing.Collector) { p.tracer = col }
 
 // Tracer returns the attached span collector (nil when tracing is
@@ -306,16 +314,18 @@ func (p *Platform) LoadedAddr() uint32 { return p.loadedAddr }
 // back to the sender. Non-Liquid or wrong-port traffic produces no
 // responses (it would pass through to the switch fabric).
 func (p *Platform) HandleFrame(frame []byte) ([][]byte, error) {
-	return p.HandleFrameTraced(frame, 0)
+	return p.HandleFrameTraced(frame, tracing.Ctx{})
 }
 
-// HandleFrameTraced is HandleFrame with a pre-assigned trace id for
-// requests that carry none: the OS-socket server mints the id at
-// dispatch time (so its queue-wait span and the platform's handle
-// spans land in the same trace) and passes it down here. assigned 0
-// means "no pre-assigned id" — the platform mints its own when
-// tracing is enabled.
-func (p *Platform) HandleFrameTraced(frame []byte, assigned uint64) ([][]byte, error) {
+// HandleFrameTraced is HandleFrame within the exchange's trace: the
+// OS-socket server resolves the trace at dispatch time — the id the
+// request carried, or one it assigns — records its queue-wait span
+// there and passes the trace down here, so the platform's handle spans
+// land in the same trace without looking it up again. A disabled xc
+// means none was resolved: the platform uses the request's trace id,
+// or mints one when tracing is enabled and finishes it when the
+// exchange is handled.
+func (p *Platform) HandleFrameTraced(frame []byte, xc tracing.Ctx) ([][]byte, error) {
 	atomic.AddUint64(&p.stats.FramesIn, 1)
 	p.m.framesIn.Inc()
 	f, err := netproto.ParseFrame(frame)
@@ -330,8 +340,7 @@ func (p *Platform) HandleFrameTraced(frame []byte, assigned uint64) ([][]byte, e
 		p.m.passedThrough.Inc()
 		return nil, nil
 	}
-	src := fmt.Sprintf("%d.%d.%d.%d:%d", f.IP.Src[0], f.IP.Src[1], f.IP.Src[2], f.IP.Src[3], f.UDP.SrcPort)
-	resps := p.HandlePayloadFromTraced(src, f.Payload, assigned)
+	resps := p.HandlePayloadFromTraced(peerKey(f.IP.Src, f.UDP.SrcPort), f.Payload, xc)
 	frames := make([][]byte, len(resps))
 	for i, r := range resps {
 		frames[i] = netproto.BuildFrame(p.IP, f.IP.Src, p.Port, f.UDP.SrcPort, r.Marshal())
@@ -339,6 +348,55 @@ func (p *Platform) HandleFrameTraced(frame []byte, assigned uint64) ([][]byte, e
 		p.m.framesOut.Inc()
 	}
 	return frames, nil
+}
+
+// peerKey formats a frame's source as "a.b.c.d:port", the peer
+// identity the dedup window keys on.
+func peerKey(ip [4]byte, port uint16) string {
+	var buf [len("255.255.255.255:65535")]byte
+	b := buf[:0]
+	for i, octet := range ip {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(octet), 10)
+	}
+	b = append(b, ':')
+	return string(strconv.AppendUint(b, uint64(port), 10))
+}
+
+// handleSpanNames holds each command's "handle:<cmd>" span name, so
+// the handle path builds none per exchange.
+var handleSpanNames = func() (names [256]string) {
+	for i := range names {
+		names[i] = "handle:" + netproto.CommandName(uint8(i))
+	}
+	return names
+}()
+
+// Handle-span outcomes, indexing handleAttrs.
+const (
+	outcomeOK = iota
+	outcomeError
+	outcomeDedup
+	numOutcomes
+)
+
+// handleAttrs returns the handle span's annotations for an exchange on
+// board with the given outcome: built when the board id first appears,
+// then shared by every span (read-only). Like the dedup window, it is
+// owned by the board's single handling goroutine.
+func (p *Platform) handleAttrs(board uint8, outcome int) []tracing.Attr {
+	if p.spanAttrs == nil || p.spanBoard != board {
+		b := tracing.A("board", strconv.Itoa(int(board)))
+		p.spanAttrs = &[numOutcomes][]tracing.Attr{
+			outcomeOK:    {b, tracing.A("ok", "true")},
+			outcomeError: {b, tracing.A("error", "true")},
+			outcomeDedup: {b, tracing.A("dedup", "hit")},
+		}
+		p.spanBoard = board
+	}
+	return p.spanAttrs[outcome]
 }
 
 // HandlePayload runs the CPP dispatch on one control-packet payload
@@ -363,40 +421,46 @@ func (p *Platform) HandlePayload(payload []byte) []netproto.Packet {
 // double-writes. Every response echoes the request's board and seq so
 // the client can discard strays.
 func (p *Platform) HandlePayloadFrom(src string, payload []byte) []netproto.Packet {
-	return p.HandlePayloadFromTraced(src, payload, 0)
+	return p.HandlePayloadFromTraced(src, payload, tracing.Ctx{})
 }
 
-// HandlePayloadFromTraced is HandlePayloadFrom with a pre-assigned
-// trace id (see HandleFrameTraced). Every added tracing step below is
+// HandlePayloadFromTraced is HandlePayloadFrom within the exchange's
+// trace xc (see HandleFrameTraced). Every added tracing step below is
 // gated on p.tracer so the disabled path stays allocation-identical to
-// the pre-tracing handle path.
-func (p *Platform) HandlePayloadFromTraced(src string, payload []byte, assigned uint64) []netproto.Packet {
+// the pre-tracing handle path. A trace the platform mints here is
+// finished before it returns; one passed in belongs to the caller.
+func (p *Platform) HandlePayloadFromTraced(src string, payload []byte, xc tracing.Ctx) []netproto.Packet {
 	pkt, err := netproto.ParsePacket(payload)
 	if err != nil {
 		resps := []netproto.Packet{p.errResp(netproto.CmdStatus, err)}
-		p.flightOnError(assigned)
+		p.flightOnError(xc.TraceID())
 		return resps
 	}
 	atomic.AddUint64(&p.stats.CommandsHandled, 1)
 	p.m.commands.With(netproto.CommandName(pkt.Command)).Inc()
 
 	// Resolve the exchange's trace and open the handle span. CmdTraces
-	// itself is never traced: fetching a trace must not grow it.
+	// itself is never traced: fetching a trace must not grow it. Only a
+	// client-traced exchange hands its context (tc) to the run or
+	// reconfiguration it starts: an exchange-scoped trace is complete
+	// by the time that work records anything.
 	var (
-		hspan tracing.SpanHandle
-		hctx  tracing.Ctx
-		tid   uint64
+		hspan  tracing.SpanHandle
+		tc     tracing.Ctx
+		minted bool
 	)
 	if p.tracer != nil && pkt.Command != netproto.CmdTraces {
-		tid = pkt.TraceID
-		if tid == 0 {
-			tid = assigned
+		if !xc.On() {
+			id := pkt.TraceID
+			if id == 0 {
+				id, minted = p.tracer.NewTraceID(), true
+			}
+			xc = p.tracer.Trace(id)
 		}
-		if tid == 0 {
-			tid = p.tracer.NewTraceID()
+		hspan = xc.Start(handleSpanNames[pkt.Command])
+		if pkt.TraceID != 0 {
+			tc = hspan.Ctx()
 		}
-		hspan = p.tracer.Trace(tid).Start("handle:" + netproto.CommandName(pkt.Command))
-		hctx = hspan.Ctx()
 	}
 
 	var key dedupKey
@@ -407,12 +471,15 @@ func (p *Platform) HandlePayloadFromTraced(src string, payload []byte, assigned 
 			p.m.dupSuppressed.Inc()
 			p.events.Debugf("dedup re-ack", "src", src, "cmd", netproto.CommandName(pkt.Command), "seq", pkt.Seq)
 			if hspan.On() {
-				hspan.EndAttrs(tracing.A("board", strconv.Itoa(int(pkt.Board))), tracing.A("dedup", "hit"))
+				hspan.EndAttrs(p.handleAttrs(pkt.Board, outcomeDedup)...)
+			}
+			if minted {
+				p.tracer.Finish(xc.TraceID())
 			}
 			return resp
 		}
 	}
-	resps := p.dispatch(pkt, hctx)
+	resps := p.dispatch(pkt, tc)
 	isErr := false
 	for i := range resps {
 		resps[i].Board = pkt.Board
@@ -427,14 +494,17 @@ func (p *Platform) HandlePayloadFromTraced(src string, payload []byte, assigned 
 		p.dedup.remember(key, resps)
 	}
 	if hspan.On() {
-		attr := tracing.A("ok", "true")
+		outcome := outcomeOK
 		if isErr {
-			attr = tracing.A("error", "true")
+			outcome = outcomeError
 		}
-		hspan.EndAttrs(tracing.A("board", strconv.Itoa(int(pkt.Board))), attr)
+		hspan.EndAttrs(p.handleAttrs(pkt.Board, outcome)...)
 	}
 	if isErr {
-		p.flightOnError(tid)
+		p.flightOnError(xc.TraceID())
+	}
+	if minted {
+		p.tracer.Finish(xc.TraceID())
 	}
 	return resps
 }
@@ -457,8 +527,9 @@ func (p *Platform) flightOnError(traceID uint64) {
 }
 
 // dispatch routes one parsed control packet to its handler. tc is the
-// exchange's trace context (disabled when tracing is off); only the
-// handlers that hand work to lower layers thread it further.
+// exchange's trace context — disabled when tracing is off or the client
+// sent no trace id; only the handlers that hand work to lower layers
+// thread it further.
 func (p *Platform) dispatch(pkt netproto.Packet, tc tracing.Ctx) []netproto.Packet {
 	switch pkt.Command {
 	case netproto.CmdStatus:

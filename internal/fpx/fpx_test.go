@@ -259,9 +259,27 @@ func TestFaultingProgramReportsStatusFault(t *testing.T) {
 	for _, c := range netproto.ChunkImage(obj.Origin, obj.Code) {
 		sendCmd(t, p, netproto.Packet{Command: netproto.CmdLoadProgram, Body: c.Marshal()})
 	}
+	done := make(chan struct{}, 1)
+	hook := func() {
+		select {
+		case done <- struct{}{}:
+		default: // the hook must not block
+		}
+	}
+	if !p.SetRunDoneHook(hook) {
+		t.Fatal("controller does not support the run-done hook")
+	}
 	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
 	if resps[0].Command != netproto.CmdStartLEON|netproto.RespFlag {
 		t.Fatalf("start response %#x", resps[0].Command)
+	}
+	// The start ack is the §3.1 handoff: the run faults on the board's
+	// actor afterwards, and a result query before then would rightly
+	// answer StatusRunning. Wait for the completion hook.
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("run never completed")
 	}
 	// CmdResult collects the faulted run; CmdWaitResult reports the
 	// same final report.

@@ -269,13 +269,14 @@ type metric struct {
 	help string
 	kind Kind
 
-	counter *Counter
-	gauge   *Gauge
-	gaugeFn func() float64
-	hist    *Histogram
-	cvec    *CounterVec
-	hvec    *HistogramVec
-	info    []Label
+	counter   *Counter
+	counterFn func() uint64
+	gauge     *Gauge
+	gaugeFn   func() float64
+	hist      *Histogram
+	cvec      *CounterVec
+	hvec      *HistogramVec
+	info      []Label
 }
 
 // Registry holds named metric families. The zero value is not usable;
@@ -376,6 +377,18 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	})
 }
 
+// CounterFunc registers a counter whose value is read at snapshot time
+// — GaugeFunc's twin for monotonic counts that already live elsewhere
+// (the tracing collector's retirements and dropped spans).
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	if r == nil {
+		return
+	}
+	r.register(name, help, KindCounter, func() *metric {
+		return &metric{counterFn: fn}
+	})
+}
+
 // Histogram returns the registered histogram, creating it with the
 // given inclusive upper bucket bounds on first use.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
@@ -458,6 +471,8 @@ func (r *Registry) Snapshot() Snapshot {
 		switch {
 		case m.counter != nil:
 			s.Counters[m.name] = m.counter.Value()
+		case m.counterFn != nil:
+			s.Counters[m.name] = m.counterFn()
 		case m.cvec != nil:
 			m.cvec.mu.RLock()
 			for lv, c := range m.cvec.children {
@@ -530,6 +545,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch {
 		case m.counter != nil:
 			fmt.Fprintf(&b, "%s %d\n", m.name, m.counter.Value())
+		case m.counterFn != nil:
+			fmt.Fprintf(&b, "%s %d\n", m.name, m.counterFn())
 		case m.cvec != nil:
 			m.cvec.mu.RLock()
 			keys := make([]string, 0, len(m.cvec.children))

@@ -126,6 +126,23 @@ func TestGaugeFuncEvaluatedAtSnapshot(t *testing.T) {
 	}
 }
 
+func TestCounterFuncEvaluatedAtSnapshot(t *testing.T) {
+	r := NewRegistry()
+	var v uint64 = 3
+	r.CounterFunc("fn_total", "A computed counter.", func() uint64 { return v })
+	if got := r.Snapshot().Counter("fn_total"); got != 3 {
+		t.Errorf("counter = %d, want 3", got)
+	}
+	v = 9
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# TYPE fn_total counter\nfn_total 9\n"; !strings.Contains(b.String(), want) {
+		t.Errorf("exposition lacks %q:\n%s", want, b.String())
+	}
+}
+
 func TestGaugeAdd(t *testing.T) {
 	var g Gauge
 	g.Set(1.5)

@@ -9,6 +9,7 @@ package netproto
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // ProtoUDP is the IPv4 protocol number for UDP.
@@ -35,22 +36,55 @@ const UDPHeaderLen = 8
 
 // Checksum computes the RFC 1071 ones-complement sum over b.
 func Checksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(b[i])<<8 | uint32(b[i+1])
+	return ^fold(sum(0, b))
+}
+
+// sum adds b to the ones-complement accumulator acc as big-endian
+// 16-bit words, an odd trailing byte being the high byte of a
+// zero-padded word. It reads eight bytes at a time: a 64-bit
+// big-endian word is congruent to the sum of its four 16-bit words
+// modulo 0xFFFF, and the end-around carry keeps acc congruent too (and
+// zero only while every word added was zero), so fold(acc) equals the
+// RFC 1071 16-bit fold. b must start at an even offset of the checksummed
+// stream.
+func sum(acc uint64, b []byte) uint64 {
+	var carry uint64
+	for len(b) >= 8 {
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b), 0)
+		acc += carry
+		b = b[8:]
 	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
+	for len(b) >= 2 {
+		acc, carry = bits.Add64(acc, uint64(binary.BigEndian.Uint16(b)), 0)
+		acc += carry
+		b = b[2:]
 	}
-	for sum>>16 != 0 {
-		sum = sum&0xFFFF + sum>>16
+	if len(b) == 1 {
+		acc, carry = bits.Add64(acc, uint64(b[0])<<8, 0)
+		acc += carry
 	}
-	return ^uint16(sum)
+	return acc
+}
+
+// fold reduces a ones-complement accumulator to 16 bits.
+func fold(acc uint64) uint16 {
+	for acc>>16 != 0 {
+		acc = acc&0xFFFF + acc>>16
+	}
+	return uint16(acc)
 }
 
 // Marshal encodes the header with a freshly computed checksum.
 func (h *IPv4Header) Marshal() []byte {
 	b := make([]byte, IPv4HeaderLen)
+	h.put(b)
+	return b
+}
+
+// put encodes the header into b[:IPv4HeaderLen], which must be zeroed,
+// with a freshly computed checksum.
+func (h *IPv4Header) put(b []byte) {
+	b = b[:IPv4HeaderLen]
 	b[0] = 0x45 // version 4, IHL 5
 	b[1] = h.TOS
 	binary.BigEndian.PutUint16(b[2:], h.TotalLen)
@@ -63,7 +97,6 @@ func (h *IPv4Header) Marshal() []byte {
 	cs := Checksum(b)
 	binary.BigEndian.PutUint16(b[10:], cs)
 	h.Checksum = cs
-	return b
 }
 
 // ParseIPv4 decodes and validates an IPv4 header at the front of b.
@@ -93,6 +126,9 @@ func ParseIPv4(b []byte) (IPv4Header, error) {
 	if int(h.TotalLen) > len(b) {
 		return h, fmt.Errorf("netproto: IPv4 total length %d exceeds frame %d", h.TotalLen, len(b))
 	}
+	if h.TotalLen < IPv4HeaderLen {
+		return h, fmt.Errorf("netproto: IPv4 total length %d shorter than its header", h.TotalLen)
+	}
 	return h, nil
 }
 
@@ -104,15 +140,15 @@ type UDPHeader struct {
 	Checksum uint16
 }
 
-// udpChecksum computes the UDP checksum with the IPv4 pseudo-header.
+// udpChecksum computes the UDP checksum of seg (at least a UDP header
+// long) under the IPv4 pseudo-header. It sums the pseudo-header fields
+// and reads seg in place, skipping the checksum field (bytes 6–7) as if
+// it were zero, so neither side copies the segment.
 func udpChecksum(src, dst [4]byte, seg []byte) uint16 {
-	pseudo := make([]byte, 12+len(seg))
-	copy(pseudo, src[:])
-	copy(pseudo[4:], dst[:])
-	pseudo[9] = ProtoUDP
-	binary.BigEndian.PutUint16(pseudo[10:], uint16(len(seg)))
-	copy(pseudo[12:], seg)
-	cs := Checksum(pseudo)
+	acc := uint64(binary.BigEndian.Uint32(src[:])) + uint64(binary.BigEndian.Uint32(dst[:])) +
+		ProtoUDP + uint64(uint16(len(seg)))
+	acc = sum(sum(acc, seg[:6]), seg[UDPHeaderLen:])
+	cs := ^fold(acc)
 	if cs == 0 {
 		cs = 0xFFFF
 	}
@@ -126,8 +162,9 @@ type Frame struct {
 	Payload []byte
 }
 
-// BuildFrame assembles a complete IPv4/UDP frame, computing both
-// checksums (the packet generator of Fig. 3 does this in hardware).
+// BuildFrame assembles a complete IPv4/UDP frame in one allocation,
+// computing both checksums (the packet generator of Fig. 3 does this
+// in hardware).
 func BuildFrame(src, dst [4]byte, srcPort, dstPort uint16, payload []byte) []byte {
 	udpLen := UDPHeaderLen + len(payload)
 	ip := IPv4Header{
@@ -137,13 +174,15 @@ func BuildFrame(src, dst [4]byte, srcPort, dstPort uint16, payload []byte) []byt
 		Src:      src,
 		Dst:      dst,
 	}
-	seg := make([]byte, udpLen)
+	frame := make([]byte, IPv4HeaderLen+udpLen)
+	ip.put(frame)
+	seg := frame[IPv4HeaderLen:]
 	binary.BigEndian.PutUint16(seg[0:], srcPort)
 	binary.BigEndian.PutUint16(seg[2:], dstPort)
 	binary.BigEndian.PutUint16(seg[4:], uint16(udpLen))
-	copy(seg[8:], payload)
+	copy(seg[UDPHeaderLen:], payload)
 	binary.BigEndian.PutUint16(seg[6:], udpChecksum(src, dst, seg))
-	return append(ip.Marshal(), seg...)
+	return frame
 }
 
 // ParseFrame decodes and validates an IPv4/UDP frame (the receive side
@@ -170,13 +209,9 @@ func ParseFrame(b []byte) (Frame, error) {
 		return f, fmt.Errorf("netproto: UDP length %d does not match segment %d", f.UDP.Length, len(seg))
 	}
 	if f.UDP.Checksum != 0 {
-		// Verify: checksum over pseudo-header with checksum field
-		// included must fold to zero (or equal the stored value when
-		// recomputed with the field zeroed).
-		chk := make([]byte, len(seg))
-		copy(chk, seg)
-		chk[6], chk[7] = 0, 0
-		want := udpChecksum(ip.Src, ip.Dst, chk)
+		// Verify: the checksum recomputed with the field read as zero
+		// must equal the stored value (0 means the sender sent none).
+		want := udpChecksum(ip.Src, ip.Dst, seg)
 		if want != f.UDP.Checksum {
 			return f, fmt.Errorf("netproto: bad UDP checksum %#04x, want %#04x", f.UDP.Checksum, want)
 		}

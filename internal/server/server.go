@@ -101,10 +101,14 @@ type job struct {
 	// qspan covers the time from dispatch to worker pickup (the
 	// queue-wait hop of the exchange trace); zero when tracing is off.
 	qspan tracing.SpanHandle
-	// traceID is the exchange's resolved trace id — the one the packet
-	// carried, or a server-assigned id for untraced requests — passed down
-	// so the platform's spans land in the same trace.
-	traceID uint64
+	// trace is the exchange's resolved trace — the id the packet
+	// carried, or a server-assigned one for untraced requests — passed
+	// down so the platform's spans land in it; disabled when tracing is
+	// off.
+	trace tracing.Ctx
+	// ownTrace marks a server-assigned trace: it covers this exchange
+	// only, and the server finishes it once the exchange ends.
+	ownTrace bool
 }
 
 // Server serves one or more FPX platforms over UDP. Requests for the
@@ -220,13 +224,32 @@ func newNodeConn(conn net.PacketConn, clk sim.Clock, queueCap int, platforms ...
 // read loop records a queue-wait span per routed datagram and every
 // board platform records its handle spans into the same collector, so
 // one export shows the full server-side timeline of an exchange.
+//
 // Requests that carry no trace id (v1, or v4 with trace id 0) get a
-// server-assigned one at dispatch time. Call before Serve.
+// server-assigned one at dispatch time. That trace lives exactly as
+// long as its exchange — queue, park and handle spans — and is finished
+// once the reply is sent or the datagram dropped, so the completed
+// ring holds the last tracing.DefMaxDone exchanges and a failed one is
+// in the flight dump. The run or reconfiguration an untraced exchange
+// starts records no spans; those need a client trace id.
+//
+// The collector's state is registered on the node registry:
+// liquid_tracing_active_traces, liquid_tracing_retired_total (traces
+// the active cap force-completed) and liquid_tracing_spans_dropped_total.
+// Call before Serve.
 func (s *Server) EnableTracing(col *tracing.Collector) {
 	s.tracer = col
 	for _, p := range s.boards {
 		p.EnableTracing(col)
 	}
+	r := s.Metrics()
+	r.GaugeFunc("liquid_tracing_active_traces",
+		"Traces recording now (a server-assigned one ends with its exchange).",
+		func() float64 { return float64(col.ActiveCount()) })
+	r.CounterFunc("liquid_tracing_retired_total",
+		"Active traces the collector's cap force-completed.", col.Retired)
+	r.CounterFunc("liquid_tracing_spans_dropped_total",
+		"Spans dropped: past a trace's span bound, or ending after their trace completed.", col.SpansDropped)
 }
 
 // Tracer returns the node's span collector (nil when tracing is
@@ -311,50 +334,62 @@ func (s *Server) dispatch(bufp *[]byte, payload []byte, peer *net.UDPAddr) {
 		board = int(pkt.Board)
 		hdr = pkt
 	}
+	j := job{bufp: bufp, payload: payload, peer: peer, cmd: cmd}
 	// Resolve the exchange's trace and open the queue-wait span. The
 	// span is handed to the board worker inside the job and ended at
 	// pickup, so its duration IS the queue wait; requests dropped on
 	// the read loop end it here with the drop reason.
-	var (
-		qspan tracing.SpanHandle
-		tid   uint64
-	)
 	if s.tracer != nil {
-		tid = hdr.TraceID
-		if tid == 0 {
-			tid = s.tracer.NewTraceID()
+		id := hdr.TraceID
+		if id == 0 {
+			id, j.ownTrace = s.tracer.NewTraceID(), true
 		}
-		qspan = s.tracer.Trace(tid).Start("queue").
-			WithAttr("cmd", cmd).WithAttr("board", strconv.Itoa(board))
+		j.trace = s.tracer.Trace(id)
+		j.qspan = j.trace.Start("queue")
 	}
 	src, ok := ipv4Of(peer.IP)
 	if !ok {
 		// A peer address the synthetic IPv4 frame cannot carry: drop
 		// and count instead of forging a source (the old code silently
 		// coerced non-v4 peers to 127.0.0.1).
-		s.m.drops.With("peer_addr").Inc()
 		s.events.Warnf("unmappable peer address", "peer", peer)
 		s.logf("drop from %v: unmappable peer address", peer)
-		s.bufs.Put(bufp)
-		qspan.WithAttr("drop", "peer_addr").End()
+		s.dropOnReadLoop(j, board, "peer_addr")
 		return
 	}
 	if board >= len(s.boards) {
-		s.m.drops.With("bad_board").Inc()
 		s.replyError(peer, hdr, fmt.Sprintf("no board %d on this node (%d boards)", board, len(s.boards)))
-		s.bufs.Put(bufp)
-		qspan.WithAttr("drop", "bad_board").End()
+		s.dropOnReadLoop(j, board, "bad_board")
 		return
 	}
-	j := job{bufp: bufp, payload: payload, peer: peer, src: src, cmd: cmd, start: s.clk.Now(), qspan: qspan, traceID: tid}
+	j.src, j.start = src, s.clk.Now()
 	select {
 	case s.queues[board] <- j:
 	default:
 		// Bounded queue full: backpressure, not buffering.
-		s.m.drops.With("busy").Inc()
 		s.replyError(peer, hdr, fmt.Sprintf("board %d busy (queue full)", board))
-		s.bufs.Put(bufp)
-		qspan.WithAttr("drop", "busy").End()
+		s.dropOnReadLoop(j, board, "busy")
+	}
+}
+
+// dropOnReadLoop ends a datagram the read loop does not route: counted
+// by reason, its buffer returned, its queue span ended with the reason
+// and its trace finished.
+func (s *Server) dropOnReadLoop(j job, board int, reason string) {
+	s.m.drops.With(reason).Inc()
+	s.bufs.Put(j.bufp)
+	if j.qspan.On() {
+		j.qspan.EndAttrs(tracing.A("cmd", j.cmd), tracing.A("board", strconv.Itoa(board)), tracing.A("drop", reason))
+	}
+	s.endTrace(j)
+}
+
+// endTrace finishes a server-assigned trace once its exchange is over
+// (replied to or dropped). A trace the client named stays active: the
+// client may send more exchanges under it and fetches it by id.
+func (s *Server) endTrace(j job) {
+	if j.ownTrace {
+		s.tracer.Finish(j.trace.TraceID())
 	}
 }
 
@@ -391,7 +426,8 @@ type parkedWait struct {
 // worker drains one board's command queue in arrival order. The
 // goroutine carries pprof labels (board=N, plus cmd=... around each
 // job) so CPU profiles from /debug/pprof attribute time per board and
-// per command.
+// per command; the per-command label contexts (and queue-span
+// annotations) are built once per worker, not per job.
 //
 // Beyond plain draining, the worker is the board's waiter registry:
 // a CmdWaitResult that arrives while the board is running is parked
@@ -405,15 +441,18 @@ type parkedWait struct {
 // will answer with the same seq).
 func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 	defer s.wg.Done()
-	pprof.Do(context.Background(), pprof.Labels("board", strconv.Itoa(board)), func(ctx context.Context) {
+	boardLabel := strconv.Itoa(board)
+	pprof.Do(context.Background(), pprof.Labels("board", boardLabel), func(ctx context.Context) {
+		cmds := workerCmds(ctx, boardLabel)
 		runJob := func(j job) {
-			pprof.Do(ctx, pprof.Labels("cmd", j.cmd), func(context.Context) {
-				if err := s.process(p, j); err != nil {
-					s.events.Warnf("request dropped", "peer", j.peer, "board", board, "err", err)
-					s.logf("drop from %v: %v", j.peer, err)
-				}
-			})
+			pprof.SetGoroutineLabels(cmds[j.cmd].labels)
+			if err := s.process(p, j); err != nil {
+				s.events.Warnf("request dropped", "peer", j.peer, "board", board, "err", err)
+				s.logf("drop from %v: %v", j.peer, err)
+			}
+			pprof.SetGoroutineLabels(ctx)
 			s.bufs.Put(j.bufp)
+			s.endTrace(j)
 		}
 
 		// wake carries at most one token: the completion hook runs on the
@@ -444,7 +483,9 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 			parked = append(parked[:i], parked[i+1:]...)
 			s.waiters.Add(-1)
 			s.m.wakeups.With(reason).Inc()
-			e.span.WithAttr("wake", reason).End()
+			if e.span.On() {
+				e.span.EndAttrs(tracing.A("cmd", e.j.cmd), tracing.A("board", boardLabel), tracing.A("wake", reason))
+			}
 			runJob(e.j)
 		}
 		releaseKind := func(kind, reason string) {
@@ -485,7 +526,9 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 					}
 					return
 				}
-				j.qspan.End() // queue wait is over; processing begins
+				if j.qspan.On() { // queue wait is over; processing begins
+					j.qspan.EndAttrs(cmds[j.cmd].queueAttrs...)
+				}
 				if pw, keep := s.tryPark(p, j, canPark, canParkReconfig, parked, wake, rwake); keep {
 					parked = append(parked, pw)
 					continue
@@ -493,6 +536,7 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 					// Retransmit of a currently-parked exchange: the parked
 					// original will answer; this copy is dropped.
 					s.bufs.Put(j.bufp)
+					s.endTrace(j)
 					continue
 				}
 				runJob(j)
@@ -536,6 +580,33 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 			}
 		}
 	})
+}
+
+// workerCmd is what a board worker attaches to every job of one
+// command: its pprof label context (a child of the worker's board
+// context) and its queue span's annotations.
+type workerCmd struct {
+	labels     context.Context
+	queueAttrs []tracing.Attr
+}
+
+// workerCmds builds the workerCmd of every command label a job can
+// carry ("invalid" and each netproto.CommandName).
+func workerCmds(board context.Context, boardLabel string) map[string]workerCmd {
+	cmds := map[string]workerCmd{}
+	for c := -1; c < 256; c++ {
+		name := "invalid"
+		if c >= 0 {
+			name = netproto.CommandName(uint8(c))
+		}
+		if _, ok := cmds[name]; !ok {
+			cmds[name] = workerCmd{
+				labels:     pprof.WithLabels(board, pprof.Labels("cmd", name)),
+				queueAttrs: []tracing.Attr{tracing.A("cmd", name), tracing.A("board", boardLabel)},
+			}
+		}
+	}
+	return cmds
 }
 
 // dupSentinel marks a tryPark result meaning "drop this job: it is a
@@ -617,11 +688,7 @@ func (s *Server) tryPark(p *fpx.Platform, j job, canPark, canParkReconfig bool, 
 		// answer immediately through the normal handler.
 		return parkedWait{}, false
 	}
-	var span tracing.SpanHandle
-	if s.tracer != nil {
-		span = s.tracer.Trace(j.traceID).Start("park").
-			WithAttr("cmd", j.cmd).WithAttr("board", strconv.Itoa(int(pkt.Board)))
-	}
+	span := j.trace.Start("park")
 	s.m.parked.Inc()
 	s.waiters.Add(1)
 	return parkedWait{
@@ -639,7 +706,7 @@ func (s *Server) tryPark(p *fpx.Platform, j job, canPark, canParkReconfig bool, 
 // silently swallowed.
 func (s *Server) process(p *fpx.Platform, j job) error {
 	frame := netproto.BuildFrame(j.src, p.IP, uint16(j.peer.Port), p.Port, j.payload)
-	outs, err := p.HandleFrameTraced(frame, j.traceID)
+	outs, err := p.HandleFrameTraced(frame, j.trace)
 	if err != nil {
 		s.m.drops.With("platform").Inc()
 		return err

@@ -4,13 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"liquidarch/internal/chaos"
+	"liquidarch/internal/core"
 	"liquidarch/internal/fpx"
+	"liquidarch/internal/leon"
+	"liquidarch/internal/metrics"
 	"liquidarch/internal/netproto"
+	"liquidarch/internal/synth"
 	"liquidarch/internal/tracing"
 )
 
@@ -255,5 +261,215 @@ func TestRetrySpansMatchRetriesMetric(t *testing.T) {
 				t.Errorf("retry spans = %d, retries metric = %d", spans, retries)
 			}
 		})
+	}
+}
+
+// newTracingNode boots a one-board tracing node with a flight recorder
+// and serves it on loopback.
+func newTracingNode(t *testing.T, board *fpx.Platform) (*Server, *tracing.Collector, *tracing.FlightRecorder, string) {
+	t.Helper()
+	srv, err := NewNode("127.0.0.1:0", board)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := tracing.New("server")
+	srv.EnableTracing(col)
+	fr := &tracing.FlightRecorder{
+		Collectors: []*tracing.Collector{col},
+		Events:     srv.Events(),
+		Dir:        t.TempDir(),
+	}
+	srv.SetFlightRecorder(fr)
+	return srv, col, fr, serveNode(t, srv)
+}
+
+// waitTracingIdle waits until the node's collector has no active
+// trace: a server-assigned trace is finished just after its reply is
+// sent, so the last one may still be open when the client returns.
+func waitTracingIdle(t *testing.T, srv *Server) metrics.Snapshot {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		snap := srv.Metrics().Snapshot()
+		if snap.Gauges["liquid_tracing_active_traces"] == 0 {
+			return snap
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("collector never went idle: %v active traces", snap.Gauges["liquid_tracing_active_traces"])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// spanNames counts a trace's spans by name.
+func spanNames(td tracing.TraceData) map[string]int {
+	n := map[string]int{}
+	for _, sp := range td.Spans {
+		n[sp.Name]++
+	}
+	return n
+}
+
+// TestUntracedExchangesLeaveNoActiveTraces: on a tracing node, an
+// untraced client's exchanges (loads, starts, parked waits, reads) each
+// get a server-assigned trace that ends with the exchange. Once the
+// node is idle no trace is active, the cap never retired one, no span
+// was dropped, and the completed ring holds the last DefMaxDone
+// exchanges, one queue span each and no run spans.
+func TestUntracedExchangesLeaveNoActiveTraces(t *testing.T) {
+	srv, col, _, addr := newTracingNode(t, newBoard(t, [4]byte{10, 0, 0, 2}))
+	c := dial(t, addr)
+	obj := assembleAt(t, countProg(2_000))
+	for srv.Metrics().Snapshot().Counter("liquid_server_datagrams_in_total") < 500 {
+		if err := c.LoadProgram(obj.Origin, obj.Code); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.StartAsync(obj.Origin, 0); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := c.WaitResult(); err != nil || rep.Status != netproto.StatusOK {
+			t.Fatalf("wait: %+v, %v", rep, err)
+		}
+		if _, err := c.ReadMemory(obj.Origin, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := waitTracingIdle(t, srv)
+	if got := snap.Counter("liquid_tracing_retired_total"); got != 0 {
+		t.Errorf("liquid_tracing_retired_total = %d, want 0: untraced exchanges must not fill the active map", got)
+	}
+	if got := snap.Counter("liquid_tracing_spans_dropped_total"); got != 0 {
+		t.Errorf("liquid_tracing_spans_dropped_total = %d, want 0", got)
+	}
+	done := col.Completed()
+	if len(done) != tracing.DefMaxDone {
+		t.Fatalf("completed ring holds %d traces, want the last %d exchanges", len(done), tracing.DefMaxDone)
+	}
+	for _, td := range done {
+		names := spanNames(td)
+		if names["queue"] != 1 || names["run"] != 0 || names["slice"] != 0 {
+			t.Fatalf("trace %#x is not one untraced exchange: %v", td.ID, names)
+		}
+	}
+}
+
+// TestNeverFetchedClientTracesFillTheCap: a client that names a new
+// trace per exchange and never fetches one fills the active map to the
+// cap; every trace past it retires one, counted on /metrics.
+func TestNeverFetchedClientTracesFillTheCap(t *testing.T) {
+	srv, _, _, addr := newTracingNode(t, newBoard(t, [4]byte{10, 0, 0, 2}))
+	c := dial(t, addr)
+	const ids = 200
+	for i := 1; i <= ids; i++ {
+		c.TraceID = uint64(i)
+		if _, err := c.Status(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := srv.Metrics().Snapshot()
+	if got := snap.Gauges["liquid_tracing_active_traces"]; got != tracing.DefMaxActive {
+		t.Errorf("liquid_tracing_active_traces = %v, want the cap %d", got, tracing.DefMaxActive)
+	}
+	if got := snap.Counter("liquid_tracing_retired_total"); got != ids-tracing.DefMaxActive {
+		t.Errorf("liquid_tracing_retired_total = %d, want %d", got, ids-tracing.DefMaxActive)
+	}
+}
+
+// TestFlightRecordServesUntracedFailedExchange: a failed start from a
+// client that sends no trace id is in the flight dump all the same,
+// under its server-assigned trace, with its queue wait and its
+// handle:start error span.
+func TestFlightRecordServesUntracedFailedExchange(t *testing.T) {
+	_, _, fr, addr := newTracingNode(t, newBoard(t, [4]byte{10, 0, 0, 2}))
+	c := dial(t, addr)
+	if err := c.StartAsync(0, 10); err == nil {
+		t.Fatal("start without load unexpectedly succeeded")
+	}
+	if fr.Dumps() != 1 {
+		t.Fatalf("flight dumps = %d, want 1", fr.Dumps())
+	}
+	files, err := filepath.Glob(filepath.Join(fr.Dir, "flightrec-*.json"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("dump files %v, %v", files, err)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump tracing.FlightDump
+	if err := json.Unmarshal(data, &dump); err != nil {
+		t.Fatal(err)
+	}
+	for _, td := range dump.Traces {
+		for _, sp := range td.Spans {
+			if sp.Name != "handle:start" {
+				continue
+			}
+			for _, a := range sp.Attrs {
+				if a.Key == "error" && a.Value == "true" {
+					if spanNames(td)["queue"] != 1 {
+						t.Errorf("failed exchange's trace lacks its queue span: %v", spanNames(td))
+					}
+					return
+				}
+			}
+		}
+	}
+	t.Fatalf("no handle:start error span in the flight dump (%d traces)", len(dump.Traces))
+}
+
+// TestRunSpansNeedClientTrace: an untraced start runs without recording
+// (its exchange-scoped trace is over before the run ends), while a
+// client-traced run still carries its run span and the slice spans
+// nested under it.
+func TestRunSpansNeedClientTrace(t *testing.T) {
+	restoreGOMAXPROCS(t)
+	sys, err := core.New(leon.DefaultConfig(), core.Options{Synth: synth.Options{BitstreamBytes: 256}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	srv, col, _, addr := newTracingNode(t, sys.Platform())
+	c := dial(t, addr)
+	obj := assembleAt(t, countProg(50_000))
+	run := func() {
+		t.Helper()
+		if err := c.LoadProgram(obj.Origin, obj.Code); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := c.Start(obj.Origin, 0); err != nil || rep.Status != netproto.StatusOK {
+			t.Fatalf("run: %+v, %v", rep, err)
+		}
+	}
+
+	run()
+	snap := waitTracingIdle(t, srv)
+	for _, td := range col.Completed() {
+		if names := spanNames(td); names["run"] != 0 || names["slice"] != 0 {
+			t.Errorf("untraced run recorded spans into trace %#x: %v", td.ID, names)
+		}
+	}
+	if got := snap.Counter("liquid_tracing_spans_dropped_total"); got != 0 {
+		t.Errorf("untraced run dropped %d spans; it should record none", got)
+	}
+
+	c.TraceID = col.NewTraceID()
+	run()
+	var runID uint64
+	slices := 0
+	for _, td := range col.TakeTrace(c.TraceID) {
+		for _, sp := range td.Spans {
+			if sp.Name == "run" {
+				runID = sp.ID
+			}
+		}
+		for _, sp := range td.Spans {
+			if sp.Name == "slice" && sp.Parent == runID && runID != 0 {
+				slices++
+			}
+		}
+	}
+	if runID == 0 || slices == 0 {
+		t.Fatalf("client-traced run: run span %v, %d slice spans under it", runID != 0, slices)
 	}
 }

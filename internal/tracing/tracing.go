@@ -13,16 +13,21 @@
 //     no Collector is attached;
 //   - lock-cheap when enabled: spans are recorded into a bounded
 //     per-trace buffer behind that trace's own mutex; the collector's
-//     map lock is taken only to look a trace up or retire it;
+//     map lock is taken only to look a trace up or retire it, and
+//     retiring one at the active cap is amortized O(1) — it never walks
+//     the other traces or their mutexes;
 //   - bounded everywhere: spans per trace, active traces, and completed
 //     traces are all capped, with drops counted rather than silently
 //     swallowed — a runaway run can never eat the heap.
 //
 // A trace's life cycle: spans accumulate while the trace is active;
-// the trace completes when explicitly finished (Finish), when fetched
-// by id (TakeTrace — the client pulling "its" trace), or lazily when
-// it has been idle longer than HarvestIdle at the next export. Completed
-// traces sit in a fixed-size ring — the flight recorder's memory.
+// the trace completes when explicitly finished (Finish — whoever mints
+// an id for one exchange finishes it when the exchange replies), when
+// fetched by id (TakeTrace — the client pulling "its" trace), when the
+// active cap retires it, or lazily when it has been idle longer than
+// HarvestIdle at the next export. Completed traces sit in a fixed-size
+// ring — the flight recorder's memory. A span that ends after its trace
+// completed is counted in SpansDropped, never silently lost.
 package tracing
 
 import (
@@ -39,7 +44,8 @@ const (
 	// and counted.
 	DefMaxSpans = 512
 	// DefMaxActive bounds concurrently active traces; creating one
-	// past the cap retires the stalest active trace first.
+	// past the cap first retires the active trace that has gone
+	// longest without a span (a second-chance scan, amortized O(1)).
 	DefMaxActive = 128
 	// DefMaxDone is the completed-trace ring size — the flight
 	// recorder's "last N exchanges".
@@ -76,7 +82,8 @@ type Span struct {
 }
 
 // TraceData is one completed trace: the bounded span buffer plus how
-// many spans the bound dropped.
+// many spans the bound dropped. Done is when its recording ended: the
+// end of its last span (the completion time if none had ended).
 type TraceData struct {
 	ID      uint64    `json:"id"`
 	Spans   []Span    `json:"spans"`
@@ -84,38 +91,44 @@ type TraceData struct {
 	Done    time.Time `json:"done"`
 }
 
+// inlineSpans is how many spans a trace holds before its buffer
+// leaves the traceBuf allocation: most exchanges record two (queue and
+// handle), a held wait three (plus park).
+const inlineSpans = 2
+
 // traceBuf is one active trace's recording state.
 type traceBuf struct {
 	mu      sync.Mutex
 	id      uint64
-	spans   []Span
+	spans   []Span // starts as inline[:0]
+	inline  [inlineSpans]Span
 	dropped uint64
-	last    time.Time // time of the most recent span end (activity)
-	born    time.Time
+	last    time.Time // most recent span end (zero until the first)
+	closed  bool      // completed: spans ending now count as dropped
+
+	// touched is set at creation and by every recorded span, and
+	// cleared when the retirement scan gives the trace a second chance.
+	touched atomic.Bool
+	// prev and next link the collector's retirement queue (guarded by
+	// the collector's mu).
+	prev, next *traceBuf
 }
 
-// record appends one completed span, enforcing the buffer bound.
-func (tb *traceBuf) record(sp Span, maxSpans int) {
+// record appends one completed span ending at end, enforcing the
+// buffer bound.
+func (tb *traceBuf) record(c *Collector, sp Span, end time.Time) {
 	tb.mu.Lock()
-	if len(tb.spans) < maxSpans {
+	switch {
+	case tb.closed:
+		c.drops.Add(1)
+	case len(tb.spans) < c.maxSpans():
 		tb.spans = append(tb.spans, sp)
-	} else {
+	default:
 		tb.dropped++
 	}
-	tb.last = time.Now()
+	tb.last = end
 	tb.mu.Unlock()
-}
-
-// snapshot copies the buffer into an immutable TraceData.
-func (tb *traceBuf) snapshot() TraceData {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	return TraceData{
-		ID:      tb.id,
-		Spans:   append([]Span(nil), tb.spans...),
-		Dropped: tb.dropped,
-		Done:    time.Now(),
-	}
+	tb.touched.Store(true)
 }
 
 // Collector owns one component's traces. All methods are safe for
@@ -136,11 +149,38 @@ type Collector struct {
 
 	mu     sync.Mutex
 	active map[uint64]*traceBuf
-	done   []TraceData // ring, oldest overwritten
-	next   int         // ring write index
-	wrap   bool        // ring has wrapped (len == MaxDone)
+	// head and tail are the retirement queue over the active traces,
+	// oldest queued first.
+	head, tail *traceBuf
+	done       []TraceData // ring, oldest overwritten
+	next       int         // ring write index
+	wrap       bool        // ring has wrapped (len == MaxDone)
 
-	drops atomic.Uint64 // spans dropped by full trace buffers (aggregate)
+	drops   atomic.Uint64 // spans dropped by full or completed traces (aggregate)
+	retired atomic.Uint64 // traces the active cap force-completed
+
+	epoch atomic.Pointer[time.Time] // span clock anchor (see now)
+}
+
+// reanchorEvery bounds how long span timestamps run on the monotonic
+// clock alone before re-reading the wall clock.
+const reanchorEvery = time.Second
+
+// now is the span clock: an anchor plus the monotonic time elapsed
+// since it. time.Since reads one clock where time.Now reads two (wall
+// and monotonic), and span starts and ends are the tracing hot path.
+// Re-anchoring every reanchorEvery keeps a stepped or slewed wall
+// clock visible within that long, so merged client and server
+// timelines still line up.
+func (c *Collector) now() time.Time {
+	if e := c.epoch.Load(); e != nil {
+		if d := time.Since(*e); d < reanchorEvery {
+			return e.Add(d)
+		}
+	}
+	t := time.Now()
+	c.epoch.Store(&t)
+	return t
 }
 
 // idSalt makes trace ids from different processes collide only by
@@ -209,13 +249,23 @@ func (c *Collector) NewTraceID() uint64 {
 // nextSpanID mints a span id (unique within the collector).
 func (c *Collector) nextSpanID() uint64 { return c.ids.Add(1) }
 
-// SpansDropped returns how many spans were dropped by full per-trace
-// buffers since the collector was built.
+// SpansDropped returns how many spans were dropped since the collector
+// was built: by full per-trace buffers, or because they ended after
+// their trace completed.
 func (c *Collector) SpansDropped() uint64 {
 	if c == nil {
 		return 0
 	}
 	return c.drops.Load()
+}
+
+// Retired returns how many active traces the MaxActive cap has
+// force-completed since the collector was built.
+func (c *Collector) Retired() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.retired.Load()
 }
 
 // Trace returns a recording context for the trace with the given id,
@@ -231,38 +281,78 @@ func (c *Collector) Trace(id uint64) Ctx {
 		if len(c.active) >= c.maxActive() {
 			c.retireStalestLocked()
 		}
-		tb = &traceBuf{id: id, born: time.Now(), last: time.Now()}
+		tb = &traceBuf{id: id}
+		tb.spans = tb.inline[:0]
+		tb.touched.Store(true)
 		c.active[id] = tb
+		c.pushLocked(tb)
 	}
 	c.mu.Unlock()
 	return Ctx{c: c, tb: tb, trace: id}
 }
 
-// retireStalestLocked force-completes the active trace with the oldest
-// activity. Caller holds c.mu.
+// retireStalestLocked force-completes the active trace that has gone
+// longest without a span: a second-chance scan of the retirement
+// queue. A trace touched since it was queued goes to the back with its
+// mark cleared; the first untouched one is retired. Every requeue
+// consumes a mark some recorded span paid for, so retirement is
+// amortized O(1); the scan is capped at one pass, after which the head
+// is retired regardless. Caller holds c.mu.
 func (c *Collector) retireStalestLocked() {
-	var (
-		stalest *traceBuf
-		when    time.Time
-	)
-	for _, tb := range c.active {
-		tb.mu.Lock()
-		last := tb.last
-		tb.mu.Unlock()
-		if stalest == nil || last.Before(when) {
-			stalest, when = tb, last
+	for chances := len(c.active); c.head != nil; chances-- {
+		tb := c.head
+		if chances > 0 && tb.touched.Swap(false) {
+			c.unlinkLocked(tb)
+			c.pushLocked(tb)
+			continue
 		}
-	}
-	if stalest != nil {
-		c.completeLocked(stalest)
+		c.retired.Add(1)
+		c.completeLocked(tb)
+		return
 	}
 }
 
-// completeLocked moves one active trace into the done ring. Caller
+// pushLocked appends tb to the back of the retirement queue. Caller
 // holds c.mu.
+func (c *Collector) pushLocked(tb *traceBuf) {
+	tb.prev, tb.next = c.tail, nil
+	if c.tail != nil {
+		c.tail.next = tb
+	} else {
+		c.head = tb
+	}
+	c.tail = tb
+}
+
+// unlinkLocked removes tb from the retirement queue. Caller holds c.mu.
+func (c *Collector) unlinkLocked(tb *traceBuf) {
+	if tb.prev != nil {
+		tb.prev.next = tb.next
+	} else {
+		c.head = tb.next
+	}
+	if tb.next != nil {
+		tb.next.prev = tb.prev
+	} else {
+		c.tail = tb.prev
+	}
+	tb.prev, tb.next = nil, nil
+}
+
+// completeLocked moves one active trace into the done ring. The span
+// buffer moves with it — no copy — and the trace is closed, so a span
+// ending later is counted as dropped instead of landing in a buffer
+// nobody reads. Caller holds c.mu.
 func (c *Collector) completeLocked(tb *traceBuf) {
 	delete(c.active, tb.id)
-	td := tb.snapshot()
+	c.unlinkLocked(tb)
+	tb.mu.Lock()
+	td := TraceData{ID: tb.id, Spans: tb.spans, Dropped: tb.dropped, Done: tb.last}
+	tb.spans, tb.closed = nil, true
+	tb.mu.Unlock()
+	if td.Done.IsZero() {
+		td.Done = time.Now()
+	}
 	c.drops.Add(td.Dropped)
 	if len(c.done) < c.maxDone() {
 		c.done = append(c.done, td)
@@ -288,7 +378,9 @@ func (c *Collector) Finish(id uint64) {
 }
 
 // harvest completes every active trace idle longer than the harvest
-// threshold — the lazy completion exports rely on.
+// threshold — the lazy completion exports rely on. A trace none of
+// whose spans has ended yet is not idle: its owner finishes it, or the
+// active cap retires it.
 func (c *Collector) harvest() {
 	if c == nil {
 		return
@@ -298,7 +390,7 @@ func (c *Collector) harvest() {
 	var stale []*traceBuf
 	for _, tb := range c.active {
 		tb.mu.Lock()
-		idle := tb.last.Before(cutoff)
+		idle := !tb.last.IsZero() && tb.last.Before(cutoff)
 		tb.mu.Unlock()
 		if idle {
 			stale = append(stale, tb)
@@ -401,7 +493,7 @@ func (x Ctx) Start(name string) SpanHandle {
 		x:     x,
 		id:    x.c.nextSpanID(),
 		name:  name,
-		start: time.Now(),
+		start: x.c.now(),
 	}
 }
 
@@ -446,34 +538,38 @@ func (s SpanHandle) End() {
 	if s.x.c == nil {
 		return
 	}
-	s.endAt(time.Now(), nil)
+	s.endAt(s.x.c.now(), nil)
 }
 
 // EndAttrs closes the span with extra annotations. Call only under an
 // On() guard on alloc-sensitive paths: building the variadic slice
-// costs an allocation even when tracing is off.
+// costs an allocation even when tracing is off. When the handle holds
+// no WithAttr annotations the span keeps attrs itself, uncopied.
 func (s SpanHandle) EndAttrs(attrs ...Attr) {
 	if s.x.c == nil {
 		return
 	}
-	s.endAt(time.Now(), attrs)
+	s.endAt(s.x.c.now(), attrs)
 }
 
-func (s SpanHandle) endAt(now time.Time, extra []Attr) {
+func (s SpanHandle) endAt(end time.Time, extra []Attr) {
 	attrs := s.attrs
-	if len(extra) > 0 {
+	switch {
+	case len(attrs) == 0:
+		attrs = extra
+	case len(extra) > 0:
 		attrs = append(attrs, extra...)
 	}
-	s.x.tb.record(Span{
+	s.x.tb.record(s.x.c, Span{
 		Name:   s.name,
 		Trace:  s.x.trace,
 		ID:     s.id,
 		Parent: s.x.parent,
 		Start:  s.start,
-		Dur:    now.Sub(s.start),
+		Dur:    end.Sub(s.start),
 		Attrs:  attrs,
 		Source: s.x.c.source,
-	}, s.x.c.maxSpans())
+	}, end)
 }
 
 // Event records an instantaneous (zero-duration) span — the shape the
@@ -482,14 +578,14 @@ func (x Ctx) Event(name string, attrs ...Attr) {
 	if x.c == nil {
 		return
 	}
-	now := time.Now()
-	x.tb.record(Span{
+	at := x.c.now()
+	x.tb.record(x.c, Span{
 		Name:   name,
 		Trace:  x.trace,
 		ID:     x.c.nextSpanID(),
 		Parent: x.parent,
-		Start:  now,
+		Start:  at,
 		Attrs:  attrs,
 		Source: x.c.source,
-	}, x.c.maxSpans())
+	}, at)
 }

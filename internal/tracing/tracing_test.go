@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -290,5 +291,177 @@ func TestNilFlightRecorder(t *testing.T) {
 	d := fr.Snapshot("x")
 	if d.Reason != "x" {
 		t.Fatalf("nil Snapshot = %+v", d)
+	}
+}
+
+// TestLateSpanCountedAsDropped: a span that ends after its trace
+// completed is counted in SpansDropped, and the completed trace does
+// not change under it.
+func TestLateSpanCountedAsDropped(t *testing.T) {
+	c := New("test")
+	id := c.NewTraceID()
+	tc := c.Trace(id)
+	late := tc.Start("late")
+	tc.Start("early").End()
+	c.Finish(id)
+	late.End()
+	tc.Event("later")
+	if got := c.SpansDropped(); got != 2 {
+		t.Fatalf("SpansDropped = %d, want 2 (the two spans ending after Finish)", got)
+	}
+	done := c.Completed()
+	if len(done) != 1 || len(done[0].Spans) != 1 || done[0].Spans[0].Name != "early" {
+		t.Fatalf("completed = %+v, want the one span recorded before Finish", done)
+	}
+	if c.ActiveCount() != 0 {
+		t.Fatalf("a late span reopened the trace: active = %d", c.ActiveCount())
+	}
+}
+
+// TestRetiredCountsOnlyCapRetirements: Retired counts the traces the
+// active cap force-completed, not those finished, fetched or harvested.
+func TestRetiredCountsOnlyCapRetirements(t *testing.T) {
+	c := New("test")
+	c.MaxActive = 4
+	c.HarvestIdle = time.Hour
+	for i := 0; i < 10; i++ {
+		id := c.NewTraceID()
+		c.Trace(id).Start("s").End()
+		c.Finish(id)
+	}
+	if got := c.Retired(); got != 0 {
+		t.Fatalf("finished traces counted as retired: %d", got)
+	}
+	for i := 0; i < 10; i++ {
+		c.Trace(c.NewTraceID()).Start("s").End()
+	}
+	if got, want := c.Retired(), uint64(10-4); got != want {
+		t.Fatalf("Retired = %d, want %d", got, want)
+	}
+	if got := c.ActiveCount(); got != 4 {
+		t.Fatalf("active = %d, want the cap 4", got)
+	}
+}
+
+// TestActiveCapKeepsBusyTraces: at the cap, a trace that keeps
+// recording survives while idle ones are retired around it.
+func TestActiveCapKeepsBusyTraces(t *testing.T) {
+	c := New("test")
+	c.MaxActive = 8
+	c.HarvestIdle = time.Hour
+	busy := c.NewTraceID()
+	c.Trace(busy).Start("s").End()
+	for i := 0; i < 100; i++ {
+		c.Trace(c.NewTraceID()).Event("once")
+		c.Trace(busy).Event("again")
+	}
+	if got := len(c.TakeTrace(busy)); got != 1 {
+		t.Fatalf("busy trace split into %d ring entries; the cap retired it", got)
+	}
+}
+
+// traceAtCapNs and traceBelowCapNs time one Trace → span → (Finish)
+// cycle: with the active map full of never-finished traces (each new
+// trace forces a retirement), and with one exchange-scoped trace that
+// finishes below the cap.
+func traceAtCapNs(c *Collector, n int) float64 {
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		c.Trace(c.NewTraceID()).Start("queue").End()
+	}
+	return float64(time.Since(start).Nanoseconds()) / float64(n)
+}
+
+func traceBelowCapNs(c *Collector, n int) float64 {
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		id := c.NewTraceID()
+		c.Trace(id).Start("queue").End()
+		c.Finish(id)
+	}
+	return float64(time.Since(start).Nanoseconds()) / float64(n)
+}
+
+// fullCollector returns a collector whose active map sits at the cap.
+func fullCollector() *Collector {
+	c := New("server")
+	for i := 0; i < DefMaxActive; i++ {
+		c.Trace(c.NewTraceID()).Start("queue").End()
+	}
+	return c
+}
+
+// TestRetirementAtCapIsCheap gates the amortized O(1) retirement: a new
+// trace at the active cap costs at most twice a trace that completes
+// below it (median of 5 alternating rounds, both measured here).
+func TestRetirementAtCapIsCheap(t *testing.T) {
+	const n, rounds, ceiling = 20_000, 5, 2.0
+	full, empty := fullCollector(), New("server")
+	var atCap, below []float64
+	for r := 0; r < rounds; r++ {
+		if r%2 == 0 {
+			atCap = append(atCap, traceAtCapNs(full, n))
+			below = append(below, traceBelowCapNs(empty, n))
+		} else {
+			below = append(below, traceBelowCapNs(empty, n))
+			atCap = append(atCap, traceAtCapNs(full, n))
+		}
+	}
+	if full.ActiveCount() != DefMaxActive || full.Retired() != uint64(rounds*n) {
+		t.Fatalf("at-cap collector: active %d, retired %d; want %d, %d",
+			full.ActiveCount(), full.Retired(), DefMaxActive, rounds*n)
+	}
+	sort.Float64s(atCap)
+	sort.Float64s(below)
+	ratio := atCap[rounds/2] / below[rounds/2]
+	if ratio > ceiling {
+		t.Fatalf("Trace at the cap: %.0f ns/op, %.2fx a completed exchange below it (%.0f ns/op); ceiling %.1fx",
+			atCap[rounds/2], ratio, below[rounds/2], ceiling)
+	}
+	t.Logf("at cap %.0f ns/op, below %.0f ns/op: %.2fx", atCap[rounds/2], below[rounds/2], ratio)
+}
+
+// BenchmarkTraceAtCap: each op opens a new trace on a collector whose
+// active map is full, forcing one retirement.
+func BenchmarkTraceAtCap(b *testing.B) {
+	c := fullCollector()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Trace(c.NewTraceID()).Start("queue").End()
+	}
+}
+
+// BenchmarkTraceBelowCap: each op is one completed exchange-scoped
+// trace — the baseline BenchmarkTraceAtCap is compared with.
+func BenchmarkTraceBelowCap(b *testing.B) {
+	c := New("server")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := c.NewTraceID()
+		c.Trace(id).Start("queue").End()
+		c.Finish(id)
+	}
+}
+
+// TestSpanClockReanchors: span timestamps come from an anchor plus the
+// monotonic time since it; the anchor is kept within reanchorEvery and
+// replaced by a fresh wall-clock reading once older.
+func TestSpanClockReanchors(t *testing.T) {
+	c := New("test")
+	first := c.now()
+	anchor := c.epoch.Load()
+	if got := c.now(); got.Before(first) || c.epoch.Load() != anchor {
+		t.Fatalf("span clock went back (%v < %v) or re-anchored early", got, first)
+	}
+	stale := first.Add(-2 * reanchorEvery)
+	c.epoch.Store(&stale)
+	got := c.now()
+	if c.epoch.Load() == &stale {
+		t.Fatal("an anchor older than reanchorEvery was kept")
+	}
+	if d := time.Since(got); d < 0 || d > time.Second {
+		t.Fatalf("re-anchored span time %v is %v from the wall clock", got, d)
 	}
 }
