@@ -38,7 +38,10 @@ chaos:
 # fuzz-smoke gives each native fuzz target a few seconds on top of the
 # committed corpus (testdata/fuzz); `go test -fuzz` grows it locally.
 # FuzzParseFrame holds the in-place IPv4/UDP wrappers to a byte-wise
-# reference verifier kept in its test file.
+# reference verifier kept in its test file. FuzzSuperblockDiff holds
+# the superblock dispatcher (StepN) to the single-step interpreter on
+# arbitrary instruction words, batch sizes, stop addresses and cycle
+# caps.
 # The nightly workflow runs it.
 fuzz-smoke:
 	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 5s
@@ -48,6 +51,7 @@ fuzz-smoke:
 	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParseStatusResp -fuzztime 5s
 	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParseFrame -fuzztime 5s
 	$(GO) test ./internal/reconfig/ -run '^$$' -fuzz FuzzImageCodec -fuzztime 5s
+	$(GO) test ./internal/cpu/ -run '^$$' -fuzz FuzzSuperblockDiff -fuzztime 5s
 
 # cover-gate fails if statement coverage of the transport packages —
 # the ones the chaos work hardens — drops below the floor.

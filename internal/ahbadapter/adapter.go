@@ -43,6 +43,10 @@ type Adapter struct {
 	// (the paper uses 4; configurable for the ablation study E5/§6).
 	BurstWords int
 
+	// beats receives each read-burst chunk; it grows with BurstWords
+	// and is reused, so a burst allocates nothing.
+	beats []uint64
+
 	stats Stats
 }
 
@@ -132,7 +136,11 @@ func (a *Adapter) ReadBurst(addr uint32, words []uint32) (int, error) {
 		// Cover the chunk with whole 64-bit words.
 		start := chunkAddr &^ 7
 		end := (chunkAddr + uint32(n)*4 + 7) &^ 7
-		beats := make([]uint64, (end-start)/8)
+		need := int(end-start) / 8
+		if cap(a.beats) < need {
+			a.beats = make([]uint64, need)
+		}
+		beats := a.beats[:need]
 		cycles, err := a.port.ReadBurst(start, beats)
 		total += cycles
 		if err != nil {

@@ -159,6 +159,10 @@ type Cache struct {
 	rnd     uint32 // xorshift state
 	enabled bool
 
+	// fillBuf receives a line fill's burst, so a miss allocates
+	// nothing.
+	fillBuf []uint32
+
 	stats Stats
 }
 
@@ -178,6 +182,7 @@ func New(cfg Config, bus *amba.AHB) (*Cache, error) {
 	c.all = make([]line, cfg.Lines())
 	c.sets = make([][]line, cfg.Sets())
 	c.rrNext = make([]int, cfg.Sets())
+	c.fillBuf = make([]uint32, cfg.LineBytes/4)
 	backing := make([]byte, cfg.SizeBytes)
 	for i := range c.all {
 		c.all[i].data = backing[:cfg.LineBytes:cfg.LineBytes]
@@ -267,7 +272,7 @@ func (c *Cache) fill(addr uint32) (int, int, error) {
 		}
 	}
 	lineAddr := addr &^ (uint32(c.cfg.LineBytes) - 1)
-	words := make([]uint32, c.cfg.LineBytes/4)
+	words := c.fillBuf
 	n, err := c.bus.ReadBurst(lineAddr, words)
 	cycles += n
 	if err != nil {

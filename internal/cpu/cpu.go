@@ -218,14 +218,22 @@ const (
 // predecodeEntry caches the decode of one instruction word. tag is
 // pc+1 (PCs are word-aligned, so +1 makes the zero value invalid and
 // still distinguishes pc 0); word is the instruction word the entry
-// was decoded from, re-checked on every hit. kind is the superblock
-// classification of the opcode, valid whenever tag+word match.
+// was decoded from, re-checked on every Step hit. kind is the
+// superblock classification of the opcode and h the index of the
+// handler bound to it (handlers.go), both valid whenever tag+word
+// match. The entry holds no pointers, so the garbage collector never
+// scans the table.
 type predecodeEntry struct {
 	tag  uint32
 	word uint32
 	kind uint8
-	cls  isa.Class // in.Op.Class(), cached so execute skips the table lookup
+	h    uint8
 	in   isa.Inst
+}
+
+// set fills the entry from a fresh decode of word at pc.
+func (e *predecodeEntry) set(pc, word uint32, in isa.Inst) {
+	e.tag, e.word, e.kind, e.h, e.in = pc+1, word, classify(in.Op), bind(&in), in
 }
 
 // Superblock kinds. A kindFast instruction is straight-line: executed
@@ -249,7 +257,7 @@ const (
 // classify assigns the superblock kind for an opcode. Instructions
 // that *may* trap (SAVE/RESTORE window checks, loads/stores,
 // mul/div without hardware) stay kindFast: a trap surfaces as
-// errTrapped from execute and ends the block dynamically.
+// errTrapped from the handler and ends the block dynamically.
 func classify(op isa.Op) uint8 {
 	switch op {
 	case isa.OpCALL, isa.OpBicc, isa.OpJMPL:
@@ -276,23 +284,37 @@ type CPU struct {
 	// predecode is the decode-once/execute-many cache consulted
 	// before isa.Decode on every fetched word.
 	predecode []predecodeEntry
-	// nwin mirrors cfg.NWindows so the window arithmetic on the hot
-	// path reads a flat field.
+	// nwin mirrors cfg.NWindows so the window arithmetic reads a flat
+	// field.
 	nwin int
 
 	// FlushFn, when non-nil, is invoked by the FLUSH instruction
 	// (wired to both caches by the SoC); it returns bus cycles spent.
 	FlushFn func() (int, error)
 
-	// Architected state.
-	globals [8]uint32
-	windows []uint32 // NWindows × 16 (8 outs + 8 locals per window)
+	// Architected state. regs is the flat register file: slot 0 is
+	// %g0 (always zero), slots 1-7 hold %g1-%g7, and window w owns the
+	// 16 slots from 8+16w (its outs, then its locals; a window's ins
+	// are the next window's outs). The last slot is the sink that
+	// writes to %g0 land in; nothing reads it.
+	regs    [regSlots]uint32
 	psr     uint32
 	wim     uint32
 	tbr     uint32
 	y       uint32
 	pc, npc uint32
 	annul   bool
+
+	// nnpc is the delayed-branch machine's next nPC: preset to npc+4
+	// before each handler runs, overwritten by control transfers.
+	nnpc uint32
+
+	// rmap and wmap translate a register field to its slot in regs
+	// for reads and for writes in the current window. They differ only
+	// at %g0 (the zero slot vs the sink) and are rebuilt on every CWP
+	// change (setCWP, remap). Their 256 entries let a uint8 register
+	// number index them with no bounds check.
+	rmap, wmap [256]uint16
 
 	// Cycles is the running clock-cycle count (the hardware cycle
 	// counter the paper's state machine implements reads this).
@@ -332,9 +354,11 @@ func New(cfg Config, imem, dmem Memory, irq IRQSource) (*CPU, error) {
 		return nil, err
 	}
 	c := &CPU{cfg: cfg, imem: imem, dmem: dmem, irq: irq, nwin: cfg.NWindows}
-	c.windows = make([]uint32, cfg.NWindows*16)
 	c.predecode = make([]predecodeEntry, predecodeEntries)
-	c.spin.windows = make([]uint32, cfg.NWindows*16)
+	c.wmap[0] = sinkSlot
+	for r := uint16(1); r < 8; r++ {
+		c.rmap[r], c.wmap[r] = r, r
+	}
 	c.Reset()
 	return c, nil
 }
@@ -374,13 +398,9 @@ func (c *CPU) Stats() Stats { return c.stats }
 // Reset puts the processor in its power-on state: supervisor mode,
 // traps disabled, window 0, executing from address 0 (the boot PROM).
 func (c *CPU) Reset() {
-	for i := range c.globals {
-		c.globals[i] = 0
-	}
-	for i := range c.windows {
-		c.windows[i] = 0
-	}
+	c.regs = [regSlots]uint32{}
 	c.psr = psrImplVer | PSRS
+	c.remap()
 	c.wim, c.tbr, c.y = 0, 0, 0
 	c.pc, c.npc = 0, 4
 	c.annul = false
@@ -418,103 +438,43 @@ func (c *CPU) CWP() int { return c.cwp() }
 
 func (c *CPU) pil() int { return int(c.psr & psrPILMask >> psrPILShift) }
 
+// Register-file geometry: %g0-%g7, 16 slots for each of up to 32
+// windows, and the %g0 write sink.
+const (
+	regSlots = 8 + 32*16 + 1
+	sinkSlot = regSlots - 1
+)
+
 // Reg reads register r in the current window.
-func (c *CPU) Reg(r isa.Reg) uint32 {
-	if r == 0 {
-		return 0
-	}
-	if r < 8 {
-		return c.globals[r]
-	}
-	return c.windows[c.windowIndex(r)]
-}
+func (c *CPU) Reg(r isa.Reg) uint32 { return c.regs[c.rmap[r]] }
 
 // SetReg writes register r in the current window (writes to %g0 are
 // discarded).
-func (c *CPU) SetReg(r isa.Reg, v uint32) {
-	if r == 0 {
-		return
-	}
-	if r < 8 {
-		c.globals[r] = v
-		return
-	}
-	c.windows[c.windowIndex(r)] = v
+func (c *CPU) SetReg(r isa.Reg, v uint32) { c.regs[c.wmap[r]] = v }
+
+// setCWP makes window w current.
+func (c *CPU) setCWP(w int) {
+	c.psr = c.psr&^psrCWPMask | uint32(w)
+	c.remap()
 }
 
-// windowIndex maps windowed register r (8-31) to the backing slice.
-// Each window owns 16 registers (outs then locals); the ins of window w
-// are the outs of window (w+1) mod NWindows.
-func (c *CPU) windowIndex(r isa.Reg) int {
+// remap rebuilds the windowed entries of the slot maps for the CWP in
+// the PSR: the outs and locals are window w's slots, the ins are the
+// outs of window (w+1) mod NWindows.
+func (c *CPU) remap() {
 	w := c.cwp()
-	switch {
-	case r < 16: // outs
-		return w*16 + int(r-8)
-	case r < 24: // locals
-		return w*16 + 8 + int(r-16)
-	default: // ins = outs of next window
-		return ((w+1)%c.nwin)*16 + int(r-24)
+	outs := uint16(8 + 16*w)
+	ins := uint16(8 + 16*((w+1)%c.nwin))
+	for i := uint16(0); i < 8; i++ {
+		c.rmap[8+i], c.wmap[8+i] = outs+i, outs+i
+		c.rmap[16+i], c.wmap[16+i] = outs+8+i, outs+8+i
+		c.rmap[24+i], c.wmap[24+i] = ins+i, ins+i
 	}
 }
 
-func (c *CPU) setICC(n, z, v, cy bool) {
-	c.psr &^= PSRNegative | PSRZero | PSROverflow | PSRCarry
-	if n {
-		c.psr |= PSRNegative
-	}
-	if z {
-		c.psr |= PSRZero
-	}
-	if v {
-		c.psr |= PSROverflow
-	}
-	if cy {
-		c.psr |= PSRCarry
-	}
-}
-
-// condTrue evaluates a Bicc/Ticc condition against the icc flags.
-func (c *CPU) condTrue(cond isa.Cond) bool {
-	n := c.psr&PSRNegative != 0
-	z := c.psr&PSRZero != 0
-	v := c.psr&PSROverflow != 0
-	cy := c.psr&PSRCarry != 0
-	switch cond {
-	case isa.CondA:
-		return true
-	case isa.CondN:
-		return false
-	case isa.CondE:
-		return z
-	case isa.CondNE:
-		return !z
-	case isa.CondL:
-		return n != v
-	case isa.CondGE:
-		return n == v
-	case isa.CondLE:
-		return z || n != v
-	case isa.CondG:
-		return !z && n == v
-	case isa.CondCS:
-		return cy
-	case isa.CondCC:
-		return !cy
-	case isa.CondLEU:
-		return cy || z
-	case isa.CondGU:
-		return !cy && !z
-	case isa.CondNEG:
-		return n
-	case isa.CondPOS:
-		return !n
-	case isa.CondVS:
-		return v
-	case isa.CondVC:
-		return !v
-	}
-	return false
-}
+// usedSlots is the number of register-file slots below the sink that
+// hold architected state for this window count.
+func (c *CPU) usedSlots() int { return 8 + 16*c.nwin }
 
 // trap enters a trap: decrement CWP without a WIM check, stash PC/nPC
 // in the new window's %l1/%l2, disable traps and vector through TBR.
@@ -540,8 +500,7 @@ func (c *CPU) trap(tt uint8) error {
 	}
 	c.psr |= PSRS
 	c.psr &^= PSRET
-	newCWP := (c.cwp() + c.cfg.NWindows - 1) % c.cfg.NWindows
-	c.psr = c.psr&^psrCWPMask | uint32(newCWP)
+	c.setCWP((c.cwp() + c.nwin - 1) % c.nwin)
 	c.SetReg(isa.L1, c.pc)
 	c.SetReg(isa.L2, c.npc)
 	c.tbr = c.tbr&0xFFFFF000 | uint32(tt)<<4
@@ -609,169 +568,22 @@ func (c *CPU) Step() error {
 		if derr != nil {
 			return c.trap(TrapIllegalInst)
 		}
-		e.tag, e.word, e.kind, e.cls, e.in = c.pc+1, word, classify(in.Op), in.Op.Class(), in
+		e.set(c.pc, word, in)
 	}
 	if c.prof != nil {
 		c.prof.credit(c.pc)
 	}
 	c.stats.Instructions++
 
-	nextPC, nextNPC := c.npc, c.npc+4
-	err = c.execute(e, &nextPC, &nextNPC)
-	if err != nil {
+	c.nnpc = c.npc + 4
+	if err := handlers[e.h](c, &e.in); err != nil {
 		if errors.Is(err, errTrapped) {
 			return nil // trap already vectored
 		}
 		return err
 	}
-	c.pc, c.npc = nextPC, nextNPC
+	c.pc, c.npc = c.npc, c.nnpc
 	return nil
-}
-
-// execute runs one decoded instruction. Control transfers update
-// *nextPC/*nextNPC (the delayed-branch machine). A returned errTrapped
-// means the instruction vectored through trap() and PC is already set.
-// e points into the predecode cache; it must not be mutated.
-func (c *CPU) execute(e *predecodeEntry, nextPC, nextNPC *uint32) error {
-	in := &e.in
-	// The second operand (register or immediate) is computed once up
-	// front instead of through a per-instruction closure: reading a
-	// register has no side effects, and the flat branch keeps the hot
-	// loop free of closure setup.
-	var op2v uint32
-	if in.UseImm {
-		op2v = uint32(in.Imm)
-	} else {
-		op2v = c.Reg(in.Rs2)
-	}
-	t := &c.cfg.Timing
-
-	switch in.Op {
-	case isa.OpCALL:
-		c.SetReg(isa.O7, c.pc)
-		*nextNPC = c.pc + uint32(in.Imm)*4
-		c.Cycles += uint64(t.Jmpl)
-		return nil
-
-	case isa.OpSETHI:
-		c.SetReg(in.Rd, uint32(in.Imm)<<10)
-		return nil
-
-	case isa.OpUNIMP:
-		return c.takeTrap(TrapIllegalInst)
-
-	case isa.OpBicc:
-		c.stats.Branches++
-		taken := c.condTrue(in.Cond)
-		if taken {
-			c.stats.Taken++
-			*nextNPC = c.pc + uint32(in.Imm)*4
-			c.Cycles += uint64(t.Branch)
-			// BA,a annuls its delay slot even though taken.
-			if in.Cond == isa.CondA && in.Annul {
-				c.annul = true
-			}
-		} else if in.Annul {
-			c.annul = true
-		}
-		return nil
-
-	case isa.OpJMPL:
-		target := c.Reg(in.Rs1) + op2v
-		if target&3 != 0 {
-			return c.takeTrap(TrapAlignment)
-		}
-		c.SetReg(in.Rd, c.pc)
-		*nextNPC = target
-		c.Cycles += uint64(t.Jmpl)
-		return nil
-
-	case isa.OpRETT:
-		return c.rett(c.Reg(in.Rs1)+op2v, nextPC, nextNPC)
-
-	case isa.OpTicc:
-		if c.condTrue(in.Cond) {
-			n := (c.Reg(in.Rs1) + op2v) & 0x7F
-			return c.takeTrap(uint8(TrapSoftwareBase + n))
-		}
-		return nil
-
-	case isa.OpSAVE:
-		newCWP := (c.cwp() + c.cfg.NWindows - 1) % c.cfg.NWindows
-		if c.wim&(1<<uint(newCWP)) != 0 {
-			return c.takeTrap(TrapWindowOverflow)
-		}
-		res := c.Reg(in.Rs1) + op2v // computed in the old window
-		c.psr = c.psr&^psrCWPMask | uint32(newCWP)
-		c.SetReg(in.Rd, res) // written in the new window
-		return nil
-
-	case isa.OpRESTORE:
-		newCWP := (c.cwp() + 1) % c.cfg.NWindows
-		if c.wim&(1<<uint(newCWP)) != 0 {
-			return c.takeTrap(TrapWindowUnderflow)
-		}
-		res := c.Reg(in.Rs1) + op2v
-		c.psr = c.psr&^psrCWPMask | uint32(newCWP)
-		c.SetReg(in.Rd, res)
-		return nil
-
-	case isa.OpFLUSH:
-		// FLUSH invalidates the fetch pipeline's predecoded state
-		// along with the caches: it is the architectural barrier
-		// self-modifying code must execute.
-		c.InvalidatePredecode()
-		if c.FlushFn != nil {
-			cycles, err := c.FlushFn()
-			c.Cycles += uint64(cycles)
-			if err != nil {
-				return c.takeTrap(TrapDAccess)
-			}
-		}
-		return nil
-
-	case isa.OpRDY:
-		c.SetReg(in.Rd, c.y)
-		return nil
-	case isa.OpRDPSR:
-		c.SetReg(in.Rd, c.psr)
-		return nil
-	case isa.OpRDWIM:
-		c.SetReg(in.Rd, c.wim&(1<<uint(c.cfg.NWindows)-1))
-		return nil
-	case isa.OpRDTBR:
-		c.SetReg(in.Rd, c.tbr)
-		return nil
-	case isa.OpWRY:
-		c.y = c.Reg(in.Rs1) ^ op2v
-		return nil
-	case isa.OpWRPSR:
-		v := c.Reg(in.Rs1) ^ op2v
-		if int(v&psrCWPMask) >= c.cfg.NWindows {
-			return c.takeTrap(TrapIllegalInst)
-		}
-		c.psr = psrImplVer | v&^uint32(psrImplVer)
-		return nil
-	case isa.OpWRWIM:
-		c.wim = (c.Reg(in.Rs1) ^ op2v) & (1<<uint(c.cfg.NWindows) - 1)
-		return nil
-	case isa.OpWRTBR:
-		c.tbr = (c.Reg(in.Rs1) ^ op2v) & 0xFFFFF000
-		return nil
-
-	case isa.OpLQMAC:
-		if !c.cfg.MAC {
-			return c.takeTrap(TrapIllegalInst)
-		}
-		c.SetReg(in.Rd, c.Reg(in.Rd)+c.Reg(in.Rs1)*op2v)
-		return nil
-	}
-
-	switch e.cls {
-	case isa.ClassLoad, isa.ClassStore:
-		return c.memOp(in, op2v)
-	}
-	return c.alu(in, op2v)
 }
 
 // takeTrap vectors through trap() and signals the Step loop.
@@ -780,29 +592,4 @@ func (c *CPU) takeTrap(tt uint8) error {
 		return err
 	}
 	return errTrapped
-}
-
-// rett returns from a trap: increment CWP (underflow here is fatal:
-// ET=0), restore S from PS, re-enable traps, jump.
-func (c *CPU) rett(target uint32, nextPC, nextNPC *uint32) error {
-	if c.psr&PSRET != 0 {
-		return c.takeTrap(TrapIllegalInst)
-	}
-	if target&3 != 0 {
-		return &ErrorMode{TT: TrapAlignment, PC: c.pc}
-	}
-	newCWP := (c.cwp() + 1) % c.cfg.NWindows
-	if c.wim&(1<<uint(newCWP)) != 0 {
-		return &ErrorMode{TT: TrapWindowUnderflow, PC: c.pc}
-	}
-	c.psr = c.psr&^psrCWPMask | uint32(newCWP)
-	if c.psr&PSRPS != 0 {
-		c.psr |= PSRS
-	} else {
-		c.psr &^= PSRS
-	}
-	c.psr |= PSRET
-	*nextNPC = target
-	c.Cycles += uint64(c.cfg.Timing.Jmpl)
-	return nil
 }

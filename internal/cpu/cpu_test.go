@@ -47,7 +47,7 @@ func (m *flatMem) Write(addr uint32, val uint32, size amba.Size) (int, error) {
 }
 
 // enc encodes or dies.
-func enc(t *testing.T, in isa.Inst) uint32 {
+func enc(t testing.TB, in isa.Inst) uint32 {
 	t.Helper()
 	w, err := isa.Encode(in)
 	if err != nil {

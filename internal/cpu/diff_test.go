@@ -68,15 +68,31 @@ func diffState(a, b *CPU) string {
 			return fmt.Sprintf("reg %d: %#x vs %#x", r, a.Reg(r), b.Reg(r))
 		}
 	}
+	// Every window, not just the current one: a register-slot bug in
+	// a window that is not current must not pass unseen.
+	ra, rb := regFile(a), regFile(b)
+	for i := range ra {
+		if ra[i] != rb[i] {
+			if i < 8 {
+				return fmt.Sprintf("%%g%d: %#x vs %#x", i, ra[i], rb[i])
+			}
+			return fmt.Sprintf("window %d slot %d: %#x vs %#x", (i-8)/16, (i-8)%16, ra[i], rb[i])
+		}
+	}
 	return ""
 }
+
+// regFile returns the canonical register file: %g0-%g7, then for each
+// window w = 0..NWindows-1 its 16 slots (outs %o0-%o7, then locals
+// %l0-%l7; a window's ins are the next window's outs).
+func regFile(c *CPU) []uint32 { return c.regs[:c.usedSlots()] }
 
 // randProgram generates a straight-line stream of ALU, sethi, shift,
 // load and store instructions that can never trap: G1 holds a scratch
 // base (0x800, below the program at 0x1000) and is excluded from the
 // destination pool, loads/stores are word-sized with word-aligned
 // offsets inside the scratch window, and shifts mask their amounts.
-func randProgram(t *testing.T, rng *rand.Rand, n int) []uint32 {
+func randProgram(t testing.TB, rng *rand.Rand, n int) []uint32 {
 	t.Helper()
 	dests := []isa.Reg{
 		isa.O0, isa.O0 + 1, isa.O0 + 2, isa.O0 + 3, isa.O0 + 4, isa.O0 + 5,

@@ -5,192 +5,83 @@ import (
 	"liquidarch/internal/isa"
 )
 
-// alu executes the arithmetic/logical/shift/multiply/divide group.
-func (c *CPU) alu(in *isa.Inst, b uint32) error {
-	a := c.Reg(in.Rs1)
-	t := &c.cfg.Timing
+const iccMask = PSRNegative | PSRZero | PSROverflow | PSRCarry
 
-	switch in.Op {
-	case isa.OpADD, isa.OpADDcc:
-		r := a + b
-		if in.Op == isa.OpADDcc {
-			c.setAddICC(a, b, r, false)
-		}
-		c.SetReg(in.Rd, r)
+// setICC replaces the icc flags: N and Z from the result r, V and C
+// from bit 31 of v and cy.
+func (c *CPU) setICC(r, v, cy uint32) {
+	f := r&(1<<31)>>8 | v>>31<<21 | cy>>31<<20
+	if r == 0 {
+		f |= PSRZero
+	}
+	c.psr = c.psr&^iccMask | f
+}
 
-	case isa.OpADDX, isa.OpADDXcc:
-		carry := uint32(0)
-		if c.psr&PSRCarry != 0 {
-			carry = 1
-		}
-		r := a + b + carry
-		if in.Op == isa.OpADDXcc {
-			c.setAddICC(a, b, r, carry != 0)
-		}
-		c.SetReg(in.Rd, r)
+// setAddICC sets the icc flags for r = a + b (+ carry in, which r
+// already includes): bit 31 of the signed-overflow and carry-out
+// terms of a full adder.
+func (c *CPU) setAddICC(a, b, r uint32) {
+	c.setICC(r, ^(a^b)&(a^r), a&b|(a|b)&^r)
+}
 
-	case isa.OpSUB, isa.OpSUBcc:
-		r := a - b
-		if in.Op == isa.OpSUBcc {
-			c.setSubICC(a, b, r)
-		}
-		c.SetReg(in.Rd, r)
+// setSubICC sets the icc flags for r = a - b (- borrow in, which r
+// already includes); C is the borrow out.
+func (c *CPU) setSubICC(a, b, r uint32) {
+	c.setICC(r, (a^b)&(a^r), ^a&b|^(a^b)&r)
+}
 
-	case isa.OpSUBX, isa.OpSUBXcc:
-		borrow := uint32(0)
-		if c.psr&PSRCarry != 0 {
-			borrow = 1
-		}
-		r := a - b - borrow
-		if in.Op == isa.OpSUBXcc {
-			c.setSubICCBorrow(a, b, borrow, r)
-		}
-		c.SetReg(in.Rd, r)
-
-	case isa.OpAND, isa.OpANDcc:
-		r := a & b
-		c.logicResult(in, r)
-	case isa.OpANDN, isa.OpANDNcc:
-		c.logicResult(in, a&^b)
-	case isa.OpOR, isa.OpORcc:
-		c.logicResult(in, a|b)
-	case isa.OpORN, isa.OpORNcc:
-		c.logicResult(in, a|^b)
-	case isa.OpXOR, isa.OpXORcc:
-		c.logicResult(in, a^b)
-	case isa.OpXNOR, isa.OpXNORcc:
-		c.logicResult(in, ^(a ^ b))
-
-	case isa.OpSLL:
-		c.SetReg(in.Rd, a<<(b&31))
-	case isa.OpSRL:
-		c.SetReg(in.Rd, a>>(b&31))
-	case isa.OpSRA:
-		c.SetReg(in.Rd, uint32(int32(a)>>(b&31)))
-
-	case isa.OpUMUL, isa.OpUMULcc:
-		if !c.cfg.MulDiv {
-			return c.takeTrap(TrapIllegalInst)
-		}
-		p := uint64(a) * uint64(b)
-		c.y = uint32(p >> 32)
-		r := uint32(p)
-		if in.Op == isa.OpUMULcc {
-			c.setICC(int32(r) < 0, r == 0, false, false)
-		}
-		c.SetReg(in.Rd, r)
-		c.Cycles += uint64(t.Mul)
-
-	case isa.OpSMUL, isa.OpSMULcc:
-		if !c.cfg.MulDiv {
-			return c.takeTrap(TrapIllegalInst)
-		}
-		p := int64(int32(a)) * int64(int32(b))
-		c.y = uint32(uint64(p) >> 32)
-		r := uint32(p)
-		if in.Op == isa.OpSMULcc {
-			c.setICC(int32(r) < 0, r == 0, false, false)
-		}
-		c.SetReg(in.Rd, r)
-		c.Cycles += uint64(t.Mul)
-
-	case isa.OpMULScc:
-		// One multiply step (SPARC V8 §B.17).
-		nxv := (c.psr&PSRNegative != 0) != (c.psr&PSROverflow != 0)
-		op1 := a >> 1
-		if nxv {
-			op1 |= 1 << 31
-		}
-		addend := uint32(0)
-		if c.y&1 != 0 {
-			addend = b
-		}
-		r := op1 + addend
-		c.setAddICC(op1, addend, r, false)
-		c.y = c.y>>1 | a<<31
-		c.SetReg(in.Rd, r)
-
-	case isa.OpUDIV, isa.OpUDIVcc:
-		if !c.cfg.MulDiv {
-			return c.takeTrap(TrapIllegalInst)
-		}
-		if b == 0 {
-			return c.takeTrap(TrapDivZero)
-		}
-		dividend := uint64(c.y)<<32 | uint64(a)
-		q := dividend / uint64(b)
-		over := q > 0xFFFFFFFF
-		if over {
-			q = 0xFFFFFFFF
-		}
-		r := uint32(q)
-		if in.Op == isa.OpUDIVcc {
-			c.setICC(int32(r) < 0, r == 0, over, false)
-		}
-		c.SetReg(in.Rd, r)
-		c.Cycles += uint64(t.Div)
-
-	case isa.OpSDIV, isa.OpSDIVcc:
-		if !c.cfg.MulDiv {
-			return c.takeTrap(TrapIllegalInst)
-		}
-		if b == 0 {
-			return c.takeTrap(TrapDivZero)
-		}
-		dividend := int64(uint64(c.y)<<32 | uint64(a))
-		q := dividend / int64(int32(b))
-		over := q > 0x7FFFFFFF || q < -0x80000000
-		if over {
-			if q > 0 {
-				q = 0x7FFFFFFF
-			} else {
-				q = -0x80000000
+// condTaken has bit i of entry cond set when cond holds for the icc
+// value i (the PSR's bits 23:20, N Z V C).
+var condTaken = func() (t [16]uint16) {
+	for cond := range t {
+		for icc := 0; icc < 16; icc++ {
+			n, z, v, cy := icc&8 != 0, icc&4 != 0, icc&2 != 0, icc&1 != 0
+			var ok bool
+			switch isa.Cond(cond) {
+			case isa.CondA:
+				ok = true
+			case isa.CondN:
+				ok = false
+			case isa.CondE:
+				ok = z
+			case isa.CondNE:
+				ok = !z
+			case isa.CondL:
+				ok = n != v
+			case isa.CondGE:
+				ok = n == v
+			case isa.CondLE:
+				ok = z || n != v
+			case isa.CondG:
+				ok = !z && n == v
+			case isa.CondCS:
+				ok = cy
+			case isa.CondCC:
+				ok = !cy
+			case isa.CondLEU:
+				ok = cy || z
+			case isa.CondGU:
+				ok = !cy && !z
+			case isa.CondNEG:
+				ok = n
+			case isa.CondPOS:
+				ok = !n
+			case isa.CondVS:
+				ok = v
+			case isa.CondVC:
+				ok = !v
+			}
+			if ok {
+				t[cond] |= 1 << icc
 			}
 		}
-		r := uint32(q)
-		if in.Op == isa.OpSDIVcc {
-			c.setICC(int32(r) < 0, r == 0, over, false)
-		}
-		c.SetReg(in.Rd, r)
-		c.Cycles += uint64(t.Div)
-
-	default:
-		return c.takeTrap(TrapIllegalInst)
 	}
-	return nil
-}
+	return t
+}()
 
-func (c *CPU) logicResult(in *isa.Inst, r uint32) {
-	switch in.Op {
-	case isa.OpANDcc, isa.OpANDNcc, isa.OpORcc, isa.OpORNcc, isa.OpXORcc, isa.OpXNORcc:
-		c.setICC(int32(r) < 0, r == 0, false, false)
-	}
-	c.SetReg(in.Rd, r)
-}
-
-// setAddICC sets the icc flags for r = a + b (+carryIn). The signed
-// overflow formula is exact with carry-in because r already includes
-// it; the carry flag is computed in 64 bits.
-func (c *CPU) setAddICC(a, b, r uint32, carryIn bool) {
-	v := (^(a ^ b) & (a ^ r) >> 31) != 0
-	cin := uint64(0)
-	if carryIn {
-		cin = 1
-	}
-	cy := uint64(a)+uint64(b)+cin > 0xFFFFFFFF
-	c.setICC(int32(r) < 0, r == 0, v, cy)
-}
-
-// setSubICC sets the icc flags for r = a - b.
-func (c *CPU) setSubICC(a, b, r uint32) {
-	c.setSubICCBorrow(a, b, 0, r)
-}
-
-// setSubICCBorrow sets the icc flags for r = a - b - borrowIn.
-func (c *CPU) setSubICCBorrow(a, b, borrowIn, r uint32) {
-	v := ((a ^ b) & (a ^ r) >> 31) != 0
-	cy := uint64(a) < uint64(b)+uint64(borrowIn) // borrow out
-	c.setICC(int32(r) < 0, r == 0, v, cy)
+// condTrue evaluates a Bicc/Ticc condition against the icc flags.
+func (c *CPU) condTrue(cond isa.Cond) bool {
+	return condTaken[cond&15]>>(c.psr>>20&15)&1 != 0
 }
 
 // predecodeInvalidateStore drops the predecode entry covering a
@@ -205,134 +96,221 @@ func (c *CPU) predecodeInvalidateStore(addr uint32) {
 	}
 }
 
-// memOp executes loads and stores, including the doubleword and atomic
-// forms. addrOff is the second address operand (register or immediate).
-func (c *CPU) memOp(in *isa.Inst, addrOff uint32) error {
-	addr := c.Reg(in.Rs1) + addrOff
-	t := &c.cfg.Timing
+// Memory instructions. Each checks alignment, reports the access to
+// the OnMem hook, then performs its reads and writes in order; a bus
+// error on any of them traps as a data access exception after its
+// cycles land.
 
-	var size amba.Size
-	switch in.Op {
-	case isa.OpLD, isa.OpST, isa.OpSWAP:
-		size = amba.SizeWord
-	case isa.OpLDUH, isa.OpLDSH, isa.OpSTH:
-		size = amba.SizeHalf
-	case isa.OpLDD, isa.OpSTD:
-		size = amba.SizeWord
-		if addr&7 != 0 {
-			return c.takeTrap(TrapAlignment)
-		}
-		if in.Rd&1 != 0 {
-			return c.takeTrap(TrapIllegalInst)
-		}
-	default:
-		size = amba.SizeByte
-	}
+// memStart is the common head of a memory instruction: the alignment
+// trap (nil when aligned) and the access hook.
+func (c *CPU) memStart(addr uint32, size amba.Size, write bool) error {
 	if addr&(uint32(size)-1) != 0 { // sizes are powers of two
 		return c.takeTrap(TrapAlignment)
 	}
 	if c.OnMem != nil {
-		c.OnMem(addr, size, in.Op.IsStore())
+		c.OnMem(addr, size, write)
 	}
+	return nil
+}
 
-	switch in.Op {
-	case isa.OpLD, isa.OpLDUB, isa.OpLDUH:
-		v, cycles, err := c.dmem.Read(addr, size)
-		c.Cycles += uint64(cycles + t.Load)
-		if err != nil {
-			return c.takeTrap(TrapDAccess)
-		}
-		c.stats.Loads++
-		c.SetReg(in.Rd, v)
-
-	case isa.OpLDSB:
-		v, cycles, err := c.dmem.Read(addr, size)
-		c.Cycles += uint64(cycles + t.Load)
-		if err != nil {
-			return c.takeTrap(TrapDAccess)
-		}
-		c.stats.Loads++
-		c.SetReg(in.Rd, uint32(int32(v<<24)>>24))
-
-	case isa.OpLDSH:
-		v, cycles, err := c.dmem.Read(addr, size)
-		c.Cycles += uint64(cycles + t.Load)
-		if err != nil {
-			return c.takeTrap(TrapDAccess)
-		}
-		c.stats.Loads++
-		c.SetReg(in.Rd, uint32(int32(v<<16)>>16))
-
-	case isa.OpLDD:
-		lo, cy1, err := c.dmem.Read(addr, amba.SizeWord)
-		c.Cycles += uint64(cy1 + t.Load)
-		if err != nil {
-			return c.takeTrap(TrapDAccess)
-		}
-		hi, cy2, err := c.dmem.Read(addr+4, amba.SizeWord)
-		c.Cycles += uint64(cy2)
-		if err != nil {
-			return c.takeTrap(TrapDAccess)
-		}
-		c.stats.Loads += 2
-		c.SetReg(in.Rd, lo)
-		c.SetReg(in.Rd+1, hi)
-
-	case isa.OpST, isa.OpSTB, isa.OpSTH:
-		cycles, err := c.dmem.Write(addr, c.Reg(in.Rd), size)
-		c.Cycles += uint64(cycles + t.Store)
-		if err != nil {
-			return c.takeTrap(TrapDAccess)
-		}
-		c.stats.Stores++
-		c.predecodeInvalidateStore(addr)
-
-	case isa.OpSTD:
-		cy1, err := c.dmem.Write(addr, c.Reg(in.Rd), amba.SizeWord)
-		c.Cycles += uint64(cy1 + t.Store)
-		if err != nil {
-			return c.takeTrap(TrapDAccess)
-		}
-		cy2, err := c.dmem.Write(addr+4, c.Reg(in.Rd+1), amba.SizeWord)
-		c.Cycles += uint64(cy2)
-		if err != nil {
-			return c.takeTrap(TrapDAccess)
-		}
-		c.stats.Stores += 2
-		c.predecodeInvalidateStore(addr)
-		c.predecodeInvalidateStore(addr + 4)
-
-	case isa.OpSWAP:
-		v, cy1, err := c.dmem.Read(addr, amba.SizeWord)
-		c.Cycles += uint64(cy1 + t.Load)
-		if err != nil {
-			return c.takeTrap(TrapDAccess)
-		}
-		cy2, err := c.dmem.Write(addr, c.Reg(in.Rd), amba.SizeWord)
-		c.Cycles += uint64(cy2)
-		if err != nil {
-			return c.takeTrap(TrapDAccess)
-		}
-		c.stats.Loads++
-		c.stats.Stores++
-		c.SetReg(in.Rd, v)
-		c.predecodeInvalidateStore(addr)
-
-	case isa.OpLDSTUB:
-		v, cy1, err := c.dmem.Read(addr, amba.SizeByte)
-		c.Cycles += uint64(cy1 + t.Load)
-		if err != nil {
-			return c.takeTrap(TrapDAccess)
-		}
-		cy2, err := c.dmem.Write(addr, 0xFF, amba.SizeByte)
-		c.Cycles += uint64(cy2)
-		if err != nil {
-			return c.takeTrap(TrapDAccess)
-		}
-		c.stats.Loads++
-		c.stats.Stores++
-		c.SetReg(in.Rd, v)
-		c.predecodeInvalidateStore(addr)
+// load is a single-access load of size at addr; it returns the loaded
+// value, or the trap outcome. It and store spell memStart out, so the
+// hot word forms make one call below their handler.
+func (c *CPU) load(addr uint32, size amba.Size) (uint32, error) {
+	if addr&(uint32(size)-1) != 0 {
+		return 0, c.takeTrap(TrapAlignment)
 	}
+	if c.OnMem != nil {
+		c.OnMem(addr, size, false)
+	}
+	v, cycles, err := c.dmem.Read(addr, size)
+	c.Cycles += uint64(cycles + c.cfg.Timing.Load)
+	if err != nil {
+		return 0, c.takeTrap(TrapDAccess)
+	}
+	c.stats.Loads++
+	return v, nil
+}
+
+// store is a single-access store of rd's low size bytes at addr.
+func (c *CPU) store(in *isa.Inst, addr uint32, size amba.Size) error {
+	if addr&(uint32(size)-1) != 0 {
+		return c.takeTrap(TrapAlignment)
+	}
+	if c.OnMem != nil {
+		c.OnMem(addr, size, true)
+	}
+	cycles, err := c.dmem.Write(addr, c.Reg(in.Rd), size)
+	c.Cycles += uint64(cycles + c.cfg.Timing.Store)
+	if err != nil {
+		return c.takeTrap(TrapDAccess)
+	}
+	c.stats.Stores++
+	c.predecodeInvalidateStore(addr)
+	return nil
+}
+
+func stR(c *CPU, in *isa.Inst) error { return c.store(in, c.Reg(in.Rs1)+c.Reg(in.Rs2), amba.SizeWord) }
+func stI(c *CPU, in *isa.Inst) error { return c.store(in, c.Reg(in.Rs1)+uint32(in.Imm), amba.SizeWord) }
+
+func ldR(c *CPU, in *isa.Inst) error {
+	v, err := c.load(c.Reg(in.Rs1)+c.Reg(in.Rs2), amba.SizeWord)
+	if err != nil {
+		return err
+	}
+	c.SetReg(in.Rd, v)
+	return nil
+}
+
+func ldI(c *CPU, in *isa.Inst) error {
+	v, err := c.load(c.Reg(in.Rs1)+uint32(in.Imm), amba.SizeWord)
+	if err != nil {
+		return err
+	}
+	c.SetReg(in.Rd, v)
+	return nil
+}
+
+func opSTB(c *CPU, in *isa.Inst) error {
+	return c.store(in, c.Reg(in.Rs1)+c.op2(in), amba.SizeByte)
+}
+
+func opSTH(c *CPU, in *isa.Inst) error {
+	return c.store(in, c.Reg(in.Rs1)+c.op2(in), amba.SizeHalf)
+}
+
+func opLDUB(c *CPU, in *isa.Inst) error {
+	v, err := c.load(c.Reg(in.Rs1)+c.op2(in), amba.SizeByte)
+	if err != nil {
+		return err
+	}
+	c.SetReg(in.Rd, v)
+	return nil
+}
+
+func opLDUH(c *CPU, in *isa.Inst) error {
+	v, err := c.load(c.Reg(in.Rs1)+c.op2(in), amba.SizeHalf)
+	if err != nil {
+		return err
+	}
+	c.SetReg(in.Rd, v)
+	return nil
+}
+
+func opLDSB(c *CPU, in *isa.Inst) error {
+	v, err := c.load(c.Reg(in.Rs1)+c.op2(in), amba.SizeByte)
+	if err != nil {
+		return err
+	}
+	c.SetReg(in.Rd, uint32(int32(v<<24)>>24))
+	return nil
+}
+
+func opLDSH(c *CPU, in *isa.Inst) error {
+	v, err := c.load(c.Reg(in.Rs1)+c.op2(in), amba.SizeHalf)
+	if err != nil {
+		return err
+	}
+	c.SetReg(in.Rd, uint32(int32(v<<16)>>16))
+	return nil
+}
+
+func opLDD(c *CPU, in *isa.Inst) error {
+	addr := c.Reg(in.Rs1) + c.op2(in)
+	if addr&7 != 0 {
+		return c.takeTrap(TrapAlignment)
+	}
+	if in.Rd&1 != 0 {
+		return c.takeTrap(TrapIllegalInst)
+	}
+	if err := c.memStart(addr, amba.SizeWord, false); err != nil {
+		return err
+	}
+	lo, cy1, err := c.dmem.Read(addr, amba.SizeWord)
+	c.Cycles += uint64(cy1 + c.cfg.Timing.Load)
+	if err != nil {
+		return c.takeTrap(TrapDAccess)
+	}
+	hi, cy2, err := c.dmem.Read(addr+4, amba.SizeWord)
+	c.Cycles += uint64(cy2)
+	if err != nil {
+		return c.takeTrap(TrapDAccess)
+	}
+	c.stats.Loads += 2
+	c.SetReg(in.Rd, lo)
+	c.SetReg(in.Rd+1, hi)
+	return nil
+}
+
+func opSTD(c *CPU, in *isa.Inst) error {
+	addr := c.Reg(in.Rs1) + c.op2(in)
+	if addr&7 != 0 {
+		return c.takeTrap(TrapAlignment)
+	}
+	if in.Rd&1 != 0 {
+		return c.takeTrap(TrapIllegalInst)
+	}
+	if err := c.memStart(addr, amba.SizeWord, true); err != nil {
+		return err
+	}
+	cy1, err := c.dmem.Write(addr, c.Reg(in.Rd), amba.SizeWord)
+	c.Cycles += uint64(cy1 + c.cfg.Timing.Store)
+	if err != nil {
+		return c.takeTrap(TrapDAccess)
+	}
+	cy2, err := c.dmem.Write(addr+4, c.Reg(in.Rd+1), amba.SizeWord)
+	c.Cycles += uint64(cy2)
+	if err != nil {
+		return c.takeTrap(TrapDAccess)
+	}
+	c.stats.Stores += 2
+	c.predecodeInvalidateStore(addr)
+	c.predecodeInvalidateStore(addr + 4)
+	return nil
+}
+
+// opSWAP and opLDSTUB are the atomic load-stores: a read, then a write
+// of the same location.
+func opSWAP(c *CPU, in *isa.Inst) error {
+	addr := c.Reg(in.Rs1) + c.op2(in)
+	if err := c.memStart(addr, amba.SizeWord, false); err != nil {
+		return err
+	}
+	v, cy1, err := c.dmem.Read(addr, amba.SizeWord)
+	c.Cycles += uint64(cy1 + c.cfg.Timing.Load)
+	if err != nil {
+		return c.takeTrap(TrapDAccess)
+	}
+	cy2, err := c.dmem.Write(addr, c.Reg(in.Rd), amba.SizeWord)
+	c.Cycles += uint64(cy2)
+	if err != nil {
+		return c.takeTrap(TrapDAccess)
+	}
+	c.stats.Loads++
+	c.stats.Stores++
+	c.SetReg(in.Rd, v)
+	c.predecodeInvalidateStore(addr)
+	return nil
+}
+
+func opLDSTUB(c *CPU, in *isa.Inst) error {
+	addr := c.Reg(in.Rs1) + c.op2(in)
+	if err := c.memStart(addr, amba.SizeByte, false); err != nil {
+		return err
+	}
+	v, cy1, err := c.dmem.Read(addr, amba.SizeByte)
+	c.Cycles += uint64(cy1 + c.cfg.Timing.Load)
+	if err != nil {
+		return c.takeTrap(TrapDAccess)
+	}
+	cy2, err := c.dmem.Write(addr, 0xFF, amba.SizeByte)
+	c.Cycles += uint64(cy2)
+	if err != nil {
+		return c.takeTrap(TrapDAccess)
+	}
+	c.stats.Loads++
+	c.stats.Stores++
+	c.SetReg(in.Rd, v)
+	c.predecodeInvalidateStore(addr)
 	return nil
 }

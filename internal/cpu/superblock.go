@@ -3,6 +3,7 @@ package cpu
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"liquidarch/internal/isa"
 )
@@ -46,8 +47,7 @@ const (
 )
 
 // spinState is the scratch for poll-loop fast-forward detection. All
-// storage is preallocated (windows in New) so probing allocates
-// nothing on the dispatch path.
+// storage is inline so probing allocates nothing on the dispatch path.
 type spinState struct {
 	mode     uint8
 	lastHead uint32 // tag (pc+1) of the previous block-entry head
@@ -55,8 +55,7 @@ type spinState struct {
 
 	// Snapshot of architectural state and counter baselines taken at
 	// probe start (pc==head, npc==head+4, annul clear — implied).
-	globals          [8]uint32
-	windows          []uint32
+	regs             [regSlots]uint32 // the used slots (below the sink)
 	psr, wim, tbr, y uint32
 	cycles           uint64
 	stats            Stats
@@ -190,10 +189,19 @@ func (c *CPU) StepN(maxSteps int, cycleLimit uint64, stopPC uint32) (int, error)
 // StepN so the interrupt probe and spin bookkeeping run at the branch
 // target), a line miss, or one of StepN's gates. Sequential flow
 // continues across line boundaries as long as the next line is
-// resident. Every gate is re-checked before every instruction —
-// including the delay slot — so the stop boundaries land exactly where
-// a caller stepping one instruction at a time would observe them. It
-// returns the updated step count and the processor error, if any.
+// resident. It returns the updated step count and the processor error,
+// if any.
+//
+// The dispatched instructions are the contiguous words [head, head+4k):
+// sequential flow, then at most one CTI and its delay slot. So the
+// gates that depend only on the PC are settled once, at entry: the PC
+// stays aligned, and the stop address becomes a bound on k (modular
+// uint32 arithmetic, so a stopPC below head never binds). A pending
+// annul can only come from the CTI, so it is tested only there. That
+// leaves five checks before each instruction — the step bound, the
+// cycle limit, a device event, a line crossing and the predecode tag —
+// and every stop lands exactly where a caller stepping one instruction
+// at a time would observe it.
 func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit uint64, stopPC uint32, steps int) (int, error) {
 	lineMask := uint32(len(line) - 1)
 	lineBase := head &^ lineMask
@@ -204,27 +212,27 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 	// them: the trap hook is gated off at block entry, and the spin
 	// probe samples them between blocks). The lone exception is a
 	// decode failure, whose step consumes a fetch hit but no
-	// instruction. The dispatched instructions are the contiguous
-	// words [head, head+4k): sequential flow, then at most one CTI and
-	// its delay slot.
+	// instruction.
 	kmax := maxSteps - steps
+	if d := stopPC - head; d&3 == 0 && int(d/4) < kmax {
+		kmax = int(d / 4)
+	}
 	k := 0
 	extra := 0 // decode-failure step: 1 step, 1 fetch hit, no instruction
 	var fail error
-	slotPending := false // previous instruction was a kindCTI: its delay slot runs next, then the block ends
-	for k < kmax && c.Cycles < cycleLimit && c.MemEvents&MemEventDevice == 0 &&
-		c.pc != stopPC && !c.annul && c.pc&3 == 0 {
-		if c.pc&^lineMask != lineBase {
-			next, ok := c.lfetch.PeekLine(c.pc)
+	for k < kmax && c.Cycles < cycleLimit && c.MemEvents&MemEventDevice == 0 {
+		pc := c.pc
+		if pc&^lineMask != lineBase {
+			next, ok := c.lfetch.PeekLine(pc)
 			if !ok {
 				break // miss: Step performs the fill with exact accounting
 			}
 			line = next
 			lineMask = uint32(len(line) - 1)
-			lineBase = c.pc &^ lineMask
+			lineBase = pc &^ lineMask
 		}
 		c.instStart = c.Cycles
-		e := &c.predecode[(c.pc>>2)&predecodeMask]
+		e := &c.predecode[(pc>>2)&predecodeMask]
 		// A tag hit is trusted without re-reading the line word:
 		// every path that can change fetched memory tears the entry
 		// down first (CPU stores invalidate per touched word,
@@ -233,8 +241,8 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 		// are current. Step's own word compare covers the same
 		// protocol and is free there, where the word is fetched
 		// anyway.
-		if e.tag != c.pc+1 {
-			word := binary.BigEndian.Uint32(line[c.pc&lineMask:]) // pc&3==0 by the loop gate
+		if e.tag != pc+1 {
+			word := binary.BigEndian.Uint32(line[pc&lineMask:])
 			in, derr := isa.Decode(word)
 			if derr != nil {
 				// Step's order: the fetch cycle lands, then the
@@ -244,14 +252,14 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 				fail = c.trap(TrapIllegalInst)
 				break
 			}
-			e.tag, e.word, e.kind, e.cls, e.in = c.pc+1, word, classify(in.Op), in.Op.Class(), in
+			e.set(pc, word, in)
 		}
-		// FLUSH zeroes the predecode tags from inside execute, so the
-		// kind must be read before executing.
+		// FLUSH zeroes the predecode tags from inside its handler, so
+		// the kind must be read before executing.
 		kind := e.kind
 		c.Cycles++ // pure 1-cycle fetch hit (see PeekLine contract)
-		nextPC, nextNPC := c.npc, c.npc+4
-		err := c.execute(e, &nextPC, &nextNPC)
+		c.nnpc = c.npc + 4
+		err := handlers[e.h](c, &e.in)
 		k++
 		if err != nil {
 			if !errors.Is(err, errTrapped) {
@@ -259,12 +267,12 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 			}
 			break // trap vectored (or error mode): block over
 		}
-		c.pc, c.npc = nextPC, nextNPC
-		if slotPending || kind == kindStop {
-			break
-		}
-		if kind == kindCTI {
-			slotPending = true
+		c.pc, c.npc = c.npc, c.nnpc
+		if kind != kindFast {
+			if kind == kindStop || c.annul {
+				break // an annulled slot is Step's
+			}
+			kmax = min(kmax, k+1) // the CTI's delay slot, then the block ends
 		}
 	}
 	c.stats.Instructions += uint64(k)
@@ -282,8 +290,7 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 func (c *CPU) spinProbeStart(head uint32, steps int) {
 	s := &c.spin
 	s.mode, s.head = spinProbing, head
-	s.globals = c.globals
-	copy(s.windows, c.windows)
+	copy(s.regs[:c.usedSlots()], c.regs[:])
 	s.psr, s.wim, s.tbr, s.y = c.psr, c.wim, c.tbr, c.y
 	s.cycles, s.stats = c.Cycles, c.stats
 	s.hits, s.misses = c.lfetch.FetchCounts()
@@ -313,7 +320,7 @@ func (c *CPU) spinQualify(maxSteps int, cycleLimit uint64, steps int) uint64 {
 	if c.MemEvents != 0 || d.Stores != 0 || d.Traps != 0 || d.Interrupts != 0 ||
 		misses != s.misses ||
 		c.psr != s.psr || c.wim != s.wim || c.tbr != s.tbr || c.y != s.y ||
-		c.globals != s.globals || !equalWords(c.windows, s.windows) {
+		!slices.Equal(c.regs[:c.usedSlots()], s.regs[:c.usedSlots()]) {
 		s.blacklist(s.head)
 		return 0
 	}
@@ -366,16 +373,4 @@ func statsDelta(now, then Stats) Stats {
 		Traps:        now.Traps - then.Traps,
 		Interrupts:   now.Interrupts - then.Interrupts,
 	}
-}
-
-func equalWords(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

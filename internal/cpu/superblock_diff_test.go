@@ -160,7 +160,7 @@ var profModes = []bool{false, true}
 
 // countedLoop builds the standard store-and-count loop ending in an
 // annulling self-branch (the spin the fast-forward probe feeds on).
-func countedLoop(t *testing.T, iters int32) []uint32 {
+func countedLoop(t testing.TB, iters int32) []uint32 {
 	t.Helper()
 	return []uint32{
 		enc(t, movImm(isa.G1, 0x800)),
@@ -448,4 +448,82 @@ func TestStepNProfiledAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 		t.Fatalf("profiled StepN allocates %.1f times per 4096 steps", allocs)
 	}
+}
+
+// FuzzSuperblockDiff drives arbitrary instruction words through the
+// StepN-against-Step rig: random batch sizes, a stop address and a
+// cycle cap. Before each reference step every gate must still be open,
+// and a batch cut short must end at a closed gate (or an error); state,
+// memory, fetch counters and, when profiled, the execution profile
+// must match the single-stepped reference after every batch.
+func FuzzSuperblockDiff(f *testing.F) {
+	const progBase = 0x1000
+	words := func(ws []uint32) []byte {
+		b := make([]byte, 4*len(ws))
+		for i, w := range ws {
+			binary.BigEndian.PutUint32(b[i*4:], w)
+		}
+		return b
+	}
+	spin := enc(f, isa.Inst{Op: isa.OpBicc, Cond: isa.CondA, Annul: true, Imm: 0})
+	for seed := int64(1); seed <= 2; seed++ { // TestDiffSuperblockRandomStreams' streams
+		rng := rand.New(rand.NewSource(seed))
+		f.Add(words(append(randProgram(f, rng, 160), spin)), uint8(seed), uint32(noStopPC), uint32(1<<31), seed == 2)
+	}
+	loop := words(countedLoop(f, 20))
+	f.Add(loop, uint8(3), uint32(progBase-4), uint32(1<<31), false)  // stopPC below every block head
+	f.Add(loop, uint8(4), uint32(progBase+7*4), uint32(1<<31), true) // stopPC on the loop branch's delay slot
+	f.Add(loop, uint8(5), uint32(noStopPC), uint32(97), false)       // a cycle cap mid-loop
+	f.Add(words([]uint32{                                            // an untaken bne,a annuls the slot that ends its block
+		enc(f, movImm(isa.O0, 1)),
+		enc(f, isa.Inst{Op: isa.OpSUBcc, Rd: isa.G0, Rs1: isa.O0, UseImm: true, Imm: 1}),
+		enc(f, isa.Inst{Op: isa.OpBicc, Cond: isa.CondNE, Annul: true, Imm: 2}),
+		enc(f, isa.Inst{Op: isa.OpADD, Rd: isa.O0, Rs1: isa.O0, UseImm: true, Imm: 100}),
+		spin,
+	}), uint8(6), uint32(progBase+3*4), uint32(1<<31), false)
+
+	f.Fuzz(func(t *testing.T, code []byte, batch uint8, stopPC uint32, cycleCap uint32, prof bool) {
+		if len(code) > 4*512 {
+			code = code[:4*512]
+		}
+		ws := make([]uint32, len(code)/4)
+		for i := range ws {
+			ws[i] = binary.BigEndian.Uint32(code[i*4:])
+		}
+		r := newRig(t, prof, nil, nil, ws...)
+		rng := rand.New(rand.NewSource(int64(batch)))
+		limit := uint64(cycleCap)
+		for b := 0; b < 64; b++ {
+			n := 1 + rng.Intn(31)
+			got, errA := r.a.StepN(n, limit, stopPC)
+			// An error-mode stop may or may not count its own step.
+			var errB error
+			for i := 0; errB == nil && (i < got || errA != nil && i == got); i++ {
+				if r.b.Cycles >= limit || r.b.PC() == stopPC {
+					t.Fatalf("batch %d: StepN(%d) ran step %d of %d past a closed gate (pc %#x, cycles %d)",
+						b, n, i, got, r.b.PC(), r.b.Cycles)
+				}
+				errB = r.step()
+				if errB != nil && errA == nil {
+					t.Fatalf("batch %d: reference step %d: %v; StepN reported none", b, i, errB)
+				}
+			}
+			if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
+				t.Fatalf("batch %d: error divergence: StepN %v, reference %v", b, errA, errB)
+			}
+			r.check(t, fmt.Sprintf("batch %d", b))
+			if !bytes.Equal(r.am.data, r.bm.data) {
+				t.Fatalf("batch %d: memory images diverged", b)
+			}
+			if errA != nil {
+				return
+			}
+			if got < n {
+				if r.b.Cycles < limit && r.b.PC() != stopPC {
+					t.Fatalf("batch %d: StepN(%d) stopped after %d steps with every gate open", b, n, got)
+				}
+				return
+			}
+		}
+	})
 }
