@@ -22,6 +22,7 @@ import (
 	"liquidarch/internal/client"
 	"liquidarch/internal/core"
 	"liquidarch/internal/fpx"
+	"liquidarch/internal/hostinfo"
 	"liquidarch/internal/lcc"
 	"liquidarch/internal/leon"
 	"liquidarch/internal/link"
@@ -63,8 +64,11 @@ func BenchmarkStepThroughput(b *testing.B) {
 
 // benchThroughputJSON is the on-disk shape of BENCH_throughput.json.
 type benchThroughputJSON struct {
-	Figure string              `json:"figure"`
-	Data   bench.ThroughputRow `json:"data"`
+	Figure string `json:"figure"`
+	Data   struct {
+		bench.ThroughputRow
+		hostinfo.Host
+	} `json:"data"`
 }
 
 // gateAndEmitThroughput is the bench-smoke regression gate. When
@@ -117,7 +121,8 @@ func gateAndEmitThroughput(b *testing.B) {
 	if out == "" {
 		return
 	}
-	doc := benchThroughputJSON{Figure: "Simulator throughput: steady-state stepping speed", Data: row}
+	doc := benchThroughputJSON{Figure: "Simulator throughput: steady-state stepping speed"}
+	doc.Data.ThroughputRow, doc.Data.Host = row, hostinfo.Current()
 	raw, err := json.MarshalIndent(&doc, "", "  ")
 	if err != nil {
 		b.Fatal(err)
@@ -129,10 +134,11 @@ func gateAndEmitThroughput(b *testing.B) {
 }
 
 // BenchmarkStepThroughputRecorded is BenchmarkStepThroughput with the
-// Trace Analyzer's recorder attached, as on every networked run: the
-// execution profile keeps the run on the superblock dispatcher, and
-// only the memory-event stream costs per access. When the smoke gate
-// is armed it also enforces the recording-overhead ratio.
+// Trace Analyzer's stored-stream recorder attached, as on an in-process
+// RunWithTrace: the execution profile keeps the run on the superblock
+// dispatcher, and only the stored memory-event stream costs per
+// access. When the smoke gate is armed it also enforces the
+// recording-overhead ratio.
 func BenchmarkStepThroughputRecorded(b *testing.B) {
 	soc, err := bench.ThroughputSoC(0)
 	if err != nil {

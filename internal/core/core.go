@@ -107,8 +107,10 @@ type System struct {
 	pending      *pendingReconfig
 	lastReconfig netproto.ReconfigStatusResp
 
+	// lastTrace is the last networked run's trace summary, served by
+	// CmdTraceReport.
 	traceMu   sync.Mutex
-	lastTrace *trace.Recorder
+	lastTrace *trace.Summary
 
 	// runDoneHook is the completion callback the FPX platform installed
 	// (via tracedControl); kept so instantiate can re-arm it on the

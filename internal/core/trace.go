@@ -16,7 +16,7 @@ import (
 // is transparent) and records an instrumented trace around every
 // networked execution — the paper's "streaming of instrumented traces
 // to the Trace Analyzer" made pullable via CmdTraceReport. The trace
-// recorder is attached and detached by the run hooks ON the actor
+// summary is attached and detached by the run hooks ON the actor
 // goroutine, so it observes exactly the run it wraps, and the After
 // hook completes before the Done state is visible to pollers — a
 // CmdTraceReport sent right after a successful result collect always
@@ -48,25 +48,24 @@ func (t tracedControl) WriteMemory(addr uint32, p []byte) error {
 }
 
 // netRunOpts builds the per-run hooks for a networked execution:
-// attach a bounded recorder at the handoff, detach and publish it (and
+// attach a trace summary at the handoff, detach and publish it (and
 // the run telemetry) at completion. tc, when enabled, wraps the whole
 // asynchronous run in a "run" span — opened here at the handoff,
 // closed by the After hook on the actor goroutine when the run
 // completes — whose child context feeds the actor's per-slice spans.
 func (s *System) netRunOpts(tc tracing.Ctx) leon.RunOptions {
-	var rec *trace.Recorder
+	var sum *trace.Summary
 	runSpan := tc.Start("run")
 	return leon.RunOptions{
 		Trace: runSpan.Ctx(),
 		Before: func(c *leon.Controller) {
-			rec = trace.NewRecorder()
-			rec.MaxEvents = 1 << 20
-			rec.Attach(c.SoC().CPU)
+			sum = trace.NewSummary()
+			sum.Attach(c.SoC().CPU)
 		},
 		After: func(c *leon.Controller, res leon.RunResult, wall time.Duration, err error) {
-			rec.Detach()
+			sum.Detach()
 			s.traceMu.Lock()
-			s.lastTrace = rec
+			s.lastTrace = sum
 			s.traceMu.Unlock()
 			s.observeRun(res, wall, err)
 			if runSpan.On() {
@@ -102,14 +101,6 @@ func (t tracedControl) CollectResult() (leon.RunResult, error) {
 	return t.sys.async().CollectResult()
 }
 
-// LastTrace returns the recorder from the most recent networked run
-// (nil before any).
-func (s *System) LastTrace() *trace.Recorder {
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	return s.lastTrace
-}
-
 // TraceReport is the JSON summary served by CmdTraceReport.
 type TraceReport struct {
 	Instructions    uint64          `json:"instructions"`
@@ -124,25 +115,21 @@ type TraceReport struct {
 
 // traceReportJSON summarizes the last networked run's trace.
 func (s *System) traceReportJSON() ([]byte, error) {
-	rec := s.LastTrace()
-	if rec == nil {
+	s.traceMu.Lock()
+	sum := s.lastTrace
+	s.traceMu.Unlock()
+	if sum == nil {
 		return nil, fmt.Errorf("core: no traced run yet")
 	}
-	lines, bytes := rec.WorkingSet(32)
-	rep := TraceReport{
-		Instructions:    rec.Instructions(),
-		MemEvents:       len(rec.MemEvents()),
-		Dropped:         rec.Dropped(),
+	lines, bytes := sum.WorkingSet()
+	return json.Marshal(TraceReport{
+		Instructions:    sum.Instructions(),
+		MemEvents:       sum.Events(),
+		MemReads:        sum.Reads(),
+		MemWrites:       sum.Writes(),
+		Dropped:         sum.Dropped(),
 		WorkingSetLines: lines,
 		WorkingSetBytes: bytes,
-		HotSpots:        rec.HotSpots(10),
-	}
-	for _, e := range rec.MemEvents() {
-		if e.Write {
-			rep.MemWrites++
-		} else {
-			rep.MemReads++
-		}
-	}
-	return json.Marshal(rep)
+		HotSpots:        sum.HotSpots(10),
+	})
 }

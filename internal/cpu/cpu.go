@@ -571,7 +571,7 @@ func (c *CPU) Step() error {
 		e.set(c.pc, word, in)
 	}
 	if c.prof != nil {
-		c.prof.credit(c.pc)
+		c.prof.add(c.pc, 1)
 	}
 	c.stats.Instructions++
 

@@ -276,8 +276,8 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 		}
 	}
 	c.stats.Instructions += uint64(k)
-	if c.prof != nil {
-		c.prof.creditRange(head, k)
+	if c.prof != nil && k > 0 {
+		c.prof.creditBlock(head, k)
 	}
 	if hits := uint64(k + extra); hits > 0 {
 		c.lfetch.AddFetchHits(hits)

@@ -30,14 +30,25 @@ import (
 type lineFlat struct {
 	*flatMem
 	hits, misses uint64
+	warm         map[uint32]bool // set by coldLines: the filled lines
 }
 
 const lineFlatBytes = 32
+
+// coldLines makes every line start cold, as after an instruction-cache
+// flush: PeekLine fails on a cold line, and the FetchWord that touches
+// it counts a miss and fills it.
+func (m *lineFlat) coldLines() { m.warm = map[uint32]bool{} }
 
 func (m *lineFlat) FetchWord(addr uint32) (uint32, int, bool, error) {
 	if int(addr)+4 > len(m.data) {
 		m.misses++
 		return 0, 1, false, &amba.BusError{Addr: addr}
+	}
+	if m.warm != nil && !m.warm[addr/lineFlatBytes] {
+		m.warm[addr/lineFlatBytes] = true
+		m.misses++
+		return binary.BigEndian.Uint32(m.data[addr:]), 1 + lineFlatBytes/4, false, nil
 	}
 	m.hits++
 	return binary.BigEndian.Uint32(m.data[addr:]), 1, true, nil
@@ -45,7 +56,7 @@ func (m *lineFlat) FetchWord(addr uint32) (uint32, int, bool, error) {
 
 func (m *lineFlat) PeekLine(addr uint32) ([]byte, bool) {
 	base := int(addr) &^ (lineFlatBytes - 1)
-	if base+lineFlatBytes > len(m.data) {
+	if base+lineFlatBytes > len(m.data) || m.warm != nil && !m.warm[addr/lineFlatBytes] {
 		return nil, false
 	}
 	return m.data[base : base+lineFlatBytes], true
@@ -152,6 +163,15 @@ func (r *sbRig) check(t *testing.T, tag string) {
 	if d := r.a.Stats().Instructions - r.aInsts; sum != d {
 		t.Fatalf("%s: profile sums to %d, instruction counter advanced %d", tag, sum, d)
 	}
+}
+
+// restart re-attaches a's profile mid-run, discarding its counts as
+// trace.Recorder.Reset does, and restarts the oracle with it.
+func (r *sbRig) restart() {
+	r.a.StartProfile()
+	clear(r.got)
+	clear(r.want)
+	r.aInsts = r.a.Stats().Instructions
 }
 
 // profModes runs each differential case unprofiled (fast-forward on)
@@ -435,6 +455,191 @@ func TestDiffSuperblockUncreditedSteps(t *testing.T) {
 	}
 }
 
+// branchEnteredLoop is a 30-iteration store-and-count loop whose body
+// [loopHead, loopHead+24) is entered by a branch and spans two cache
+// lines: with cold lines, the head's first block ends at the second
+// line's miss, and every later one runs whole.
+const loopHead = 0x1000 + 4*4
+
+func branchEnteredLoop(t testing.TB) []uint32 {
+	t.Helper()
+	nop := enc(t, movImm(isa.G0, 0))
+	return []uint32{
+		enc(t, movImm(isa.G1, 0x800)),
+		enc(t, movImm(isa.G0+2, 30)),
+		enc(t, isa.Inst{Op: isa.OpBicc, Cond: isa.CondA, Imm: 2}), // to loopHead
+		enc(t, movImm(isa.O0, 0)),
+		// loopHead:
+		enc(t, isa.Inst{Op: isa.OpADD, Rd: isa.O0, Rs1: isa.O0, UseImm: true, Imm: 3}),
+		enc(t, isa.Inst{Op: isa.OpST, Rd: isa.O0, Rs1: isa.G1, UseImm: true, Imm: 0}),
+		enc(t, isa.Inst{Op: isa.OpSUBcc, Rd: isa.G0 + 2, Rs1: isa.G0 + 2, UseImm: true, Imm: 1}),
+		nop, // the first line's last word
+		enc(t, isa.Inst{Op: isa.OpBicc, Cond: isa.CondNE, Imm: -4}),
+		nop,
+		enc(t, isa.Inst{Op: isa.OpBicc, Cond: isa.CondA, Annul: true, Imm: 0}), // spin
+	}
+}
+
+// profSlot is a's profile slot for pc.
+func (r *sbRig) profSlot(pc uint32) *profileSlot {
+	return &r.a.profile.slots[(pc>>2)&predecodeMask]
+}
+
+// TestDiffProfileBlockCutShortThenWhole: a head whose first block is
+// cut short — by an instruction-line miss, a step bound or a cycle cap
+// — counts by block once it runs whole: its slot settles the short
+// block and takes the whole one over. A slot that kept the first
+// block's length would send every later block down the per-PC path.
+// Counts match the oracle either way.
+func TestDiffProfileBlockCutShortThenWhole(t *testing.T) {
+	const whole = 6 // loopHead's block: four body words, bne, delay slot
+	for _, tc := range []struct {
+		name  string
+		cold  bool
+		steps int // the first batch's step bound
+		insts int // its cycle cap lands after this many reference steps (0: none)
+	}{
+		{"line miss", true, 1 << 20, 0},
+		{"step bound", false, 6, 0},
+		{"cycle cap", false, 1 << 20, 6},
+	} {
+		r := newRig(t, true, nil, nil, branchEnteredLoop(t)...)
+		if tc.cold {
+			r.am.coldLines()
+			r.bm.coldLines()
+		}
+		limit := ^uint64(0)
+		if tc.insts > 0 {
+			r.stepRef(t, tc.insts, tc.name)
+			limit = r.b.Cycles
+		}
+		n, err := r.a.StepN(tc.steps, limit, noStopPC)
+		if err != nil {
+			t.Fatalf("%s: StepN: %v", tc.name, err)
+		}
+		if tc.insts == 0 {
+			r.stepRef(t, n, tc.name)
+		}
+		if rest := 250 - n; rest > 0 { // past the loop's exit into the spin
+			if got, err := r.a.StepN(rest, ^uint64(0), noStopPC); err != nil || got != rest {
+				t.Fatalf("%s: StepN(%d) = %d, %v", tc.name, rest, got, err)
+			}
+			r.stepRef(t, rest, tc.name)
+		}
+		if s := r.profSlot(loopHead); s.head != loopHead+1 || s.k != whole || s.runs < 20 {
+			t.Errorf("%s: loop head's slot holds head %#x k %d runs %d, want the whole %d-instruction block",
+				tc.name, s.head-1, s.k, s.runs, whole)
+		}
+		r.check(t, tc.name)
+	}
+}
+
+// TestDiffProfileAliasingHeads alternates blocks from two heads 32 KB
+// apart, which share a profile slot (and, for their own PCs, a per-PC
+// counter, so one of them spills): every block settles the other
+// head's count. Every batch size splits the run at other boundaries.
+func TestDiffProfileAliasingHeads(t *testing.T) {
+	const (
+		progBase = 0x1000
+		headA    = progBase + 4
+		headB    = headA + 0x8000 // same predecode index as headA
+		iters    = 40
+	)
+	nop := enc(t, movImm(isa.G0, 0))
+	words := []uint32{
+		enc(t, movImm(isa.G0+2, iters)),
+		// headA:
+		enc(t, isa.Inst{Op: isa.OpADD, Rd: isa.O0, Rs1: isa.O0, UseImm: true, Imm: 1}),
+		enc(t, isa.Inst{Op: isa.OpSUBcc, Rd: isa.G0 + 2, Rs1: isa.G0 + 2, UseImm: true, Imm: 1}),
+		enc(t, isa.Inst{Op: isa.OpBicc, Cond: isa.CondE, Imm: 4}), // to the spin
+		nop,
+		enc(t, isa.Inst{Op: isa.OpBicc, Cond: isa.CondA, Imm: (headB - (progBase + 5*4)) / 4}),
+		nop,
+		enc(t, isa.Inst{Op: isa.OpBicc, Cond: isa.CondA, Annul: true, Imm: 0}), // spin
+	}
+	farWords := []uint32{
+		enc(t, isa.Inst{Op: isa.OpADD, Rd: isa.O0 + 1, Rs1: isa.O0 + 1, UseImm: true, Imm: 2}),
+		enc(t, isa.Inst{Op: isa.OpBicc, Cond: isa.CondA, Imm: -(headB + 4 - headA) / 4}),
+		nop,
+	}
+	const total = 400
+	for _, batch := range []int{1, 7, 64, total} {
+		r := newRig(t, true, nil, nil, words...)
+		for i, w := range farWords {
+			r.poke(headB+uint32(i)*4, w)
+		}
+		for done := 0; done < total; {
+			n := min(batch, total-done)
+			if got, err := r.a.StepN(n, ^uint64(0), noStopPC); err != nil || got != n {
+				t.Fatalf("batch %d: StepN(%d) = %d, %v", batch, n, got, err)
+			}
+			r.stepRef(t, n, fmt.Sprintf("batch %d", batch))
+			done += n
+			r.check(t, fmt.Sprintf("batch %d after %d steps", batch, done))
+		}
+		if r.want[headA] != iters || r.want[headB] != iters-1 {
+			t.Fatalf("batch %d: oracle ran headA %d and headB %d times, want %d and %d",
+				batch, r.want[headA], r.want[headB], iters, iters-1)
+		}
+	}
+}
+
+// TestProfileStartClearsClaimedSlots: after a run whose profile claimed
+// slots both by Step (cold-line fills, a delay slot after a stepped
+// branch) and by blocks, StartProfile leaves every slot reading zero by
+// clearing only the claimed ones — a mark planted in an unclaimed slot
+// survives it — and the restarted profile matches the oracle again.
+// Restarting mid-run is what trace.Recorder.Reset does.
+func TestProfileStartClearsClaimedSlots(t *testing.T) {
+	r := newRig(t, true, nil, nil, branchEnteredLoop(t)...)
+	r.am.coldLines()
+	r.bm.coldLines()
+	const first = 40
+	if got, err := r.a.StepN(first, ^uint64(0), noStopPC); err != nil || got != first {
+		t.Fatalf("StepN = %d, %v", got, err)
+	}
+	r.stepRef(t, first, "first batch")
+	var byStep, byBlock int
+	for _, s := range r.a.profile.slots {
+		if s.tag != 0 {
+			byStep++
+		}
+		if s.head != 0 {
+			byBlock++
+		}
+	}
+	if byStep == 0 || byBlock == 0 {
+		t.Fatalf("run claimed %d slots by Step and %d by blocks; want both", byStep, byBlock)
+	}
+	const unclaimed = 0x4000
+	mark := r.profSlot(unclaimed)
+	if *mark != (profileSlot{}) {
+		t.Fatalf("slot of %#x is claimed", unclaimed)
+	}
+	*mark = profileSlot{tag: unclaimed + 1, count: 1}
+
+	r.restart()
+	if m := *mark; m != (profileSlot{tag: unclaimed + 1, count: 1}) {
+		t.Errorf("StartProfile cleared an unclaimed slot: %+v", m)
+	}
+	*mark = profileSlot{}
+	for i, s := range r.a.profile.slots {
+		if s != (profileSlot{}) {
+			t.Fatalf("slot %d reads %+v after StartProfile", i, s)
+		}
+	}
+	if n := len(r.a.profile.claimed); n != 0 {
+		t.Fatalf("%d slots still claimed after StartProfile", n)
+	}
+	for done := first; done < 200; done += 23 {
+		if got, err := r.a.StepN(23, ^uint64(0), noStopPC); err != nil || got != 23 {
+			t.Fatalf("StepN = %d, %v", got, err)
+		}
+		r.stepRef(t, 23, "after restart")
+		r.check(t, fmt.Sprintf("%d steps after restart", done+23-first))
+	}
+}
+
 // TestStepNProfiledAllocatesNothing: once a loop's PCs are in the
 // table, profiled dispatch allocates nothing.
 func TestStepNProfiledAllocatesNothing(t *testing.T) {
@@ -481,6 +686,11 @@ func FuzzSuperblockDiff(f *testing.F) {
 		enc(f, isa.Inst{Op: isa.OpADD, Rd: isa.O0, Rs1: isa.O0, UseImm: true, Imm: 100}),
 		spin,
 	}), uint8(6), uint32(progBase+3*4), uint32(1<<31), false)
+	// Profiled, the first batch (10 steps) ends two words into the loop
+	// head's first block; later batches run it whole.
+	f.Add(loop, uint8(12), uint32(noStopPC), uint32(1<<31), true)
+	// The same for a loop body entered by a branch (first batch 9 steps).
+	f.Add(words(branchEnteredLoop(f)), uint8(5), uint32(noStopPC), uint32(1<<31), true)
 
 	f.Fuzz(func(t *testing.T, code []byte, batch uint8, stopPC uint32, cycleCap uint32, prof bool) {
 		if len(code) > 4*512 {

@@ -27,7 +27,7 @@ var ErrClosed = errors.New("leon: async controller closed")
 // a run of event-horizon batches (SoC.StepN) whose size derives from
 // the peripheral deadline, and 2^14 steps of block dispatch complete
 // in a few hundred microseconds. That holds for networked runs too:
-// the trace recorder attached to each of them counts per-PC
+// the trace summary attached to each of them counts per-PC
 // executions inside the block dispatcher (cpu.CPU.StartProfile), so a
 // recorded run stays on the block path.
 const sliceSteps = 1 << 14

@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
+	"liquidarch/internal/hostinfo"
 	"liquidarch/internal/leon"
 	"liquidarch/internal/synth"
 )
@@ -133,8 +133,8 @@ type benchReconfigJSON struct {
 		ImagesWarmLoaded   uint64  `json:"ImagesWarmLoaded"`
 		ColdPregenWallMs   float64 `json:"ColdPregenWallMs"`
 		WarmSweepWallMs    float64 `json:"WarmSweepWallMs"`
-		HostCPUs           int     `json:"HostCPUs"`
-		Note               string  `json:"Note"`
+		hostinfo.Host
+		Note string `json:"Note"`
 	} `json:"data"`
 }
 
@@ -170,7 +170,7 @@ func gateAndEmitReconfigBench(b *testing.B, f reconfigBenchFigures) {
 	j.Data.ImagesWarmLoaded = f.loaded
 	j.Data.ColdPregenWallMs = round2(f.coldWall.Seconds() * 1000)
 	j.Data.WarmSweepWallMs = round2(f.warmWall.Seconds() * 1000)
-	j.Data.HostCPUs = runtime.NumCPU()
+	j.Data.Host = hostinfo.Current()
 	j.Data.Note = "Each point costs one modelled ≈1 h synthesis exactly once, in the cold pregeneration; the restarted node serves every revisit from the warm-loaded content-addressed store in microseconds. ModelledHoursSaved is the tool time the warm sweep would have spent without the cache."
 	raw, err := json.MarshalIndent(&j, "", "  ")
 	if err != nil {

@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
 	"liquidarch/internal/chaos"
+	"liquidarch/internal/hostinfo"
 	"liquidarch/internal/leon"
 	"liquidarch/internal/netproto"
 )
@@ -99,8 +99,8 @@ type benchLoadJSON struct {
 		Window16RTTs      float64 `json:"Window16RTTs"`
 		RTTReduction      float64 `json:"RTTReduction"`
 		Boards1RunsPerSec float64 `json:"Boards1RunsPerSec"`
-		HostCPUs          int     `json:"HostCPUs"`
-		Note              string  `json:"Note"`
+		hostinfo.Host
+		Note string `json:"Note"`
 	} `json:"data"`
 }
 
@@ -144,7 +144,7 @@ func gateAndEmitLoadBench(b *testing.B, runsPerSec float64) {
 		j.Data.RTTReduction = round2(loadBenchRTTs[1] / loadBenchRTTs[16])
 	}
 	j.Data.Boards1RunsPerSec = round2(runsPerSec)
-	j.Data.HostCPUs = runtime.NumCPU()
+	j.Data.Host = hostinfo.Current()
 	j.Data.Note = "stop-and-wait pays ~1 RTT per chunk; the 16-chunk window overlaps them so the load is latency-bound on ~chunks/window round trips. The runs/s figure uses the stock client: the server parks the wait and replies on completion, so each run costs the program time plus network latency, not a poll interval."
 	raw, err := json.MarshalIndent(&j, "", "  ")
 	if err != nil {

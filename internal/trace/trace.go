@@ -6,7 +6,9 @@
 // questions the Architecture Generator asks: where are the hot spots,
 // how big is the working set, and how would a different cache geometry
 // have behaved (by replaying the recorded address stream through cache
-// models, far cheaper than re-running the program).
+// models, far cheaper than re-running the program). A Recorder stores
+// the data stream for replay; a Summary keeps only its counts and
+// working set, computed as the accesses arrive.
 package trace
 
 import (
@@ -25,88 +27,70 @@ type MemEvent struct {
 	Write bool
 }
 
-// Recorder captures a program's execution behaviour. Attach it to a
-// CPU before the run and Detach after. The per-PC counts come from the
-// CPU's execution profile (cpu.CPU.StartProfile), which keeps the run
-// on the superblock dispatcher; they and the instruction count land in
-// the recorder at Detach. The data stream is recorded live through the
-// CPU's OnMem hook.
-type Recorder struct {
-	// MaxEvents caps the stored data stream (default 4M); further
-	// events are counted in Dropped but not stored.
-	MaxEvents int
-
-	pcHeat  map[uint32]uint64
-	mem     []MemEvent
-	insts   uint64
-	dropped uint64
-
-	instBase uint64 // CPU instruction counter at Attach
+// capture is the attachment Recorder and Summary share. The per-PC
+// counts come from the CPU's execution profile (cpu.CPU.StartProfile),
+// which keeps the run on the superblock dispatcher; they and the
+// instruction count land at Detach. The data stream reaches the
+// owner's handler live through the CPU's OnMem hook.
+type capture struct {
+	pcHeat   map[uint32]uint64
+	insts    uint64
+	instBase uint64 // CPU instruction counter at attach
 	prevMem  func(uint32, amba.Size, bool)
 	attached *cpu.CPU
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{
-		MaxEvents: 4 << 20,
-		pcHeat:    make(map[uint32]uint64),
+// attach detaches from any CPU first, then starts c's execution
+// profile and installs onMem on c's memory hook, chaining any existing
+// one.
+func (h *capture) attach(c *cpu.CPU, onMem func(uint32, amba.Size, bool)) {
+	h.Detach()
+	if h.pcHeat == nil {
+		h.pcHeat = make(map[uint32]uint64)
 	}
-}
-
-// Attach starts c's execution profile and installs the recorder on c's
-// memory hook (chaining any existing one).
-func (r *Recorder) Attach(c *cpu.CPU) {
-	r.attached = c
-	r.instBase = c.Stats().Instructions
+	h.attached = c
+	h.instBase = c.Stats().Instructions
 	c.StartProfile()
-	r.prevMem = c.OnMem
+	prev := c.OnMem
+	h.prevMem = prev
+	if prev == nil {
+		c.OnMem = onMem
+		return
+	}
 	c.OnMem = func(addr uint32, size amba.Size, write bool) {
-		if len(r.mem) < r.MaxEvents {
-			r.mem = append(r.mem, MemEvent{Addr: addr, Size: uint8(size), Write: write})
-		} else {
-			r.dropped++
-		}
-		if r.prevMem != nil {
-			r.prevMem(addr, size, write)
-		}
+		onMem(addr, size, write)
+		prev(addr, size, write)
 	}
 }
 
-// Detach removes the recorder, harvesting the CPU's execution profile
-// and instruction count and restoring the prior memory hook.
-func (r *Recorder) Detach() {
-	c := r.attached
+// Detach removes the capture, harvesting the CPU's execution profile
+// and instruction count and restoring the prior memory hook. It does
+// nothing when not attached.
+func (h *capture) Detach() {
+	c := h.attached
 	if c == nil {
 		return
 	}
-	c.StopProfile(r.pcHeat)
-	r.insts += c.Stats().Instructions - r.instBase
-	c.OnMem = r.prevMem
-	r.attached = nil
+	c.StopProfile(h.pcHeat)
+	h.insts += c.Stats().Instructions - h.instBase
+	c.OnMem = h.prevMem
+	h.attached, h.prevMem = nil, nil
 }
 
-// Reset discards captured data, including what an attached CPU's
-// profile has counted so far.
-func (r *Recorder) Reset() {
-	r.pcHeat = make(map[uint32]uint64)
-	r.mem = r.mem[:0]
-	r.insts, r.dropped = 0, 0
-	if c := r.attached; c != nil {
+// reset discards the instruction-stream results, including what an
+// attached CPU's profile has counted so far.
+func (h *capture) reset() {
+	clear(h.pcHeat)
+	h.insts = 0
+	if c := h.attached; c != nil {
 		c.StartProfile()
-		r.instBase = c.Stats().Instructions
+		h.instBase = c.Stats().Instructions
 	}
 }
 
 // Instructions returns the executed-instruction count: how far the
-// CPU's instruction counter advanced while the recorder was attached.
-func (r *Recorder) Instructions() uint64 { return r.insts }
-
-// MemEvents returns the captured data stream.
-func (r *Recorder) MemEvents() []MemEvent { return r.mem }
-
-// Dropped returns how many events exceeded MaxEvents.
-func (r *Recorder) Dropped() uint64 { return r.dropped }
+// CPU's instruction counter advanced while attached.
+func (h *capture) Instructions() uint64 { return h.insts }
 
 // HotSpot is a program counter and its execution count.
 type HotSpot struct {
@@ -114,11 +98,12 @@ type HotSpot struct {
 	Count uint64 `json:"count"`
 }
 
-// HotSpots returns the n most-executed instruction addresses,
-// descending — the candidate regions for reconfiguration.
-func (r *Recorder) HotSpots(n int) []HotSpot {
-	all := make([]HotSpot, 0, len(r.pcHeat))
-	for pc, c := range r.pcHeat {
+// HotSpots returns the n most-executed instruction addresses (every
+// executed one when n <= 0), descending — the candidate regions for
+// reconfiguration.
+func (h *capture) HotSpots(n int) []HotSpot {
+	all := make([]HotSpot, 0, len(h.pcHeat))
+	for pc, c := range h.pcHeat {
 		all = append(all, HotSpot{PC: pc, Count: c})
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -132,6 +117,51 @@ func (r *Recorder) HotSpots(n int) []HotSpot {
 	}
 	return all
 }
+
+// Recorder captures a program's execution behaviour and stores its
+// data stream for replay. Attach it to a CPU before the run and Detach
+// after.
+type Recorder struct {
+	// MaxEvents caps the stored data stream (default 4M); further
+	// events are counted in Dropped but not stored.
+	MaxEvents int
+
+	capture
+	mem     []MemEvent
+	dropped uint64
+}
+
+// NewRecorder returns an empty recorder.
+func NewRecorder() *Recorder {
+	return &Recorder{MaxEvents: 4 << 20}
+}
+
+// Attach starts c's execution profile and installs the recorder on c's
+// memory hook (chaining any existing one). A recorder attached
+// elsewhere is detached first.
+func (r *Recorder) Attach(c *cpu.CPU) { r.attach(c, r.onMem) }
+
+func (r *Recorder) onMem(addr uint32, size amba.Size, write bool) {
+	if len(r.mem) < r.MaxEvents {
+		r.mem = append(r.mem, MemEvent{Addr: addr, Size: uint8(size), Write: write})
+	} else {
+		r.dropped++
+	}
+}
+
+// Reset discards captured data, including what an attached CPU's
+// profile has counted so far.
+func (r *Recorder) Reset() {
+	r.reset()
+	r.mem = r.mem[:0]
+	r.dropped = 0
+}
+
+// MemEvents returns the captured data stream.
+func (r *Recorder) MemEvents() []MemEvent { return r.mem }
+
+// Dropped returns how many events exceeded MaxEvents.
+func (r *Recorder) Dropped() uint64 { return r.dropped }
 
 // WorkingSet returns the number of distinct lineBytes-sized blocks the
 // data stream touched, and the total bytes they span.

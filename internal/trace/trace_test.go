@@ -1,10 +1,13 @@
 package trace
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"liquidarch/internal/amba"
 	"liquidarch/internal/cache"
+	"liquidarch/internal/cpu"
 	"liquidarch/internal/lcc"
 	"liquidarch/internal/leon"
 	"liquidarch/internal/link"
@@ -13,6 +16,15 @@ import (
 // recordRun compiles src, runs it on a default LEON with a recorder
 // attached, and returns the recorder.
 func recordRun(t *testing.T, src string) *Recorder {
+	t.Helper()
+	rec := NewRecorder()
+	runAttached(t, src, rec.Attach, rec.Detach)
+	return rec
+}
+
+// runAttached compiles src and runs it on a default LEON between
+// attach and detach.
+func runAttached(t *testing.T, src string, attach func(*cpu.CPU), detach func()) {
 	t.Helper()
 	asmSrc, err := lcc.Compile(src, lcc.Options{})
 	if err != nil {
@@ -33,14 +45,12 @@ func recordRun(t *testing.T, src string) *Recorder {
 	if err := ctrl.LoadProgram(img.Origin, img.Code); err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder()
-	rec.Attach(soc.CPU)
-	defer rec.Detach()
+	attach(soc.CPU)
+	defer detach()
 	res, err := ctrl.Execute(img.Entry, 0)
 	if err != nil || res.Faulted {
 		t.Fatalf("run: %v %+v", err, res)
 	}
-	return rec
 }
 
 // sweepProgram is the paper's Fig. 7 kernel: stride-32 indices into a
@@ -223,4 +233,143 @@ func TestAttachChainsAndDetachRestoresHooks(t *testing.T) {
 		t.Error("recorder still attached after Detach")
 	}
 	rec.Detach() // idempotent
+}
+
+// TestAttachTwiceThenElsewhere: attaching an attached recorder again,
+// or to another CPU, detaches it first — the second attach does not
+// chain the recorder onto itself (which recursed on the first access),
+// and moving to another CPU restores the first CPU's prior hook.
+func TestAttachTwiceThenElsewhere(t *testing.T) {
+	var socs [2]*leon.SoC
+	for i := range socs {
+		soc, err := leon.New(leon.DefaultConfig(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		socs[i] = soc
+	}
+	var priorCalls int
+	socs[0].CPU.OnMem = func(uint32, amba.Size, bool) { priorCalls++ }
+	rec := NewRecorder()
+	rec.Attach(socs[0].CPU)
+	rec.Attach(socs[0].CPU)
+	socs[0].CPU.OnMem(4, amba.SizeWord, false)
+	if priorCalls != 1 || len(rec.MemEvents()) != 1 {
+		t.Fatalf("after a second attach one access reached the prior hook %d times and the recorder %d times",
+			priorCalls, len(rec.MemEvents()))
+	}
+	rec.Attach(socs[1].CPU)
+	socs[0].CPU.OnMem(8, amba.SizeWord, false)
+	if priorCalls != 2 || len(rec.MemEvents()) != 1 {
+		t.Errorf("first CPU's prior hook not restored: prior calls %d, recorded %d", priorCalls, len(rec.MemEvents()))
+	}
+	socs[1].CPU.OnMem(12, amba.SizeWord, true)
+	if len(rec.MemEvents()) != 2 || priorCalls != 2 {
+		t.Errorf("second CPU's access: recorded %d, prior calls %d", len(rec.MemEvents()), priorCalls)
+	}
+	rec.Detach()
+	if socs[1].CPU.OnMem != nil {
+		t.Error("second CPU keeps a hook after Detach")
+	}
+}
+
+// TestRecorderResetMidRun: a Reset from inside the run (here, from a
+// chained memory hook at the 100th access) discards what came before
+// it, and the per-PC counts still sum to the instruction count: the
+// profile and the instruction counter both restart at the same block
+// boundary.
+func TestRecorderResetMidRun(t *testing.T) {
+	full := recordRun(t, sweepProgram)
+	rec := NewRecorder()
+	var seen int
+	runAttached(t, sweepProgram, func(c *cpu.CPU) {
+		c.OnMem = func(uint32, amba.Size, bool) {
+			if seen++; seen == 100 {
+				rec.Reset()
+			}
+		}
+		rec.Attach(c)
+	}, rec.Detach)
+	if got, want := len(rec.MemEvents()), len(full.MemEvents())-100; got != want {
+		t.Errorf("%d events after the reset, want %d", got, want)
+	}
+	var sum uint64
+	for _, h := range rec.HotSpots(0) {
+		sum += h.Count
+	}
+	if sum != rec.Instructions() || sum == 0 || sum >= full.Instructions() {
+		t.Errorf("per-PC counts sum to %d, instruction count %d (whole run %d)", sum, rec.Instructions(), full.Instructions())
+	}
+}
+
+// TestSummaryMatchesRecorder: a summary of a run reports what a stored
+// stream of the same run yields — the instruction stream, the read and
+// write split, the dropped count and the 32-byte working set — with
+// the cap above and below the run's access count.
+func TestSummaryMatchesRecorder(t *testing.T) {
+	for _, maxEvents := range []int{SummaryMaxEvents, 1000} {
+		rec, sum := NewRecorder(), NewSummary()
+		rec.MaxEvents, sum.maxEvents = maxEvents, uint64(maxEvents)
+		runAttached(t, sweepProgram, rec.Attach, rec.Detach)
+		runAttached(t, sweepProgram, sum.Attach, sum.Detach)
+		var reads, writes int
+		for _, e := range rec.MemEvents() {
+			if e.Write {
+				writes++
+			} else {
+				reads++
+			}
+		}
+		recLines, recBytes := rec.WorkingSet(SummaryLineBytes)
+		sumLines, sumBytes := sum.WorkingSet()
+		if sum.Events() != len(rec.MemEvents()) || sum.Reads() != reads || sum.Writes() != writes ||
+			sum.Dropped() != rec.Dropped() || sumLines != recLines || sumBytes != recBytes {
+			t.Errorf("cap %d: summary %d events (%d reads, %d writes, %d dropped, %d lines), recorder %d (%d, %d, %d, %d)",
+				maxEvents, sum.Events(), sum.Reads(), sum.Writes(), sum.Dropped(), sumLines,
+				len(rec.MemEvents()), reads, writes, rec.Dropped(), recLines)
+		}
+		if sum.Instructions() != rec.Instructions() || !reflect.DeepEqual(sum.HotSpots(0), rec.HotSpots(0)) {
+			t.Errorf("cap %d: instruction streams differ (%d vs %d instructions)", maxEvents, sum.Instructions(), rec.Instructions())
+		}
+		if maxEvents == 1000 && sum.Dropped() == 0 {
+			t.Error("the small cap dropped nothing")
+		}
+	}
+}
+
+// TestSummaryWorkingSetExact feeds seeded accesses — clustered and
+// scattered, unaligned, at page edges and at the top of the address
+// space — to a summary and a recorder on one CPU, and requires the same
+// distinct-line count.
+func TestSummaryWorkingSetExact(t *testing.T) {
+	soc, err := leon.New(leon.DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder()
+	rec.Attach(soc.CPU)
+	sum := NewSummary()
+	sum.Attach(soc.CPU)
+	rng := rand.New(rand.NewSource(1))
+	edges := []uint32{0, 31, 32, 1<<17 - 1, 1 << 17, 0x40000000, 0x60003FFF, 0xFFFFFFE0, 0xFFFFFFFF}
+	for i := 0; i < 50000; i++ {
+		var addr uint32
+		switch i % 4 {
+		case 0:
+			addr = edges[rng.Intn(len(edges))]
+		case 1:
+			addr = 0x60004000 + uint32(rng.Intn(4096))
+		case 2:
+			addr = rng.Uint32()
+		default:
+			addr = 0x40000000 + uint32(rng.Intn(1<<20))
+		}
+		soc.CPU.OnMem(addr, amba.SizeWord, i%3 == 0)
+	}
+	sum.Detach()
+	rec.Detach()
+	wantLines, _ := rec.WorkingSet(SummaryLineBytes)
+	if lines, _ := sum.WorkingSet(); lines != wantLines || sum.Events() != len(rec.MemEvents()) {
+		t.Errorf("summary: %d lines over %d events, recorder: %d lines over %d", lines, sum.Events(), wantLines, len(rec.MemEvents()))
+	}
 }
