@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-net chaos fuzz-smoke cover-gate vet fmt-check bench bench-smoke load-smoke reconfig-smoke trace-smoke sim-smoke time-lint ci
+.PHONY: all build test race race-net chaos fuzz-smoke cover-gate vet fmt-check bench bench-smoke bench-baseline load-smoke node-smoke reconfig-smoke trace-smoke sim-smoke time-lint ci
 
 all: build
 
@@ -83,23 +83,37 @@ bench:
 
 # bench-smoke runs every root-level benchmark exactly once with tests
 # disabled, with the throughput gates armed: the steady-state stepping
-# loop must allocate nothing and its measured ns/step must stay within
-# 10% of the checked-in BENCH_throughput.json baseline, and with a
-# trace.Recorder attached it must step at no more than 2x the
-# unrecorded ns/step measured in the same process (median of 3
-# alternating rounds; no baseline file). A cached full reconfiguration
+# loop must allocate nothing, and the stepping speed of the synthetic
+# StepKernel and of the three compiled kernels of internal/bench's
+# BenchmarkStepKernels must stay within 10% of the checked-in
+# BENCH_throughput.json baseline. The speeds compared are host-
+# independent: each is the median of 31 batches of ns/step, each
+# divided by a sort-and-deflate calibration timed just before it in
+# the same process (hostinfo.Calibrate) and scaled to a host where the
+# calibration takes 10 ms (RefNsPerStep). With a trace.Recorder
+# attached the loop must step at no more than 2x the unrecorded
+# ns/step measured in the same process (median of 3 alternating
+# rounds; no baseline file). A cached full reconfiguration
 # must allocate at most 1 MB (BenchmarkReconfigCache/hit-full: the
 # board memories are handed over, not copied). An untraced client's
 # remote-run-shaped op (32 KB load, start, held wait, read-back) on a
 # node that traces with a flight recorder must take at most 1.15x the
 # same op on a node that does not trace (BenchmarkNodeTracingOverhead:
 # both nodes in this process, median of 9 rounds of 50 interleaved op
-# pairs; no baseline file). The freshly measured
-# ns/step figure is re-emitted to BENCH_throughput.json (commit the
-# refresh when the number moves for a real reason).
+# pairs; no baseline file). bench-smoke never rewrites
+# BENCH_throughput.json: a run that rewrote its own baseline would move
+# the next run's ceiling by its own noise.
 bench-smoke:
-	LIQUID_BENCH_GATE=1 LIQUID_BENCH_JSON=$(CURDIR)/BENCH_throughput.json \
-		$(GO) test -run '^$$' -bench . -benchtime 1x -v .
+	LIQUID_BENCH_GATE=1 $(GO) test -run '^$$' -bench . -benchtime 1x -v .
+
+# bench-baseline re-measures the stepping speeds bench-smoke gates and
+# rewrites BENCH_throughput.json with them, raw and calibrated, and the
+# host stamp. It gates nothing. Commit the refresh when the speeds move
+# for a real reason, from a run whose figures sit in the middle of a
+# few.
+bench-baseline:
+	LIQUID_BENCH_JSON=$(CURDIR)/BENCH_throughput.json \
+		$(GO) test -run '^$$' -bench 'BenchmarkStepThroughput$$' -benchtime 1x -v .
 
 # load-smoke runs the pipelined-control-plane benchmarks once
 # (BenchmarkLoadThroughput window=1 vs window=16, and the single-board
@@ -113,6 +127,15 @@ load-smoke:
 	LIQUID_LOAD_GATE=1 LIQUID_LOAD_JSON=$(CURDIR)/BENCH_load.json \
 		$(GO) test -run '^$$' -bench 'BenchmarkLoadThroughput|BenchmarkNodeConcurrentClients/boards=1$$' \
 		-benchtime 1x -v ./internal/server/
+
+# node-smoke runs BenchmarkNodeConcurrentClients at both board counts
+# (1 and 4 boards, one stock client each) and re-emits BENCH_node.json
+# with the figures and the host stamp. It has no gate: the 4-board
+# aggregate depends on the host's CPU count (commit the refresh when
+# the numbers move for a real reason).
+node-smoke:
+	LIQUID_NODE_JSON=$(CURDIR)/BENCH_node.json \
+		$(GO) test -run '^$$' -bench 'BenchmarkNodeConcurrentClients' -v ./internal/server/
 
 # reconfig-smoke runs the cold/warm reconfiguration-service benchmark
 # once with the gate armed: a restarted node must serve a three-pass

@@ -42,7 +42,9 @@ import (
 // sim-MIPS metric is the simulated million-instructions-per-second
 // rate the sweep wall-clock scales with. When the smoke gate is armed
 // (`make bench-smoke`) it also enforces the BENCH_throughput.json
-// regression bar and rewrites the JSON with the figures just measured.
+// regression bars, for this kernel and for the compiled kernels of
+// internal/bench's BenchmarkStepKernels, and rewrites the JSON with the
+// figures just measured.
 func BenchmarkStepThroughput(b *testing.B) {
 	soc, err := bench.ThroughputSoC(0)
 	if err != nil {
@@ -62,26 +64,53 @@ func BenchmarkStepThroughput(b *testing.B) {
 	gateAndEmitThroughput(b)
 }
 
-// benchThroughputJSON is the on-disk shape of BENCH_throughput.json.
+// benchThroughputJSON is the on-disk shape of BENCH_throughput.json:
+// the StepKernel throughput row, its gated speed and the compiled
+// kernels' gated speeds.
 type benchThroughputJSON struct {
 	Figure string `json:"figure"`
 	Data   struct {
 		bench.ThroughputRow
+		RefNsPerStep float64
+		Kernels      []kernelSpeed
 		hostinfo.Host
 	} `json:"data"`
 }
 
-// gateAndEmitThroughput is the bench-smoke regression gate. When
-// LIQUID_BENCH_GATE=1 (set by `make bench-smoke`) it retimes the
-// 2M-step throughput experiment with internal timing — `-benchtime 1x`
-// makes b.N useless for gating — and fails the run if ns/step
-// regressed more than 10% over the checked-in BENCH_throughput.json,
-// or if the block-dispatch path allocates at all. When
-// LIQUID_BENCH_JSON names a path it rewrites that file with the
-// figures just measured, keeping the checked-in baseline a tool
-// artifact rather than a transcription.
+// kernelSpeed is one compiled kernel's stepping speed: the median
+// batch's ns/step and the gated figure, ns/step scaled to the
+// reference host (bench.CalibratedNsPerStep).
+type kernelSpeed struct {
+	Name         string
+	NsPerStep    float64
+	RefNsPerStep float64
+}
+
+// The throughput gate's bound and measurement: each workload's speed is
+// the median of gateRounds calibrated batches of gateSteps steps, the
+// workloads taking turns.
+const (
+	throughputBound = 1.10
+	gateSteps       = 500_000
+	gateRounds      = 31
+)
+
+// gateAndEmitThroughput is the bench-smoke throughput gate. When
+// LIQUID_BENCH_GATE=1 (set by `make bench-smoke`) it fails the run if
+// the block-dispatch path allocates at all, or if the stepping speed of
+// StepKernel or of any of bench.StepKernels' compiled kernels regressed
+// more than 10% against the checked-in BENCH_throughput.json. The
+// speeds compared are ns/step scaled by a host calibration timed in
+// this process (bench.CalibratedNsPerStep), so the gate holds on any
+// host and through a shared host's drift; raw ns/step is recorded
+// alongside. When LIQUID_BENCH_JSON names a path (`make
+// bench-baseline`) it writes the figures just measured there, keeping
+// the checked-in baseline a tool artifact rather than a transcription.
+// The gate never rewrites its own baseline: a run that did would move
+// the next run's ceiling by its own noise.
 func gateAndEmitThroughput(b *testing.B) {
-	if os.Getenv("LIQUID_BENCH_GATE") == "" {
+	gate, out := os.Getenv("LIQUID_BENCH_GATE") != "", os.Getenv("LIQUID_BENCH_JSON")
+	if !gate && out == "" {
 		return
 	}
 	soc, err := bench.ThroughputSoC(0)
@@ -92,37 +121,38 @@ func gateAndEmitThroughput(b *testing.B) {
 		if _, err := bench.StepSteady(soc, 4096); err != nil {
 			b.Fatal(err)
 		}
-	}); allocs != 0 {
+	}); gate && allocs != 0 {
 		b.Fatalf("bench gate: block-dispatch path allocates (%.1f allocs per 4096-step batch); must be 0", allocs)
 	}
-	row, err := bench.ThroughputExperiment(0)
+	var doc benchThroughputJSON
+	doc.Figure = "Simulator throughput: steady-state stepping speed (RefNsPerStep: ns/step scaled to a host where hostinfo.Calibrate takes 10 ms, the gated figure)"
+	if doc.Data.ThroughputRow, err = bench.ThroughputExperiment(0); err != nil {
+		b.Fatal(err)
+	}
+	socs := []*leon.SoC{soc}
+	for _, k := range bench.StepKernels() {
+		ksoc, err := bench.KernelSoC(k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		socs = append(socs, ksoc)
+		doc.Data.Kernels = append(doc.Data.Kernels, kernelSpeed{Name: k.Name})
+	}
+	ns, refNs, err := bench.CalibratedNsPerStep(socs, gateSteps, gateRounds)
 	if err != nil {
 		b.Fatal(err)
 	}
-	path := os.Getenv("LIQUID_BENCH_BASELINE")
-	if path == "" {
-		path = "BENCH_throughput.json"
+	doc.Data.RefNsPerStep = refNs[0]
+	for i := range doc.Data.Kernels {
+		doc.Data.Kernels[i].NsPerStep, doc.Data.Kernels[i].RefNsPerStep = ns[i+1], refNs[i+1]
 	}
-	if raw, err := os.ReadFile(path); err != nil {
-		b.Logf("bench gate: no baseline at %s (%v); skipping ns/step gate", path, err)
-	} else {
-		var base benchThroughputJSON
-		if err := json.Unmarshal(raw, &base); err != nil {
-			b.Fatalf("bench gate: parse %s: %v", path, err)
-		}
-		if ceiling := base.Data.NsPerStep * 1.10; row.NsPerStep > ceiling {
-			b.Fatalf("bench gate: %.2f ns/step exceeds ceiling %.2f (checked-in %.2f +10%%)",
-				row.NsPerStep, ceiling, base.Data.NsPerStep)
-		}
-		b.Logf("bench gate: %.2f ns/step (%.2f sim-MIPS) within ceiling %.2f, 0 allocs",
-			row.NsPerStep, row.SimMIPS, base.Data.NsPerStep*1.10)
+	if gate {
+		gateThroughput(b, &doc)
 	}
-	out := os.Getenv("LIQUID_BENCH_JSON")
-	if out == "" {
+	if out == "" || b.Failed() {
 		return
 	}
-	doc := benchThroughputJSON{Figure: "Simulator throughput: steady-state stepping speed"}
-	doc.Data.ThroughputRow, doc.Data.Host = row, hostinfo.Current()
+	doc.Data.Host = hostinfo.Current()
 	raw, err := json.MarshalIndent(&doc, "", "  ")
 	if err != nil {
 		b.Fatal(err)
@@ -131,6 +161,44 @@ func gateAndEmitThroughput(b *testing.B) {
 		b.Fatalf("bench gate: write %s: %v", out, err)
 	}
 	b.Logf("bench gate: wrote %s", out)
+}
+
+// gateThroughput fails b for each speed in got more than 10% slower
+// than the same workload's in the baseline file.
+func gateThroughput(b *testing.B, got *benchThroughputJSON) {
+	path := os.Getenv("LIQUID_BENCH_BASELINE")
+	if path == "" {
+		path = "BENCH_throughput.json"
+	}
+	var base benchThroughputJSON
+	if raw, err := os.ReadFile(path); err != nil {
+		b.Logf("bench gate: no baseline at %s (%v); skipping the ns/step gates", path, err)
+		return
+	} else if err := json.Unmarshal(raw, &base); err != nil {
+		b.Fatalf("bench gate: parse %s: %v", path, err)
+	}
+	check := func(name string, got, want float64) {
+		if want == 0 {
+			b.Logf("bench gate: %s: no baseline; not gated", name)
+			return
+		}
+		if got > want*throughputBound {
+			b.Errorf("bench gate: %s: %.2f reference ns/step exceeds ceiling %.2f (checked-in %.2f +10%%)",
+				name, got, want*throughputBound, want)
+			return
+		}
+		b.Logf("bench gate: %s: %.2f reference ns/step within ceiling %.2f", name, got, want*throughputBound)
+	}
+	check("StepKernel", got.Data.RefNsPerStep, base.Data.RefNsPerStep)
+	for _, k := range got.Data.Kernels {
+		var want float64
+		for _, bk := range base.Data.Kernels {
+			if bk.Name == k.Name {
+				want = bk.RefNsPerStep
+			}
+		}
+		check(k.Name, k.RefNsPerStep, want)
+	}
 }
 
 // BenchmarkStepThroughputRecorded is BenchmarkStepThroughput with the

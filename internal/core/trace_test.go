@@ -104,7 +104,7 @@ func loadNet(p *fpx.Platform, img *link.Image) {
 // runDoneSignal installs a run-done hook on p that signals the
 // returned channel. Only networked runs may happen on p's system, each
 // waited for before the next starts, so each completion is one signal.
-func runDoneSignal(t *testing.T, p *fpx.Platform) <-chan struct{} {
+func runDoneSignal(t testing.TB, p *fpx.Platform) <-chan struct{} {
 	t.Helper()
 	done := make(chan struct{}, 1)
 	if !p.SetRunDoneHook(func() {
@@ -122,7 +122,7 @@ func runDoneSignal(t *testing.T, p *fpx.Platform) <-chan struct{} {
 // networked path; entry 0 is the loaded image's), waits for the
 // completion signal on done — no sleep polling — and collects the run
 // report with one CmdResult, as a remote client would.
-func runNet(t *testing.T, p *fpx.Platform, done <-chan struct{}, entry uint32) netproto.RunReport {
+func runNet(t testing.TB, p *fpx.Platform, done <-chan struct{}, entry uint32) netproto.RunReport {
 	t.Helper()
 	resps := p.HandlePayload(netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{Entry: entry}.Marshal()}.Marshal())
 	if rep, err := netproto.ParseRunReport(resps[0].Body); err != nil || rep.Status != netproto.StatusRunning {
@@ -360,4 +360,29 @@ func BenchmarkNetworkRunHooks(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(wall[1])/float64(wall[0]), "hooked/unhooked")
+}
+
+// BenchmarkNoopRun times in-process runs of a program that returns at
+// once, started and collected through the platform as a remote client
+// would (CmdStartLEON, the run-done signal, CmdResult): the fixed cost
+// of a run — the boot ROM's handoff and its FLUSH, the controller
+// actor, the report — with next to no stepping.
+func BenchmarkNoopRun(b *testing.B) {
+	s, err := New(leon.DefaultConfig(), Options{Synth: smallSynth})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	img, err := s.CompileC("int main() { return 0; }", lcc.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := s.Platform()
+	done := runDoneSignal(b, p)
+	loadNet(p, img)
+	runNet(b, p, done, img.Entry)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runNet(b, p, done, img.Entry)
+	}
 }

@@ -206,50 +206,84 @@ type Stats struct {
 
 // Predecode-cache geometry: a direct-mapped array of decoded
 // instructions keyed by PC. 8192 entries cover 32 KB of code — larger
-// than any kernel the experiments run — at ~256 KB of host memory per
-// CPU. Entries are validated against the fetched instruction word, so
-// a collision or stale entry can never change architectural behaviour;
-// it only costs a re-decode.
+// than any kernel the experiments run — at 256 KB of host memory per
+// CPU. Step validates an entry against the fetched instruction word,
+// so a collision or stale entry can never change architectural
+// behaviour; it only costs a re-decode.
 const (
 	predecodeEntries = 1 << 13
 	predecodeMask    = predecodeEntries - 1
 )
 
-// predecodeEntry caches the decode of one instruction word. tag is
-// pc+1 (PCs are word-aligned, so +1 makes the zero value invalid and
-// still distinguishes pc 0); word is the instruction word the entry
-// was decoded from, re-checked on every Step hit. kind is the
-// superblock classification of the opcode and h the index of the
-// handler bound to it (handlers.go), both valid whenever tag+word
-// match. The entry holds no pointers, so the garbage collector never
-// scans the table.
+// predecodeEntry caches the decode of one instruction word. key is the
+// predecode generation the entry was decoded in (high half) and pc+1
+// (low half; PCs are word-aligned, so +1 keeps pc 0 apart from an
+// empty entry): the entry is live only while the generation is
+// current, so InvalidatePredecode drops every entry without touching
+// one. in.Raw is the word the entry was decoded from, which Step
+// re-checks on every hit. kind is the superblock classification of the
+// opcode and h the index of the handler bound to it (handlers.go). run
+// is the length of the register run starting here (see
+// dispatchBlock; 0 until measured), trusted for a batch only while
+// runGen is the CPU's current run epoch. The entry holds no pointers, so the garbage collector never
+// scans the table, and fills 32 bytes.
 type predecodeEntry struct {
-	tag  uint32
-	word uint32
-	kind uint8
-	h    uint8
-	in   isa.Inst
+	key    uint64
+	runGen uint32
+	kind   uint8
+	h      uint8
+	run    uint8
+	in     isa.Inst
 }
 
-// set fills the entry from a fresh decode of word at pc.
-func (e *predecodeEntry) set(pc, word uint32, in isa.Inst) {
-	e.tag, e.word, e.kind, e.h, e.in = pc+1, word, classify(in.Op), bind(&in), in
+// decode fills e with a fresh decode of word at pc under the current
+// generation. Replacing a live entry — another PC's, or this PC's
+// decode of another word — retires every cached run, since a run may
+// count on the entry it replaces.
+func (c *CPU) decode(e *predecodeEntry, pc, word uint32) error {
+	in, err := isa.Decode(word)
+	if err != nil {
+		return err
+	}
+	if e.key>>32 == c.genKey>>32 {
+		c.retireRuns()
+	}
+	e.key, e.run, e.runGen = c.genKey|uint64(pc+1), 0, 0
+	e.kind, e.h, e.in = classify(in.Op), bind(&in), in
+	return nil
 }
 
-// Superblock kinds. A kindFast instruction is straight-line: executed
-// without trapping it always sets pc,npc = npc,npc+4 and never annuls,
-// so a block of them can be dispatched back to back with the
-// npc==pc+4 invariant intact. kindCTI instructions are delay-slot
-// control transfers (CALL/Bicc/JMPL) that touch neither the PSR nor
-// instruction memory: the dispatcher keeps going long enough to
-// execute the delay slot in-block, then returns to the block-entry
-// path (whose interrupt probe and spin bookkeeping run at the branch
-// target). kindStop instructions force an immediate return to the
-// block-entry path: RETT and WRPSR can unmask interrupts, Ticc and
-// UNIMP trap deliberately, and FLUSH invalidates the very line being
-// dispatched.
+// retireRuns invalidates every cached run length by starting a new run
+// epoch. Epoch 0 marks a run never measured, so when the counter wraps
+// the table's epochs are zeroed before it restarts at 1.
+func (c *CPU) retireRuns() {
+	c.runGen++
+	if c.runGen == 0 {
+		for i := range c.predecode {
+			c.predecode[i].runGen = 0
+		}
+		c.runGen = 1
+	}
+}
+
+// Superblock kinds. A kindReg instruction is a register op: it costs
+// exactly its one fetch cycle and can neither trap, touch memory or a
+// device, nor change control flow, CWP, PIL or ET, so dispatchBlock
+// runs a sequence of them as one batch. A kindFast
+// instruction is straight-line: executed without trapping it always
+// sets pc,npc = npc,npc+4 and never annuls, so a block of them can be
+// dispatched back to back with the npc==pc+4 invariant intact.
+// kindCTI instructions are delay-slot control transfers
+// (CALL/Bicc/JMPL) that touch neither the PSR nor instruction memory:
+// the dispatcher keeps going long enough to execute the delay slot
+// in-block, then returns to the block-entry path (whose interrupt
+// probe and spin bookkeeping run at the branch target). kindStop
+// instructions force an immediate return to the block-entry path: RETT
+// and WRPSR can unmask interrupts, Ticc and UNIMP trap deliberately,
+// and FLUSH invalidates the very line being dispatched.
 const (
 	kindFast uint8 = iota
+	kindReg
 	kindCTI
 	kindStop
 )
@@ -264,6 +298,14 @@ func classify(op isa.Op) uint8 {
 		return kindCTI
 	case isa.OpRETT, isa.OpTicc, isa.OpUNIMP, isa.OpWRPSR, isa.OpFLUSH:
 		return kindStop
+	case isa.OpSETHI,
+		isa.OpOR, isa.OpORcc, isa.OpORN, isa.OpORNcc,
+		isa.OpADD, isa.OpADDcc, isa.OpADDX, isa.OpADDXcc,
+		isa.OpSUB, isa.OpSUBcc, isa.OpSUBX, isa.OpSUBXcc,
+		isa.OpAND, isa.OpANDcc, isa.OpANDN, isa.OpANDNcc,
+		isa.OpXOR, isa.OpXORcc, isa.OpXNOR, isa.OpXNORcc,
+		isa.OpSLL, isa.OpSRL, isa.OpSRA:
+		return kindReg
 	}
 	return kindFast
 }
@@ -282,8 +324,12 @@ type CPU struct {
 	// otherwise. StepN's superblock dispatch requires it.
 	lfetch LineFetcher
 	// predecode is the decode-once/execute-many cache consulted
-	// before isa.Decode on every fetched word.
+	// before isa.Decode on every fetched word. genKey is the current
+	// predecode generation in the high half of a key (an entry is live
+	// when its key is genKey|pc+1); runGen is the current run epoch.
 	predecode []predecodeEntry
+	genKey    uint64
+	runGen    uint32
 	// nwin mirrors cfg.NWindows so the window arithmetic reads a flat
 	// field.
 	nwin int
@@ -355,6 +401,7 @@ func New(cfg Config, imem, dmem Memory, irq IRQSource) (*CPU, error) {
 	}
 	c := &CPU{cfg: cfg, imem: imem, dmem: dmem, irq: irq, nwin: cfg.NWindows}
 	c.predecode = make([]predecodeEntry, predecodeEntries)
+	c.runGen = 1
 	c.wmap[0] = sinkSlot
 	for r := uint16(1); r < 8; r++ {
 		c.rmap[r], c.wmap[r] = r, r
@@ -381,11 +428,19 @@ func (c *CPU) InstBoundary() uint64 { return c.instStart }
 // SoC and leon_ctrl call it whenever instruction memory can change
 // underneath the fetch path without going through the CPU's own store
 // port: program load/handoff through the user-side SRAM port, cache
-// swaps, and the FLUSH instruction.
+// swaps, and the FLUSH instruction. It starts a new predecode
+// generation, writing no entry: every entry decoded before reads dead
+// from now on. Generation 0 is never current (the zero entry and a
+// store-invalidated one carry it), so when the counter wraps the table
+// is cleared before it restarts at 1, and no entry outlives 2^32
+// flushes.
 func (c *CPU) InvalidatePredecode() {
-	for i := range c.predecode {
-		c.predecode[i].tag = 0
+	gen := uint32(c.genKey>>32) + 1
+	if gen == 0 {
+		clear(c.predecode)
+		gen = 1
 	}
+	c.genKey = uint64(gen) << 32
 	c.spin.reset()
 }
 
@@ -563,12 +618,10 @@ func (c *CPU) Step() error {
 	// served, so stale or colliding entries cost a re-decode, never a
 	// wrong execution.
 	e := &c.predecode[(c.pc>>2)&predecodeMask]
-	if e.tag != c.pc+1 || e.word != word {
-		in, derr := isa.Decode(word)
-		if derr != nil {
+	if e.key != c.genKey|uint64(c.pc+1) || e.in.Raw != word {
+		if c.decode(e, c.pc, word) != nil {
 			return c.trap(TrapIllegalInst)
 		}
-		e.set(c.pc, word, in)
 	}
 	if c.prof != nil {
 		c.prof.add(c.pc, 1)

@@ -87,12 +87,14 @@ func (c *CPU) condTrue(cond isa.Cond) bool {
 // predecodeInvalidateStore drops the predecode entry covering a
 // stored-to word, so self-modifying code that writes over an
 // instruction is re-decoded on its next fetch (the I-cache itself still
-// requires the architectural FLUSH, exactly as on the hardware). One
+// requires the architectural FLUSH, exactly as on the hardware), and
+// retires every cached run, any of which may count the word. One
 // compare per store keeps the hot loop flat.
 func (c *CPU) predecodeInvalidateStore(addr uint32) {
 	e := &c.predecode[(addr>>2)&predecodeMask]
-	if e.tag == addr&^3+1 {
-		e.tag = 0
+	if e.key == c.genKey|uint64(addr&^3+1) {
+		e.key = 0
+		c.retireRuns()
 	}
 }
 

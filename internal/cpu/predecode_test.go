@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"liquidarch/internal/isa"
@@ -70,5 +71,70 @@ func TestInvalidatePredecode(t *testing.T) {
 	run(t, c, 2)
 	if got := c.Reg(g1); got != 7 {
 		t.Fatalf("%%g1 = %d, want 7", got)
+	}
+}
+
+// TestInvalidatePredecodeWritesNoEntry: a flush starts a new
+// generation without writing the table — every entry reads as before,
+// byte for byte — yet every entry decoded before it is dead, and the
+// next fetch decodes its entry live again. Only the counter's wrap
+// writes the table, clearing it.
+func TestInvalidatePredecodeWritesNoEntry(t *testing.T) {
+	g1 := isa.G0 + 1
+	c, _ := newCPU(t, DefaultConfig(),
+		enc(t, movImm(g1, 5)),
+		enc(t, isa.Inst{Op: isa.OpADD, Rd: g1, Rs1: g1, UseImm: true, Imm: 2}),
+		enc(t, isa.Inst{Op: isa.OpST, Rd: g1, Rs1: isa.G0, UseImm: true, Imm: 0x800}),
+	)
+	run(t, c, 3)
+	live := func(e *predecodeEntry) bool { return uint32(e.key) != 0 && e.key == c.genKey|e.key&0xFFFFFFFF }
+	var decoded int
+	for i := range c.predecode {
+		if live(&c.predecode[i]) {
+			decoded++
+		}
+	}
+	if decoded != 3 {
+		t.Fatalf("%d live entries after three instructions, want 3", decoded)
+	}
+	before := slices.Clone(c.predecode)
+	c.InvalidatePredecode()
+	if !slices.Equal(before, c.predecode) {
+		t.Fatal("InvalidatePredecode wrote the table")
+	}
+	for i := range c.predecode {
+		if live(&c.predecode[i]) {
+			t.Fatalf("entry %d (pc %#x) still live after InvalidatePredecode", i, uint32(c.predecode[i].key)-1)
+		}
+	}
+	c.SetPC(0x1000)
+	run(t, c, 1)
+	if e := &c.predecode[(0x1000>>2)&predecodeMask]; !live(e) || e.key != c.genKey|0x1001 {
+		t.Fatalf("re-decoded entry %+v is not live in generation %#x", *e, c.genKey>>32)
+	}
+
+	c.genKey = uint64(^uint32(0)) << 32
+	c.InvalidatePredecode()
+	if c.genKey != 1<<32 {
+		t.Fatalf("generation %#x after the wrap, want 1", c.genKey>>32)
+	}
+	for i := range c.predecode {
+		if c.predecode[i] != (predecodeEntry{}) {
+			t.Fatalf("entry %d survived the wrap: %+v", i, c.predecode[i])
+		}
+	}
+}
+
+// TestRetireRunsWrap: when the run epoch wraps, every cached run is
+// marked unmeasured before the epoch restarts at 1, so no run measured
+// 2^32 epochs ago is trusted again.
+func TestRetireRunsWrap(t *testing.T) {
+	c, _ := newCPU(t, DefaultConfig())
+	c.runGen = ^uint32(0)
+	e := &c.predecode[5]
+	e.run, e.runGen = 3, c.runGen
+	c.retireRuns()
+	if c.runGen != 1 || e.runGen != 0 {
+		t.Fatalf("after the wrap: epoch %d, the entry's %d; want 1 and 0", c.runGen, e.runGen)
 	}
 }

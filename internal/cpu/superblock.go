@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"slices"
-
-	"liquidarch/internal/isa"
 )
 
 // This file is the superblock dispatcher: StepN executes instructions
@@ -199,9 +197,18 @@ func (c *CPU) StepN(maxSteps int, cycleLimit uint64, stopPC uint32) (int, error)
 // uint32 arithmetic, so a stopPC below head never binds). A pending
 // annul can only come from the CTI, so it is tested only there. That
 // leaves five checks before each instruction — the step bound, the
-// cycle limit, a device event, a line crossing and the predecode tag —
+// cycle limit, a device event, a line crossing and the predecode key —
 // and every stop lands exactly where a caller stepping one instruction
 // at a time would observe it.
+//
+// A register run — consecutive kindReg words to the end of the line —
+// runs as one batch. Each of its instructions costs exactly one cycle
+// (the fetch hit), raises no trap and no device event and leaves CWP,
+// PIL and ET alone, so the gates cannot close inside it except by
+// count: n = min(run, steps left, cycles left) instructions run back
+// to back, and Cycles, PC/nPC and the step count advance by n at once.
+// The run's length is measured once and cached on the entry it starts
+// at, valid for the run epoch (retireRuns) it was measured in.
 func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit uint64, stopPC uint32, steps int) (int, error) {
 	lineMask := uint32(len(line) - 1)
 	lineBase := head &^ lineMask
@@ -232,19 +239,18 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 			lineBase = pc &^ lineMask
 		}
 		c.instStart = c.Cycles
-		e := &c.predecode[(pc>>2)&predecodeMask]
-		// A tag hit is trusted without re-reading the line word:
+		i := (pc >> 2) & predecodeMask
+		e := &c.predecode[i]
+		// A live key is trusted without re-reading the line word:
 		// every path that can change fetched memory tears the entry
 		// down first (CPU stores invalidate per touched word,
 		// user-port pokes, program loads, cache flushes and FLUSH
-		// invalidate wholesale), so tag==pc+1 implies word and decode
+		// start a new generation), so a live entry's word and decode
 		// are current. Step's own word compare covers the same
 		// protocol and is free there, where the word is fetched
 		// anyway.
-		if e.tag != pc+1 {
-			word := binary.BigEndian.Uint32(line[pc&lineMask:])
-			in, derr := isa.Decode(word)
-			if derr != nil {
+		if e.key != c.genKey|uint64(pc+1) {
+			if c.decode(e, pc, binary.BigEndian.Uint32(line[pc&lineMask:])) != nil {
 				// Step's order: the fetch cycle lands, then the
 				// decode failure traps.
 				c.Cycles++
@@ -252,11 +258,30 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 				fail = c.trap(TrapIllegalInst)
 				break
 			}
-			e.set(pc, word, in)
 		}
-		// FLUSH zeroes the predecode tags from inside its handler, so
-		// the kind must be read before executing.
+		// A lone register op — a run of one, or a run cut to one —
+		// goes through its handler below, which is exact for any
+		// register op and cheaper than a batch of one.
 		kind := e.kind
+		if kind == kindReg && e.run != 1 {
+			n := int(e.run)
+			if e.runGen != c.runGen {
+				n = c.measureRun(line, lineMask, pc)
+			}
+			n = min(n, kmax-k)
+			if d := cycleLimit - c.Cycles; d < uint64(n) {
+				n = int(d)
+			}
+			if n > 1 {
+				c.runRegs(c.predecode[i : i+uint32(n)])
+				k += n
+				c.Cycles += uint64(n)
+				c.instStart = c.Cycles - 1
+				c.pc = c.npc + 4*uint32(n-1)
+				c.npc = c.pc + 4
+				continue
+			}
+		}
 		c.Cycles++ // pure 1-cycle fetch hit (see PeekLine contract)
 		c.nnpc = c.npc + 4
 		err := handlers[e.h](c, &e.in)
@@ -268,7 +293,7 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 			break // trap vectored (or error mode): block over
 		}
 		c.pc, c.npc = c.npc, c.nnpc
-		if kind != kindFast {
+		if kind >= kindCTI {
 			if kind == kindStop || c.annul {
 				break // an annulled slot is Step's
 			}
@@ -283,6 +308,32 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 		c.lfetch.AddFetchHits(hits)
 	}
 	return steps + k + extra, fail
+}
+
+// measureRun returns the length of the register run starting at pc,
+// whose entry is live and kindReg: the consecutive kindReg words from
+// pc to the end of its line, decoding the ones the table does not
+// hold. It caches the length on pc's entry under the current run epoch
+// (after the decodes, which may have started a new one). A run also
+// ends where the table index wraps, so its entries are contiguous and
+// distinct however long the line, and at 255 words, the most the entry
+// holds.
+func (c *CPU) measureRun(line []byte, lineMask, pc uint32) int {
+	n := 1
+	for p := pc + 4; p&lineMask != 0 && (p>>2)&predecodeMask != 0 && n < 255; p += 4 {
+		e := &c.predecode[(p>>2)&predecodeMask]
+		if e.key != c.genKey|uint64(p+1) &&
+			c.decode(e, p, binary.BigEndian.Uint32(line[p&lineMask:])) != nil {
+			break
+		}
+		if e.kind != kindReg {
+			break
+		}
+		n++
+	}
+	e := &c.predecode[(pc>>2)&predecodeMask]
+	e.run, e.runGen = uint8(n), c.runGen
+	return n
 }
 
 // spinProbeStart snapshots the architectural state and counter

@@ -657,7 +657,8 @@ func TestStepNProfiledAllocatesNothing(t *testing.T) {
 
 // FuzzSuperblockDiff drives arbitrary instruction words through the
 // StepN-against-Step rig: random batch sizes, a stop address and a
-// cycle cap. Before each reference step every gate must still be open,
+// cycle cap; a batch seed of 128 or more also starts the predecode
+// generation just below its wrap. Before each reference step every gate must still be open,
 // and a batch cut short must end at a closed gate (or an error); state,
 // memory, fetch counters and, when profiled, the execution profile
 // must match the single-stepped reference after every batch.
@@ -691,6 +692,24 @@ func FuzzSuperblockDiff(f *testing.F) {
 	f.Add(loop, uint8(12), uint32(noStopPC), uint32(1<<31), true)
 	// The same for a loop body entered by a branch (first batch 9 steps).
 	f.Add(words(branchEnteredLoop(f)), uint8(5), uint32(noStopPC), uint32(1<<31), true)
+	// Register runs (regrun_test.go): cut short by the step budget, by
+	// a stop PC inside a run and by a cycle cap inside one.
+	runs := words(runLoop(f))
+	f.Add(runs, uint8(13), uint32(noStopPC), uint32(1<<31), true)
+	f.Add(runs, uint8(14), uint32(runLine+12), uint32(1<<31), false)
+	f.Add(runs, uint8(15), uint32(noStopPC), uint32(8+16+5), true)
+	// A store into a cached run, then FLUSH.
+	f.Add(words(selfModRunLoop(f, aluI(isa.OpST, isa.O0, isa.G1, 0), true)), uint8(16), uint32(noStopPC), uint32(1<<31), true)
+	f.Add(words(selfModRunLoop(f, aluI(isa.OpADD, isa.O0, isa.O0, 100), true)), uint8(17), uint32(noStopPC), uint32(1<<31), false)
+	// Two run heads 32 KB apart evicting each other's entries.
+	aliased, _, _ := aliasedRuns(f)
+	f.Add(words(aliased), uint8(18), uint32(noStopPC), uint32(1<<31), true)
+	// One run head under three CWPs.
+	f.Add(words(windowedRuns(f)), uint8(19), uint32(noStopPC), uint32(1<<31), false)
+	// FLUSHes carrying the predecode generation across its wrap (a
+	// batch seed of 128 or more starts it 1-4 below 2^32).
+	f.Add(words(wrapRuns(f)), uint8(128), uint32(noStopPC), uint32(1<<31), true)
+	f.Add(words(wrapRuns(f)), uint8(129), uint32(noStopPC), uint32(1<<31), false)
 
 	f.Fuzz(func(t *testing.T, code []byte, batch uint8, stopPC uint32, cycleCap uint32, prof bool) {
 		if len(code) > 4*512 {
@@ -701,6 +720,9 @@ func FuzzSuperblockDiff(f *testing.F) {
 			ws[i] = binary.BigEndian.Uint32(code[i*4:])
 		}
 		r := newRig(t, prof, nil, nil, ws...)
+		if batch >= 128 {
+			r.a.genKey = uint64(-uint32(batch&3+1)) << 32
+		}
 		rng := rand.New(rand.NewSource(int64(batch)))
 		limit := uint64(cycleCap)
 		for b := 0; b < 64; b++ {

@@ -357,9 +357,11 @@ func (s *Server) dispatch(bufp *[]byte, payload []byte, peer *net.UDPAddr) {
 		s.dropOnReadLoop(j, board, "peer_addr")
 		return
 	}
+	// A drop that draws a reply is counted before the reply leaves, so
+	// a client that sees the error also sees the count.
 	if board >= len(s.boards) {
-		s.replyError(peer, hdr, fmt.Sprintf("no board %d on this node (%d boards)", board, len(s.boards)))
 		s.dropOnReadLoop(j, board, "bad_board")
+		s.replyError(peer, hdr, fmt.Sprintf("no board %d on this node (%d boards)", board, len(s.boards)))
 		return
 	}
 	j.src, j.start = src, s.clk.Now()
@@ -367,8 +369,8 @@ func (s *Server) dispatch(bufp *[]byte, payload []byte, peer *net.UDPAddr) {
 	case s.queues[board] <- j:
 	default:
 		// Bounded queue full: backpressure, not buffering.
-		s.replyError(peer, hdr, fmt.Sprintf("board %d busy (queue full)", board))
 		s.dropOnReadLoop(j, board, "busy")
+		s.replyError(peer, hdr, fmt.Sprintf("board %d busy (queue full)", board))
 	}
 }
 
