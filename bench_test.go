@@ -43,8 +43,8 @@ import (
 // rate the sweep wall-clock scales with. When the smoke gate is armed
 // (`make bench-smoke`) it also enforces the BENCH_throughput.json
 // regression bars, for this kernel and for the compiled kernels of
-// internal/bench's BenchmarkStepKernels, and rewrites the JSON with the
-// figures just measured.
+// internal/bench's BenchmarkStepKernels; `make bench-baseline`, the
+// JSON's only writer, re-emits it with the figures just measured.
 func BenchmarkStepThroughput(b *testing.B) {
 	soc, err := bench.ThroughputSoC(0)
 	if err != nil {
@@ -164,7 +164,9 @@ func gateAndEmitThroughput(b *testing.B) {
 }
 
 // gateThroughput fails b for each speed in got more than 10% slower
-// than the same workload's in the baseline file.
+// than the same workload's in the baseline file, and for each workload
+// the file has no speed for: a renamed or added kernel must be
+// re-baselined rather than run ungated.
 func gateThroughput(b *testing.B, got *benchThroughputJSON) {
 	path := os.Getenv("LIQUID_BENCH_BASELINE")
 	if path == "" {
@@ -179,7 +181,7 @@ func gateThroughput(b *testing.B, got *benchThroughputJSON) {
 	}
 	check := func(name string, got, want float64) {
 		if want == 0 {
-			b.Logf("bench gate: %s: no baseline; not gated", name)
+			b.Errorf("bench gate: %s: no baseline in %s; run make bench-baseline", name, path)
 			return
 		}
 		if got > want*throughputBound {

@@ -269,7 +269,8 @@ func (c *CPU) retireRuns() {
 // Superblock kinds. A kindReg instruction is a register op: it costs
 // exactly its one fetch cycle and can neither trap, touch memory or a
 // device, nor change control flow, CWP, PIL or ET, so dispatchBlock
-// runs a sequence of them as one batch. A kindFast
+// runs a sequence of them as one batch (measureRun demotes one that
+// heads no longer run to kindFast). A kindFast
 // instruction is straight-line: executed without trapping it always
 // sets pc,npc = npc,npc+4 and never annuls, so a block of them can be
 // dispatched back to back with the npc==pc+4 invariant intact.

@@ -6,8 +6,9 @@ import "liquidarch/internal/isa"
 // executes it. The binding is made once, when the word is decoded into
 // the predecode cache: the entry stores a handler index, and Step and
 // dispatchBlock call handlers[e.h] with no per-execution switch on the
-// op. The hot ops get one handler per operand form, so the register or
-// immediate choice is made at decode as well.
+// op (a register run tests for mov's two indices first, so that mov
+// inlines there). The hot ops get one handler per operand form, so the
+// register or immediate choice is made at decode as well.
 //
 // A handler runs one instruction whose fetch cycle is already charged.
 // On the normal path it returns nil and leaves the delayed-branch
@@ -29,84 +30,11 @@ var (
 	handlers [256]handler
 	bindings [256][2]uint8
 
-	hBA uint8 // the unconditional, unannulled branch (see bind)
-)
-
-// The handler indices of the register ops (classify's kindReg) are
-// constants, so that runRegs can switch on them and call each handler
-// directly; init numbers the other handlers from hRegEnd on.
-const (
-	hIllegal uint8 = iota
-	hMOVr
-	hMOVi
-	hSETHI
-	hADDr
-	hADDi
-	hSUBr
-	hSUBi
-	hSUBccR
-	hSUBccI
-	hANDr
-	hANDi
-	hORr
-	hORi
-	hXORr
-	hXORi
-	hSLLr
-	hSLLi
-	hSRLr
-	hSRLi
-	hSRAr
-	hSRAi
-	hADDcc
-	hADDX
-	hADDXcc
-	hSUBX
-	hSUBXcc
-	hANDcc
-	hANDN
-	hANDNcc
-	hORcc
-	hORN
-	hORNcc
-	hXORcc
-	hXNOR
-	hXNORcc
-	hRegEnd
+	hMOVr, hMOVi, hBA uint8 // the shapes bind specialises beyond the operand form
 )
 
 func init() {
-	fixed := func(op isa.Op, reg, imm uint8, hreg, himm handler) {
-		handlers[reg], handlers[imm] = hreg, himm
-		bindings[op] = [2]uint8{reg, imm}
-	}
-	handlers[hIllegal], handlers[hMOVr], handlers[hMOVi] = opIllegal, movR, movI
-	fixed(isa.OpSETHI, hSETHI, hSETHI, opSETHI, opSETHI)
-	fixed(isa.OpADD, hADDr, hADDi, addR, addI)
-	fixed(isa.OpSUB, hSUBr, hSUBi, subR, subI)
-	fixed(isa.OpSUBcc, hSUBccR, hSUBccI, subccR, subccI)
-	fixed(isa.OpAND, hANDr, hANDi, andR, andI)
-	fixed(isa.OpOR, hORr, hORi, orR, orI)
-	fixed(isa.OpXOR, hXORr, hXORi, xorR, xorI)
-	fixed(isa.OpSLL, hSLLr, hSLLi, sllR, sllI)
-	fixed(isa.OpSRL, hSRLr, hSRLi, srlR, srlI)
-	fixed(isa.OpSRA, hSRAr, hSRAi, sraR, sraI)
-	fixed(isa.OpADDcc, hADDcc, hADDcc, opADDcc, opADDcc)
-	fixed(isa.OpADDX, hADDX, hADDX, opADDX, opADDX)
-	fixed(isa.OpADDXcc, hADDXcc, hADDXcc, opADDXcc, opADDXcc)
-	fixed(isa.OpSUBX, hSUBX, hSUBX, opSUBX, opSUBX)
-	fixed(isa.OpSUBXcc, hSUBXcc, hSUBXcc, opSUBXcc, opSUBXcc)
-	fixed(isa.OpANDcc, hANDcc, hANDcc, opANDcc, opANDcc)
-	fixed(isa.OpANDN, hANDN, hANDN, opANDN, opANDN)
-	fixed(isa.OpANDNcc, hANDNcc, hANDNcc, opANDNcc, opANDNcc)
-	fixed(isa.OpORcc, hORcc, hORcc, opORcc, opORcc)
-	fixed(isa.OpORN, hORN, hORN, opORN, opORN)
-	fixed(isa.OpORNcc, hORNcc, hORNcc, opORNcc, opORNcc)
-	fixed(isa.OpXORcc, hXORcc, hXORcc, opXORcc, opXORcc)
-	fixed(isa.OpXNOR, hXNOR, hXNOR, opXNOR, opXNOR)
-	fixed(isa.OpXNORcc, hXNORcc, hXNORcc, opXNORcc, opXNORcc)
-
-	n := int(hRegEnd)
+	n := 0
 	add := func(h handler) uint8 {
 		handlers[n] = h
 		n++
@@ -118,7 +46,9 @@ func init() {
 	}
 	two := func(op isa.Op, reg, imm handler) { bindings[op] = [2]uint8{add(reg), add(imm)} }
 
+	add(opIllegal)
 	one(isa.OpCALL, opCALL)
+	one(isa.OpSETHI, opSETHI)
 	one(isa.OpBicc, opBicc)
 	one(isa.OpUNIMP, opIllegal)
 	one(isa.OpJMPL, opJMPL)
@@ -137,6 +67,29 @@ func init() {
 	one(isa.OpWRTBR, opWRTBR)
 	one(isa.OpLQMAC, opLQMAC)
 
+	two(isa.OpADD, addR, addI)
+	one(isa.OpADDcc, opADDcc)
+	two(isa.OpSUB, subR, subI)
+	two(isa.OpSUBcc, subccR, subccI)
+	two(isa.OpAND, andR, andI)
+	one(isa.OpANDcc, opANDcc)
+	two(isa.OpOR, orR, orI)
+	one(isa.OpORcc, opORcc)
+	two(isa.OpXOR, xorR, xorI)
+	one(isa.OpXORcc, opXORcc)
+	two(isa.OpSLL, sllR, sllI)
+	two(isa.OpSRL, srlR, srlI)
+	two(isa.OpSRA, sraR, sraI)
+	one(isa.OpADDX, opADDX)
+	one(isa.OpADDXcc, opADDXcc)
+	one(isa.OpSUBX, opSUBX)
+	one(isa.OpSUBXcc, opSUBXcc)
+	one(isa.OpANDN, opANDN)
+	one(isa.OpANDNcc, opANDNcc)
+	one(isa.OpORN, opORN)
+	one(isa.OpORNcc, opORNcc)
+	one(isa.OpXNOR, opXNOR)
+	one(isa.OpXNORcc, opXNORcc)
 	one(isa.OpUMUL, opUMUL)
 	one(isa.OpUMULcc, opUMULcc)
 	one(isa.OpSMUL, opSMUL)
@@ -160,91 +113,7 @@ func init() {
 	one(isa.OpLDSTUB, opLDSTUB)
 	one(isa.OpSWAP, opSWAP)
 
-	hBA = add(opBA)
-}
-
-// runRegs executes a register run (dispatchBlock), switching on each
-// entry's handler index to call its handler directly, where it
-// inlines. Step reaches the same handlers through the table, as does
-// an index the switch does not list.
-func (c *CPU) runRegs(run []predecodeEntry) {
-	for i := range run {
-		in := &run[i].in
-		switch run[i].h {
-		case hMOVr:
-			movR(c, in)
-		case hMOVi:
-			movI(c, in)
-		case hSETHI:
-			opSETHI(c, in)
-		case hADDr:
-			addR(c, in)
-		case hADDi:
-			addI(c, in)
-		case hSUBr:
-			subR(c, in)
-		case hSUBi:
-			subI(c, in)
-		case hSUBccR:
-			subccR(c, in)
-		case hSUBccI:
-			subccI(c, in)
-		case hANDr:
-			andR(c, in)
-		case hANDi:
-			andI(c, in)
-		case hORr:
-			orR(c, in)
-		case hORi:
-			orI(c, in)
-		case hXORr:
-			xorR(c, in)
-		case hXORi:
-			xorI(c, in)
-		case hSLLr:
-			sllR(c, in)
-		case hSLLi:
-			sllI(c, in)
-		case hSRLr:
-			srlR(c, in)
-		case hSRLi:
-			srlI(c, in)
-		case hSRAr:
-			sraR(c, in)
-		case hSRAi:
-			sraI(c, in)
-		case hADDcc:
-			opADDcc(c, in)
-		case hADDX:
-			opADDX(c, in)
-		case hADDXcc:
-			opADDXcc(c, in)
-		case hSUBX:
-			opSUBX(c, in)
-		case hSUBXcc:
-			opSUBXcc(c, in)
-		case hANDcc:
-			opANDcc(c, in)
-		case hANDN:
-			opANDN(c, in)
-		case hANDNcc:
-			opANDNcc(c, in)
-		case hORcc:
-			opORcc(c, in)
-		case hORN:
-			opORN(c, in)
-		case hORNcc:
-			opORNcc(c, in)
-		case hXORcc:
-			opXORcc(c, in)
-		case hXNOR:
-			opXNOR(c, in)
-		case hXNORcc:
-			opXNORcc(c, in)
-		default:
-			handlers[run[i].h](c, in)
-		}
-	}
+	hMOVr, hMOVi, hBA = add(movR), add(movI), add(opBA)
 }
 
 // bind chooses the handler for a decoded instruction. Beyond the

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"liquidarch/internal/isa"
@@ -402,48 +401,30 @@ func TestDiffSuperblockGenerationWrap(t *testing.T) {
 	}
 }
 
-// TestRunRegsMatchesHandlers: every register op, in both operand forms
-// and on random registers and flags, has a constant handler index
-// below hRegEnd, and runRegs' direct call leaves the machine exactly as
-// the handler table's entry does.
-func TestRunRegsMatchesHandlers(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	ops := 0
-	for op := isa.Op(0); op < 255; op++ {
-		if classify(op) != kindReg {
-			continue
-		}
-		ops++
-		for _, imm := range []bool{false, true} {
-			in := isa.Inst{Op: op, Rd: isa.O0 + 2, Rs1: isa.L0 + 1, Rs2: isa.I0 + 3, UseImm: imm, Imm: int32(rng.Intn(8191) - 4095)}
-			if op == isa.OpSETHI {
-				in = isa.Inst{Op: op, Rd: isa.O0 + 2, Imm: int32(rng.Intn(1 << 22))}
-			}
-			a, _ := newCPU(t, DefaultConfig())
-			b, _ := newCPU(t, DefaultConfig())
-			for i := 1; i < a.usedSlots(); i++ {
-				v := rng.Uint32()
-				a.regs[i], b.regs[i] = v, v
-			}
-			icc := uint32(rng.Intn(16)) << 20
-			a.psr, b.psr = a.psr|icc, b.psr|icc
-			var e predecodeEntry
-			if err := a.decode(&e, 0x1000, enc(t, in)); err != nil {
-				t.Fatal(err)
-			}
-			if e.h >= hRegEnd {
-				t.Fatalf("%v: handler index %d is not a register op's", in.Op.Name(), e.h)
-			}
-			a.runRegs([]predecodeEntry{e})
-			if err := handlers[e.h](b, &e.in); err != nil {
-				t.Fatal(err)
-			}
-			if d := diffState(a, b); d != "" {
-				t.Fatalf("%v (imm %v): runRegs diverged from the handler table: %s", in.Op.Name(), imm, d)
-			}
-		}
+// TestDiffSuperblockLoneRegOp: a register op that heads a run of one
+// is demoted to kindFast when its run is measured, and a run that
+// reaches it from an earlier head still counts it. The loop's subcc is
+// reached as a block head by cutting the first batch after the add,
+// and the loop's head then measures a run of two through it.
+func TestDiffSuperblockLoneRegOp(t *testing.T) {
+	const head, lone = 0x1004, 0x1008
+	words := []uint32{
+		aluI(isa.OpOR, isa.G0+2, isa.G0, 3), // mov 3, %g2
+		aluI(isa.OpADD, isa.O0, isa.O0, 1),  // head:
+		aluI(isa.OpSUBcc, isa.G0+2, isa.G0+2, 1),
+		branch(isa.CondNE, 0x100c, head),
+		nopWord, // delay slot
+		spinWord,
 	}
-	if ops != 24 {
-		t.Fatalf("%d register ops, want 24", ops)
+	for _, prof := range profModes {
+		r := newRig(t, prof, nil, nil, words...)
+		r.drive(t, 2, 2, "mov and add")
+		r.drive(t, 3+2*4, 64, "the loop from its subcc")
+		if e := r.a.predecode[(lone>>2)&predecodeMask]; e.kind != kindFast || e.run != 1 {
+			t.Fatalf("subcc: kind %d, run %d; want kindFast, 1", e.kind, e.run)
+		}
+		if e := r.a.predecode[(head>>2)&predecodeMask]; e.kind != kindReg || e.run != 2 {
+			t.Fatalf("loop head: kind %d, run %d; want kindReg, 2", e.kind, e.run)
+		}
 	}
 }

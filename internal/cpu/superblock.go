@@ -201,14 +201,15 @@ func (c *CPU) StepN(maxSteps int, cycleLimit uint64, stopPC uint32) (int, error)
 // and every stop lands exactly where a caller stepping one instruction
 // at a time would observe it.
 //
-// A register run — consecutive kindReg words to the end of the line —
-// runs as one batch. Each of its instructions costs exactly one cycle
-// (the fetch hit), raises no trap and no device event and leaves CWP,
-// PIL and ET alone, so the gates cannot close inside it except by
-// count: n = min(run, steps left, cycles left) instructions run back
-// to back, and Cycles, PC/nPC and the step count advance by n at once.
-// The run's length is measured once and cached on the entry it starts
-// at, valid for the run epoch (retireRuns) it was measured in.
+// A register run — consecutive register ops (classify's kindReg) to
+// the end of the line — runs as one batch. Each of its instructions
+// costs exactly one cycle (the fetch hit), raises no trap and no
+// device event and leaves CWP, PIL and ET alone, so the gates cannot
+// close inside it except by count: n = min(run, steps left, cycles
+// left) instructions run back to back, and Cycles, PC/nPC and the step
+// count advance by n at once. The run's length is measured once and
+// cached on the entry it starts at, valid for the run epoch
+// (retireRuns) it was measured in.
 func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit uint64, stopPC uint32, steps int) (int, error) {
 	lineMask := uint32(len(line) - 1)
 	lineBase := head &^ lineMask
@@ -259,11 +260,12 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 				break
 			}
 		}
-		// A lone register op — a run of one, or a run cut to one —
-		// goes through its handler below, which is exact for any
-		// register op and cheaper than a batch of one.
+		// A lone register op goes through its handler below, which is
+		// exact for any register op and cheaper than a batch of one:
+		// a delay slot (one step left) skips the batch path, and
+		// measureRun demotes the head of a run of one to kindFast.
 		kind := e.kind
-		if kind == kindReg && e.run != 1 {
+		if kind == kindReg && kmax-k > 1 {
 			n := int(e.run)
 			if e.runGen != c.runGen {
 				n = c.measureRun(line, lineMask, pc)
@@ -273,7 +275,20 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 				n = int(d)
 			}
 			if n > 1 {
-				c.runRegs(c.predecode[i : i+uint32(n)])
+				// mov, lcc's commonest op, is called directly,
+				// where it inlines; every other op takes the
+				// handler table, as in Step.
+				run := c.predecode[i : i+uint32(n)]
+				for j := range run {
+					switch r := &run[j]; r.h {
+					case hMOVr:
+						movR(c, &r.in)
+					case hMOVi:
+						movI(c, &r.in)
+					default:
+						handlers[r.h](c, &r.in)
+					}
+				}
 				k += n
 				c.Cycles += uint64(n)
 				c.instStart = c.Cycles - 1
@@ -311,13 +326,23 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 }
 
 // measureRun returns the length of the register run starting at pc,
-// whose entry is live and kindReg: the consecutive kindReg words from
-// pc to the end of its line, decoding the ones the table does not
+// whose entry is live and kindReg: the consecutive register ops from
+// pc to the end of its line, decoding the words the table does not
 // hold. It caches the length on pc's entry under the current run epoch
 // (after the decodes, which may have started a new one). A run also
 // ends where the table index wraps, so its entries are contiguous and
 // distinct however long the line, and at 255 words, the most the entry
 // holds.
+//
+// A run of one demotes its entry to kindFast, so the op runs through
+// its handler with no run check until it is decoded again. That is
+// exact, as every register op is a straight-line op. It costs a batch
+// only if a later word of the line becomes a register op while the
+// entry lives, which takes a store and a line refill with no FLUSH
+// between (a FLUSH starts a new generation): code that rewrites itself
+// without one. Later words are tested by their op, not their kind, so
+// a demoted op still counts in a run that reaches it from an earlier
+// head.
 func (c *CPU) measureRun(line []byte, lineMask, pc uint32) int {
 	n := 1
 	for p := pc + 4; p&lineMask != 0 && (p>>2)&predecodeMask != 0 && n < 255; p += 4 {
@@ -326,13 +351,16 @@ func (c *CPU) measureRun(line []byte, lineMask, pc uint32) int {
 			c.decode(e, p, binary.BigEndian.Uint32(line[p&lineMask:])) != nil {
 			break
 		}
-		if e.kind != kindReg {
+		if classify(e.in.Op) != kindReg {
 			break
 		}
 		n++
 	}
 	e := &c.predecode[(pc>>2)&predecodeMask]
 	e.run, e.runGen = uint8(n), c.runGen
+	if n == 1 {
+		e.kind = kindFast
+	}
 	return n
 }
 
