@@ -84,8 +84,9 @@ bench:
 # bench-smoke runs every root-level benchmark exactly once with tests
 # disabled, with the throughput gates armed: the steady-state stepping
 # loop must allocate nothing, and the stepping speed of the synthetic
-# StepKernel and of the three compiled kernels of internal/bench's
-# BenchmarkStepKernels must stay within 10% of the checked-in
+# StepKernel and of the four kernels of internal/bench's StepKernels
+# (three compiled ones and the node benchmarks' count loop) must stay
+# within 10% of the checked-in
 # BENCH_throughput.json baseline. The speeds compared are host-
 # independent: each is the median of 31 batches of ns/step, each
 # divided by a sort-and-deflate calibration timed just before it in
@@ -94,8 +95,9 @@ bench:
 # attached the loop must step at no more than 2x the unrecorded
 # ns/step measured in the same process (median of 3 alternating
 # rounds; no baseline file). A cached full reconfiguration
-# must allocate at most 1 MB (BenchmarkReconfigCache/hit-full: the
-# board memories are handed over, not copied). An untraced client's
+# must allocate at most 100 KB (BenchmarkReconfigCache/hit-full: the
+# board memories and the CPU's predecode and profile tables are handed
+# over, not copied). An untraced client's
 # remote-run-shaped op (32 KB load, start, held wait, read-back) on a
 # node that traces with a flight recorder must take at most 1.15x the
 # same op on a node that does not trace (BenchmarkNodeTracingOverhead:

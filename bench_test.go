@@ -447,9 +447,9 @@ func BenchmarkAdapterWriteRMW(b *testing.B) {
 
 // fullSwapAllocCeiling bounds the bytes one cached full swap allocates
 // (bench-smoke gate). The swap builds a new fabric but hands the 10 MB
-// of board memory over; bytes allocated, unlike ns/step, do not drift
-// with the host.
-const fullSwapAllocCeiling = 1 << 20
+// of board memory and the CPU's predecode and profile tables over;
+// bytes allocated, unlike ns/step, do not drift with the host.
+const fullSwapAllocCeiling = 100 << 10
 
 // BenchmarkReconfigCache measures E6: swapping to a pre-generated
 // image (cache hit) versus paying the modelled synthesis run. With
@@ -512,7 +512,7 @@ func BenchmarkReconfigCache(b *testing.B) {
 			b.Fatal("partial path used")
 		}
 		if os.Getenv("LIQUID_BENCH_GATE") != "" && perSwap > fullSwapAllocCeiling {
-			b.Fatalf("bench gate: a full swap allocates %.0f bytes; ceiling %d (the board memories must be handed over, not copied)",
+			b.Fatalf("bench gate: a full swap allocates %.0f bytes; ceiling %d (the board memories and the CPU's tables must be handed over, not copied)",
 				perSwap, fullSwapAllocCeiling)
 		}
 	})

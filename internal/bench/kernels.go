@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"liquidarch/internal/asm"
 	"liquidarch/internal/cache"
 	"liquidarch/internal/hostinfo"
 	"liquidarch/internal/lcc"
@@ -17,14 +18,35 @@ import (
 // state. StepKernel uses only %g registers and never misses; these
 // exercise what it does not: register windows (lcc keeps locals in
 // %l/%o registers behind a SAVE), instruction and data line fills, the
-// §3.2 adapter's burst path and an associative cache's LRU state.
+// §3.2 adapter's burst path and an associative cache's LRU state. The
+// count loop is the program the node benchmarks run, a branch every
+// third instruction.
 
-// StepKernelCase is one compiled kernel and the geometry it runs at.
+// StepKernelCase is one kernel and the geometry it runs at: Liquid-C
+// source compiled by lcc, or SPARC assembly when Asm is set. A nil Cfg
+// runs the default configuration.
 type StepKernelCase struct {
 	Name string
 	Src  string
+	Asm  string
 	Cfg  func(*leon.Config)
 }
+
+// countLoopKernel is the count loop of BenchmarkNodeConcurrentClients
+// and load-smoke (subcc; bne; nop), restarted forever. Each pass starts
+// with a FLUSH, as each run on a node starts after the boot ROM's, so
+// the kernel refills its lines every 30,000 steps.
+const countLoopKernel = `
+_start:
+	flush %g0
+	set 10000, %g2
+loop:
+	subcc %g2, 1, %g2
+	bne loop
+	nop
+	ba _start
+	nop
+`
 
 // forever renames src's main to run and adds a main that calls it in
 // an endless loop, so a kernel can be stepped for any number of steps.
@@ -36,9 +58,9 @@ func forever(src, setup string) string {
 		"\nint main() {\n" + setup + "    while (1)\n        run();\n    return 0;\n}\n"
 }
 
-// StepKernels returns the compiled-kernel cases: Fig. 7 over SDRAM at a
-// 1 KB D-cache, a dot product at a 2 KB 2-way LRU D-cache and a
-// code-footprint loop at a 512 B I-cache.
+// StepKernels returns the kernel cases: Fig. 7 over SDRAM at a 1 KB
+// D-cache, a dot product at a 2 KB 2-way LRU D-cache, a code-footprint
+// loop at a 512 B I-cache and the count loop.
 func StepKernels() []StepKernelCase {
 	// Fig. 7 with its array behind the SDRAM adapter: a 1 KB D-cache
 	// holds a quarter of the 4 KB array, so every load misses.
@@ -62,32 +84,31 @@ int main() {
 }`, leon.SDRAMBase+0x1000, leon.SDRAMBase+0x1800), "")
 
 	return []StepKernelCase{
-		{"fig7-sdram-dcache1k", fig7, func(c *leon.Config) {
+		{Name: "fig7-sdram-dcache1k", Src: fig7, Cfg: func(c *leon.Config) {
 			c.DCache = cache.Config{SizeBytes: 1 << 10, LineBytes: 32, Assoc: 1}
 		}},
-		{"dot-dcache2k-2way", dot, func(c *leon.Config) {
+		{Name: "dot-dcache2k-2way", Src: dot, Cfg: func(c *leon.Config) {
 			c.DCache = cache.Config{SizeBytes: 2 << 10, LineBytes: 32, Assoc: 2, Replacement: cache.LRU}
 		}},
 		// About 1.5 KB of loop body through a 512 B I-cache.
-		{"footprint-icache512", forever(icacheKernel(), ""), func(c *leon.Config) {
+		{Name: "footprint-icache512", Src: forever(icacheKernel(), ""), Cfg: func(c *leon.Config) {
 			c.ICache = cache.Config{SizeBytes: 512, LineBytes: 32, Assoc: 1}
 		}},
+		{Name: "count-loop", Asm: countLoopKernel},
 	}
 }
 
 // KernelSoC boots a SoC at the case's geometry, hands off into the
 // kernel and warms it up.
 func KernelSoC(k StepKernelCase) (*leon.SoC, error) {
-	asmText, err := lcc.Compile(k.Src, lcc.Options{})
-	if err != nil {
-		return nil, err
-	}
-	img, err := link.Build(asmText, link.Options{})
+	origin, entry, code, err := k.build()
 	if err != nil {
 		return nil, err
 	}
 	cfg := leon.DefaultConfig()
-	k.Cfg(&cfg)
+	if k.Cfg != nil {
+		k.Cfg(&cfg)
+	}
 	soc, err := leon.New(cfg, nil)
 	if err != nil {
 		return nil, err
@@ -96,16 +117,37 @@ func KernelSoC(k StepKernelCase) (*leon.SoC, error) {
 	if err := ctrl.Boot(); err != nil {
 		return nil, err
 	}
-	if err := ctrl.LoadProgram(img.Origin, img.Code); err != nil {
+	if err := ctrl.LoadProgram(origin, code); err != nil {
 		return nil, err
 	}
-	if err := ctrl.Start(img.Entry, 0); err != nil {
+	if err := ctrl.Start(entry, 0); err != nil {
 		return nil, err
 	}
 	if _, err := StepSteady(soc, 1<<16); err != nil {
 		return nil, err
 	}
 	return soc, nil
+}
+
+// build assembles or compiles the kernel, returning its load address,
+// entry point and image.
+func (k StepKernelCase) build() (origin, entry uint32, code []byte, err error) {
+	if k.Asm != "" {
+		obj, err := asm.AssembleAt(k.Asm, leon.DefaultLoadAddr)
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		return obj.Origin, obj.Origin, obj.Code, nil
+	}
+	asmText, err := lcc.Compile(k.Src, lcc.Options{})
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	img, err := link.Build(asmText, link.Options{})
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	return img.Origin, img.Entry, img.Code, nil
 }
 
 // CalibratedNsPerStep times endless kernels for a gate: rounds passes

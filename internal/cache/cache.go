@@ -163,6 +163,11 @@ type Cache struct {
 	// nothing.
 	fillBuf []uint32
 
+	// stale records that a resident line may differ from memory: memory
+	// behind it was written other than through this cache (NoteWrite,
+	// MarkStale). A flush clears it.
+	stale bool
+
 	stats Stats
 }
 
@@ -445,6 +450,28 @@ func (c *Cache) FetchCounts() (hits, misses uint64) {
 	return c.stats.Hits, c.stats.Misses
 }
 
+// NoteWrite records that memory at addr was written other than through
+// this cache, as the CPU's stores reach memory past its instruction
+// cache: if addr's line is resident, the cache may now hold a line that
+// differs from memory. An associative cache is marked without a probe.
+func (c *Cache) NoteWrite(addr uint32) {
+	if !c.direct {
+		c.stale = true
+		return
+	}
+	if l := &c.all[(addr>>c.lineShift)&c.setMask]; l.valid && l.tag == addr>>c.setShift {
+		c.stale = true
+	}
+}
+
+// MarkStale records that any resident line may differ from memory.
+func (c *Cache) MarkStale() { c.stale = true }
+
+// Stale reports whether a resident line may differ from memory, that is
+// whether memory was written other than through the cache (NoteWrite,
+// MarkStale) since the last flush.
+func (c *Cache) Stale() bool { return c.stale }
+
 // Write performs a cached write of the given size and returns the bus
 // cycles consumed.
 func (c *Cache) Write(addr uint32, val uint32, size amba.Size) (int, error) {
@@ -539,6 +566,7 @@ func (c *Cache) Flush() (int, error) {
 		}
 	}
 	c.stats.Flushes++
+	c.stale = false
 	return cycles, nil
 }
 

@@ -180,20 +180,12 @@ func New(cfg leon.Config, opts Options) (*System, error) {
 
 // instantiate boots soc — a fresh board, or the current SoC's Reload
 // onto the same board memories — and makes it the board's processor
-// with a new actor. The order keeps the memories with one user at a
-// time: Boot runs with main memory disconnected, so it touches neither
-// memory while the previous actor still serves; that actor is then
-// closed (the bitfile reload kills whatever was executing), and Close
-// returns only once its goroutine has exited, so every load or write
-// it acknowledged is already in the memories the new actor starts on.
-// A failed boot leaves the previous board serving.
+// with a new actor. On a full swap the previous actor is already closed
+// (applyLocked).
 func (s *System) instantiate(soc *leon.SoC, img *synth.Image) error {
 	ctrl := leon.NewController(soc)
 	if err := ctrl.Boot(); err != nil {
 		return err
-	}
-	if s.actrl != nil {
-		s.actrl.Close()
 	}
 	s.cfg, s.soc, s.ctrl, s.active = soc.Config, soc, ctrl, img
 	s.actrl = leon.NewAsyncController(ctrl)
@@ -366,6 +358,17 @@ func (s *System) applyLocked(cfg leon.Config, img *synth.Image, hit, synthesized
 	if s.actrl.State() == leon.StateRunning {
 		return false, errRunInFlight
 	}
+	if err := s.soc.CanReload(cfg); err != nil {
+		return false, err
+	}
+	// The new SoC's CPU takes over the board's predecode and profile
+	// tables (leon.SoC.Reload), so nothing may step the previous SoC
+	// once it is built: its actor is closed first (the bitfile reload
+	// kills whatever was executing). Close returns only once the actor's
+	// goroutine has exited, so every load or write it acknowledged is
+	// already in the memories the new actor starts on. Neither the
+	// build nor the boot of a configuration CanReload accepts fails.
+	s.actrl.Close()
 	soc, err := s.soc.Reload(cfg)
 	if err != nil {
 		return false, err

@@ -12,10 +12,12 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"liquidarch/internal/amba"
+	"liquidarch/internal/cache"
 	"liquidarch/internal/isa"
 )
 
@@ -55,28 +57,6 @@ const (
 type Memory interface {
 	Read(addr uint32, size amba.Size) (val uint32, cycles int, err error)
 	Write(addr uint32, val uint32, size amba.Size) (cycles int, err error)
-}
-
-// IFetcher is the fast instruction-fetch path: a concrete provider of
-// aligned word fetches that bypasses the general Memory interface (and
-// its per-size dispatch) on the Step hot loop. cache.Cache implements
-// it; hit reports whether the word came from a resident line of an
-// enabled cache. Cycle accounting must match Memory.Read exactly.
-type IFetcher interface {
-	FetchWord(addr uint32) (word uint32, cycles int, hit bool, err error)
-}
-
-// LineFetcher extends IFetcher with the superblock dispatch surface:
-// PeekLine exposes a resident instruction-cache line when (and only
-// when) per-word fetches from it are pure 1-cycle hits with no
-// replacement-state side effects, and AddFetchHits settles the bulk hit
-// accounting afterwards. cache.Cache implements it; StepN falls back to
-// the single-step interpreter when the fetch path doesn't.
-type LineFetcher interface {
-	IFetcher
-	PeekLine(addr uint32) ([]byte, bool)
-	AddFetchHits(n uint64)
-	FetchCounts() (hits, misses uint64)
 }
 
 // Memory-event bits reported through EventFlags. The memory system (the
@@ -225,8 +205,8 @@ const (
 // opcode and h the index of the handler bound to it (handlers.go). run
 // is the length of the register run starting here (see
 // dispatchBlock; 0 until measured), trusted for a batch only while
-// runGen is the CPU's current run epoch. The entry holds no pointers, so the garbage collector never
-// scans the table, and fills 32 bytes.
+// runGen is the CPU's current run epoch. The entry holds no pointers,
+// so the garbage collector never scans the table, and fills 32 bytes.
 type predecodeEntry struct {
 	key    uint64
 	runGen uint32
@@ -266,25 +246,60 @@ func (c *CPU) retireRuns() {
 	}
 }
 
-// Superblock kinds. A kindReg instruction is a register op: it costs
-// exactly its one fetch cycle and can neither trap, touch memory or a
-// device, nor change control flow, CWP, PIL or ET, so dispatchBlock
-// runs a sequence of them as one batch (measureRun demotes one that
-// heads no longer run to kindFast). A kindFast
-// instruction is straight-line: executed without trapping it always
-// sets pc,npc = npc,npc+4 and never annuls, so a block of them can be
-// dispatched back to back with the npc==pc+4 invariant intact.
+// dropStale keeps the dispatcher's trust in live entries sound across
+// an instruction-cache refill. Stores do not write the instruction
+// cache, so a word overwritten with no FLUSH while its line is resident
+// is fetched, and decoded, from the line's old contents, as on the
+// hardware. Once that line is evicted and refilled from memory, the
+// entry decoded from the old word must not outlive it: Step would
+// notice the word change, but dispatchBlock trusts a live key. So after
+// a fetch miss every live entry of the refilled line whose word differs
+// from the line's is dropped, and the cached runs, which may count it,
+// are retired. Step does this only while the cache reports that memory
+// was written past it since its last flush (cache.Cache.Stale: a store
+// into a resident line, or InvalidatePredecode's external write), since
+// otherwise no resident line can differ from memory. A cache PeekLine
+// does not expose (disabled or associative) never feeds the
+// dispatcher.
+func (c *CPU) dropStale(pc uint32) {
+	line, ok := c.icache.PeekLine(pc)
+	if !ok {
+		return
+	}
+	p := pc &^ uint32(len(line)-1)
+	stale := false
+	for off := 0; off < len(line); off, p = off+4, p+4 {
+		e := &c.predecode[(p>>2)&predecodeMask]
+		if e.key == c.genKey|uint64(p+1) && e.in.Raw != binary.BigEndian.Uint32(line[off:]) {
+			e.key = 0
+			stale = true
+		}
+	}
+	if stale {
+		c.retireRuns()
+	}
+}
+
+// Superblock kinds. A register op (kindOne or kindReg) costs exactly
+// its one fetch cycle and can neither trap, touch memory or a device,
+// nor change control flow, CWP, PIL or ET, so dispatchBlock runs a
+// sequence of them as one batch, and runs one in a delay slot without
+// returning to its loop head. classify makes every register op
+// kindReg; measureRun demotes one that heads no run to kindOne. A
+// kindFast instruction is straight-line: executed without trapping it
+// always sets pc,npc = npc,npc+4 and never annuls, so a block of them
+// can be dispatched back to back with the npc==pc+4 invariant intact.
 // kindCTI instructions are delay-slot control transfers
 // (CALL/Bicc/JMPL) that touch neither the PSR nor instruction memory:
-// the dispatcher keeps going long enough to execute the delay slot
-// in-block, then returns to the block-entry path (whose interrupt
-// probe and spin bookkeeping run at the branch target). kindStop
-// instructions force an immediate return to the block-entry path: RETT
-// and WRPSR can unmask interrupts, Ticc and UNIMP trap deliberately,
-// and FLUSH invalidates the very line being dispatched.
+// the dispatcher executes the delay slot and, when flow is sequential
+// again at a resident target, goes on there. kindStop instructions end
+// the dispatch: RETT and WRPSR can unmask interrupts, Ticc and UNIMP
+// trap deliberately, and FLUSH invalidates the very line being
+// dispatched.
 const (
-	kindFast uint8 = iota
+	kindOne uint8 = iota
 	kindReg
+	kindFast
 	kindCTI
 	kindStop
 )
@@ -318,12 +333,10 @@ type CPU struct {
 	dmem Memory
 	irq  IRQSource
 
-	// ifetch, when non-nil, serves instruction fetches instead of
-	// imem (same cycle accounting, no interface-dispatch tax).
-	ifetch IFetcher
-	// lfetch is ifetch when it also supports line peeking; nil
-	// otherwise. StepN's superblock dispatch requires it.
-	lfetch LineFetcher
+	// icache, when non-nil, serves instruction fetches instead of imem
+	// (same cycle accounting, called directly). StepN's superblock
+	// dispatch requires it.
+	icache *cache.Cache
 	// predecode is the decode-once/execute-many cache consulted
 	// before isa.Decode on every fetched word. genKey is the current
 	// predecode generation in the high half of a key (an entry is live
@@ -382,6 +395,8 @@ type CPU struct {
 	// Spin fast-forward scratch (see superblock.go). Preallocated so
 	// the probe allocates nothing on the dispatch path.
 	spin spinState
+	// disp is the dispatch in progress (superblock.go).
+	disp dispatch
 
 	stats Stats
 
@@ -397,12 +412,29 @@ type CPU struct {
 
 // New builds a CPU over the given instruction and data paths.
 func New(cfg Config, imem, dmem Memory, irq IRQSource) (*CPU, error) {
+	return NewFrom(nil, cfg, imem, dmem, irq)
+}
+
+// NewFrom is New for a CPU that replaces prev, as a full
+// reconfiguration of a board replaces its processor: instead of
+// allocating its own, the new CPU takes over prev's predecode table
+// (256 KB) and execution-profile table (272 KB once a profile has
+// run). Reset starts a new predecode generation, so none of prev's
+// entries is live for the new CPU and the hand-over costs nothing per
+// entry. prev is left without tables and must not step again. With
+// prev nil, NewFrom is New.
+func NewFrom(prev *CPU, cfg Config, imem, dmem Memory, irq IRQSource) (*CPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	c := &CPU{cfg: cfg, imem: imem, dmem: dmem, irq: irq, nwin: cfg.NWindows}
-	c.predecode = make([]predecodeEntry, predecodeEntries)
-	c.runGen = 1
+	if prev != nil {
+		c.predecode, c.genKey, c.runGen, c.profile = prev.predecode, prev.genKey, prev.runGen, prev.profile
+		prev.predecode, prev.profile, prev.prof = nil, profile{}, nil
+	} else {
+		c.predecode = make([]predecodeEntry, predecodeEntries)
+		c.runGen = 1
+	}
 	c.wmap[0] = sinkSlot
 	for r := uint16(1); r < 8; r++ {
 		c.rmap[r], c.wmap[r] = r, r
@@ -411,14 +443,13 @@ func New(cfg Config, imem, dmem Memory, irq IRQSource) (*CPU, error) {
 	return c, nil
 }
 
-// SetIFetch installs (or, with nil, removes) the fast instruction-
-// fetch path and flushes the predecode cache. The SoC wires the
+// SetICache installs (or, with nil, removes) the instruction cache as
+// the fetch path and flushes the predecode cache. The SoC wires its
 // instruction cache here and re-wires it across partial
 // reconfigurations (SwapCaches).
-func (c *CPU) SetIFetch(f IFetcher) {
-	c.ifetch = f
-	c.lfetch, _ = f.(LineFetcher)
+func (c *CPU) SetICache(ic *cache.Cache) {
 	c.InvalidatePredecode()
+	c.icache = ic
 }
 
 // InstBoundary returns the cycle count at the start of the instruction
@@ -434,8 +465,12 @@ func (c *CPU) InstBoundary() uint64 { return c.instStart }
 // from now on. Generation 0 is never current (the zero entry and a
 // store-invalidated one carry it), so when the counter wraps the table
 // is cleared before it restarts at 1, and no entry outlives 2^32
-// flushes.
+// flushes. As memory may have changed behind the instruction cache, it
+// marks that cache stale until its next flush (dropStale).
 func (c *CPU) InvalidatePredecode() {
+	if c.icache != nil {
+		c.icache.MarkStale()
+	}
 	gen := uint32(c.genKey>>32) + 1
 	if gen == 0 {
 		clear(c.predecode)
@@ -599,13 +634,20 @@ func (c *CPU) Step() error {
 	// Instruction fetch: the fast path is a concrete call into the
 	// instruction cache; the generic Memory interface is the fallback
 	// for CPUs wired without one (unit tests, bare configurations).
+	// A miss may have refilled a line whose words differ from the ones
+	// its live entries were decoded from, if memory was written past
+	// the cache since its last flush (dropStale).
 	var (
 		word        uint32
 		fetchCycles int
 		err         error
 	)
-	if c.ifetch != nil {
-		word, fetchCycles, _, err = c.ifetch.FetchWord(c.pc)
+	if c.icache != nil {
+		var hit bool
+		word, fetchCycles, hit, err = c.icache.FetchWord(c.pc)
+		if !hit && err == nil && c.icache.Stale() {
+			c.dropStale(c.pc)
+		}
 	} else {
 		word, fetchCycles, err = c.imem.Read(c.pc, amba.SizeWord)
 	}

@@ -98,6 +98,14 @@ func (c *CPU) predecodeInvalidateStore(addr uint32) {
 	}
 }
 
+// noteStore tells the instruction cache, which a store does not write,
+// that the line holding addr may now differ from memory (dropStale).
+func (c *CPU) noteStore(addr uint32) {
+	if c.icache != nil {
+		c.icache.NoteWrite(addr)
+	}
+}
+
 // Memory instructions. Each checks alignment, reports the access to
 // the OnMem hook, then performs its reads and writes in order; a bus
 // error on any of them traps as a data access exception after its
@@ -149,6 +157,7 @@ func (c *CPU) store(in *isa.Inst, addr uint32, size amba.Size) error {
 	}
 	c.stats.Stores++
 	c.predecodeInvalidateStore(addr)
+	c.noteStore(addr)
 	return nil
 }
 
@@ -268,6 +277,8 @@ func opSTD(c *CPU, in *isa.Inst) error {
 	c.stats.Stores += 2
 	c.predecodeInvalidateStore(addr)
 	c.predecodeInvalidateStore(addr + 4)
+	c.noteStore(addr)
+	c.noteStore(addr + 4)
 	return nil
 }
 
@@ -292,6 +303,7 @@ func opSWAP(c *CPU, in *isa.Inst) error {
 	c.stats.Stores++
 	c.SetReg(in.Rd, v)
 	c.predecodeInvalidateStore(addr)
+	c.noteStore(addr)
 	return nil
 }
 
@@ -314,5 +326,6 @@ func opLDSTUB(c *CPU, in *isa.Inst) error {
 	c.stats.Stores++
 	c.SetReg(in.Rd, v)
 	c.predecodeInvalidateStore(addr)
+	c.noteStore(addr)
 	return nil
 }

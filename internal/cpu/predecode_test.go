@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -136,5 +137,48 @@ func TestRetireRunsWrap(t *testing.T) {
 	c.retireRuns()
 	if c.runGen != 1 || e.runGen != 0 {
 		t.Fatalf("after the wrap: epoch %d, the entry's %d; want 1 and 0", c.runGen, e.runGen)
+	}
+}
+
+// TestNewFromTakesTables: a CPU built to replace another, as a full
+// reconfiguration builds one, takes over its predecode and profile
+// tables rather than allocating its own, leaves the old CPU without
+// them, finds none of the old entries live, and steps exactly as a CPU
+// built fresh, profiled or not.
+func TestNewFromTakesTables(t *testing.T) {
+	words := countedLoop(t, 30)
+	for _, prof := range profModes {
+		old := newRig(t, true, nil, nil, words...)
+		if _, err := old.a.StepN(200, ^uint64(0), noStopPC); err != nil {
+			t.Fatal(err)
+		}
+		table, slots := &old.a.predecode[0], &old.a.profile.slots[0]
+
+		r := newRig(t, prof, nil, nil, words...)
+		c, err := NewFrom(old.a, DefaultConfig(), r.am, r.am, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetICache(r.a.icache)
+		c.FlushFn = r.a.FlushFn
+		c.psr |= PSRET
+		c.SetPC(0x1000)
+		if &c.predecode[0] != table || &c.profile.slots[0] != slots {
+			t.Fatal("the new CPU allocated its own tables")
+		}
+		if old.a.predecode != nil || old.a.profile.slots != nil || old.a.prof != nil {
+			t.Fatal("the old CPU kept its tables")
+		}
+		for i, e := range c.predecode {
+			if e.key != 0 && e.key>>32 == c.genKey>>32 {
+				t.Fatalf("entry %d (pc %#x) is live after the hand-over", i, uint32(e.key)-1)
+			}
+		}
+		r.a = c
+		if prof {
+			r.aInsts = 0
+			c.StartProfile()
+		}
+		r.drive(t, 300, 17, fmt.Sprintf("profiled %v, after the hand-over", prof))
 	}
 }

@@ -402,7 +402,7 @@ func TestDiffSuperblockGenerationWrap(t *testing.T) {
 }
 
 // TestDiffSuperblockLoneRegOp: a register op that heads a run of one
-// is demoted to kindFast when its run is measured, and a run that
+// is demoted to kindOne when its run is measured, and a run that
 // reaches it from an earlier head still counts it. The loop's subcc is
 // reached as a block head by cutting the first batch after the add,
 // and the loop's head then measures a run of two through it.
@@ -420,8 +420,8 @@ func TestDiffSuperblockLoneRegOp(t *testing.T) {
 		r := newRig(t, prof, nil, nil, words...)
 		r.drive(t, 2, 2, "mov and add")
 		r.drive(t, 3+2*4, 64, "the loop from its subcc")
-		if e := r.a.predecode[(lone>>2)&predecodeMask]; e.kind != kindFast || e.run != 1 {
-			t.Fatalf("subcc: kind %d, run %d; want kindFast, 1", e.kind, e.run)
+		if e := r.a.predecode[(lone>>2)&predecodeMask]; e.kind != kindOne || e.run != 1 {
+			t.Fatalf("subcc: kind %d, run %d; want kindOne, 1", e.kind, e.run)
 		}
 		if e := r.a.predecode[(head>>2)&predecodeMask]; e.kind != kindReg || e.run != 2 {
 			t.Fatalf("loop head: kind %d, run %d; want kindReg, 2", e.kind, e.run)

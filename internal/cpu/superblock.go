@@ -8,30 +8,33 @@ import (
 
 // This file is the superblock dispatcher: StepN executes instructions
 // in straight-line batches pulled directly out of resident
-// instruction-cache lines, with the interrupt probe hoisted to block
-// heads and the per-fetch accounting settled in bulk. It is a pure
-// scheduling transformation of Step — every architectural effect, every
-// cycle, every statistics counter lands exactly as the single-step
-// interpreter would land it. The differential tests in diff_test.go
-// enforce that bit for bit.
+// instruction-cache lines, with the interrupt probe hoisted to the
+// head of each dispatch and the per-fetch accounting settled in bulk.
+// One dispatch runs from its head through taken and untaken branches
+// and across line ends until a gate closes. It is a pure scheduling
+// transformation of Step — every architectural effect, every cycle,
+// every statistics counter lands exactly as the single-step
+// interpreter would land it. The differential tests in
+// superblock_diff_test.go and regrun_test.go enforce that bit for bit.
 //
-// Why hoisting the interrupt probe is exact: between two block heads no
-// peripheral time passes (the SoC settles the prescaler only at batch
-// boundaries and on device accesses), so the interrupt controller's
-// pending set can change mid-block only through the CPU's own doing — a
-// device store (MemEventDevice, which ends both the block and the
-// batch) or a PSR write moving PIL/ET (kindStop, which ends the
-// block). A block with neither observes the same Pending() answer at
-// every instruction boundary inside it, so probing once at the head is
-// indistinguishable from probing every step.
+// Why hoisting the interrupt probe is exact: between two dispatch heads
+// no peripheral time passes (the SoC settles the prescaler only at
+// batch boundaries and on device accesses), so the interrupt
+// controller's pending set can change mid-dispatch only through the
+// CPU's own doing — a device store (MemEventDevice, which ends both the
+// dispatch and the batch) or a PSR write moving PIL/ET (kindStop, or a
+// trap, both of which end the dispatch). A dispatch with neither
+// observes the same Pending() answer at every instruction boundary
+// inside it, however many branches it follows, so probing once at its
+// head is indistinguishable from probing every step.
 //
 // Why per-word fetch from PeekLine is exact: PeekLine succeeds only for
 // an enabled direct-mapped cache with the line resident, the one regime
 // where FetchWord's hit path is a pure 1-cycle access whose only side
 // effect is Hits++ — reproduced here as one cycle per dispatched word
-// plus a single AddFetchHits at block exit. Any other fetch (miss,
-// disabled or associative cache, unaligned PC, pending annul) falls
-// back to Step itself.
+// plus a bulk AddFetchHits per segment. Any other fetch (miss, disabled
+// or associative cache, unaligned PC, pending annul) falls back to Step
+// itself.
 
 // spinBadSize is the direct-mapped blacklist of loop heads whose
 // fast-forward probe failed (ordinary working loops: they mutate state
@@ -57,7 +60,7 @@ type spinState struct {
 	psr, wim, tbr, y uint32
 	cycles           uint64
 	stats            Stats
-	hits, misses     uint64 // lfetch.FetchCounts at probe start
+	hits, misses     uint64 // icache.FetchCounts at probe start
 	steps            int    // StepN step counter at probe start
 	bad              [spinBadSize]uint32
 }
@@ -107,12 +110,12 @@ func (c *CPU) StepN(maxSteps int, cycleLimit uint64, stopPC uint32) (int, error)
 		if c.pc == stopPC {
 			break
 		}
-		// Block entry requires the sequential-flow invariant
-		// npc==pc+4 with no annul pending, an aligned PC, a
-		// line-peekable fetch path, and no trap hook (the dispatcher
-		// settles the shared step counters at block exit, so a
-		// mid-block hook could observe them stale).
-		if c.annul || c.npc != c.pc+4 || c.pc&3 != 0 || c.lfetch == nil ||
+		// Dispatch requires the sequential-flow invariant npc==pc+4
+		// with no annul pending, an aligned PC, an instruction cache,
+		// and no trap hook (the dispatcher settles the shared step
+		// counters per segment, so a mid-segment hook could observe
+		// them stale).
+		if c.annul || c.npc != c.pc+4 || c.pc&3 != 0 || c.icache == nil ||
 			c.OnTrap != nil {
 			if err := c.Step(); err != nil {
 				return steps, err
@@ -121,7 +124,7 @@ func (c *CPU) StepN(maxSteps int, cycleLimit uint64, stopPC uint32) (int, error)
 			continue
 		}
 
-		// Interrupt probe, hoisted to the block head (see file
+		// Interrupt probe, hoisted to the dispatch head (see file
 		// comment for the exactness argument).
 		if c.irq != nil && c.psr&PSRET != 0 {
 			if lvl := c.irq.Pending(); lvl == 15 || (lvl > 0 && lvl > c.pil()) {
@@ -137,7 +140,7 @@ func (c *CPU) StepN(maxSteps int, cycleLimit uint64, stopPC uint32) (int, error)
 		}
 
 		head := c.pc
-		line, ok := c.lfetch.PeekLine(head)
+		line, ok := c.icache.PeekLine(head)
 		if !ok {
 			// Miss or non-direct configuration: Step performs the
 			// fill (or bus fetch) with exact accounting.
@@ -151,9 +154,11 @@ func (c *CPU) StepN(maxSteps int, cycleLimit uint64, stopPC uint32) (int, error)
 		// Poll-loop fast-forward bookkeeping (allocation-free). It is
 		// off while a profile or a memory hook is attached: a
 		// forwarded iteration would credit no PC and report no access.
+		// A dispatch returns here at a backward-taken target only while
+		// fast-forward is possible there (dispatchBlock).
 		switch c.spin.mode {
 		case spinIdle:
-			if c.spin.lastHead == head+1 && !c.spin.blacklisted(head) && c.prof == nil && c.OnMem == nil {
+			if c.spin.lastHead == head+1 && c.spinnable(head) {
 				c.spinProbeStart(head, steps)
 			} else {
 				c.spin.lastHead = head + 1
@@ -181,70 +186,95 @@ func (c *CPU) StepN(maxSteps int, cycleLimit uint64, stopPC uint32) (int, error)
 	return steps, nil
 }
 
+// spinnable reports whether poll-loop fast-forward may probe a loop
+// head: no profile and no memory hook attached, and the head not
+// blacklisted.
+func (c *CPU) spinnable(head uint32) bool {
+	return c.prof == nil && c.OnMem == nil && !c.spin.blacklisted(head)
+}
+
+// bound returns how many of left steps may run from head before the
+// stop address: the dispatched words from a head are contiguous until
+// a control transfer, so the stop address becomes a bound on their
+// count (modular uint32 arithmetic, so a stopPC below head never
+// binds, and an unaligned one never matches).
+func bound(left int, head, stopPC uint32) int {
+	if d := stopPC - head; d&3 == 0 && int(d/4) < left {
+		return int(d / 4)
+	}
+	return left
+}
+
 // dispatchBlock executes instructions out of resident cache lines
-// until a kindStop terminator, a completed control transfer (the CTI
-// and its delay slot both execute in-block, then control returns to
-// StepN so the interrupt probe and spin bookkeeping run at the branch
-// target), a line miss, or one of StepN's gates. Sequential flow
-// continues across line boundaries as long as the next line is
-// resident. It returns the updated step count and the processor error,
-// if any.
+// until a kindStop terminator, a trap, an annulled delay slot, a line
+// miss, or one of StepN's gates closes. It returns the updated step
+// count and the processor error, if any.
 //
-// The dispatched instructions are the contiguous words [head, head+4k):
-// sequential flow, then at most one CTI and its delay slot. So the
-// gates that depend only on the PC are settled once, at entry: the PC
-// stays aligned, and the stop address becomes a bound on k (modular
-// uint32 arithmetic, so a stopPC below head never binds). A pending
-// annul can only come from the CTI, so it is tested only there. That
-// leaves five checks before each instruction — the step bound, the
-// cycle limit, a device event, a line crossing and the predecode key —
-// and every stop lands exactly where a caller stepping one instruction
-// at a time would observe it.
+// A dispatch is a chain of segments, each a contiguous run of words
+// [head, head+4k): sequential flow across resident lines, then at most
+// one CTI and its delay slot. So the gates that depend only on the PC
+// are settled once per segment: the PC stays aligned, and the stop
+// address becomes a bound on k (bound). A pending annul can only come
+// from the CTI, so it is tested only there. That leaves five checks
+// before each instruction — the step bound, the cycle limit, a device
+// event, a line crossing and the predecode key — and every stop lands
+// exactly where a caller stepping one instruction at a time would
+// observe it.
+//
+// When a CTI has run, its delay slot runs next in the same pass if it
+// is a live register op in a resident line (any other slot runs
+// through the loop and ends the dispatch). Flow is then sequential at
+// the target, nPC = PC+4 with no annul, and the dispatch chains on: the
+// target heads a new segment, whose gates and line the loop head
+// checks as for any instruction. The chained head skips StepN's
+// interrupt probe (exact: see the file comment) and its spin
+// bookkeeping, which the dispatch returns for only at a backward-taken
+// target where fast-forward could fire (spinnable). The instruction
+// counter, the fetch hits and the profile credit settle at every
+// segment's end (chain), so a memory hook reading them mid-dispatch
+// finds them as at a StepN block boundary.
 //
 // A register run — consecutive register ops (classify's kindReg) to
 // the end of the line — runs as one batch. Each of its instructions
-// costs exactly one cycle (the fetch hit), raises no trap and no
-// device event and leaves CWP, PIL and ET alone, so the gates cannot
-// close inside it except by count: n = min(run, steps left, cycles
-// left) instructions run back to back, and Cycles, PC/nPC and the step
-// count advance by n at once. The run's length is measured once and
-// cached on the entry it starts at, valid for the run epoch
-// (retireRuns) it was measured in.
+// costs exactly one cycle (the fetch hit), raises no trap and no device
+// event and leaves CWP, PIL and ET alone, so the gates cannot close
+// inside it except by count: n = min(run, steps left, cycles left)
+// instructions run back to back, and Cycles, PC/nPC and the step count
+// advance by n at once. The run's length is measured once and cached
+// on the entry it starts at, valid for the run epoch (retireRuns) it
+// was measured in.
 func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit uint64, stopPC uint32, steps int) (int, error) {
 	lineMask := uint32(len(line) - 1)
 	lineBase := head &^ lineMask
 	// The step counter, the instruction counter, the fetch-hit counter
 	// and the execution profile all advance by exactly 1 per
 	// dispatched instruction, so the loop keeps a single local count
-	// and settles all four at block exit (nothing inside a block reads
-	// them: the trap hook is gated off at block entry, and the spin
-	// probe samples them between blocks). The lone exception is a
-	// decode failure, whose step consumes a fetch hit but no
-	// instruction.
-	kmax := maxSteps - steps
-	if d := stopPC - head; d&3 == 0 && int(d/4) < kmax {
-		kmax = int(d / 4)
-	}
+	// for the segment and settles all four at its end (nothing inside
+	// a segment reads them: the trap hook is gated off at entry, and
+	// the spin probe samples them between dispatches). The lone
+	// exception is a decode failure, whose step consumes a fetch hit
+	// but no instruction.
+	c.disp = dispatch{head: head, stopPC: stopPC, steps: steps, maxSteps: maxSteps}
+	kmax := bound(maxSteps-steps, head, stopPC)
 	k := 0
 	extra := 0 // decode-failure step: 1 step, 1 fetch hit, no instruction
 	var fail error
 	for k < kmax && c.Cycles < cycleLimit && c.MemEvents&MemEventDevice == 0 {
 		pc := c.pc
 		if pc&^lineMask != lineBase {
-			next, ok := c.lfetch.PeekLine(pc)
+			next, ok := c.icache.PeekLine(pc)
 			if !ok {
 				break // miss: Step performs the fill with exact accounting
 			}
-			line = next
-			lineMask = uint32(len(line) - 1)
-			lineBase = pc &^ lineMask
+			line, lineBase = next, pc&^lineMask
 		}
 		c.instStart = c.Cycles
 		i := (pc >> 2) & predecodeMask
 		e := &c.predecode[i]
 		// A live key is trusted without re-reading the line word:
 		// every path that can change fetched memory tears the entry
-		// down first (CPU stores invalidate per touched word,
+		// down first (CPU stores invalidate per touched word, a line
+		// refill drops the entries its words no longer match, and
 		// user-port pokes, program loads, cache flushes and FLUSH
 		// start a new generation), so a live entry's word and decode
 		// are current. Step's own word compare covers the same
@@ -263,7 +293,7 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 		// A lone register op goes through its handler below, which is
 		// exact for any register op and cheaper than a batch of one:
 		// a delay slot (one step left) skips the batch path, and
-		// measureRun demotes the head of a run of one to kindFast.
+		// measureRun demotes the head of a run of one to kindOne.
 		kind := e.kind
 		if kind == kindReg && kmax-k > 1 {
 			n := int(e.run)
@@ -305,24 +335,74 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 			if !errors.Is(err, errTrapped) {
 				fail = err
 			}
-			break // trap vectored (or error mode): block over
+			break // trap vectored (or error mode): dispatch over
 		}
 		c.pc, c.npc = c.npc, c.nnpc
-		if kind >= kindCTI {
-			if kind == kindStop || c.annul {
-				break // an annulled slot is Step's
-			}
-			kmax = min(kmax, k+1) // the CTI's delay slot, then the block ends
+		if kind < kindCTI {
+			continue
 		}
+		if kind == kindStop || c.annul || k >= kmax || c.Cycles >= cycleLimit {
+			break // an annulled slot is Step's, as is a slot past a gate
+		}
+		// The delay slot.
+		pc = c.pc
+		if pc&^lineMask != lineBase {
+			next, ok := c.icache.PeekLine(pc)
+			if !ok {
+				break
+			}
+			line, lineBase = next, pc&^lineMask
+		}
+		d := &c.predecode[(pc>>2)&predecodeMask]
+		if d.key != c.genKey|uint64(pc+1) || d.kind > kindReg {
+			kmax = k + 1 // it runs through the loop, then the dispatch ends
+			continue
+		}
+		c.instStart = c.Cycles
+		c.Cycles++
+		handlers[d.h](c, &d.in)
+		k++
+		c.pc, c.npc = c.npc, c.npc+4
+		// Chain on at the target: flow is sequential there, and the
+		// segment [head, head+4k) is complete. The loop head checks the
+		// new segment's gates and its line, as for any instruction.
+		target := c.pc
+		if target <= pc && c.spinnable(target) {
+			break
+		}
+		kmax, k = c.chain(target, k), 0
 	}
 	c.stats.Instructions += uint64(k)
 	if c.prof != nil && k > 0 {
-		c.prof.creditBlock(head, k)
+		c.prof.creditBlock(c.disp.head, k)
 	}
-	if hits := uint64(k + extra); hits > 0 {
-		c.lfetch.AddFetchHits(hits)
+	c.icache.AddFetchHits(uint64(k + extra))
+	return c.disp.steps + k + extra, fail
+}
+
+// dispatch is the state of a dispatchBlock call that only its chaining
+// path changes: the head of the current segment, the steps run before
+// it, and StepN's step bound and stop address. The CPU holds it, so
+// none of it is a value the per-instruction loop keeps live across its
+// handler calls.
+type dispatch struct {
+	head, stopPC    uint32
+	steps, maxSteps int
+}
+
+// chain settles the k instructions of the segment just completed, as
+// dispatchBlock's exit does, and starts the next segment at target,
+// returning its step bound.
+func (c *CPU) chain(target uint32, k int) int {
+	d := &c.disp
+	c.stats.Instructions += uint64(k)
+	if c.prof != nil {
+		c.prof.creditBlock(d.head, k)
 	}
-	return steps + k + extra, fail
+	c.icache.AddFetchHits(uint64(k))
+	d.steps += k
+	d.head = target
+	return bound(d.maxSteps-d.steps, target, d.stopPC)
 }
 
 // measureRun returns the length of the register run starting at pc,
@@ -334,15 +414,14 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 // distinct however long the line, and at 255 words, the most the entry
 // holds.
 //
-// A run of one demotes its entry to kindFast, so the op runs through
-// its handler with no run check until it is decoded again. That is
-// exact, as every register op is a straight-line op. It costs a batch
-// only if a later word of the line becomes a register op while the
-// entry lives, which takes a store and a line refill with no FLUSH
-// between (a FLUSH starts a new generation): code that rewrites itself
-// without one. Later words are tested by their op, not their kind, so
-// a demoted op still counts in a run that reaches it from an earlier
-// head.
+// A run of one demotes its entry to kindOne, so the op runs through its
+// handler with no run check until it is decoded again. That is exact,
+// as every register op is a straight-line op. It costs a batch only if
+// a later word of the line becomes a register op while the entry lives,
+// which takes a store and a line refill with no FLUSH between (a FLUSH
+// starts a new generation): code that rewrites itself without one.
+// Later words are tested as register ops of either kind, so a demoted
+// op still counts in a run that reaches it from an earlier head.
 func (c *CPU) measureRun(line []byte, lineMask, pc uint32) int {
 	n := 1
 	for p := pc + 4; p&lineMask != 0 && (p>>2)&predecodeMask != 0 && n < 255; p += 4 {
@@ -351,7 +430,7 @@ func (c *CPU) measureRun(line []byte, lineMask, pc uint32) int {
 			c.decode(e, p, binary.BigEndian.Uint32(line[p&lineMask:])) != nil {
 			break
 		}
-		if classify(e.in.Op) != kindReg {
+		if e.kind > kindReg {
 			break
 		}
 		n++
@@ -359,7 +438,7 @@ func (c *CPU) measureRun(line []byte, lineMask, pc uint32) int {
 	e := &c.predecode[(pc>>2)&predecodeMask]
 	e.run, e.runGen = uint8(n), c.runGen
 	if n == 1 {
-		e.kind = kindFast
+		e.kind = kindOne
 	}
 	return n
 }
@@ -372,7 +451,7 @@ func (c *CPU) spinProbeStart(head uint32, steps int) {
 	copy(s.regs[:c.usedSlots()], c.regs[:])
 	s.psr, s.wim, s.tbr, s.y = c.psr, c.wim, c.tbr, c.y
 	s.cycles, s.stats = c.Cycles, c.stats
-	s.hits, s.misses = c.lfetch.FetchCounts()
+	s.hits, s.misses = c.icache.FetchCounts()
 	s.steps = steps
 	// Events are re-observed per probe so a flag set earlier in the
 	// batch can't mask an access made during the probed iteration. A
@@ -395,7 +474,7 @@ func (c *CPU) spinProbeStart(head uint32, steps int) {
 func (c *CPU) spinQualify(maxSteps int, cycleLimit uint64, steps int) uint64 {
 	s := &c.spin
 	d := statsDelta(c.stats, s.stats)
-	_, misses := c.lfetch.FetchCounts()
+	_, misses := c.icache.FetchCounts()
 	if c.MemEvents != 0 || d.Stores != 0 || d.Traps != 0 || d.Interrupts != 0 ||
 		misses != s.misses ||
 		c.psr != s.psr || c.wim != s.wim || c.tbr != s.tbr || c.y != s.y ||
@@ -434,9 +513,9 @@ func (c *CPU) spinForward(m uint64, steps int) int {
 	c.stats.Branches += m * d.Branches
 	c.stats.Taken += m * d.Taken
 	c.stats.Annulled += m * d.Annulled
-	hits, _ := c.lfetch.FetchCounts()
+	hits, _ := c.icache.FetchCounts()
 	if dh := hits - s.hits; dh > 0 {
-		c.lfetch.AddFetchHits(m * dh)
+		c.icache.AddFetchHits(m * dh)
 	}
 	return steps + int(m)*(steps-s.steps)
 }

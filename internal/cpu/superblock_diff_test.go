@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"liquidarch/internal/amba"
+	"liquidarch/internal/cache"
 	"liquidarch/internal/isa"
 )
 
@@ -21,60 +22,35 @@ import (
 // case runs again with an execution profile attached, whose per-PC
 // counts must equal those of a hook-free single-step oracle.
 
-// lineFlat wraps flatMem with the LineFetcher surface: every fetch is
-// a pure 1-cycle resident hit and PeekLine exposes 32-byte lines
-// aliased straight into the backing store, exactly as cache.Cache
-// aliases its line arrays — so CPU stores are immediately visible to
-// the dispatcher, the regime the predecode-invalidation protocol must
-// handle.
-type lineFlat struct {
-	*flatMem
-	hits, misses uint64
-	warm         map[uint32]bool // set by coldLines: the filled lines
+// The rig fetches through a real instruction cache, as the SoC does: a
+// direct-mapped cache.Cache of 32-byte lines over the flat memory's
+// bus. Its lines are copies, so a CPU store (which goes straight to
+// memory) leaves a resident line stale until it is refilled — the
+// regime the predecode protocol must handle. The default cache covers
+// the whole 64 KB memory, so lines conflict only in a test that asks
+// for a smaller one, and the program's lines start resident.
+const (
+	rigMemBytes    = 64 << 10
+	rigICacheBytes = 64 << 10
+	rigLineBytes   = 32
+)
+
+// ReadBurst lets the flat memory serve line fills on the rig's bus.
+func (m *flatMem) ReadBurst(addr uint32, words []uint32) (int, error) {
+	return amba.ReadBurstSingles(m, addr, words)
 }
-
-const lineFlatBytes = 32
-
-// coldLines makes every line start cold, as after an instruction-cache
-// flush: PeekLine fails on a cold line, and the FetchWord that touches
-// it counts a miss and fills it.
-func (m *lineFlat) coldLines() { m.warm = map[uint32]bool{} }
-
-func (m *lineFlat) FetchWord(addr uint32) (uint32, int, bool, error) {
-	if int(addr)+4 > len(m.data) {
-		m.misses++
-		return 0, 1, false, &amba.BusError{Addr: addr}
-	}
-	if m.warm != nil && !m.warm[addr/lineFlatBytes] {
-		m.warm[addr/lineFlatBytes] = true
-		m.misses++
-		return binary.BigEndian.Uint32(m.data[addr:]), 1 + lineFlatBytes/4, false, nil
-	}
-	m.hits++
-	return binary.BigEndian.Uint32(m.data[addr:]), 1, true, nil
-}
-
-func (m *lineFlat) PeekLine(addr uint32) ([]byte, bool) {
-	base := int(addr) &^ (lineFlatBytes - 1)
-	if base+lineFlatBytes > len(m.data) || m.warm != nil && !m.warm[addr/lineFlatBytes] {
-		return nil, false
-	}
-	return m.data[base : base+lineFlatBytes], true
-}
-
-func (m *lineFlat) AddFetchHits(n uint64)         { m.hits += n }
-func (m *lineFlat) FetchCounts() (uint64, uint64) { return m.hits, m.misses }
 
 const noStopPC = ^uint32(0) // unaligned: never matches a fetch PC
 
 // sbRig is one differential run: machine a steps through StepN,
 // reference b through Step alone, over independent but identical
-// memories. With prof set, a carries an execution profile, checked
-// against a hook-free oracle: every reference step that advances the
-// instruction counter credits the PC it started at.
+// memories and instruction caches. With prof set, a carries an
+// execution profile, checked against a hook-free oracle: every
+// reference step that advances the instruction counter credits the PC
+// it started at.
 type sbRig struct {
 	a, b   *CPU
-	am, bm *lineFlat
+	am, bm *flatMem
 	prof   bool
 	got    map[uint32]uint64 // a's harvested profile
 	want   map[uint32]uint64 // the oracle's
@@ -83,17 +59,37 @@ type sbRig struct {
 
 func newRig(t *testing.T, prof bool, airq, birq IRQSource, words ...uint32) *sbRig {
 	t.Helper()
+	return newRigICache(t, prof, rigICacheBytes, airq, birq, words...)
+}
+
+// newRigICache is newRig with an instruction cache of icacheBytes.
+func newRigICache(t *testing.T, prof bool, icacheBytes int, airq, birq IRQSource, words ...uint32) *sbRig {
+	t.Helper()
 	const progBase = 0x1000
-	build := func(irq IRQSource) (*CPU, *lineFlat) {
-		m := &lineFlat{flatMem: newFlat(64 << 10)}
+	build := func(irq IRQSource) (*CPU, *flatMem) {
+		m := newFlat(rigMemBytes)
 		for i, w := range words {
 			binary.BigEndian.PutUint32(m.data[progBase+i*4:], w)
 		}
-		c, err := New(DefaultConfig(), m.flatMem, m.flatMem, irq)
+		bus := amba.NewAHB()
+		if err := bus.Map("mem", 0, rigMemBytes, m); err != nil {
+			t.Fatal(err)
+		}
+		ic, err := cache.New(cache.Config{SizeBytes: icacheBytes, LineBytes: rigLineBytes, Assoc: 1}, bus)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.SetIFetch(m)
+		c, err := New(DefaultConfig(), m, m, irq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetICache(ic)
+		c.FlushFn = ic.Flush
+		for a := uint32(progBase); a < progBase+4*uint32(len(words)); a += rigLineBytes {
+			if _, _, _, err := ic.FetchWord(a); err != nil {
+				t.Fatal(err)
+			}
+		}
 		c.psr |= PSRET
 		c.SetPC(progBase)
 		return c, m
@@ -108,10 +104,25 @@ func newRig(t *testing.T, prof bool, airq, birq IRQSource, words ...uint32) *sbR
 	return r
 }
 
-// poke writes one word into both memories.
+// coldLines empties both instruction caches, as an instruction-cache
+// flush does (the predecode entries stay): a dispatch that reaches a
+// cold line ends there, and Step's fetch fills it.
+func (r *sbRig) coldLines(t *testing.T) {
+	t.Helper()
+	for _, c := range []*CPU{r.a, r.b} {
+		if _, err := c.icache.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// poke writes one word into both memories, as a user-port write does:
+// behind the instruction caches, which may now hold a stale line.
 func (r *sbRig) poke(addr, w uint32) {
 	binary.BigEndian.PutUint32(r.am.data[addr:], w)
 	binary.BigEndian.PutUint32(r.bm.data[addr:], w)
+	r.a.icache.MarkStale()
+	r.b.icache.MarkStale()
 }
 
 // step advances the reference one Step, feeding the oracle.
@@ -144,9 +155,8 @@ func (r *sbRig) check(t *testing.T, tag string) {
 	if d := diffState(r.a, r.b); d != "" {
 		t.Fatalf("%s: superblock CPU diverged: %s", tag, d)
 	}
-	if r.am.hits != r.bm.hits || r.am.misses != r.bm.misses {
-		t.Fatalf("%s: fetch counters diverged: %d/%d vs %d/%d",
-			tag, r.am.hits, r.am.misses, r.bm.hits, r.bm.misses)
+	if sa, sb := r.a.icache.Stats(), r.b.icache.Stats(); sa != sb {
+		t.Fatalf("%s: instruction-cache counters diverged: %+v vs %+v", tag, sa, sb)
 	}
 	if !r.prof {
 		return
@@ -238,9 +248,12 @@ func TestDiffSuperblockRandomStreams(t *testing.T) {
 
 // TestDiffSuperblockSelfModifyingMidBlock overwrites an instruction
 // two slots ahead of the executing store — inside the very block being
-// dispatched, in the same cache line. The dispatcher's aliased line
-// view plus per-store predecode invalidation must make the new word
-// execute, exactly as the single-step interpreter does.
+// dispatched, in the same cache line. Stores do not write the
+// instruction cache, so with no FLUSH the resident line still holds
+// the old word, and both machines must run it, as the hardware does:
+// the store tears the predecoded entry down and the dispatcher decodes
+// the word again from the line, exactly as the single-step interpreter
+// fetches it.
 func TestDiffSuperblockSelfModifyingMidBlock(t *testing.T) {
 	const progBase = 0x1000
 	// Slot 6 lives at progBase+24 = %g1(0x800) + 0x818.
@@ -264,8 +277,8 @@ func TestDiffSuperblockSelfModifyingMidBlock(t *testing.T) {
 		}
 		r.stepRef(t, steps, "self-modify")
 		r.check(t, "after overwritten slot")
-		if o0 := r.a.Reg(isa.O0); o0 != 108 {
-			t.Fatalf("%%o0 = %d, want 108 (stale predecode or stale line view executed?)", o0)
+		if o0 := r.a.Reg(isa.O0); o0 != 9 {
+			t.Fatalf("%%o0 = %d, want 9 (the resident line's old word)", o0)
 		}
 		if !bytes.Equal(r.am.data, r.bm.data) {
 			t.Fatal("memory images diverged")
@@ -505,8 +518,7 @@ func TestDiffProfileBlockCutShortThenWhole(t *testing.T) {
 	} {
 		r := newRig(t, true, nil, nil, branchEnteredLoop(t)...)
 		if tc.cold {
-			r.am.coldLines()
-			r.bm.coldLines()
+			r.coldLines(t)
 		}
 		limit := ^uint64(0)
 		if tc.insts > 0 {
@@ -592,8 +604,7 @@ func TestDiffProfileAliasingHeads(t *testing.T) {
 // Restarting mid-run is what trace.Recorder.Reset does.
 func TestProfileStartClearsClaimedSlots(t *testing.T) {
 	r := newRig(t, true, nil, nil, branchEnteredLoop(t)...)
-	r.am.coldLines()
-	r.bm.coldLines()
+	r.coldLines(t)
 	const first = 40
 	if got, err := r.a.StepN(first, ^uint64(0), noStopPC); err != nil || got != first {
 		t.Fatalf("StepN = %d, %v", got, err)
@@ -658,7 +669,9 @@ func TestStepNProfiledAllocatesNothing(t *testing.T) {
 // FuzzSuperblockDiff drives arbitrary instruction words through the
 // StepN-against-Step rig: random batch sizes, a stop address and a
 // cycle cap; a batch seed of 128 or more also starts the predecode
-// generation just below its wrap. Before each reference step every gate must still be open,
+// generation just below its wrap, and one with bit 6 set runs a 1 KB
+// instruction cache, so lines conflict and refill within the program.
+// Before each reference step every gate must still be open,
 // and a batch cut short must end at a closed gate (or an error); state,
 // memory, fetch counters and, when profiled, the execution profile
 // must match the single-stepped reference after every batch.
@@ -710,6 +723,14 @@ func FuzzSuperblockDiff(f *testing.F) {
 	// batch seed of 128 or more starts it 1-4 below 2^32).
 	f.Add(words(wrapRuns(f)), uint8(128), uint32(noStopPC), uint32(1<<31), true)
 	f.Add(words(wrapRuns(f)), uint8(129), uint32(noStopPC), uint32(1<<31), false)
+	// Chained dispatch (chain_test.go): across CWP changes into a window
+	// trap, through an annulled slot and a DCTI couple, and a store over
+	// a resident line that a 1 KB cache evicts and refills.
+	f.Add(words(chainWindowsLoop(f)), uint8(20), uint32(noStopPC), uint32(1<<31), true)
+	f.Add(words(chainCoupleLoop(f)), uint8(21), uint32(noStopPC), uint32(1<<31), false)
+	f.Add(words(chainCoupleLoop(f)), uint8(22), uint32(0x1028), uint32(1<<31), true)
+	f.Add(words(staleLineLoop(f)), uint8(64+23), uint32(noStopPC), uint32(1<<31), true)
+	f.Add(words(staleLineLoop(f)), uint8(64+24), uint32(noStopPC), uint32(1<<31), false)
 
 	f.Fuzz(func(t *testing.T, code []byte, batch uint8, stopPC uint32, cycleCap uint32, prof bool) {
 		if len(code) > 4*512 {
@@ -719,7 +740,11 @@ func FuzzSuperblockDiff(f *testing.F) {
 		for i := range ws {
 			ws[i] = binary.BigEndian.Uint32(code[i*4:])
 		}
-		r := newRig(t, prof, nil, nil, ws...)
+		icache := rigICacheBytes
+		if batch&64 != 0 {
+			icache = 1 << 10
+		}
+		r := newRigICache(t, prof, icache, nil, nil, ws...)
 		if batch >= 128 {
 			r.a.genKey = uint64(-uint32(batch&3+1)) << 32
 		}

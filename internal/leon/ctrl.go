@@ -162,7 +162,10 @@ func (c *Controller) Start(entry uint32, maxCycles uint64) error {
 	c.soc.sramSwitch.connected = true
 	c.state = StateRunning
 
-	limit := c.soc.CPU.Cycles + maxCycles
+	// The budget saturates: a maxCycles that would carry the limit past
+	// 2^64-1 means no limit, rather than a limit that wrapped below the
+	// cycle counter.
+	limit := satAdd(c.soc.CPU.Cycles, maxCycles)
 	// Wait for the poll loop to pick up the address and jump into the
 	// program. The wait runs in event-horizon batches with entry as the
 	// stop address (cycleCap limit+1 ⇔ the historical Cycles > limit
@@ -175,7 +178,7 @@ func (c *Controller) Start(entry uint32, maxCycles uint64) error {
 			c.soc.sramSwitch.connected = false
 			return fmt.Errorf("leon: program never entered: %w", ErrBudget)
 		}
-		if _, err := c.soc.StepN(1<<20, limit+1, entry); err != nil {
+		if _, err := c.soc.StepN(1<<20, satAdd(limit, 1), entry); err != nil {
 			_, err = c.errorMode(err)
 			return err
 		}
@@ -267,13 +270,24 @@ func (c *Controller) StepRun(maxSteps int) (done bool, res RunResult, err error)
 			})
 			return true, fr, fmt.Errorf("leon: %w after %d cycles", ErrBudget, fr.Cycles)
 		}
-		n, serr := c.soc.StepN(maxSteps-steps, c.runLimit+1, ROMPollAddr)
+		n, serr := c.soc.StepN(maxSteps-steps, satAdd(c.runLimit, 1), ROMPollAddr)
 		steps += n
 		if serr != nil {
 			fr, ferr := c.errorMode(serr)
 			return true, fr, ferr
 		}
 	}
+}
+
+// satAdd returns a+b, or 2^64-1 where the sum would wrap. A cycle cap
+// that wrapped to a small number would stop StepN before its first
+// step, so a run whose budget reaches the top of the counter could
+// never make progress.
+func satAdd(a, b uint64) uint64 {
+	if s := a + b; s >= a {
+		return s
+	}
+	return ^uint64(0)
 }
 
 // CollectResult drives an in-flight run to completion and returns its

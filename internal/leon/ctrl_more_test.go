@@ -2,6 +2,7 @@ package leon
 
 import (
 	"testing"
+	"time"
 
 	"liquidarch/internal/amba"
 )
@@ -133,5 +134,76 @@ func TestSwapCachesValidation(t *testing.T) {
 	bad.SizeBytes = 777
 	if err := soc.SwapCaches(soc.Config.ICache, bad); err == nil {
 		t.Error("invalid dcache swap accepted")
+	}
+}
+
+// budgetRuns starts and collects obj with run, failing if it has not
+// returned within a host-time bound, and returns the result and error.
+func budgetRuns(t *testing.T, run func() (RunResult, error)) (RunResult, error) {
+	t.Helper()
+	type out struct {
+		res RunResult
+		err error
+	}
+	done := make(chan out, 1)
+	go func() {
+		res, err := run()
+		done <- out{res, err}
+	}()
+	select {
+	case o := <-done:
+		return o.res, o.err
+	case <-time.After(10 * time.Second):
+		t.Fatal("the run had not returned after 10 s")
+		return RunResult{}, nil
+	}
+}
+
+// TestStartBudgetAtCounterTop: a budget that carries the run's cycle
+// limit to 2^64-1, or past it, means no limit. The limit once wrapped:
+// 2^64-1-Cycles left StepN a cycle cap of 0, so the handoff never made
+// progress, and 2^64-1 put the limit below the counter, so the run
+// failed its budget before it started.
+func TestStartBudgetAtCounterTop(t *testing.T) {
+	obj := assembleProg(t, "_start:\n\tset 7, %o0\n"+epilogue)
+	want := func() RunResult {
+		ctrl := buildSystem(t, DefaultConfig(), nil)
+		return loadAndRun(t, ctrl, obj)
+	}()
+	for _, name := range []string{"to the top", "past the top"} {
+		ctrl := buildSystem(t, DefaultConfig(), nil)
+		if err := ctrl.LoadProgram(obj.Origin, obj.Code); err != nil {
+			t.Fatal(err)
+		}
+		budget := ^uint64(0)
+		if name == "to the top" {
+			budget -= ctrl.SoC().Cycles()
+		}
+		res, err := budgetRuns(t, func() (RunResult, error) { return ctrl.Execute(obj.Origin, budget) })
+		if err != nil || res != want {
+			t.Errorf("%s: Execute = %+v, %v; want %+v", name, res, err, want)
+		}
+	}
+}
+
+// TestAsyncStartBudgetAtCounterTop is TestStartBudgetAtCounterTop on
+// the board actor, which serves the wire's StartReq.
+func TestAsyncStartBudgetAtCounterTop(t *testing.T) {
+	obj := buildAt(t, shortProg)
+	for _, name := range []string{"to the top", "past the top"} {
+		a := newAsync(t)
+		if err := a.LoadProgram(obj.Origin, obj.Code); err != nil {
+			t.Fatal(err)
+		}
+		budget := ^uint64(0)
+		if name == "to the top" {
+			if err := a.Do(func(c *Controller) { budget -= c.SoC().Cycles() }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := budgetRuns(t, func() (RunResult, error) { return a.Execute(obj.Origin, budget) })
+		if err != nil || res.Faulted || res.Cycles == 0 {
+			t.Errorf("%s: Execute = %+v, %v", name, res, err)
+		}
 	}
 }

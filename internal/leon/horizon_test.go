@@ -1,8 +1,10 @@
 package leon
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // Differential tests for event-horizon stepping: SoC.StepN — horizon
@@ -188,5 +190,105 @@ func TestHorizonCycleCapBoundary(t *testing.T) {
 		if d := socDiff(as, bs); d != "" {
 			t.Fatalf("cap %d: diverged at boundary: %s", cap, d)
 		}
+	}
+}
+
+// staleLineProg runs the line at L three times. After the first pass
+// it stores a new word over target with no FLUSH: stores do not write
+// the instruction cache, so the second pass runs the resident line's
+// old word (target adds 2), as the hardware does. After the second
+// pass it runs far, 1 KB on, which evicts L's line from DefaultConfig's
+// 1 KB direct-mapped instruction cache, and re-enters L at its first
+// word, whose miss refills the line from memory: the third pass runs
+// the new word (target adds 1). %g3 ends at 2+2+1 = 5. A predecoded
+// entry of the old word that outlived the refill would run 2 again.
+const staleLineProg = `
+_start:
+	set newword, %g5
+	ld [%g5], %g4
+	set target, %g1
+	mov 0, %g3
+	mov 3, %g2
+	ba L
+	nop
+	.align 1024
+L:
+	nop
+target:
+	add %g3, 2, %g3
+	subcc %g2, 1, %g2
+	be done
+	nop
+	cmp %g2, 2
+	be store
+	nop
+	ba far
+	nop
+store:
+	st %g4, [%g1]
+	ba L
+	nop
+done:
+` + epilogue + `
+newword:
+	add %g3, 1, %g3
+	.align 1024
+far:
+	ba L
+	nop
+`
+
+// TestHorizonStaleLineRefill runs staleLineProg on the per-step
+// interpreter and through horizon batches: the refill must drop the
+// entry decoded from the stale line, so both end with %g3 = 5.
+func TestHorizonStaleLineRefill(t *testing.T) {
+	obj := assembleProg(t, staleLineProg)
+	var socs []*SoC
+	for _, stepped := range []bool{true, false} {
+		ctrl := buildSystem(t, DefaultConfig(), nil)
+		if err := ctrl.LoadProgram(obj.Origin, obj.Code); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctrl.Start(obj.Origin, 0); err != nil {
+			t.Fatal(err)
+		}
+		soc := ctrl.SoC()
+		for stepped && soc.CPU.PC() != ROMPollAddr {
+			if err := soc.Step(); err != nil {
+				t.Fatalf("reference step (pc=%#x): %v", soc.CPU.PC(), err)
+			}
+		}
+		if _, err := ctrl.CollectResult(); err != nil {
+			t.Fatal(err)
+		}
+		if g3 := soc.CPU.Reg(3); g3 != 5 {
+			t.Errorf("stepped %v: %%g3 = %d, want 5", stepped, g3)
+		}
+		socs = append(socs, soc)
+	}
+	if d := socDiff(socs[1], socs[0]); d != "" {
+		t.Fatalf("horizon run diverged from per-step reference: %s", d)
+	}
+}
+
+// TestSpinGuestFastForwards: a guest parked in a `ba .; nop` spin runs
+// out its default 2^32-cycle budget in well under a second of host
+// time, because the poll-loop fast-forward replays the spin rather
+// than emulating it (emulated, the budget takes tens of seconds). A
+// dispatch must return to StepN's spin bookkeeping at the backward
+// branch for that to happen.
+func TestSpinGuestFastForwards(t *testing.T) {
+	ctrl := buildSystem(t, DefaultConfig(), nil)
+	obj := assembleProg(t, "_start:\n\tba _start\n\tnop\n")
+	if err := ctrl.LoadProgram(obj.Origin, obj.Code); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, err := ctrl.Execute(obj.Origin, 0)
+	if !errors.Is(err, ErrBudget) || res.Cycles < 1<<32-1<<20 {
+		t.Fatalf("Execute = %+v, %v; want the budget exhausted", res, err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("the spin took %v of host time to exhaust its budget", d)
 	}
 }

@@ -184,7 +184,7 @@ func NewWithOptions(cfg Config, uartOut io.Writer, opts Options) (*SoC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return newSoC(cfg, uartOut, opts, mem.NewSRAM(cfg.SRAMSize), mem.NewSDRAM(cfg.SDRAMSize))
+	return newSoC(cfg, uartOut, opts, mem.NewSRAM(cfg.SRAMSize), mem.NewSDRAM(cfg.SDRAMSize), nil)
 }
 
 // Reload is a full FPGA reprogramming of s's board: it builds the SoC
@@ -193,25 +193,39 @@ func NewWithOptions(cfg Config, uartOut io.Writer, opts Options) (*SoC, error) {
 // options. Everything in the fabric is new — CPU, caches, SDRAM
 // controller and ports, adapter, peripherals, boot ROM — so statistics
 // and simulated time start from zero. The board's memory sizes are
-// fixed: a cfg naming other sizes is an error. Building and booting the
-// new SoC touch neither memory, so s may keep serving until the new SoC
-// starts; from then on only the new SoC may use the memories.
+// fixed: a cfg naming other sizes is an error (CanReload). The new CPU
+// also takes over s's predecode and execution-profile tables
+// (cpu.NewFrom) rather than allocating its own, so s must not step once
+// Reload has succeeded: stop whatever drives it first. From then on
+// only the new SoC may use the memories.
 func (s *SoC) Reload(cfg Config) (*SoC, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := s.CanReload(cfg); err != nil {
 		return nil, err
 	}
+	return newSoC(cfg, s.uartOut, Options{Quantum: s.Quantum}, s.SRAM, s.SDRAM, s.CPU)
+}
+
+// CanReload returns the error Reload would refuse cfg with, or nil:
+// cfg must be valid and name the board's memory sizes.
+func (s *SoC) CanReload(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if cfg.SRAMSize != s.Config.SRAMSize {
-		return nil, fmt.Errorf("leon: reload asks for %d bytes of SRAM; the board has %d", cfg.SRAMSize, s.Config.SRAMSize)
+		return fmt.Errorf("leon: reload asks for %d bytes of SRAM; the board has %d", cfg.SRAMSize, s.Config.SRAMSize)
 	}
 	if cfg.SDRAMSize != s.Config.SDRAMSize {
-		return nil, fmt.Errorf("leon: reload asks for %d bytes of SDRAM; the board has %d", cfg.SDRAMSize, s.Config.SDRAMSize)
+		return fmt.Errorf("leon: reload asks for %d bytes of SDRAM; the board has %d", cfg.SDRAMSize, s.Config.SDRAMSize)
 	}
-	return newSoC(cfg, s.uartOut, Options{Quantum: s.Quantum}, s.SRAM, s.SDRAM)
+	return nil
 }
 
 // newSoC builds the fabric for a validated cfg around the board
-// memories sram and sdram.
-func newSoC(cfg Config, uartOut io.Writer, opts Options, sram *mem.SRAM, sdram *mem.SDRAM) (*SoC, error) {
+// memories sram and sdram, with a CPU that takes over prev's tables
+// when prev is not nil (cpu.NewFrom). Building the CPU is its last step
+// that can fail, and that only for an invalid cfg, so a failed build
+// leaves prev whole.
+func newSoC(cfg Config, uartOut io.Writer, opts Options, sram *mem.SRAM, sdram *mem.SDRAM, prev *cpu.CPU) (*SoC, error) {
 	s := &SoC{Config: cfg, Quantum: opts.Quantum, SRAM: sram, SDRAM: sdram, uartOut: uartOut}
 
 	// Peripherals.
@@ -292,21 +306,22 @@ func newSoC(cfg Config, uartOut io.Writer, opts Options, sram *mem.SRAM, sdram *
 	}
 	s.imem = &splitMem{soc: s, cached: s.ICache, bus: s.Bus, alwaysCached: true}
 	s.dmem = &splitMem{soc: s, cached: s.DCache, bus: s.Bus}
+	// Cache control register (LEON2's CCR): software enable/disable
+	// and flush of both caches. It reaches the caches through s, so it
+	// addresses the live instances even across partial
+	// reconfigurations.
+	if err := s.APB.Map("ccr", APBCacheCtrl, 0x10, &cacheCtrl{soc: s}); err != nil {
+		return nil, err
+	}
 
-	s.CPU, err = cpu.New(cfg.CPU, s.imem, s.dmem, s.IRQCtrl)
+	s.CPU, err = cpu.NewFrom(prev, cfg.CPU, s.imem, s.dmem, s.IRQCtrl)
 	if err != nil {
 		return nil, err
 	}
 	// Instruction fetches take the concrete fast path straight into the
 	// I-cache (the instruction side has no uncacheable windows, so the
 	// splitMem mux adds nothing but an interface dispatch).
-	s.CPU.SetIFetch(s.ICache)
-	// Cache control register (LEON2's CCR): software enable/disable
-	// and flush of both caches. Mapped late so it can reach the live
-	// cache instances even across partial reconfigurations.
-	if err := s.APB.Map("ccr", APBCacheCtrl, 0x10, &cacheCtrl{soc: s}); err != nil {
-		return nil, err
-	}
+	s.CPU.SetICache(s.ICache)
 	s.CPU.FlushFn = func() (int, error) {
 		n1, err := s.ICache.Flush()
 		if err != nil {
@@ -427,10 +442,10 @@ func (s *SoC) SwapCaches(icfg, dcfg cache.Config) error {
 	s.imem.cached = newI
 	s.dmem.cached = newD
 	// Re-point the CPU's concrete fetch fast path at the new I-cache.
-	// SetIFetch also drops the predecoded instruction cache: the swap
+	// SetICache also drops the predecoded instruction cache: the swap
 	// is a reconfiguration boundary and decoded state must not outlive
 	// the module it was fetched through.
-	s.CPU.SetIFetch(newI)
+	s.CPU.SetICache(newI)
 	s.Config.ICache = icfg
 	s.Config.DCache = dcfg
 	return nil
@@ -469,18 +484,25 @@ func (c *cacheCtrl) WriteReg(off uint32, v uint32) error {
 	if off != 0 {
 		return fmt.Errorf("leon: ccr has no register at %#x", off)
 	}
-	c.soc.ICache.SetEnabled(v&CCREnableICache != 0)
+	if on := v&CCREnableICache != 0; on != c.soc.ICache.Enabled() {
+		// While the I-cache is off, words are decoded from memory,
+		// which its resident lines may not match once it is back on;
+		// a live entry must match its resident line (cpu.CPU's
+		// dropStale), so switching drops the predecoded instructions.
+		c.soc.ICache.SetEnabled(on)
+		c.soc.CPU.InvalidatePredecode()
+	}
 	c.soc.DCache.SetEnabled(v&CCREnableDCache != 0)
 	if v&CCRFlush != 0 {
+		// A software cache flush is a barrier after code modification;
+		// drop predecoded instructions along with the cached lines.
+		c.soc.CPU.InvalidatePredecode()
 		if _, err := c.soc.ICache.Flush(); err != nil {
 			return err
 		}
 		if _, err := c.soc.DCache.Flush(); err != nil {
 			return err
 		}
-		// A software cache flush is a barrier after code modification;
-		// drop predecoded instructions along with the cached lines.
-		c.soc.CPU.InvalidatePredecode()
 	}
 	return nil
 }

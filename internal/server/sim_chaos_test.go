@@ -357,3 +357,47 @@ func TestWindowedLoadUnderLossSim(t *testing.T) {
 		})
 	}
 }
+
+// TestStartBudgetAtCounterTopSim sends a StartReq whose MaxCycles
+// carries the run's cycle limit to the top of the board's cycle
+// counter, and one past it, across the fabric: the node passes the
+// budget to the board as it is, and the run must start and complete
+// within a host-time bound. The limit once wrapped, so the first never
+// left the handoff and the second failed its budget before it began.
+func TestStartBudgetAtCounterTopSim(t *testing.T) {
+	obj := assembleAt(t, countProg(100))
+	soc, err := leon.New(leon.DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := leon.NewController(soc).Boot(); err != nil {
+		t.Fatal(err)
+	}
+	booted := soc.Cycles() // a fresh board's counter at the handoff
+	for _, budget := range []uint64{^uint64(0) - booted, ^uint64(0)} {
+		w := sim.NewWorld(1)
+		t.Cleanup(w.Close)
+		addr := startSimNode(t, w, 1)
+		c, _ := dialSim(t, w, addr, 1, cleanLink())
+		if err := c.LoadProgram(obj.Origin, obj.Code); err != nil {
+			t.Fatal(err)
+		}
+		type out struct {
+			rep netproto.RunReport
+			err error
+		}
+		done := make(chan out, 1)
+		go func() {
+			rep, err := c.Start(obj.Origin, budget)
+			done <- out{rep, err}
+		}()
+		select {
+		case o := <-done:
+			if o.err != nil || o.rep.Status != netproto.StatusOK || o.rep.Cycles == 0 {
+				t.Errorf("budget %#x: Start = %+v, %v", budget, o.rep, o.err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("budget %#x: the run had not completed after 20 s", budget)
+		}
+	}
+}
