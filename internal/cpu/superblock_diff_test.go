@@ -33,6 +33,9 @@ const (
 	rigMemBytes    = 64 << 10
 	rigICacheBytes = 64 << 10
 	rigLineBytes   = 32
+	// smallRigICache suits a test whose code and vectors share no set
+	// in 4 KB, and which builds a rig per case, a thousand of them.
+	smallRigICache = 4 << 10
 )
 
 // ReadBurst lets the flat memory serve line fills on the rig's bus.
@@ -300,7 +303,7 @@ func TestDiffSuperblockCycleLimitEveryOffset(t *testing.T) {
 	}
 	for _, prof := range profModes {
 		for limit := uint64(1); limit <= maxLimit; limit++ {
-			r := newRig(t, prof, nil, nil, words...)
+			r := newRigICache(t, prof, smallRigICache, nil, nil, words...)
 			n1, err := r.a.StepN(1<<30, limit, noStopPC)
 			if err != nil {
 				t.Fatalf("limit %d: StepN: %v", limit, err)
@@ -346,7 +349,7 @@ func TestDiffSuperblockIRQEveryOffset(t *testing.T) {
 	for _, prof := range profModes {
 		for off := uint64(1); off <= maxOffset; off++ {
 			airq, birq := &fakeIRQ{}, &fakeIRQ{}
-			r := newRig(t, prof, airq, birq, words...)
+			r := newRigICache(t, prof, smallRigICache, airq, birq, words...)
 			if spin == 0 {
 				spin = enc(t, isa.Inst{Op: isa.OpBicc, Cond: isa.CondA, Annul: true, Imm: 0})
 			}
