@@ -362,12 +362,13 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 		c.Cycles++
 		handlers[d.h](c, &d.in)
 		k++
-		c.pc, c.npc = c.npc, c.npc+4
 		// Chain on at the target: flow is sequential there, and the
 		// segment [head, head+4k) is complete. The loop head checks the
 		// new segment's gates and its line, as for any instruction.
-		target := c.pc
-		if target <= pc && c.spinnable(target) {
+		target := c.npc
+		backward := target <= c.pc
+		c.pc, c.npc = target, target+4
+		if backward && c.spinnable(target) {
 			break
 		}
 		kmax, k = c.chain(target, k), 0
