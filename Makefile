@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-net chaos fuzz-smoke cover-gate vet fmt-check bench bench-smoke bench-baseline load-smoke node-smoke reconfig-smoke trace-smoke sim-smoke time-lint ci
+.PHONY: all build test race race-net chaos fuzz-smoke cover-gate vet fmt-check bench bench-smoke bench-baseline load-smoke load-baseline node-smoke reconfig-smoke reconfig-baseline trace-smoke sim-smoke time-lint ci
 
 all: build
 
@@ -24,15 +24,17 @@ race-net:
 	$(GO) test -race -count=2 ./internal/leon/... ./internal/fpx/... ./internal/server/... ./internal/client/...
 
 # chaos runs the deterministic fault-injection suite under the race
-# detector: the injector/proxy unit tests, the seeded end-to-end storms
-# (TestControlPlaneUnderChaos / TestNodeUnderChaos: full sessions
-# through 20% loss + reorder + dup, bit-identical results required),
-# the scripted load-resumption and dedup regressions, the held-wait
-# tests (a wait the server answers early is re-issued at the poll
-# interval), and the client retry/backoff tests.
+# detector: the fault engine and UDP relay tests in internal/sim (rule
+# semantics, determinism, the relay between real sockets), the seeded
+# end-to-end storms (full sessions through 20% loss + reorder + dup,
+# bit-identical results required; TestControlPlaneUnderChaos through
+# the relay, the rest on the simulated fabric), the scripted
+# load-resumption and dedup regressions, the retry-span tracing check,
+# the held-wait tests (a wait the server answers early is re-issued at
+# the poll interval), and the client retry/backoff tests.
 chaos:
-	$(GO) test -race ./internal/chaos/...
-	$(GO) test -race -run 'Chaos|Retransmit|Resume|Suppressed|Dedup|Backoff|Jitter|WaitResult|WaitHold|HeldWait|LoadError|WrongBoard|StaleSeq|Windowed' \
+	$(GO) test -race ./internal/sim
+	$(GO) test -race -run 'Chaos|Retransmit|Resume|Suppressed|Dedup|Backoff|Jitter|WaitResult|WaitHold|HeldWait|LoadError|WrongBoard|StaleSeq|Windowed|RetrySpans' \
 		./internal/server/... ./internal/client/... ./internal/fpx/...
 
 # fuzz-smoke gives each native fuzz target a few seconds on top of the
@@ -118,17 +120,23 @@ bench-baseline:
 		$(GO) test -run '^$$' -bench 'BenchmarkStepThroughput$$' -benchtime 1x -v .
 
 # load-smoke runs the pipelined-control-plane benchmarks once
-# (BenchmarkLoadThroughput window=1 vs window=16, and the single-board
-# leg of BenchmarkNodeConcurrentClients) with the gates armed: the
-# windowed load must cost at least 2x fewer implied round trips than
+# (BenchmarkLoadThroughput window=1 vs window=16 through a UDP relay
+# with 1 ms latency each way, and the single-board leg of
+# BenchmarkNodeConcurrentClients) with the gates armed: the windowed
+# load must cost at least 2x fewer implied round trips than
 # stop-and-wait, and single-board runs/s must stay above half the
-# checked-in BENCH_load.json baseline. The freshly measured figures are
-# re-emitted to BENCH_load.json (commit the refresh when the numbers
-# move for a real reason).
+# checked-in BENCH_load.json baseline. It never rewrites
+# BENCH_load.json (load-baseline does).
+LOAD_BENCH = 'BenchmarkLoadThroughput|BenchmarkNodeConcurrentClients/boards=1$$'
 load-smoke:
-	LIQUID_LOAD_GATE=1 LIQUID_LOAD_JSON=$(CURDIR)/BENCH_load.json \
-		$(GO) test -run '^$$' -bench 'BenchmarkLoadThroughput|BenchmarkNodeConcurrentClients/boards=1$$' \
-		-benchtime 1x -v ./internal/server/
+	LIQUID_LOAD_GATE=1 $(GO) test -run '^$$' -bench $(LOAD_BENCH) -benchtime 1x -v ./internal/server/
+
+# load-baseline re-measures the load-smoke figures and rewrites
+# BENCH_load.json with them and the host stamp. It gates nothing.
+# Commit the refresh when the figures move for a real reason.
+load-baseline:
+	LIQUID_LOAD_JSON=$(CURDIR)/BENCH_load.json \
+		$(GO) test -run '^$$' -bench $(LOAD_BENCH) -benchtime 1x -v ./internal/server/
 
 # node-smoke runs BenchmarkNodeConcurrentClients at both board counts
 # (1 and 4 boards, one stock client each) and re-emits BENCH_node.json
@@ -142,12 +150,18 @@ node-smoke:
 # reconfig-smoke runs the cold/warm reconfiguration-service benchmark
 # once with the gate armed: a restarted node must serve a three-pass
 # sweep over a pregenerated configuration space at a ≥90% hit ratio
-# with exactly one new synthesis (the novel point). The measured
-# figures — hit ratio, modelled tool hours saved, wall time — are
-# re-emitted to BENCH_reconfig.json (commit the refresh when the
-# numbers move for a real reason).
+# with exactly one new synthesis (the novel point). It never rewrites
+# BENCH_reconfig.json (reconfig-baseline does).
 reconfig-smoke:
-	LIQUID_RECONFIG_GATE=1 LIQUID_RECONFIG_JSON=$(CURDIR)/BENCH_reconfig.json \
+	LIQUID_RECONFIG_GATE=1 $(GO) test -run '^$$' -bench 'BenchmarkReconfigColdWarm' \
+		-benchtime 1x -v ./internal/reconfig/
+
+# reconfig-baseline re-measures the reconfig-smoke figures — hit ratio,
+# modelled tool hours saved, wall time — and rewrites
+# BENCH_reconfig.json with them. It gates nothing. Commit the refresh
+# when the figures move for a real reason.
+reconfig-baseline:
+	LIQUID_RECONFIG_JSON=$(CURDIR)/BENCH_reconfig.json \
 		$(GO) test -run '^$$' -bench 'BenchmarkReconfigColdWarm' \
 		-benchtime 1x -v ./internal/reconfig/
 
@@ -162,7 +176,7 @@ trace-smoke:
 # cluster runner must match the sequential reference model over 100
 # pinned seeds (randomized op mixes across boards, the current client
 # over lossy links), and the planted dedup bug must be caught with a
-# replayable seed. It also runs the in-fabric chaos ports and the 2×2
+# replayable seed. It also runs the in-fabric chaos storms and the 2×2
 # compat matrix (the paper's v1 packets and the current v4 client,
 # against a one- and a two-board node).
 # LIQUID_SIM_SEEDS raises the sweep; the nightly workflow runs 400.
@@ -178,7 +192,7 @@ sim-smoke:
 # virtualize it. internal/sim itself (the clock's home) and test files
 # are exempt; time.Time/time.Duration *types* are fine — only calls
 # that read or wait on the real clock are flagged.
-TIME_LINT_PKGS = internal/client internal/server internal/chaos \
+TIME_LINT_PKGS = internal/client internal/server \
 	internal/fpx internal/leon internal/core internal/reconfig internal/synth
 time-lint:
 	@out=$$(grep -rnE 'time\.(Now|Sleep|After|AfterFunc|NewTimer|NewTicker|Since|Until|Tick)\(' \

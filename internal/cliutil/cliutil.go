@@ -10,7 +10,6 @@ import (
 	"os"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"liquidarch/internal/cache"
 	"liquidarch/internal/cpu"
@@ -67,17 +66,6 @@ func WriteOutput(path string, data []byte) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// MustDuration parses a duration flag value, exiting the process on a
-// malformed one — for flags whose zero value is not an acceptable
-// fallback.
-func MustDuration(s string) time.Duration {
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		Fatalf("bad duration %q: %v", s, err)
-	}
-	return d
 }
 
 // Fatalf prints an error and exits non-zero.

@@ -37,8 +37,9 @@ func benchSpace() []leon.Config {
 // The reported metrics are the warm hit ratio and the modelled tool
 // hours the cache avoided; `make reconfig-smoke` arms the gate
 // (LIQUID_RECONFIG_GATE=1), which requires a ≥90% warm hit ratio and
-// exactly one warm synthesis (the novel point), and emits the figures
-// to BENCH_reconfig.json (LIQUID_RECONFIG_JSON).
+// exactly one warm synthesis (the novel point); `make
+// reconfig-baseline` emits the figures to BENCH_reconfig.json
+// (LIQUID_RECONFIG_JSON).
 func BenchmarkReconfigColdWarm(b *testing.B) {
 	opts := synth.Options{BitstreamBytes: 4096} // TimeScale 0: modelled hours, no real sleep
 	space := benchSpace()
@@ -140,7 +141,8 @@ type benchReconfigJSON struct {
 
 // gateAndEmitReconfigBench enforces the acceptance bar when the smoke
 // gate is armed (LIQUID_RECONFIG_GATE=1, set by `make reconfig-smoke`)
-// and emits BENCH_reconfig.json when LIQUID_RECONFIG_JSON names a path.
+// and emits BENCH_reconfig.json when LIQUID_RECONFIG_JSON names a path
+// (set by `make reconfig-baseline`).
 func gateAndEmitReconfigBench(b *testing.B, f reconfigBenchFigures) {
 	if os.Getenv("LIQUID_RECONFIG_GATE") != "" {
 		if f.ratio < 0.9 {

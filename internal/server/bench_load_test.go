@@ -7,10 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"liquidarch/internal/chaos"
 	"liquidarch/internal/hostinfo"
 	"liquidarch/internal/leon"
 	"liquidarch/internal/netproto"
+	"liquidarch/internal/sim"
 )
 
 // loadBenchDelay is the injected one-way transport latency for the
@@ -32,7 +32,7 @@ const loadBenchChunks = 96
 var loadBenchRTTs = map[int]float64{}
 
 // BenchmarkLoadThroughput measures a full ~96-chunk program load
-// through a proxy that injects a symmetric 1 ms delay, once with the
+// through a relay with 1 ms of latency each way, once with the
 // window disabled (window=1, classic stop-and-wait) and once with the
 // default 16-chunk sliding window. The reported "rtts" metric is the
 // number of serialized round trips the load cost; the acceptance bar
@@ -45,9 +45,8 @@ func BenchmarkLoadThroughput(b *testing.B) {
 	_, addr := startServer(b)
 	for _, w := range []int{1, 16} {
 		b.Run(fmt.Sprintf("window=%d", w), func(b *testing.B) {
-			lag := chaos.Faults{Delay: 1, DelayMin: loadBenchDelay, DelayMax: loadBenchDelay}
-			proxy := chaosProxy(b, addr, chaos.Config{Seed: 1, Up: lag, Down: lag})
-			c := dial(b, proxy.Addr().String())
+			relay := chaosRelay(b, addr, 1, sim.LinkParams{Latency: loadBenchDelay}, nil)
+			c := dial(b, relay.Addr().String())
 			c.Window = w
 			c.Timeout = 2 * time.Second
 			b.SetBytes(int64(len(img)))
@@ -107,8 +106,9 @@ type benchLoadJSON struct {
 // gateAndEmitLoadBench is called from the boards=1 leg of
 // BenchmarkNodeConcurrentClients. When LIQUID_LOAD_GATE=1 it fails the
 // run if single-board throughput regressed below half the checked-in
-// BENCH_load.json baseline; when LIQUID_LOAD_JSON names a path it
-// rewrites that file with the figures just measured.
+// BENCH_load.json baseline; when LIQUID_LOAD_JSON names a path (set by
+// `make load-baseline`) it rewrites that file with the figures just
+// measured.
 func gateAndEmitLoadBench(b *testing.B, runsPerSec float64) {
 	if os.Getenv("LIQUID_LOAD_GATE") != "" {
 		path := os.Getenv("LIQUID_LOAD_BASELINE")

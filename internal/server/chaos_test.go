@@ -3,53 +3,42 @@ package server
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"net"
 	"testing"
 	"time"
 
 	"liquidarch/internal/asm"
-	"liquidarch/internal/chaos"
 	"liquidarch/internal/client"
 	"liquidarch/internal/fpx"
 	"liquidarch/internal/leon"
 	"liquidarch/internal/metrics"
 	"liquidarch/internal/netproto"
+	"liquidarch/internal/sim"
 )
 
-// chaosSeeds are the pinned fault-sequence seeds the CI suite replays.
-// Each seed produces one reproducible storm of drops, dups, reorders
-// and truncations; a failure under any of them can be replayed exactly
-// with `liquid-chaos -seed N`. The full matrix runs on the simulated
-// fabric (sim_chaos_test.go); the real-UDP tests below keep one smoke
-// seed each to prove the production socket path still survives a storm.
+// chaosSeeds are the pinned fault-sequence seeds the storms replay.
+// The full matrix runs on the simulated fabric (sim_chaos_test.go);
+// the real-UDP storm below keeps the first seed to prove the
+// production socket path still survives one.
 var chaosSeeds = []int64{1, 7, 42}
 
-// smokeSeeds is the real-UDP slice of the matrix.
-var smokeSeeds = chaosSeeds[:1]
-
-// stormFaults is the headline fault mix: 20% loss plus reordering and
-// duplication, applied independently in both directions.
-func stormFaults() chaos.Faults {
-	return chaos.Faults{Drop: 0.2, Reorder: 0.1, Dup: 0.1}
-}
-
-// chaosProxy starts a fault-injecting relay in front of addr, wired
-// for cleanup.
-func chaosProxy(t testing.TB, addr string, cfg chaos.Config) *chaos.Proxy {
+// chaosRelay starts a fault relay in front of addr, applying lp to both
+// directions, wired for cleanup.
+func chaosRelay(t testing.TB, addr string, seed int64, lp sim.LinkParams, reg *metrics.Registry) *sim.Relay {
 	t.Helper()
-	p, err := chaos.NewProxy("127.0.0.1:0", addr, cfg)
+	r, err := sim.NewRelay("127.0.0.1:0", addr, seed, lp, lp, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- p.Serve() }()
+	go func() { done <- r.Serve() }()
 	t.Cleanup(func() {
-		p.Close()
+		r.Close()
 		if err := <-done; err != nil {
-			t.Errorf("chaos proxy: %v", err)
+			t.Errorf("chaos relay: %v", err)
 		}
 	})
-	return p
+	return r
 }
 
 // dialChaos dials through addr with the retry schedule tuned for a
@@ -83,8 +72,8 @@ func runCycle(t testing.TB, c *client.Client, obj *asm.Object) (netproto.RunRepo
 	return rep, head
 }
 
-// TestControlPlaneUnderChaos is the real-UDP smoke slice of the
-// headline acceptance test: a full load→start→result cycle completes
+// TestControlPlaneUnderChaos is the real-socket storm: a full
+// load→start→result cycle through the fault relay completes
 // bit-identically under 20% loss plus reordering and duplication. The
 // simulator is deterministic, so any divergence from the clean-path
 // baseline is a transport-hardening bug: a lost chunk, a doubly
@@ -104,17 +93,12 @@ func TestControlPlaneUnderChaos(t *testing.T) {
 		t.Fatalf("baseline report = %+v", wantRep)
 	}
 
-	for _, seed := range smokeSeeds {
+	for _, seed := range chaosSeeds[:1] {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			_, addr := startServer(t)
 			reg := metrics.NewRegistry()
-			proxy := chaosProxy(t, addr, chaos.Config{
-				Seed:     seed,
-				Up:       stormFaults(),
-				Down:     stormFaults(),
-				Registry: reg,
-			})
-			c := dialChaos(t, proxy.Addr().String(), seed)
+			relay := chaosRelay(t, addr, seed, sim.LinkParams{Drop: 0.2, Reorder: 0.1, Dup: 0.1}, reg)
+			c := dialChaos(t, relay.Addr().String(), seed)
 			rep, head := runCycle(t, c, obj)
 			if rep != wantRep {
 				t.Errorf("report diverged under chaos:\n got %+v\nwant %+v", rep, wantRep)
@@ -130,10 +114,10 @@ func TestControlPlaneUnderChaos(t *testing.T) {
 			reorders := snap.Counter(`liquid_chaos_injected_total{event="up_reorder"}`) +
 				snap.Counter(`liquid_chaos_injected_total{event="down_reorder"}`)
 			if drops == 0 {
-				t.Error("chaos injected no drops — test proved nothing")
+				t.Error("relay injected no drops — test proved nothing")
 			}
 			if reorders == 0 {
-				t.Error("chaos injected no reorders — test proved nothing")
+				t.Error("relay injected no reorders — test proved nothing")
 			}
 			csnap := c.Metrics().Snapshot()
 			if csnap.Counters["liquid_client_retries_total"] == 0 {
@@ -143,80 +127,26 @@ func TestControlPlaneUnderChaos(t *testing.T) {
 	}
 }
 
-// TestNodeUnderChaos is the deterministic soak: a 4-board node behind
-// the chaos relay, four concurrent clients each running the same
-// program on their own board, 20% loss + reorder + dup in both
-// directions. All four boards must report results bit-identical to
-// the clean baseline, for every pinned seed. Cross-session held-packet
-// releases make the relay occasionally misdeliver a datagram to the
-// wrong client, so this also soaks the seq/board response filtering.
-func TestNodeUnderChaos(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos soak skipped in -short")
+// scripted returns a fabric link whose only faults are the rules of s.
+func scripted(t testing.TB, s string) sim.LinkParams {
+	t.Helper()
+	rules, err := sim.ParseScript(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	const boards = 4
-	iters := 100_000
-	if raceEnabled {
-		iters = 20_000
-	}
-	obj := assembleAt(t, countProg(iters))
+	return sim.LinkParams{Rules: rules}
+}
 
-	// Clean-path baseline on a single board.
-	_, addr := startServer(t)
-	wantRep, wantHead := runCycle(t, dial(t, addr), obj)
-
-	for _, seed := range smokeSeeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			_, addr := startNode(t, boards)
-			proxy := chaosProxy(t, addr, chaos.Config{
-				Seed: seed,
-				Up:   stormFaults(),
-				Down: stormFaults(),
-			})
-
-			var wg sync.WaitGroup
-			reps := make([]netproto.RunReport, boards)
-			heads := make([][]byte, boards)
-			errs := make([]error, boards)
-			for b := 0; b < boards; b++ {
-				c := dialChaos(t, proxy.Addr().String(), seed+int64(b))
-				c.Board = uint8(b)
-				c.WaitTimeout = 60 * time.Second
-				wg.Add(1)
-				go func(b int, c *client.Client) {
-					defer wg.Done()
-					defer func() {
-						if r := recover(); r != nil {
-							errs[b] = fmt.Errorf("panic: %v", r)
-						}
-					}()
-					if err := c.LoadProgram(obj.Origin, obj.Code); err != nil {
-						errs[b] = fmt.Errorf("load: %w", err)
-						return
-					}
-					rep, err := c.Start(obj.Origin, 0)
-					if err != nil {
-						errs[b] = fmt.Errorf("start: %w", err)
-						return
-					}
-					reps[b] = rep
-					heads[b], errs[b] = c.ReadMemory(obj.Origin, 64)
-				}(b, c)
-			}
-			wg.Wait()
-			for b := 0; b < boards; b++ {
-				if errs[b] != nil {
-					t.Fatalf("board %d: %v", b, errs[b])
-				}
-				if reps[b] != wantRep {
-					t.Errorf("board %d report diverged:\n got %+v\nwant %+v", b, reps[b], wantRep)
-				}
-				if string(heads[b]) != string(wantHead) {
-					t.Errorf("board %d loaded image diverged", b)
-				}
-			}
-		})
-	}
+// emulatorSimNode serves one fpx emulator board on a fresh world's
+// fabric.
+func emulatorSimNode(t testing.TB, seed int64) (*sim.World, *fpx.Platform, net.Addr) {
+	t.Helper()
+	w := sim.NewWorld(seed)
+	t.Cleanup(w.Close)
+	platform := fpx.New(fpx.NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
+	srv, addr := newSimNode(t, w, platform)
+	serveNode(t, srv)
+	return w, platform, addr
 }
 
 // TestLoadInterruptedResumes is the resume acceptance test: a load
@@ -226,18 +156,7 @@ func TestNodeUnderChaos(t *testing.T) {
 // holds. The server-side apply counter must equal the chunk total:
 // every chunk applied exactly once, across both attempts.
 func TestLoadInterruptedResumes(t *testing.T) {
-	platform := fpx.New(fpx.NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
-	srv, err := New(platform, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := serveNode(t, srv)
-
-	rules, err := chaos.ParseScript("up:load@4+=drop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := chaosProxy(t, addr, chaos.Config{Seed: 1, Script: rules})
+	w, platform, addr := emulatorSimNode(t, 1)
 
 	img := make([]byte, 3*netproto.MaxChunkData+500) // 4 chunks
 	for i := range img {
@@ -247,11 +166,9 @@ func TestLoadInterruptedResumes(t *testing.T) {
 
 	// Attempt 1, through the black hole: chunks 1-3 are acked, chunk 4
 	// (and every retransmission of it) vanishes.
-	c1 := dial(t, proxy.Addr().String())
-	c1.Timeout = 50 * time.Millisecond
+	c1, _ := dialSim(t, w, addr, 1, scripted(t, "up:load@4+=drop"))
 	c1.Retries = 2
-	c1.SetSeed(1)
-	err = c1.LoadProgram(leon.DefaultLoadAddr, img)
+	err := c1.LoadProgram(leon.DefaultLoadAddr, img)
 	var le *client.LoadError
 	if !errors.As(err, &le) {
 		t.Fatalf("interrupted load returned %v, want *LoadError", err)
@@ -264,7 +181,7 @@ func TestLoadInterruptedResumes(t *testing.T) {
 	}
 
 	// Attempt 2, clean path: the load resumes from chunk 4.
-	c2 := dial(t, addr)
+	c2, _ := dialSim(t, w, addr, 2, cleanLink())
 	if err := c2.LoadProgram(leon.DefaultLoadAddr, img); err != nil {
 		t.Fatalf("resumed load: %v", err)
 	}
@@ -289,24 +206,12 @@ func TestLoadInterruptedResumes(t *testing.T) {
 }
 
 // TestDuplicateResponsesSuppressed: with every status ack duplicated
-// by the relay, the stray copy left in the socket buffer is discarded
+// by the link, the stray copy left in the socket buffer is discarded
 // by the next exchange's seq filter instead of being mistaken for its
 // answer.
 func TestDuplicateResponsesSuppressed(t *testing.T) {
-	platform := fpx.New(fpx.NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
-	srv, err := New(platform, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := serveNode(t, srv)
-
-	rules, err := chaos.ParseScript("down:status=dup")
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := chaosProxy(t, addr, chaos.Config{Seed: 1, Script: rules})
-
-	c := dial(t, proxy.Addr().String())
+	w, _, addr := emulatorSimNode(t, 1)
+	c, _ := dialSim(t, w, addr, 1, scripted(t, "down:status=dup"))
 	for i := 0; i < 3; i++ {
 		if _, err := c.Status(); err != nil {
 			t.Fatalf("status %d: %v", i, err)
@@ -328,13 +233,11 @@ func TestRetransmittedStartNotReapplied(t *testing.T) {
 	}
 	obj := assembleAt(t, countProg(iters))
 
-	srv, addr := startServer(t)
-	rules, err := chaos.ParseScript("up:start=dup, up:result=dup")
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := chaosProxy(t, addr, chaos.Config{Seed: 1, Script: rules})
-	c := dial(t, proxy.Addr().String())
+	w := sim.NewWorld(1)
+	t.Cleanup(w.Close)
+	srv, addr := newSimNode(t, w, simBoard(t, w.Clock, [4]byte{10, 0, 0, 2}))
+	serveNode(t, srv)
+	c, _ := dialSim(t, w, addr, 1, scripted(t, "up:start=dup, up:result=dup"))
 
 	if err := c.LoadProgram(obj.Origin, obj.Code); err != nil {
 		t.Fatal(err)

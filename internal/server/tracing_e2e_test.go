@@ -10,12 +10,12 @@ import (
 	"testing"
 	"time"
 
-	"liquidarch/internal/chaos"
 	"liquidarch/internal/core"
 	"liquidarch/internal/fpx"
 	"liquidarch/internal/leon"
 	"liquidarch/internal/metrics"
 	"liquidarch/internal/netproto"
+	"liquidarch/internal/sim"
 	"liquidarch/internal/synth"
 	"liquidarch/internal/tracing"
 )
@@ -53,14 +53,14 @@ func spanCounts(t *testing.T, data []byte) (map[string]int, map[string]string) {
 	return counts, traceIDs
 }
 
-// TestTracedExchangeUnderChaos is the tracing acceptance test: a full
-// traced session against a 2-board node behind the chaos relay (pinned
-// seed, 20% loss + reorder + dup both ways) produces one merged Chrome
-// timeline where the client's retries, the server's queue waits, the
-// board's run slices and the chaos layer's fault annotations all share
-// a single trace id — and the client's retry-span count equals its
-// retries metric.
-func TestTracedExchangeUnderChaos(t *testing.T) {
+// TestTracedExchangeUnderChaosSim is the tracing acceptance test: a
+// full traced session against a 2-board node behind a stormy fabric
+// link (pinned seed, 20% loss + reorder + dup both ways) produces one
+// merged Chrome timeline where the client's retries, the server's
+// queue waits, the board's run slices and the link's fault annotations
+// all share a single trace id — and the client's retry-span count
+// equals its retries metric.
+func TestTracedExchangeUnderChaosSim(t *testing.T) {
 	iters := 50_000
 	if raceEnabled || testing.Short() {
 		iters = 20_000
@@ -69,27 +69,19 @@ func TestTracedExchangeUnderChaos(t *testing.T) {
 	const seed = 42
 
 	// 2-board node, tracing enabled before the first datagram.
-	boards := []*fpx.Platform{
-		newBoard(t, [4]byte{10, 0, 0, 2}),
-		newBoard(t, [4]byte{10, 0, 0, 3}),
-	}
-	srv, err := NewNode("127.0.0.1:0", boards...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := sim.NewWorld(seed)
+	t.Cleanup(w.Close)
+	srv, addr := newSimNode(t, w,
+		simBoard(t, w.Clock, [4]byte{10, 0, 0, 2}),
+		simBoard(t, w.Clock, [4]byte{10, 0, 0, 3}))
 	serverCol := tracing.New("server")
 	srv.EnableTracing(serverCol)
-	addr := serveNode(t, srv)
+	serveNode(t, srv)
 
 	chaosCol := tracing.New("chaos")
-	proxy := chaosProxy(t, addr, chaos.Config{
-		Seed:   seed,
-		Up:     stormFaults(),
-		Down:   stormFaults(),
-		Tracer: chaosCol,
-	})
-
-	c := dialChaos(t, proxy.Addr().String(), seed)
+	storm := simStorm()
+	storm.Tracer = chaosCol
+	c, _ := dialSim(t, w, addr, seed, storm)
 	c.Board = 1
 	clientCol := tracing.New("client")
 	c.Tracer = clientCol
@@ -218,26 +210,16 @@ func TestFlightRecordServesFailedExchange(t *testing.T) {
 	}
 }
 
-// TestRetrySpansMatchRetriesMetric is the narrow chaos-harness check:
-// one traced status exchange at a time under 20% loss, for every pinned
-// seed — across the whole session the number of "retry" spans recorded
-// by the client equals its retries counter exactly.
-func TestRetrySpansMatchRetriesMetric(t *testing.T) {
+// TestRetrySpansMatchRetriesMetricSim is the narrow chaos-harness
+// check: one traced status exchange at a time under 20% loss, for every
+// pinned seed — across the whole session the number of "retry" spans
+// recorded by the client equals its retries counter exactly.
+func TestRetrySpansMatchRetriesMetricSim(t *testing.T) {
+	lossy := sim.LinkParams{Drop: 0.2, Latency: 200 * time.Microsecond}
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			platform := fpx.New(fpx.NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
-			srv, err := New(platform, "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			addr := serveNode(t, srv)
-			proxy := chaosProxy(t, addr, chaos.Config{
-				Seed: seed,
-				Up:   chaos.Faults{Drop: 0.2},
-				Down: chaos.Faults{Drop: 0.2},
-			})
-
-			c := dialChaos(t, proxy.Addr().String(), seed)
+			w, _, addr := emulatorSimNode(t, seed)
+			c, _ := dialSim(t, w, addr, seed, lossy)
 			col := tracing.New("client")
 			c.Tracer = col
 			c.TraceID = col.NewTraceID()

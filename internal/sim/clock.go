@@ -1,6 +1,7 @@
 // Package sim provides the deterministic simulation substrate for the
-// control plane: an injectable clock (real or virtual) and an in-memory
-// packet network with seedable per-link faults. Production code receives
+// control plane: an injectable clock (real or virtual), an in-memory
+// packet network with seedable per-link faults, and a UDP relay that
+// applies the same faults between real sockets. Production code receives
 // time through sim.Clock so that tests can run whole chaos scenarios on
 // a virtual timeline, advancing it only when every goroutine is idle
 // (quiescence-stepped delivery).

@@ -2,40 +2,12 @@ package sim
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"net"
 	"net/netip"
 	"os"
 	"sync"
 	"time"
 )
-
-// LinkParams are the seedable fault characteristics of one directed
-// link. Probabilities are in [0,1); Latency/Jitter are virtual-time
-// delays applied to every delivered datagram.
-type LinkParams struct {
-	Drop    float64
-	Dup     float64
-	Reorder float64
-	Latency time.Duration
-	Jitter  time.Duration
-	// DupDelay is extra latency added to the duplicated copy of a
-	// datagram, making the duplicate arrive *late* — after the original
-	// exchange has long completed. Late duplicates are exactly what the
-	// server's dedup window exists for: a stale replayed request must be
-	// re-acked from the window, never re-executed.
-	DupDelay time.Duration
-}
-
-// LinkStats counts what a directed link actually did to traffic.
-type LinkStats struct {
-	Sent      uint64
-	Delivered uint64
-	Dropped   uint64
-	Duped     uint64
-	Reordered uint64
-}
 
 // Network is an in-memory datagram fabric. Endpoints are addressed by
 // real *net.UDPAddr values (10.77.0.0/16) so code that inspects peer
@@ -49,21 +21,7 @@ type Network struct {
 	mu       sync.Mutex
 	eps      map[string]*PacketConn
 	links    map[string]*link
-	defaults LinkParams
 	nextHost uint32
-}
-
-type link struct {
-	params LinkParams
-	rng    *rand.Rand
-	held   []heldPkt // packets delayed by a reorder decision
-	stats  LinkStats
-}
-
-type heldPkt struct {
-	payload []byte
-	from    *net.UDPAddr
-	to      string
 }
 
 // NewNetwork creates a fabric on clk with the given fault seed.
@@ -76,20 +34,12 @@ func NewNetwork(clk *VirtualClock, seed int64) *Network {
 	}
 }
 
-// SetDefaultLink sets the fault params applied to links that have no
-// explicit SetLink override. It affects links not yet used.
-func (n *Network) SetDefaultLink(p LinkParams) {
-	n.mu.Lock()
-	n.defaults = p
-	n.mu.Unlock()
-}
-
 // SetLink overrides the fault params of the directed link src -> dst.
+// A link from an endpoint made by Dial is the client→server (up) link
+// for p's rules; every other link is down.
 func (n *Network) SetLink(src, dst net.Addr, p LinkParams) {
-	key := src.String() + ">" + dst.String()
 	n.mu.Lock()
-	l := n.linkLocked(key)
-	l.params = p
+	n.linkLocked(src.String(), dst.String()).set(p)
 	n.mu.Unlock()
 }
 
@@ -104,15 +54,12 @@ func (n *Network) LinkStats(src, dst net.Addr) LinkStats {
 	return LinkStats{}
 }
 
-func (n *Network) linkLocked(key string) *link {
+func (n *Network) linkLocked(src, dst string) *link {
+	key := src + ">" + dst
 	l, ok := n.links[key]
 	if !ok {
-		h := fnv.New64a()
-		h.Write([]byte(key))
-		l = &link{
-			params: n.defaults,
-			rng:    rand.New(rand.NewSource(n.seed ^ int64(h.Sum64()))),
-		}
+		ep := n.eps[src]
+		l = newLink(n.seed, key, ep != nil && ep.dialed, LinkParams{})
 		n.links[key] = l
 	}
 	return l
@@ -159,6 +106,9 @@ func (n *Network) Dial(remote net.Addr) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	n.mu.Lock()
+	pc.dialed = true
+	n.mu.Unlock()
 	return &Conn{pc: pc, raddr: ra, rkey: ra.String()}, nil
 }
 
@@ -166,72 +116,30 @@ func (n *Network) Dial(remote net.Addr) (*Conn, error) {
 // fault schedule. Delivery happens through the virtual clock so
 // latency composes with everything else on the timeline.
 func (n *Network) send(src *net.UDPAddr, dst string, payload []byte) {
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
-
 	n.mu.Lock()
-	l := n.linkLocked(src.String() + ">" + dst)
-	l.stats.Sent++
-	if p := l.params.Drop; p > 0 && l.rng.Float64() < p {
-		l.stats.Dropped++
-		n.mu.Unlock()
-		n.clk.touch()
-		return
-	}
-	duped := false
-	if p := l.params.Dup; p > 0 && l.rng.Float64() < p {
-		duped = true
-		l.stats.Duped++
-	}
-	var out []heldPkt
-	if p := l.params.Reorder; p > 0 && l.rng.Float64() < p {
-		// Hold this datagram; it rides behind the next one on the link.
-		l.held = append(l.held, heldPkt{payload: buf, from: src, to: dst})
-		l.stats.Reordered++
-		n.mu.Unlock()
-		n.clk.touch()
-		return
-	}
-	out = append(out, heldPkt{payload: buf, from: src, to: dst})
-	out = append(out, l.held...)
-	l.held = nil
-	delay := l.params.Latency
-	if l.params.Jitter > 0 {
-		delay += time.Duration(l.rng.Int63n(int64(l.params.Jitter)))
-	}
-	dupDelay := delay + l.params.DupDelay
+	out := n.linkLocked(src.String(), dst).decide(payload)
 	n.mu.Unlock()
-
-	for _, pkt := range out {
-		pkt := pkt
-		if delay <= 0 {
-			n.deliver(pkt)
+	for _, d := range out {
+		if d.after <= 0 {
+			n.deliver(src, dst, d.payload)
 			continue
 		}
-		n.clk.AfterFunc(delay, func() { n.deliver(pkt) })
-	}
-	if duped {
-		dup := heldPkt{payload: buf, from: src, to: dst}
-		if dupDelay <= 0 {
-			n.deliver(dup)
-		} else {
-			n.clk.AfterFunc(dupDelay, func() { n.deliver(dup) })
-		}
+		n.clk.AfterFunc(d.after, func() { n.deliver(src, dst, d.payload) })
 	}
 	n.clk.touch()
 }
 
-func (n *Network) deliver(pkt heldPkt) {
+func (n *Network) deliver(from *net.UDPAddr, to string, payload []byte) {
 	n.mu.Lock()
-	ep := n.eps[pkt.to]
-	if l, ok := n.links[pkt.from.String()+">"+pkt.to]; ok {
+	ep := n.eps[to]
+	if l, ok := n.links[from.String()+">"+to]; ok {
 		l.stats.Delivered++
 	}
 	n.mu.Unlock()
 	if ep == nil {
 		return // destination closed or never bound: datagram vanishes
 	}
-	ep.enqueue(pkt.payload, pkt.from)
+	ep.enqueue(payload, from)
 	n.clk.touch()
 }
 
@@ -257,9 +165,10 @@ type inPkt struct {
 
 // PacketConn is a simulated net.PacketConn bound to the fabric.
 type PacketConn struct {
-	net   *Network
-	clk   *VirtualClock
-	laddr *net.UDPAddr
+	net    *Network
+	clk    *VirtualClock
+	laddr  *net.UDPAddr
+	dialed bool // made by Dial: its outbound link is up; guarded by net.mu
 
 	mu       sync.Mutex
 	cond     *sync.Cond

@@ -572,8 +572,8 @@ func (s SpanHandle) endAt(end time.Time, extra []Attr) {
 	}, end)
 }
 
-// Event records an instantaneous (zero-duration) span — the shape the
-// chaos layer uses for fault decisions.
+// Event records an instantaneous (zero-duration) span — the shape a
+// sim fault link uses for fault decisions.
 func (x Ctx) Event(name string, attrs ...Attr) {
 	if x.c == nil {
 		return
