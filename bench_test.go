@@ -388,10 +388,10 @@ func newAdapter(b *testing.B) *ahbadapter.Adapter {
 func BenchmarkAdapterReadBurst(b *testing.B) {
 	b.Run("burst4", func(b *testing.B) {
 		a := newAdapter(b)
-		words := make([]uint32, 4)
+		line := make([]byte, 16)
 		cycles := 0
 		for i := 0; i < b.N; i++ {
-			c, err := a.ReadBurst(0, words)
+			c, err := a.ReadBurst(0, line)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -19,6 +19,7 @@
 package ahbadapter
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"liquidarch/internal/amba"
@@ -43,9 +44,11 @@ type Adapter struct {
 	// (the paper uses 4; configurable for the ablation study E5/§6).
 	BurstWords int
 
-	// beats receives each read-burst chunk; it grows with BurstWords
-	// and is reused, so a burst allocates nothing.
-	beats []uint64
+	// beats receives a read-burst chunk that does not cover whole
+	// 64-bit words of the AHB burst; it grows with BurstWords and is
+	// reused, so a burst allocates nothing. An aligned chunk lands in
+	// the burst's own buffer.
+	beats []byte
 
 	stats Stats
 }
@@ -62,55 +65,42 @@ func (a *Adapter) Stats() Stats { return a.stats }
 // ResetStats zeroes the adapter counters.
 func (a *Adapter) ResetStats() { a.stats = Stats{} }
 
-// read64 fetches the 64-bit word containing addr.
-func (a *Adapter) read64(addr uint32) (uint64, int, error) {
-	var buf [1]uint64
-	cycles, err := a.port.ReadBurst(addr&^7, buf[:])
-	return buf[0], cycles, err
-}
-
 // Read implements amba.Slave: a single-mode burst of one 64-bit word,
 // selecting the addressed bytes.
 func (a *Adapter) Read(addr uint32, size amba.Size) (uint32, int, error) {
-	w64, cycles, err := a.read64(addr)
+	var w64 [8]byte
+	cycles, err := a.port.ReadBurst(addr&^7, w64[:])
 	if err != nil {
 		return 0, cycles, err
 	}
 	a.stats.SingleReads++
-	// Select the appropriate 32-bit word, then the sub-word bytes.
-	word := uint32(w64 >> ((4 - addr&4) * 8) & 0xFFFFFFFF)
 	switch size {
 	case amba.SizeWord:
-		return word, cycles, nil
+		return binary.BigEndian.Uint32(w64[addr&4:]), cycles, nil
 	case amba.SizeHalf:
-		return word >> ((2 - addr&2) * 8) & 0xFFFF, cycles, nil
+		return uint32(binary.BigEndian.Uint16(w64[addr&6:])), cycles, nil
 	default:
-		return word >> ((3 - addr&3) * 8) & 0xFF, cycles, nil
+		return uint32(w64[addr&7]), cycles, nil
 	}
 }
 
 // Write implements amba.Slave: read the full 64-bit word, modify the
-// addressed bits, write it back — two handshakes.
+// addressed bytes, write it back — two handshakes.
 func (a *Adapter) Write(addr uint32, val uint32, size amba.Size) (int, error) {
-	w64, rc, err := a.read64(addr)
+	var w64 [8]byte
+	rc, err := a.port.ReadBurst(addr&^7, w64[:])
 	if err != nil {
 		return rc, err
 	}
-	var mask uint64
-	var shift uint32
 	switch size {
 	case amba.SizeWord:
-		shift = (4 - addr&4) * 8
-		mask = 0xFFFFFFFF
+		binary.BigEndian.PutUint32(w64[addr&4:], val)
 	case amba.SizeHalf:
-		shift = (6 - addr&6) * 8
-		mask = 0xFFFF
+		binary.BigEndian.PutUint16(w64[addr&6:], uint16(val))
 	default:
-		shift = (7 - addr&7) * 8
-		mask = 0xFF
+		w64[addr&7] = byte(val)
 	}
-	w64 = w64&^(mask<<shift) | (uint64(val)&mask)<<shift
-	wc, err := a.port.WriteBurst(addr&^7, []uint64{w64})
+	wc, err := a.port.WriteBurst(addr&^7, w64[:])
 	if err != nil {
 		return rc + wc, err
 	}
@@ -121,37 +111,36 @@ func (a *Adapter) Write(addr uint32, val uint32, size amba.Size) (int, error) {
 
 // ReadBurst implements amba.Slave: the AHB burst is served in chunks of
 // BurstWords 32-bit words, each chunk one declared sequential burst on
-// the SDRAM side.
-func (a *Adapter) ReadBurst(addr uint32, words []uint32) (int, error) {
+// the SDRAM side. A chunk that starts and ends on 64-bit boundaries is
+// read straight into dst; any other is covered with whole 64-bit words
+// in a scratch buffer, and its words copied out.
+func (a *Adapter) ReadBurst(addr uint32, dst []byte) (int, error) {
 	if a.BurstWords < 1 {
 		return 0, fmt.Errorf("ahbadapter: invalid BurstWords %d", a.BurstWords)
 	}
 	total := 0
-	for done := 0; done < len(words); {
-		n := len(words) - done
-		if n > a.BurstWords {
-			n = a.BurstWords
-		}
-		chunkAddr := addr + uint32(done)*4
-		// Cover the chunk with whole 64-bit words.
+	for done := 0; done < len(dst); {
+		n := min(len(dst)-done, a.BurstWords*4) // bytes in this chunk
+		chunkAddr := addr + uint32(done)
+		chunk := dst[done : done+n]
 		start := chunkAddr &^ 7
-		end := (chunkAddr + uint32(n)*4 + 7) &^ 7
-		need := int(end-start) / 8
-		if cap(a.beats) < need {
-			a.beats = make([]uint64, need)
+		end := (chunkAddr + uint32(n) + 7) &^ 7
+		beats := chunk
+		if start != chunkAddr || end != chunkAddr+uint32(n) {
+			if cap(a.beats) < int(end-start) {
+				a.beats = make([]byte, end-start)
+			}
+			beats = a.beats[:end-start]
 		}
-		beats := a.beats[:need]
 		cycles, err := a.port.ReadBurst(start, beats)
 		total += cycles
 		if err != nil {
 			return total, err
 		}
 		a.stats.BurstChunks++
-		a.stats.WastedWords += uint64(len(beats))*2 - uint64(n)
-		for i := 0; i < n; i++ {
-			byteOff := chunkAddr + uint32(i)*4 - start
-			w64 := beats[byteOff/8]
-			words[done+i] = uint32(w64 >> ((4 - byteOff&4) * 8) & 0xFFFFFFFF)
+		a.stats.WastedWords += uint64(len(beats)-n) / 4
+		if len(beats) != n {
+			copy(chunk, beats[chunkAddr-start:])
 		}
 		done += n
 	}

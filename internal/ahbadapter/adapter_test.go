@@ -1,6 +1,7 @@
 package ahbadapter
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -102,8 +103,7 @@ func TestWriteIsRMW(t *testing.T) {
 // adapter always uses a short burst.
 func TestBurstBeatsSingles(t *testing.T) {
 	a, _ := newAdapter(t)
-	words := make([]uint32, 4)
-	burst, err := a.ReadBurst(0, words)
+	burst, err := a.ReadBurst(0, make([]byte, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,21 +125,21 @@ func TestBurstBeatsSingles(t *testing.T) {
 func TestLongBurstExtraHandshakes(t *testing.T) {
 	a, ctrl := newAdapter(t)
 	ctrl.ResetStats()
-	if _, err := a.ReadBurst(0, make([]uint32, 4)); err != nil {
+	if _, err := a.ReadBurst(0, make([]byte, 16)); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctrl.Stats().Requests; got != 1 {
 		t.Fatalf("4-word burst used %d handshakes, want 1", got)
 	}
 	ctrl.ResetStats()
-	if _, err := a.ReadBurst(0, make([]uint32, 8)); err != nil {
+	if _, err := a.ReadBurst(0, make([]byte, 32)); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctrl.Stats().Requests; got != 2 {
 		t.Errorf("8-word burst used %d handshakes, want 2", got)
 	}
 	ctrl.ResetStats()
-	if _, err := a.ReadBurst(0, make([]uint32, 5)); err != nil {
+	if _, err := a.ReadBurst(0, make([]byte, 20)); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctrl.Stats().Requests; got != 2 {
@@ -155,12 +155,12 @@ func TestUnalignedBurstStart(t *testing.T) {
 		}
 	}
 	// Start at a word that is the high half of a 64-bit word.
-	words := make([]uint32, 4)
-	if _, err := a.ReadBurst(4, words); err != nil {
+	line := make([]byte, 16)
+	if _, err := a.ReadBurst(4, line); err != nil {
 		t.Fatal(err)
 	}
-	for i, w := range words {
-		if w != uint32(i)+2 {
+	for i := 0; i < 4; i++ {
+		if w := binary.BigEndian.Uint32(line[i*4:]); w != uint32(i)+2 {
 			t.Errorf("word %d = %d, want %d", i, w, i+2)
 		}
 	}
@@ -173,14 +173,14 @@ func TestConfigurableBurstWords(t *testing.T) {
 	a, ctrl := newAdapter(t)
 	a.BurstWords = 8
 	ctrl.ResetStats()
-	if _, err := a.ReadBurst(0, make([]uint32, 8)); err != nil {
+	if _, err := a.ReadBurst(0, make([]byte, 32)); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctrl.Stats().Requests; got != 1 {
 		t.Errorf("8-word burst with BurstWords=8 used %d handshakes, want 1", got)
 	}
 	a.BurstWords = 0
-	if _, err := a.ReadBurst(0, make([]uint32, 4)); err == nil {
+	if _, err := a.ReadBurst(0, make([]byte, 16)); err == nil {
 		t.Error("BurstWords=0 accepted")
 	}
 }
@@ -199,12 +199,12 @@ func TestReadBackProperty(t *testing.T) {
 				return false
 			}
 		}
-		got := make([]uint32, len(vals))
+		got := make([]byte, 4*len(vals))
 		if _, err := a.ReadBurst(base, got); err != nil {
 			return false
 		}
 		for i := range vals {
-			if got[i] != vals[i] {
+			if binary.BigEndian.Uint32(got[i*4:]) != vals[i] {
 				return false
 			}
 			v, _, err := a.Read(base+uint32(i)*4, amba.SizeWord)
@@ -223,7 +223,7 @@ func TestStatsReset(t *testing.T) {
 	a, _ := newAdapter(t)
 	a.Read(0, amba.SizeWord)
 	a.Write(0, 1, amba.SizeWord)
-	a.ReadBurst(0, make([]uint32, 4))
+	a.ReadBurst(0, make([]byte, 16))
 	st := a.Stats()
 	if st.SingleReads != 1 || st.SingleWrites != 1 || st.BurstChunks != 1 {
 		t.Errorf("stats = %+v", st)

@@ -11,7 +11,10 @@
 // split transfers).
 package amba
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Size is an AHB transfer size (HSIZE). Only byte, halfword and word are
 // used by the LEON integer unit.
@@ -59,23 +62,25 @@ type Slave interface {
 	// Write stores the low size bytes of val at addr.
 	Write(addr uint32, val uint32, size Size) (wait int, err error)
 	// ReadBurst performs an incrementing word burst starting at addr,
-	// filling words. Slaves without native burst support can delegate
-	// to ReadBurstSingles.
-	ReadBurst(addr uint32, words []uint32) (wait int, err error)
+	// filling dst with len(dst)/4 words in big-endian byte order, as
+	// they sit in memory and in a cache line. len(dst) is a multiple of
+	// 4. Slaves without native burst support can delegate to
+	// ReadBurstSingles.
+	ReadBurst(addr uint32, dst []byte) (wait int, err error)
 }
 
 // ReadBurstSingles implements ReadBurst as a sequence of single word
 // reads, for slaves with no native burst support (each beat pays the
 // slave's full access latency, which is exactly the handshake cost the
 // paper's adapter exists to avoid).
-func ReadBurstSingles(s Slave, addr uint32, words []uint32) (int, error) {
+func ReadBurstSingles(s Slave, addr uint32, dst []byte) (int, error) {
 	total := 0
-	for i := range words {
-		v, wait, err := s.Read(addr+uint32(i)*4, SizeWord)
+	for i := 0; i+4 <= len(dst); i += 4 {
+		v, wait, err := s.Read(addr+uint32(i), SizeWord)
 		if err != nil {
 			return total, err
 		}
-		words[i] = v
+		binary.BigEndian.PutUint32(dst[i:], v)
 		total += wait + 1
 	}
 	return total, nil
@@ -212,27 +217,31 @@ func (b *AHB) Write(addr uint32, val uint32, size Size) (int, error) {
 }
 
 // ReadBurst performs an incrementing word burst (the only burst kind the
-// LEON uses for line fills, §2.4) and returns total bus cycles. The
-// burst must not cross a region boundary.
-func (b *AHB) ReadBurst(addr uint32, words []uint32) (int, error) {
-	if len(words) == 0 {
+// LEON uses for line fills, §2.4) into dst, len(dst)/4 big-endian words,
+// and returns total bus cycles. The burst must not cross a region
+// boundary.
+func (b *AHB) ReadBurst(addr uint32, dst []byte) (int, error) {
+	if len(dst) == 0 {
 		return 0, nil
+	}
+	if len(dst)&3 != 0 {
+		return 0, fmt.Errorf("amba: burst of %d bytes is not whole words", len(dst))
 	}
 	if err := checkAlign(addr, SizeWord); err != nil {
 		return 0, err
 	}
 	r := b.Lookup(addr)
-	if r == nil || !r.Contains(addr+uint32(len(words))*4-1) {
+	if r == nil || !r.Contains(addr+uint32(len(dst))-1) {
 		b.stats.BusErrors++
 		return b.GrantCycles, &BusError{Addr: addr}
 	}
-	wait, err := r.Slave.ReadBurst(addr-r.Base, words)
+	wait, err := r.Slave.ReadBurst(addr-r.Base, dst)
 	if err != nil {
 		b.stats.BusErrors++
 		return b.GrantCycles + wait, err
 	}
 	b.stats.Bursts++
-	b.stats.BurstWords += uint64(len(words))
+	b.stats.BurstWords += uint64(len(dst) / 4)
 	b.stats.WaitCycles += uint64(wait)
 	return b.GrantCycles + wait, nil
 }

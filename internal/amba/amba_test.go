@@ -1,6 +1,7 @@
 package amba
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -43,8 +44,8 @@ func (r *ramSlave) Write(addr uint32, val uint32, size Size) (int, error) {
 	return r.wait, nil
 }
 
-func (r *ramSlave) ReadBurst(addr uint32, words []uint32) (int, error) {
-	return ReadBurstSingles(r, addr, words)
+func (r *ramSlave) ReadBurst(addr uint32, dst []byte) (int, error) {
+	return ReadBurstSingles(r, addr, dst)
 }
 
 func TestMapOverlapRejected(t *testing.T) {
@@ -136,7 +137,7 @@ func TestAlignmentChecks(t *testing.T) {
 	if _, err := b.Write(3, 0, SizeWord); !errors.As(err, &ae) {
 		t.Errorf("unaligned word write: %v", err)
 	}
-	if _, err := b.ReadBurst(6, make([]uint32, 2)); !errors.As(err, &ae) {
+	if _, err := b.ReadBurst(6, make([]byte, 8)); !errors.As(err, &ae) {
 		t.Errorf("unaligned burst: %v", err)
 	}
 	// Bytes are always aligned.
@@ -156,18 +157,22 @@ func TestReadBurst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	words := make([]uint32, 4)
-	if _, err := b.ReadBurst(0x100, words); err != nil {
+	line := make([]byte, 16)
+	if _, err := b.ReadBurst(0x100, line); err != nil {
 		t.Fatal(err)
 	}
-	for i, w := range words {
-		if w != uint32(i+1) {
+	for i := 0; i < 4; i++ {
+		if w := binary.BigEndian.Uint32(line[i*4:]); w != uint32(i+1) {
 			t.Errorf("burst word %d = %d, want %d", i, w, i+1)
 		}
 	}
 	// Burst crossing out of the region is a bus error.
-	if _, err := b.ReadBurst(0x1F8, make([]uint32, 4)); err == nil {
+	if _, err := b.ReadBurst(0x1F8, make([]byte, 16)); err == nil {
 		t.Error("cross-boundary burst succeeded")
+	}
+	// A burst of a partial word is rejected.
+	if _, err := b.ReadBurst(0x100, make([]byte, 6)); err == nil {
+		t.Error("burst of 6 bytes succeeded")
 	}
 	// Empty burst is a no-op.
 	if n, err := b.ReadBurst(0x100, nil); n != 0 || err != nil {
@@ -268,13 +273,13 @@ func TestAPBBurstDegradesToSingles(t *testing.T) {
 	if err := apb.Map("d", 0, 0x10, dev); err != nil {
 		t.Fatal(err)
 	}
-	words := make([]uint32, 2)
-	cycles, err := apb.ReadBurst(0, words)
+	line := make([]byte, 8)
+	cycles, err := apb.ReadBurst(0, line)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if words[0] != 1 || words[1] != 2 {
-		t.Errorf("burst = %v", words)
+	if binary.BigEndian.Uint32(line) != 1 || binary.BigEndian.Uint32(line[4:]) != 2 {
+		t.Errorf("burst = %x", line)
 	}
 	if cycles < 2*apb.cost() {
 		t.Errorf("burst cycles = %d, want ≥ %d (two singles)", cycles, 2*apb.cost())

@@ -120,6 +120,6 @@ func (p *APB) Write(addr uint32, val uint32, size Size) (int, error) {
 
 // ReadBurst implements Slave; the APB has no burst support, so bursts
 // degrade to singles (the bridge breaks them up).
-func (p *APB) ReadBurst(addr uint32, words []uint32) (int, error) {
-	return ReadBurstSingles(p, addr, words)
+func (p *APB) ReadBurst(addr uint32, dst []byte) (int, error) {
+	return ReadBurstSingles(p, addr, dst)
 }

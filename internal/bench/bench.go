@@ -172,12 +172,12 @@ func AdapterExperiment() ([]AdapterRow, error) {
 		return nil, err
 	}
 	if err := run("read 4 words, one burst", 4, func(a *ahbadapter.Adapter) (int, error) {
-		return a.ReadBurst(0, make([]uint32, 4))
+		return a.ReadBurst(0, make([]byte, 16))
 	}); err != nil {
 		return nil, err
 	}
 	if err := run("read 8 words, bursts of 4", 8, func(a *ahbadapter.Adapter) (int, error) {
-		return a.ReadBurst(0, make([]uint32, 8))
+		return a.ReadBurst(0, make([]byte, 32))
 	}); err != nil {
 		return nil, err
 	}

@@ -159,10 +159,6 @@ type Cache struct {
 	rnd     uint32 // xorshift state
 	enabled bool
 
-	// fillBuf receives a line fill's burst, so a miss allocates
-	// nothing.
-	fillBuf []uint32
-
 	// stale records that a resident line may differ from memory: memory
 	// behind it was written other than through this cache (NoteWrite,
 	// MarkStale). A flush clears it.
@@ -187,7 +183,6 @@ func New(cfg Config, bus *amba.AHB) (*Cache, error) {
 	c.all = make([]line, cfg.Lines())
 	c.sets = make([][]line, cfg.Sets())
 	c.rrNext = make([]int, cfg.Sets())
-	c.fillBuf = make([]uint32, cfg.LineBytes/4)
 	backing := make([]byte, cfg.SizeBytes)
 	for i := range c.all {
 		c.all[i].data = backing[:cfg.LineBytes:cfg.LineBytes]
@@ -263,7 +258,9 @@ func (c *Cache) victim(set uint32) int {
 }
 
 // fill brings the line containing addr into the cache, returning the
-// way and the bus cycles spent (including any write-back).
+// way and the bus cycles spent (including any write-back). The burst
+// lands in the line's own storage; a burst that fails leaves the line
+// invalid.
 func (c *Cache) fill(addr uint32) (int, int, error) {
 	set, tag, _ := c.index(addr)
 	w := c.victim(set)
@@ -276,16 +273,11 @@ func (c *Cache) fill(addr uint32) (int, int, error) {
 			return w, cycles, err
 		}
 	}
-	lineAddr := addr &^ (uint32(c.cfg.LineBytes) - 1)
-	words := c.fillBuf
-	n, err := c.bus.ReadBurst(lineAddr, words)
+	n, err := c.bus.ReadBurst(addr&^c.offMask, l.data)
 	cycles += n
 	if err != nil {
 		l.valid = false
 		return w, cycles, err
-	}
-	for i, v := range words {
-		putBE32(l.data[i*4:], v)
 	}
 	l.valid, l.dirty, l.tag = true, false, tag
 	c.tick++

@@ -39,8 +39,8 @@ const (
 )
 
 // ReadBurst lets the flat memory serve line fills on the rig's bus.
-func (m *flatMem) ReadBurst(addr uint32, words []uint32) (int, error) {
-	return amba.ReadBurstSingles(m, addr, words)
+func (m *flatMem) ReadBurst(addr uint32, dst []byte) (int, error) {
+	return amba.ReadBurstSingles(m, addr, dst)
 }
 
 const noStopPC = ^uint32(0) // unaligned: never matches a fetch PC
@@ -673,7 +673,9 @@ func TestStepNProfiledAllocatesNothing(t *testing.T) {
 // StepN-against-Step rig: random batch sizes, a stop address and a
 // cycle cap; a batch seed of 128 or more also starts the predecode
 // generation just below its wrap, and one with bit 6 set runs a 1 KB
-// instruction cache, so lines conflict and refill within the program.
+// instruction cache, so lines conflict and refill within the program
+// (512 B with bit 5 set too, where a loop of more than 128 words
+// misses at every line crossing).
 // Before each reference step every gate must still be open,
 // and a batch cut short must end at a closed gate (or an error); state,
 // memory, fetch counters and, when profiled, the execution profile
@@ -734,6 +736,13 @@ func FuzzSuperblockDiff(f *testing.F) {
 	f.Add(words(chainCoupleLoop(f)), uint8(22), uint32(0x1028), uint32(1<<31), true)
 	f.Add(words(staleLineLoop(f)), uint8(64+23), uint32(noStopPC), uint32(1<<31), true)
 	f.Add(words(staleLineLoop(f)), uint8(64+24), uint32(noStopPC), uint32(1<<31), false)
+	// Line misses (linemiss_test.go): a 640-byte loop and a random
+	// stream in a 512 B instruction cache, and the stale-line refill
+	// met by sequential flow.
+	f.Add(words(footprintLoop(f)), uint8(96+1), uint32(noStopPC), uint32(1<<31), true)
+	f.Add(words(footprintLoop(f)), uint8(96+2), uint32(0x1000+100*4), uint32(1<<31), false)
+	f.Add(words(append(randProgram(f, rand.New(rand.NewSource(3)), 160), spin)), uint8(96+3), uint32(noStopPC), uint32(1<<31), true)
+	f.Add(words(staleCrossingLoop()), uint8(64+4), uint32(noStopPC), uint32(1<<31), true)
 
 	f.Fuzz(func(t *testing.T, code []byte, batch uint8, stopPC uint32, cycleCap uint32, prof bool) {
 		if len(code) > 4*512 {
@@ -746,6 +755,9 @@ func FuzzSuperblockDiff(f *testing.F) {
 		icache := rigICacheBytes
 		if batch&64 != 0 {
 			icache = 1 << 10
+			if batch&32 != 0 {
+				icache = 512
+			}
 		}
 		r := newRigICache(t, prof, icache, nil, nil, ws...)
 		if batch >= 128 {

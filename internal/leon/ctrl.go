@@ -378,21 +378,12 @@ func (c *Controller) WriteMemory(addr uint32, p []byte) error {
 func (c *Controller) readSDRAM(off uint32, n int) ([]byte, error) {
 	start := off &^ 7
 	end := (off + uint32(n) + 7) &^ 7
-	words := make([]uint64, (end-start)/8)
-	const chunk = 64 // controller burst limit
-	for i := 0; i < len(words); i += chunk {
-		j := i + chunk
-		if j > len(words) {
-			j = len(words)
-		}
-		if _, err := c.soc.NetPort.ReadBurst(start+uint32(i)*8, words[i:j]); err != nil {
+	buf := make([]byte, end-start)
+	const chunk = 64 * 8 // controller burst limit, in bytes
+	for i := 0; i < len(buf); i += chunk {
+		j := min(i+chunk, len(buf))
+		if _, err := c.soc.NetPort.ReadBurst(start+uint32(i), buf[i:j]); err != nil {
 			return nil, err
-		}
-	}
-	buf := make([]byte, len(words)*8)
-	for i, w := range words {
-		for b := 0; b < 8; b++ {
-			buf[i*8+b] = byte(w >> ((7 - b) * 8))
 		}
 	}
 	return buf[off-start : off-start+uint32(n)], nil

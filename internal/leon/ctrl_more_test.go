@@ -89,13 +89,14 @@ func TestDisconnectedSRAMDrivesZeros(t *testing.T) {
 		t.Errorf("disconnected read = %#x, %v", v, err)
 	}
 	// Processor-side burst: zeros.
-	words := make([]uint32, 4)
-	if _, err := soc.Bus.ReadBurst(SRAMBase+0x2000, words); err != nil {
+	line := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	if _, err := soc.Bus.ReadBurst(SRAMBase+0x2000, line); err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range words {
-		if w != 0 {
-			t.Errorf("disconnected burst word = %#x", w)
+	for _, b := range line {
+		if b != 0 {
+			t.Errorf("disconnected burst = %x", line)
+			break
 		}
 	}
 	// Processor-side write: ignored.

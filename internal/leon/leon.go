@@ -636,16 +636,12 @@ func (r *ROM) Write(addr uint32, val uint32, size amba.Size) (int, error) {
 }
 
 // ReadBurst implements amba.Slave.
-func (r *ROM) ReadBurst(addr uint32, words []uint32) (int, error) {
-	if int(addr)+len(words)*4 > len(r.data) {
+func (r *ROM) ReadBurst(addr uint32, dst []byte) (int, error) {
+	if int(addr)+len(dst) > len(r.data) {
 		return 0, &amba.BusError{Addr: addr}
 	}
-	for i := range words {
-		off := addr + uint32(i)*4
-		words[i] = uint32(r.data[off])<<24 | uint32(r.data[off+1])<<16 |
-			uint32(r.data[off+2])<<8 | uint32(r.data[off+3])
-	}
-	return r.WaitStates + len(words), nil
+	copy(dst, r.data[addr:])
+	return r.WaitStates + len(dst)/4, nil
 }
 
 // sramSwitch is the external circuitry of Fig. 6 between the LEON and
@@ -671,12 +667,10 @@ func (s *sramSwitch) Write(addr uint32, val uint32, size amba.Size) (int, error)
 	return s.inner.Write(addr, val, size)
 }
 
-func (s *sramSwitch) ReadBurst(addr uint32, words []uint32) (int, error) {
+func (s *sramSwitch) ReadBurst(addr uint32, dst []byte) (int, error) {
 	if !s.connected {
-		for i := range words {
-			words[i] = 0
-		}
-		return s.inner.WaitStates + len(words), nil
+		clear(dst)
+		return s.inner.WaitStates + len(dst)/4, nil
 	}
-	return s.inner.ReadBurst(addr, words)
+	return s.inner.ReadBurst(addr, dst)
 }

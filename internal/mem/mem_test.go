@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -56,7 +57,7 @@ func TestSRAMBounds(t *testing.T) {
 	if _, err := s.Write(0xFFFFFFFC, 0, amba.SizeWord); err == nil {
 		t.Error("write far past end succeeded")
 	}
-	if _, err := s.ReadBurst(8, make([]uint32, 4)); err == nil {
+	if _, err := s.ReadBurst(8, make([]byte, 16)); err == nil {
 		t.Error("burst past end succeeded")
 	}
 }
@@ -66,8 +67,8 @@ func TestSRAMBurstTiming(t *testing.T) {
 	for i := uint32(0); i < 8; i++ {
 		s.Write(i*4, i, amba.SizeWord)
 	}
-	words := make([]uint32, 8)
-	cycles, err := s.ReadBurst(0, words)
+	line := make([]byte, 32)
+	cycles, err := s.ReadBurst(0, line)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +76,8 @@ func TestSRAMBurstTiming(t *testing.T) {
 	if cycles != want {
 		t.Errorf("burst cycles = %d, want %d", cycles, want)
 	}
-	for i, w := range words {
-		if w != uint32(i) {
+	for i := 0; i < 8; i++ {
+		if w := binary.BigEndian.Uint32(line[i*4:]); w != uint32(i) {
 			t.Errorf("word %d = %d", i, w)
 		}
 	}
@@ -157,7 +158,7 @@ func TestSDRAMBurstRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := []uint64{0x0102030405060708, 0x1112131415161718}
+	src := []byte{1, 2, 3, 4, 5, 6, 7, 8, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18}
 	wc, err := p.WriteBurst(64, src)
 	if err != nil {
 		t.Fatal(err)
@@ -165,12 +166,12 @@ func TestSDRAMBurstRoundTrip(t *testing.T) {
 	if want := c.HandshakeCycles + 2*c.BeatCycles; wc != want {
 		t.Errorf("write cycles = %d, want %d", wc, want)
 	}
-	dst := make([]uint64, 2)
+	dst := make([]byte, 16)
 	rc, err := p.ReadBurst(64, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dst[0] != src[0] || dst[1] != src[1] {
+	if !bytes.Equal(dst, src) {
 		t.Errorf("read back %x", dst)
 	}
 	if want := c.HandshakeCycles + 2*c.BeatCycles; rc != want {
@@ -186,7 +187,7 @@ func TestSDRAMArbitrationSwitchCost(t *testing.T) {
 	c := NewController(NewSDRAM(1 << 16))
 	a, _ := c.Port("leon")
 	b, _ := c.Port("net")
-	buf := make([]uint64, 1)
+	buf := make([]byte, 8)
 	base, err := a.ReadBurst(0, buf)
 	if err != nil {
 		t.Fatal(err)
@@ -207,16 +208,19 @@ func TestSDRAMArbitrationSwitchCost(t *testing.T) {
 func TestSDRAMBurstValidation(t *testing.T) {
 	c := NewController(NewSDRAM(1024))
 	p, _ := c.Port("leon")
-	if _, err := p.ReadBurst(4, make([]uint64, 1)); err == nil {
+	if _, err := p.ReadBurst(4, make([]byte, 8)); err == nil {
 		t.Error("misaligned burst succeeded")
 	}
-	if _, err := p.ReadBurst(0, make([]uint64, c.MaxBurst+1)); err == nil {
+	if _, err := p.ReadBurst(0, make([]byte, 8*(c.MaxBurst+1))); err == nil {
 		t.Error("over-length burst succeeded")
 	}
-	if _, err := p.ReadBurst(1024-8, make([]uint64, 2)); err == nil {
+	if _, err := p.ReadBurst(1024-8, make([]byte, 16)); err == nil {
 		t.Error("out-of-range burst succeeded")
 	}
-	if _, err := p.WriteBurst(3, make([]uint64, 1)); err == nil {
+	if _, err := p.ReadBurst(0, make([]byte, 12)); err == nil {
+		t.Error("burst of a partial 64-bit word succeeded")
+	}
+	if _, err := p.WriteBurst(3, make([]byte, 8)); err == nil {
 		t.Error("misaligned write burst succeeded")
 	}
 	c.ResetStats()

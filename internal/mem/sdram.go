@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // SDRAM is the raw SDRAM device behind the FPX controller: a byte array
 // addressed in 64-bit words. Timing lives in the Controller, which owns
@@ -107,44 +104,46 @@ func (p *Port) grant() int {
 	return cost
 }
 
-func (p *Port) check(addr uint32, beats int) error {
+func (p *Port) check(addr uint32, n int) error {
 	if addr%8 != 0 {
 		return fmt.Errorf("mem: SDRAM burst address %#x not 64-bit aligned", addr)
 	}
-	if beats > p.ctrl.MaxBurst {
+	if n%8 != 0 {
+		return fmt.Errorf("mem: SDRAM burst of %d bytes is not whole 64-bit words", n)
+	}
+	if beats := n / 8; beats > p.ctrl.MaxBurst {
 		return fmt.Errorf("mem: burst of %d beats exceeds declared maximum %d", beats, p.ctrl.MaxBurst)
 	}
-	if uint64(addr)+uint64(beats)*8 > uint64(len(p.ctrl.dev.data)) {
-		return fmt.Errorf("mem: SDRAM burst [%#x,+%d beats) out of range", addr, beats)
+	if uint64(addr)+uint64(n) > uint64(len(p.ctrl.dev.data)) {
+		return fmt.Errorf("mem: SDRAM burst [%#x,+%d beats) out of range", addr, n/8)
 	}
 	return nil
 }
 
-// ReadBurst reads len(words) sequential 64-bit words starting at the
-// 8-byte-aligned addr. The burst length is declared up front, as the
-// FPX controller requires.
-func (p *Port) ReadBurst(addr uint32, words []uint64) (int, error) {
-	if err := p.check(addr, len(words)); err != nil {
+// ReadBurst reads len(dst)/8 sequential 64-bit words starting at the
+// 8-byte-aligned addr into dst, in the device's big-endian byte order.
+// The burst length is declared up front, as the FPX controller
+// requires.
+func (p *Port) ReadBurst(addr uint32, dst []byte) (int, error) {
+	if err := p.check(addr, len(dst)); err != nil {
 		return 0, err
 	}
 	cost := p.grant()
-	for i := range words {
-		words[i] = binary.BigEndian.Uint64(p.ctrl.dev.data[addr+uint32(i)*8:])
-	}
-	p.ctrl.stats.ReadBeats += uint64(len(words))
-	return cost + p.ctrl.BeatCycles*len(words), nil
+	copy(dst, p.ctrl.dev.data[addr:])
+	beats := len(dst) / 8
+	p.ctrl.stats.ReadBeats += uint64(beats)
+	return cost + p.ctrl.BeatCycles*beats, nil
 }
 
-// WriteBurst writes len(words) sequential 64-bit words starting at the
-// 8-byte-aligned addr.
-func (p *Port) WriteBurst(addr uint32, words []uint64) (int, error) {
-	if err := p.check(addr, len(words)); err != nil {
+// WriteBurst writes len(src)/8 sequential 64-bit words, big-endian,
+// starting at the 8-byte-aligned addr.
+func (p *Port) WriteBurst(addr uint32, src []byte) (int, error) {
+	if err := p.check(addr, len(src)); err != nil {
 		return 0, err
 	}
 	cost := p.grant()
-	for i, w := range words {
-		binary.BigEndian.PutUint64(p.ctrl.dev.data[addr+uint32(i)*8:], w)
-	}
-	p.ctrl.stats.WriteBeats += uint64(len(words))
-	return cost + p.ctrl.BeatCycles*len(words), nil
+	copy(p.ctrl.dev.data[addr:], src)
+	beats := len(src) / 8
+	p.ctrl.stats.WriteBeats += uint64(beats)
+	return cost + p.ctrl.BeatCycles*beats, nil
 }

@@ -78,14 +78,12 @@ func (s *SRAM) Write(addr uint32, val uint32, size amba.Size) (int, error) {
 
 // ReadBurst implements amba.Slave with one wait-state setup and
 // pipelined beats.
-func (s *SRAM) ReadBurst(addr uint32, words []uint32) (int, error) {
-	if err := s.check(addr, uint32(len(words))*4); err != nil {
+func (s *SRAM) ReadBurst(addr uint32, dst []byte) (int, error) {
+	if err := s.check(addr, uint32(len(dst))); err != nil {
 		return 0, err
 	}
-	for i := range words {
-		words[i] = binary.BigEndian.Uint32(s.data[addr+uint32(i)*4:])
-	}
-	return s.WaitStates + s.BurstWait*len(words), nil
+	copy(dst, s.data[addr:])
+	return s.WaitStates + s.BurstWait*(len(dst)/4), nil
 }
 
 // Poke copies p into the SRAM at addr through the user-side port,

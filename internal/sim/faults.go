@@ -261,17 +261,17 @@ func (l *link) decide(payload []byte) []delivery {
 		l.fault("truncate", p)
 		p = p[:keep]
 	}
-	if dup {
-		l.stats.Duped++
-		l.fault("dup", p)
-	}
 	if hold {
 		// It rides behind the next datagram that passes; a duplicate
-		// drawn for it is lost with the hold.
+		// drawn for it is lost with the hold, so no dup is counted.
 		l.stats.Reordered++
 		l.fault("reorder", p)
 		l.held = append(l.held, p)
 		return nil
+	}
+	if dup {
+		l.stats.Duped++
+		l.fault("dup", p)
 	}
 	if extra > 0 {
 		l.fault("delay", p)

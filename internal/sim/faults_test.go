@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"liquidarch/internal/metrics"
 	"liquidarch/internal/netproto"
 	"liquidarch/internal/tracing"
 )
@@ -106,6 +107,48 @@ func TestDupDelivesTwice(t *testing.T) {
 	}
 	if out[0].after != 0 || out[1].after != time.Millisecond {
 		t.Fatalf("copies travel %v and %v, want 0 and the 1ms DupDelay", out[0].after, out[1].after)
+	}
+}
+
+// TestDupDrawnWithReorderNotCounted: a datagram drawn for both dup and
+// reorder is held without its copy, so neither the link's Duped count,
+// the relay's up_dup counter nor the packet's trace may show a dup. The
+// next datagram, drawn for dup alone, delivers its copy and counts it.
+func TestDupDrawnWithReorderNotCounted(t *testing.T) {
+	col := tracing.New("chaos")
+	injected := metrics.NewRegistry().CounterVec("injected", "", "event")
+	l := upLink(LinkParams{Dup: 1, Reorder: 1, Tracer: col})
+	l.injected = injected
+	held := netproto.Packet{Command: netproto.CmdStatus, TraceID: 7}.Marshal()
+	if out := l.decide(held); out != nil {
+		t.Fatalf("dup=1 reorder=1 should hold the datagram, got %v", out)
+	}
+	if s := l.stats; s.Duped != 0 || s.Reordered != 1 {
+		t.Fatalf("after the hold: stats %+v, want no dup and one reorder", s)
+	}
+	l.params.Reorder = 0
+	next := netproto.Packet{Command: netproto.CmdStatus, TraceID: 8}.Marshal()
+	out := l.decide(next)
+	if len(out) != 3 || !bytes.Equal(out[0].payload, next) || !bytes.Equal(out[1].payload, held) ||
+		!bytes.Equal(out[2].payload, next) {
+		t.Fatalf("want the datagram, the held one and the datagram's copy, got %v", out)
+	}
+	if s := l.stats; s.Duped != 1 || s.Reordered != 1 {
+		t.Fatalf("stats %+v, want one dup and one reorder", s)
+	}
+	if d, r := injected.With("up_dup").Value(), injected.With("up_reorder").Value(); d != 1 || r != 1 {
+		t.Fatalf("injected up_dup %d, up_reorder %d; want 1 and 1", d, r)
+	}
+	for id, want := range map[uint64]string{7: "[fault:reorder]", 8: "[fault:dup]"} {
+		var spans []string
+		for _, td := range col.TakeTrace(id) {
+			for _, sp := range td.Spans {
+				spans = append(spans, sp.Name)
+			}
+		}
+		if fmt.Sprint(spans) != want {
+			t.Errorf("trace %d holds %v, want %s", id, spans, want)
+		}
 	}
 }
 

@@ -205,7 +205,7 @@ type sinkSlave struct{}
 
 func (sinkSlave) Read(addr uint32, size amba.Size) (uint32, int, error)      { return 0, 1, nil }
 func (sinkSlave) Write(addr uint32, val uint32, size amba.Size) (int, error) { return 1, nil }
-func (sinkSlave) ReadBurst(addr uint32, words []uint32) (int, error)         { return 1 + len(words), nil }
+func (sinkSlave) ReadBurst(addr uint32, dst []byte) (int, error)             { return 1 + len(dst)/4, nil }
 
 // Replay runs a memory-event stream through a fresh cache of the given
 // geometry and returns its statistics.
