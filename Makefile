@@ -17,11 +17,12 @@ race:
 	$(GO) test -race ./...
 
 # race-net exercises the asynchronous control plane — the per-board
-# actor, the node's read-loop/worker handoff and the polling client —
-# under the race detector twice, to shake out scheduling-dependent
-# interleavings that a single pass can miss.
+# actor and the full swaps it serves, the node's read-loop/worker
+# handoff and the polling client — under the race detector twice, to
+# shake out scheduling-dependent interleavings that a single pass can
+# miss.
 race-net:
-	$(GO) test -race -count=2 ./internal/leon/... ./internal/fpx/... ./internal/server/... ./internal/client/...
+	$(GO) test -race -count=2 ./internal/leon/... ./internal/core/... ./internal/fpx/... ./internal/server/... ./internal/client/...
 
 # chaos runs the deterministic fault-injection suite under the race
 # detector: the fault engine and UDP relay tests in internal/sim (rule

@@ -484,7 +484,8 @@ func BenchmarkReconfigCache(b *testing.B) {
 	b.Run("hit-full", func(b *testing.B) {
 		// Ablation: same swap with the partial path disabled — pays
 		// the full fabric rebuild (CPU, caches, SDRAM controller,
-		// actor) on the board's own memories every time.
+		// adapter, peripherals) on the board's own memories and actor
+		// every time.
 		sys, err := core.New(leon.DefaultConfig(), core.Options{Synth: small, DisablePartial: true})
 		if err != nil {
 			b.Fatal(err)

@@ -63,7 +63,6 @@ func main() {
 	verbose := fs.Bool("v", false, "log each handled request")
 	uart := fs.Bool("uart", true, "print the processor's UART output to stdout")
 	cacheDir := fs.String("cache-dir", "", "back the reconfiguration cache with a persistent store in this directory")
-	cacheDirOld := fs.String("cachedir", "", "deprecated alias for -cache-dir")
 	synthWorkers := fs.Int("synth-workers", 0, "bound on concurrent synthesis jobs (0 = GOMAXPROCS)")
 	trace := fs.Bool("trace", true, "record per-exchange span traces (fetch via liquidctl trace or /debug/traces)")
 	flightDir := fs.String("flightrec-dir", ".", "directory for flight-recorder dump files")
@@ -76,9 +75,6 @@ func main() {
 	}
 	if *boards < 1 {
 		cliutil.Fatalf("liquid-server: -boards must be at least 1")
-	}
-	if *cacheDir == "" {
-		*cacheDir = *cacheDirOld
 	}
 	// One reconfiguration manager serves the whole node: every board's
 	// requests dedup onto its synthesis pool, and one cache (optionally
@@ -120,7 +116,6 @@ func main() {
 		cliutil.Fatalf("liquid-server: %v", err)
 	}
 	if *verbose {
-		srv.Log = log.Printf
 		srv.Events().Mirror = log.Printf
 	} else {
 		srv.Events().MinLevel = eventlog.Info

@@ -105,7 +105,7 @@ type Stats struct {
 	Writes     uint64 // single write transfers
 	Bursts     uint64 // burst transactions
 	BurstWords uint64 // words moved by bursts
-	WaitCycles uint64 // slave wait states observed
+	WaitCycles uint64 // slave wait states observed, failed transfers included
 	BusErrors  uint64
 }
 
@@ -187,12 +187,12 @@ func (b *AHB) Read(addr uint32, size Size) (uint32, int, error) {
 		return 0, b.GrantCycles, &BusError{Addr: addr}
 	}
 	v, wait, err := r.Slave.Read(addr-r.Base, size)
+	b.stats.WaitCycles += uint64(wait)
 	if err != nil {
 		b.stats.BusErrors++
 		return 0, b.GrantCycles + wait, err
 	}
 	b.stats.Reads++
-	b.stats.WaitCycles += uint64(wait)
 	return v, b.GrantCycles + wait + 1, nil
 }
 
@@ -207,12 +207,12 @@ func (b *AHB) Write(addr uint32, val uint32, size Size) (int, error) {
 		return b.GrantCycles, &BusError{Addr: addr, Write: true}
 	}
 	wait, err := r.Slave.Write(addr-r.Base, val, size)
+	b.stats.WaitCycles += uint64(wait)
 	if err != nil {
 		b.stats.BusErrors++
 		return b.GrantCycles + wait, err
 	}
 	b.stats.Writes++
-	b.stats.WaitCycles += uint64(wait)
 	return b.GrantCycles + wait + 1, nil
 }
 
@@ -236,12 +236,12 @@ func (b *AHB) ReadBurst(addr uint32, dst []byte) (int, error) {
 		return b.GrantCycles, &BusError{Addr: addr}
 	}
 	wait, err := r.Slave.ReadBurst(addr-r.Base, dst)
+	b.stats.WaitCycles += uint64(wait)
 	if err != nil {
 		b.stats.BusErrors++
 		return b.GrantCycles + wait, err
 	}
 	b.stats.Bursts++
 	b.stats.BurstWords += uint64(len(dst) / 4)
-	b.stats.WaitCycles += uint64(wait)
 	return b.GrantCycles + wait, nil
 }

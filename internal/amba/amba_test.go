@@ -201,6 +201,47 @@ func TestStatsAndReset(t *testing.T) {
 	}
 }
 
+// failSlave fails every transfer after wait states of its own, as an
+// SDRAM port does when a burst fails on a later chunk.
+type failSlave struct{ wait int }
+
+var errSlave = errors.New("slave failed")
+
+func (f failSlave) Read(uint32, Size) (uint32, int, error)  { return 0, f.wait, errSlave }
+func (f failSlave) Write(uint32, uint32, Size) (int, error) { return f.wait, errSlave }
+func (f failSlave) ReadBurst(uint32, []byte) (int, error)   { return f.wait, errSlave }
+
+// TestFailedTransferCountsWaitStates: a transfer that fails in its
+// slave charges the slave's wait states both in the cycles it returns
+// and in Stats.WaitCycles, for every transfer kind.
+func TestFailedTransferCountsWaitStates(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		do   func(b *AHB) (int, error)
+	}{
+		{"read", func(b *AHB) (int, error) { _, c, err := b.Read(0, SizeWord); return c, err }},
+		{"write", func(b *AHB) (int, error) { return b.Write(0, 1, SizeWord) }},
+		{"burst", func(b *AHB) (int, error) { return b.ReadBurst(0, make([]byte, 16)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewAHB()
+			if err := b.Map("bad", 0, 0x1000, failSlave{wait: 5}); err != nil {
+				t.Fatal(err)
+			}
+			cycles, err := tc.do(b)
+			if !errors.Is(err, errSlave) {
+				t.Fatalf("err = %v, want the slave's", err)
+			}
+			if cycles != b.GrantCycles+5 {
+				t.Errorf("cycles = %d, want grant + 5 wait states", cycles)
+			}
+			if st := b.Stats(); st.WaitCycles != 5 || st.BusErrors != 1 {
+				t.Errorf("stats = %+v, want 5 wait cycles and 1 bus error", st)
+			}
+		})
+	}
+}
+
 func TestLookupAndRegions(t *testing.T) {
 	b := NewAHB()
 	if err := b.Map("rom", 0, 0x1000, newRAM(0)); err != nil {

@@ -64,30 +64,14 @@ var Fig8Sizes = []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10}
 // worker pool (<= 0: one per CPU); the result table is identical for
 // every worker count.
 func Fig8Sweep(workers int) ([]Fig8Row, error) {
-	asmText, err := lcc.Compile(Fig7Source, lcc.Options{})
-	if err != nil {
-		return nil, err
-	}
-	img, err := link.Build(asmText, link.Options{})
+	img, err := buildC(Fig7Source)
 	if err != nil {
 		return nil, err
 	}
 	return forEachPoint(workers, Fig8Sizes, func(size int) (Fig8Row, error) {
 		cfg := leon.DefaultConfig()
 		cfg.DCache = cache.Config{SizeBytes: size, LineBytes: 32, Assoc: 1}
-		soc, err := leon.New(cfg, nil)
-		if err != nil {
-			return Fig8Row{}, err
-		}
-		ctrl := leon.NewController(soc)
-		if err := ctrl.Boot(); err != nil {
-			return Fig8Row{}, err
-		}
-		if err := ctrl.LoadProgram(img.Origin, img.Code); err != nil {
-			return Fig8Row{}, err
-		}
-		soc.DCache.ResetStats()
-		res, err := ctrl.Execute(img.Entry, 0)
+		res, soc, err := runPoint(cfg, img)
 		if err != nil {
 			return Fig8Row{}, err
 		}
@@ -105,6 +89,43 @@ func Fig8Sweep(workers int) ([]Fig8Row, error) {
 			Millis:      float64(res.Cycles) / (util.FMaxMHz * 1e3),
 		}, nil
 	})
+}
+
+// buildC compiles and links a Liquid-C program for the default memory
+// map: the one artifact a sweep shares across its points.
+func buildC(src string) (*link.Image, error) {
+	asmText, err := lcc.Compile(src, lcc.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return link.Build(asmText, link.Options{})
+}
+
+// runPoint measures img on a freshly booted SoC of cfg, one point of a
+// sweep: the board actor loads the image, zeroes the cache statistics
+// and runs it. The SoC is returned after the actor is closed, so its
+// statistics are the run's and the caller may read them directly.
+func runPoint(cfg leon.Config, img *link.Image) (leon.RunResult, *leon.SoC, error) {
+	soc, err := leon.New(cfg, nil)
+	if err != nil {
+		return leon.RunResult{}, nil, err
+	}
+	ctrl := leon.NewController(soc)
+	if err := ctrl.Boot(); err != nil {
+		return leon.RunResult{}, nil, err
+	}
+	a := leon.NewAsyncController(ctrl)
+	var res leon.RunResult
+	if err = a.LoadProgram(img.Origin, img.Code); err == nil {
+		// Do fails only on a closed actor, which Execute reports.
+		_ = a.Do(func(*leon.Controller) {
+			soc.ICache.ResetStats()
+			soc.DCache.ResetStats()
+		})
+		res, err = a.Execute(img.Entry, 0)
+	}
+	a.Close()
+	return res, soc, err
 }
 
 // Fig10Report reproduces the Fig. 10 device-utilization table for the
@@ -385,30 +406,14 @@ func icacheKernel() string {
 // 512 B - 4 KB with the data cache fixed, one SoC per point, workers
 // points concurrently.
 func ICacheSweep(workers int) ([]ICacheRow, error) {
-	asmText, err := lcc.Compile(icacheKernel(), lcc.Options{})
-	if err != nil {
-		return nil, err
-	}
-	img, err := link.Build(asmText, link.Options{})
+	img, err := buildC(icacheKernel())
 	if err != nil {
 		return nil, err
 	}
 	return forEachPoint(workers, []int{512, 1 << 10, 2 << 10, 4 << 10}, func(size int) (ICacheRow, error) {
 		cfg := leon.DefaultConfig()
 		cfg.ICache = cache.Config{SizeBytes: size, LineBytes: 32, Assoc: 1}
-		soc, err := leon.New(cfg, nil)
-		if err != nil {
-			return ICacheRow{}, err
-		}
-		ctrl := leon.NewController(soc)
-		if err := ctrl.Boot(); err != nil {
-			return ICacheRow{}, err
-		}
-		if err := ctrl.LoadProgram(img.Origin, img.Code); err != nil {
-			return ICacheRow{}, err
-		}
-		soc.ICache.ResetStats()
-		res, err := ctrl.Execute(img.Entry, 0)
+		res, soc, err := runPoint(cfg, img)
 		if err != nil || res.Faulted {
 			return ICacheRow{}, fmt.Errorf("bench: icache run: %v %+v", err, res)
 		}
@@ -553,34 +558,18 @@ type AssocRow struct {
 	Misses uint64
 }
 
-// AssocExperiment sweeps associativity 1/2/4 at 2 KB, where the Fig. 7
-// pattern conflicts in a direct-mapped cache but fits with ways. The
+// AssocExperiment sweeps associativity 1/2/4 at 2 KB on the Fig. 7
+// kernel (EXPERIMENTS.md records why the ways do not help it). The
 // kernel is compiled once; the points run concurrently up to workers.
 func AssocExperiment(workers int) ([]AssocRow, error) {
-	asmText, err := lcc.Compile(Fig7Source, lcc.Options{})
-	if err != nil {
-		return nil, err
-	}
-	img, err := link.Build(asmText, link.Options{})
+	img, err := buildC(Fig7Source)
 	if err != nil {
 		return nil, err
 	}
 	return forEachPoint(workers, []int{1, 2, 4}, func(assoc int) (AssocRow, error) {
 		cfg := leon.DefaultConfig()
 		cfg.DCache = cache.Config{SizeBytes: 2 << 10, LineBytes: 32, Assoc: assoc, Replacement: cache.LRU}
-		soc, err := leon.New(cfg, nil)
-		if err != nil {
-			return AssocRow{}, err
-		}
-		ctrl := leon.NewController(soc)
-		if err := ctrl.Boot(); err != nil {
-			return AssocRow{}, err
-		}
-		if err := ctrl.LoadProgram(img.Origin, img.Code); err != nil {
-			return AssocRow{}, err
-		}
-		soc.DCache.ResetStats()
-		res, err := ctrl.Execute(img.Entry, 0)
+		res, soc, err := runPoint(cfg, img)
 		if err != nil || res.Faulted {
 			return AssocRow{}, fmt.Errorf("bench: assoc run: %v %+v", err, res)
 		}

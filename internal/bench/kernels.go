@@ -9,9 +9,7 @@ import (
 	"liquidarch/internal/asm"
 	"liquidarch/internal/cache"
 	"liquidarch/internal/hostinfo"
-	"liquidarch/internal/lcc"
 	"liquidarch/internal/leon"
-	"liquidarch/internal/link"
 )
 
 // Real compiled kernels at miss-heavy geometries, stepped in steady
@@ -139,11 +137,7 @@ func (k StepKernelCase) build() (origin, entry uint32, code []byte, err error) {
 		}
 		return obj.Origin, obj.Origin, obj.Code, nil
 	}
-	asmText, err := lcc.Compile(k.Src, lcc.Options{})
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	img, err := link.Build(asmText, link.Options{})
+	img, err := buildC(k.Src)
 	if err != nil {
 		return 0, 0, nil, err
 	}

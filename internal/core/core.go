@@ -79,17 +79,16 @@ func (o Options) withDefaults() Options {
 }
 
 // System is one liquid-architecture FPX node. Execution is owned by a
-// per-board actor goroutine (leon.AsyncController): every run, load
-// and memory access is serialized through it, so the SoC is
-// goroutine-confined and the control plane (status, stats, traces)
-// stays responsive while a program runs.
+// per-board actor goroutine (leon.AsyncController) that lives as long
+// as the board: every run, load, memory access and bitfile reload is
+// serialized through it, so the SoC is goroutine-confined and the
+// control plane (status, stats, traces) stays responsive while a
+// program runs.
 type System struct {
 	mu   sync.Mutex
 	opts Options
 
 	cfg      leon.Config
-	soc      *leon.SoC
-	ctrl     *leon.Controller
 	actrl    *leon.AsyncController
 	platform *fpx.Platform
 	manager  *reconfig.Manager
@@ -112,33 +111,37 @@ type System struct {
 	traceMu   sync.Mutex
 	lastTrace *trace.Summary
 
-	// runDoneHook is the completion callback the FPX platform installed
-	// (via tracedControl); kept so instantiate can re-arm it on the
-	// fresh actor after a full reconfiguration. It lives under its own
-	// mutex because the platform re-installs the hook from SetControl
-	// while reconfiguration already holds s.mu (hookMu is always inner
-	// to s.mu, never the reverse).
-	hookMu      sync.Mutex
-	hookTarget  *leon.AsyncController
-	runDoneHook func()
-
 	m systemMetrics
 }
 
 // New synthesizes (or loads from a fresh or persistent cache) the
 // initial configuration, instantiates the processor system and boots
 // it.
-func New(cfg leon.Config, opts Options) (*System, error) {
+func New(cfg leon.Config, opts Options) (_ *System, err error) {
 	opts = opts.withDefaults()
 	if opts.Synth.Clock == nil {
 		opts.Synth.Clock = opts.Clock
 	}
-	s := &System{opts: opts, manager: opts.Manager}
+	soc, err := leon.New(cfg, opts.UARTOut)
+	if err != nil {
+		return nil, err
+	}
+	ctrl := leon.NewController(soc)
+	if err := ctrl.Boot(); err != nil {
+		return nil, err
+	}
+	s := &System{opts: opts, cfg: cfg, manager: opts.Manager, actrl: leon.NewAsyncController(ctrl)}
+	defer func() {
+		if err != nil {
+			s.actrl.Close()
+		}
+	}()
+	s.actrl.SetClock(opts.Clock)
 	if s.manager == nil {
 		s.manager = reconfig.NewManagerWorkers(
 			reconfig.NewCache(opts.CacheCapacity), opts.Synth, opts.SynthWorkers)
 	}
-	s.platform = fpx.New(tracedControl{s}, opts.IP, opts.Port)
+	s.platform = fpx.New(tracedControl{s.actrl, s}, opts.IP, opts.Port)
 	s.manager.Cache().SetLog(s.platform.Events())
 	if opts.Manager == nil && opts.CacheDir != "" {
 		// Persistent store: write-through from now on, then warm-load
@@ -154,13 +157,7 @@ func New(cfg leon.Config, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	soc, err := leon.New(cfg, opts.UARTOut)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.instantiate(soc, img); err != nil {
-		return nil, err
-	}
+	s.active = img
 	s.platform.ReconfigAsyncFn = s.reconfigAsyncFromSpec
 	s.platform.ReconfigStatusFn = s.ReconfigureStatus
 	s.platform.ConfigFn = func() []byte {
@@ -178,55 +175,9 @@ func New(cfg leon.Config, opts Options) (*System, error) {
 	return s, nil
 }
 
-// instantiate boots soc — a fresh board, or the current SoC's Reload
-// onto the same board memories — and makes it the board's processor
-// with a new actor. On a full swap the previous actor is already closed
-// (applyLocked).
-func (s *System) instantiate(soc *leon.SoC, img *synth.Image) error {
-	ctrl := leon.NewController(soc)
-	if err := ctrl.Boot(); err != nil {
-		return err
-	}
-	s.cfg, s.soc, s.ctrl, s.active = soc.Config, soc, ctrl, img
-	s.actrl = leon.NewAsyncController(ctrl)
-	s.actrl.SetClock(s.opts.Clock)
-	s.hookMu.Lock()
-	s.hookTarget = s.actrl
-	if s.runDoneHook != nil {
-		s.actrl.SetRunDoneHook(s.runDoneHook)
-	}
-	s.hookMu.Unlock()
-	return nil
-}
-
-// setRunDoneHook records fn and installs it on the current board
-// actor. It must not touch s.mu: the platform calls it (through
-// tracedControl) from SetControl while reconfiguration holds s.mu.
-func (s *System) setRunDoneHook(fn func()) {
-	s.hookMu.Lock()
-	defer s.hookMu.Unlock()
-	s.runDoneHook = fn
-	if s.hookTarget != nil {
-		s.hookTarget.SetRunDoneHook(fn)
-	}
-}
-
-// async returns the current board actor. Operations snapshot it once
-// and use that handle throughout, so a concurrent full reconfiguration
-// surfaces as ErrClosed rather than a mixed-board operation.
-func (s *System) async() *leon.AsyncController {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.actrl
-}
-
 // Close shuts down the board actor. In-flight runs are abandoned;
 // subsequent executions fail. The System is not usable afterwards.
-func (s *System) Close() {
-	if a := s.async(); a != nil {
-		a.Close()
-	}
-}
+func (s *System) Close() { s.actrl.Close() }
 
 // Config returns the active configuration.
 func (s *System) Config() leon.Config {
@@ -246,23 +197,19 @@ func (s *System) ActiveImage() *synth.Image {
 // remote).
 func (s *System) Platform() *fpx.Platform { return s.platform }
 
-// Controller returns the leon_ctrl state machine. The controller is
-// owned by the board actor — touch it directly only when no run is in
-// flight (prefer AsyncCtrl, or AsyncCtrl().Do, otherwise).
-func (s *System) Controller() *leon.Controller {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ctrl
-}
+// AsyncCtrl returns the board actor driving execution for this
+// System: the same one for the System's whole life, full
+// reconfigurations included.
+func (s *System) AsyncCtrl() *leon.AsyncController { return s.actrl }
 
-// AsyncCtrl returns the board actor driving execution for this System.
-func (s *System) AsyncCtrl() *leon.AsyncController { return s.async() }
-
-// SoC returns the current processor system.
+// SoC returns the current processor system (nil once the System is
+// closed). A full reconfiguration replaces it, and the board actor
+// steps it, so touch it through AsyncCtrl().Do while a run may be in
+// flight.
 func (s *System) SoC() *leon.SoC {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.soc
+	var soc *leon.SoC
+	_ = s.actrl.Do(func(c *leon.Controller) { soc = c.SoC() })
+	return soc
 }
 
 // Manager returns the reconfiguration cache manager.
@@ -320,11 +267,6 @@ func (s *System) ReconfigureCtx(tc tracing.Ctx, cfg leon.Config) (cacheHit bool,
 	return st.CacheHit, nil
 }
 
-// errRunInFlight defers a full swap: the bitfile reload would kill the
-// in-flight run, so the swap parks (ReconfigSwapping) and lands at the
-// first pump after the run completes.
-var errRunInFlight = errors.New("core: cannot reconfigure while a run is in flight")
-
 // applyLocked swaps the board to cfg/img with s.mu held: a partial
 // (cache-plugin) swap when only the caches differ — legal under a live
 // processor — otherwise a full rebuild, which requires an idle board.
@@ -352,33 +294,16 @@ func (s *System) applyLocked(cfg leon.Config, img *synth.Image, hit, synthesized
 		s.observeReconfigure(hit, true, synthesized, img.SynthTime)
 		return true, nil
 	}
-	// A full image load resets the processor; refuse while a run is in
-	// flight (the pending swap parks on errRunInFlight and lands at run
-	// completion).
-	if s.actrl.State() == leon.StateRunning {
-		return false, errRunInFlight
-	}
-	if err := s.soc.CanReload(cfg); err != nil {
+	// A full image load reprograms the board on its actor, between step
+	// slices, so it is ordered after every load or write the actor has
+	// acknowledged. The actor refuses it with leon.ErrRunning while a
+	// run is in flight: the pending swap parks and lands at run
+	// completion.
+	if err := s.actrl.Reload(cfg); err != nil {
 		return false, err
 	}
-	// The new SoC's CPU takes over the board's predecode and profile
-	// tables (leon.SoC.Reload), so nothing may step the previous SoC
-	// once it is built: its actor is closed first (the bitfile reload
-	// kills whatever was executing). Close returns only once the actor's
-	// goroutine has exited, so every load or write it acknowledged is
-	// already in the memories the new actor starts on. Neither the
-	// build nor the boot of a configuration CanReload accepts fails.
-	s.actrl.Close()
-	soc, err := s.soc.Reload(cfg)
-	if err != nil {
-		return false, err
-	}
-	if err := s.instantiate(soc, img); err != nil {
-		return false, err
-	}
-	if s.platform != nil {
-		s.platform.SetControl(tracedControl{s})
-	}
+	s.platform.SetControl()
+	s.cfg, s.active = cfg, img
 	s.reconfigs++
 	s.lastHit, s.lastPartial = hit, false
 	s.observeReconfigure(hit, false, synthesized, img.SynthTime)
@@ -432,7 +357,7 @@ func (s *System) BuildASM(src string) (*link.Image, error) {
 // request is served by the board actor, so it is rejected while a run
 // is in flight, like the hardware path).
 func (s *System) Load(img *link.Image) error {
-	if err := s.async().LoadProgram(img.Origin, img.Code); err != nil {
+	if err := s.actrl.LoadProgram(img.Origin, img.Code); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -450,7 +375,7 @@ func (s *System) Run(img *link.Image, budget uint64) (leon.RunResult, error) {
 	if err := s.Load(img); err != nil {
 		return leon.RunResult{}, err
 	}
-	return s.async().ExecuteOpts(img.Entry, budget, leon.RunOptions{
+	return s.actrl.ExecuteOpts(img.Entry, budget, leon.RunOptions{
 		After: func(c *leon.Controller, res leon.RunResult, wall time.Duration, err error) {
 			s.observeRun(res, wall, err)
 		},
@@ -466,7 +391,7 @@ func (s *System) RunWithTrace(img *link.Image, budget uint64) (leon.RunResult, *
 		return leon.RunResult{}, nil, err
 	}
 	var rec *trace.Recorder
-	res, err := s.async().ExecuteOpts(img.Entry, budget, leon.RunOptions{
+	res, err := s.actrl.ExecuteOpts(img.Entry, budget, leon.RunOptions{
 		Before: func(c *leon.Controller) {
 			rec = trace.NewRecorder()
 			rec.Attach(c.SoC().CPU)
@@ -496,7 +421,7 @@ func (s *System) ExitValue(img *link.Image) (uint32, error) {
 // are legal (the FPX SDRAM controller arbitrates the network port
 // against the processor, §2.4) and are served between step slices.
 func (s *System) ReadMemory(addr uint32, n int) ([]byte, error) {
-	return s.async().ReadMemory(addr, n)
+	return s.actrl.ReadMemory(addr, n)
 }
 
 // TuneReport is the outcome of one AutoTune pass: the Fig. 1 loop of

@@ -98,7 +98,7 @@ func TestReconfigurePreservesMemory(t *testing.T) {
 		t.Errorf("exit value after reconfigure = %d, %v", v, err)
 	}
 	// And the program re-runs on the new fabric without reloading.
-	res, err := s.Controller().Execute(img.Entry, 0)
+	res, err := s.AsyncCtrl().Execute(img.Entry, 0)
 	if err != nil || res.Faulted {
 		t.Fatalf("re-run after reconfigure: %v %+v", err, res)
 	}
@@ -377,7 +377,7 @@ func TestActiveImageAndManager(t *testing.T) {
 	if s.Manager().Cache().Len() != 1 {
 		t.Errorf("cache len = %d", s.Manager().Cache().Len())
 	}
-	if s.SoC() == nil || s.Controller() == nil {
+	if s.SoC() == nil || s.AsyncCtrl() == nil {
 		t.Error("accessors returned nil")
 	}
 }

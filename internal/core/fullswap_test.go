@@ -3,20 +3,22 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"strings"
 	"testing"
 
 	"liquidarch/internal/ahbadapter"
 	"liquidarch/internal/amba"
+	"liquidarch/internal/lcc"
 	"liquidarch/internal/leon"
 	"liquidarch/internal/mem"
+	"liquidarch/internal/netproto"
 )
 
 // TestFullSwapHandsOverBoardMemory: a full swap reprograms the fabric
 // but keeps the board's SRAM and SDRAM — the same chips, contents
-// intact — while the new SDRAM controller and adapter count from zero
-// and the outgoing actor is retired.
+// intact — while the new SDRAM controller and adapter count from zero.
+// The board actor is the same before and after, and it serves the new
+// SoC.
 func TestFullSwapHandsOverBoardMemory(t *testing.T) {
 	s := newSystem(t, leon.DefaultConfig())
 	defer s.Close()
@@ -58,19 +60,26 @@ func TestFullSwapHandsOverBoardMemory(t *testing.T) {
 	if s.LastReconfigureWasPartial() {
 		t.Fatal("a window-count change took the partial path")
 	}
-	newSoC := s.SoC()
-	if newSoC == oldSoC {
-		t.Fatal("full swap kept the old SoC")
+	if s.AsyncCtrl() != old {
+		t.Fatal("full swap replaced the board actor")
 	}
-	if newSoC.SRAM != oldSoC.SRAM || newSoC.SDRAM != oldSoC.SDRAM {
-		t.Error("full swap replaced the board memories")
-	}
+	var served *leon.SoC
 	var newCtrl mem.ControllerStats
 	var newAdapter ahbadapter.Stats
-	if err := s.AsyncCtrl().Do(func(c *leon.Controller) {
+	if err := old.Do(func(c *leon.Controller) {
+		served = c.SoC()
 		newCtrl, newAdapter = c.SoC().SDRAMCtrl.Stats(), c.SoC().Adapter.Stats()
 	}); err != nil {
 		t.Fatal(err)
+	}
+	if served == oldSoC {
+		t.Fatal("the board actor still serves the old SoC")
+	}
+	if served.SRAM != oldSoC.SRAM || served.SDRAM != oldSoC.SDRAM {
+		t.Error("full swap replaced the board memories")
+	}
+	if served.Config.CPU.NWindows != 16 {
+		t.Errorf("the board actor serves %d register windows, want 16", served.Config.CPU.NWindows)
 	}
 	if newCtrl != (mem.ControllerStats{}) || newAdapter != (ahbadapter.Stats{}) {
 		t.Errorf("new fabric's counters start at %+v %+v, want zero", newCtrl, newAdapter)
@@ -89,19 +98,53 @@ func TestFullSwapHandsOverBoardMemory(t *testing.T) {
 			t.Errorf("SDRAM word %d after full swap = %#x, want %#x", i, v, w)
 		}
 	}
+}
 
-	if _, err := old.CollectResult(); !errors.Is(err, leon.ErrClosed) {
-		t.Errorf("CollectResult on the retired actor = %v, want ErrClosed", err)
+// TestRepliesAfterFullSwap: the board actor forgets the run it finished
+// on the old fabric, so after a full swap CmdStatus and CmdResult
+// through the platform answer as for a freshly booted board: idle, no
+// loaded address, and a zero report.
+func TestRepliesAfterFullSwap(t *testing.T) {
+	s := newSystem(t, leon.DefaultConfig())
+	defer s.Close()
+	p := s.Platform()
+	img, err := s.CompileC("int main() { return 5; }", lcc.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := old.LoadProgram(leon.DefaultLoadAddr, sramPat); !errors.Is(err, leon.ErrClosed) {
-		t.Errorf("LoadProgram on the retired actor = %v, want ErrClosed", err)
+	loadNet(p, img)
+	if rep := runNet(t, p, runDoneSignal(t, p), 0); rep.Cycles == 0 {
+		t.Fatalf("run before the swap reported %+v", rep)
+	}
+
+	cfg := s.Config()
+	cfg.CPU.NWindows = 16
+	if _, err := s.Reconfigure(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if s.LastReconfigureWasPartial() {
+		t.Fatal("a window-count change took the partial path")
+	}
+
+	zero := netproto.RunReport{Status: netproto.StatusOK}
+	resps := p.HandlePayload(netproto.Packet{Command: netproto.CmdStatus}.Marshal())
+	st, err := netproto.ParseStatusResp(resps[0].Body)
+	if want := (netproto.StatusResp{State: uint8(leon.StateIdle), BootOK: true, Last: zero}); err != nil || st != want {
+		t.Errorf("status after the swap = %+v, %v; want %+v", st, err, want)
+	}
+	resps = p.HandlePayload(netproto.Packet{Command: netproto.CmdResult}.Marshal())
+	if resps[0].Command != netproto.CmdResult|netproto.RespFlag {
+		t.Fatalf("result after the swap answered with command %#x", resps[0].Command)
+	}
+	if rep, err := netproto.ParseRunReport(resps[0].Body); err != nil || rep != zero {
+		t.Errorf("result after the swap = %+v, %v; want %+v", rep, err, zero)
 	}
 }
 
 // TestFullSwapRefusesResize: the memories are fixed by the board, so a
 // configuration with other sizes cannot be loaded onto it. The refusal
 // names the size and comes before anything is torn down: the active
-// configuration, its actor and the memory contents are untouched.
+// configuration, its SoC and the memory contents are untouched.
 func TestFullSwapRefusesResize(t *testing.T) {
 	s := newSystem(t, leon.DefaultConfig())
 	defer s.Close()
@@ -109,7 +152,7 @@ func TestFullSwapRefusesResize(t *testing.T) {
 	if err := s.AsyncCtrl().WriteMemory(leon.DefaultLoadAddr, pat); err != nil {
 		t.Fatal(err)
 	}
-	before, actor := s.Config(), s.AsyncCtrl()
+	before, soc := s.Config(), s.SoC()
 	for _, tc := range []struct {
 		name   string
 		resize func(*leon.Config)
@@ -124,19 +167,17 @@ func TestFullSwapRefusesResize(t *testing.T) {
 			t.Errorf("%s resize: err = %v, want one naming %q", tc.name, err, tc.size)
 		}
 	}
-	if s.Config() != before || s.AsyncCtrl() != actor {
-		t.Error("a refused resize replaced the active configuration or actor")
+	if s.Config() != before || s.SoC() != soc {
+		t.Error("a refused resize replaced the active configuration or SoC")
 	}
-	if got, err := actor.ReadMemory(leon.DefaultLoadAddr, len(pat)); err != nil || !bytes.Equal(got, pat) {
+	if got, err := s.ReadMemory(leon.DefaultLoadAddr, len(pat)); err != nil || !bytes.Equal(got, pat) {
 		t.Errorf("memory after refused resize = %x, %v; want %x", got, err, pat)
 	}
 }
 
 // TestFullSwapKeepsAcknowledgedWrites: a user-port write that the
-// outgoing actor acknowledged while a full swap was under way is in the
-// memory the new SoC runs on. The writer keeps the actor handle it
-// fetched until that actor refuses a write with ErrClosed, so its
-// writes race every swap; the refused ones are exempt.
+// board actor acknowledged while a full swap was under way is in the
+// memory the new SoC runs on. The writer's writes race every swap.
 func TestFullSwapKeepsAcknowledgedWrites(t *testing.T) {
 	s := newSystem(t, leon.DefaultConfig())
 	defer s.Close()
@@ -151,7 +192,6 @@ func TestFullSwapKeepsAcknowledgedWrites(t *testing.T) {
 		// want[i] is the last value acknowledged at word i (0: none).
 		want := make([]uint32, words)
 		defer func() { done <- want }()
-		a := s.AsyncCtrl()
 		for n := uint32(1); ; n++ {
 			select {
 			case <-stop:
@@ -161,15 +201,11 @@ func TestFullSwapKeepsAcknowledgedWrites(t *testing.T) {
 			i := int(n) % words
 			var w [4]byte
 			binary.BigEndian.PutUint32(w[:], n)
-			switch err := a.WriteMemory(base+uint32(4*i), w[:]); {
-			case err == nil:
-				want[i] = n
-			case errors.Is(err, leon.ErrClosed):
-				a = s.AsyncCtrl()
-			default:
+			if err := s.AsyncCtrl().WriteMemory(base+uint32(4*i), w[:]); err != nil {
 				t.Errorf("write %d: %v", n, err)
 				return
 			}
+			want[i] = n
 		}
 	}()
 	var swapErr error

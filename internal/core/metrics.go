@@ -73,12 +73,8 @@ func (s *System) instrument() {
 	// waits on the whole execution.
 	hw := func(read func(soc *leon.SoC) float64) func() float64 {
 		return func() float64 {
-			a := s.async()
-			if a == nil {
-				return 0
-			}
 			var v float64
-			if err := a.Do(func(c *leon.Controller) { v = read(c.SoC()) }); err != nil {
+			if err := s.actrl.Do(func(c *leon.Controller) { v = read(c.SoC()) }); err != nil {
 				return 0
 			}
 			return v

@@ -10,11 +10,11 @@ import (
 
 // TestPartialReconfiguration: a cache-only change takes the partial
 // (plugin-swap) path and leaves the processor live — no reset, same
-// controller, continuous cycle counter.
+// SoC, continuous cycle counter.
 func TestPartialReconfiguration(t *testing.T) {
 	s := newSystem(t, leon.DefaultConfig())
-	ctrlBefore := s.Controller()
-	cyclesBefore := s.SoC().Cycles()
+	socBefore := s.SoC()
+	cyclesBefore := socBefore.Cycles()
 
 	cfg := s.Config()
 	cfg.DCache.SizeBytes = 8 << 10
@@ -31,8 +31,8 @@ func TestPartialReconfiguration(t *testing.T) {
 	if s.PartialReconfigurations() != 1 {
 		t.Errorf("partials = %d", s.PartialReconfigurations())
 	}
-	if s.Controller() != ctrlBefore {
-		t.Error("partial reconfiguration replaced the controller")
+	if s.SoC() != socBefore {
+		t.Error("partial reconfiguration replaced the SoC")
 	}
 	if s.SoC().Cycles() < cyclesBefore {
 		t.Error("cycle counter reset by partial reconfiguration")
@@ -60,7 +60,7 @@ func TestPartialDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrlBefore := s.Controller()
+	socBefore := s.SoC()
 	cfg := s.Config()
 	cfg.DCache.SizeBytes = 8 << 10
 	if _, err := s.Reconfigure(cfg); err != nil {
@@ -69,8 +69,8 @@ func TestPartialDisabled(t *testing.T) {
 	if s.LastReconfigureWasPartial() {
 		t.Error("partial path used despite DisablePartial")
 	}
-	if s.Controller() == ctrlBefore {
-		t.Error("full reconfiguration kept the controller")
+	if s.SoC() == socBefore {
+		t.Error("full reconfiguration kept the SoC")
 	}
 }
 

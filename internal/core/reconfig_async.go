@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -20,12 +21,13 @@ import (
 // returns immediately; the swap is applied by whoever pumps next —
 // ReconfigureStatus (wired as the platform's CmdReconfigStatus and
 // CmdWaitReconfig handler, so on a server it runs on the board worker
-// goroutine where SoC mutation is legal), WaitReconfigure, or the
-// ticket watcher once the server's wake hook (or, serverless, the
-// watcher itself) gets to it. A full swap is deferred while a run is
-// in flight (ReconfigSwapping) and lands at the next pump after the
-// run completes; partial (cache-only) swaps land immediately, even
-// mid-run.
+// goroutine, which owns the platform state a full swap resets),
+// WaitReconfigure, or the ticket watcher once the server's wake hook
+// (or, serverless, the watcher itself) gets to it. Either kind of swap
+// runs on the board actor between step slices. A full swap is deferred
+// while a run is in flight (ReconfigSwapping) and lands at the next
+// pump after the run completes; partial (cache-only) swaps land
+// immediately, even mid-run.
 
 // pendingReconfig is the one in-flight asynchronous reconfiguration a
 // board can have; fields are written under s.mu (the ticket has its
@@ -137,7 +139,7 @@ func (s *System) pumpLocked() netproto.ReconfigStatusResp {
 	}
 	hit := p.ticket.CacheHit()
 	partial, aerr := s.applyLocked(p.cfg, img, hit, !hit && !p.coalesced)
-	if aerr == errRunInFlight {
+	if errors.Is(aerr, leon.ErrRunning) {
 		// Image ready, board busy: the swap lands at the next pump
 		// after the run completes (the server pumps on run-done).
 		return netproto.ReconfigStatusResp{Status: netproto.StatusOK, State: netproto.ReconfigSwapping, CacheHit: hit}

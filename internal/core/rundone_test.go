@@ -11,13 +11,11 @@ import (
 // TestRunDoneHookSurvivesReconfigure: the FPX platform's run-done hook
 // (what lets a mounted server park CmdWaitResult exchanges) must reach
 // the System's board actor through tracedControl, and must stay armed
-// after a full reconfiguration replaces that actor.
+// after a full reconfiguration reloads the board.
 func TestRunDoneHookSurvivesReconfigure(t *testing.T) {
 	s := newSystem(t, leon.DefaultConfig())
 	fired := make(chan struct{}, 4)
-	if ok := s.Platform().SetRunDoneHook(func() { fired <- struct{}{} }); !ok {
-		t.Fatal("System platform rejected the run-done hook")
-	}
+	s.Platform().SetRunDoneHook(func() { fired <- struct{}{} })
 
 	img, err := s.CompileC("int main() { return 5; }", lcc.Options{})
 	if err != nil {
@@ -33,7 +31,7 @@ func TestRunDoneHookSurvivesReconfigure(t *testing.T) {
 	}
 
 	// Force the FULL reconfiguration path (a non-cache change), which
-	// spawns a fresh board actor; the hook must be re-armed on it.
+	// boots a new SoC on the board actor; the hook must still fire.
 	cfg := s.Config()
 	cfg.BurstWords *= 2
 	if _, err := s.Reconfigure(cfg); err != nil {

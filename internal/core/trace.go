@@ -12,39 +12,23 @@ import (
 )
 
 // tracedControl is the LEON control interface the FPX platform sees:
-// it delegates to the System's current board actor (so reconfiguration
-// is transparent) and records an instrumented trace around every
-// networked execution — the paper's "streaming of instrumented traces
-// to the Trace Analyzer" made pullable via CmdTraceReport. The trace
-// summary is attached and detached by the run hooks ON the actor
+// the System's board actor, which records an instrumented trace around
+// every networked execution — the paper's "streaming of instrumented
+// traces to the Trace Analyzer" made pullable via CmdTraceReport. The
+// trace summary is attached and detached by the run hooks ON the actor
 // goroutine, so it observes exactly the run it wraps, and the After
 // hook completes before the Done state is visible to pollers — a
 // CmdTraceReport sent right after a successful result collect always
 // sees this run's trace.
 type tracedControl struct {
+	*leon.AsyncController
 	sys *System
 }
 
-func (t tracedControl) State() leon.State          { return t.sys.async().State() }
-func (t tracedControl) Cycles() uint64             { return t.sys.async().Cycles() }
-func (t tracedControl) LastResult() leon.RunResult { return t.sys.async().LastResult() }
-
-// SetRunDoneHook makes tracedControl an fpx.RunDoneNotifier, so a
-// server mounted on this platform can park CmdWaitResult exchanges.
-// The System re-installs the hook on every fresh board actor a full
-// reconfiguration spawns.
-func (t tracedControl) SetRunDoneHook(fn func()) { t.sys.setRunDoneHook(fn) }
-
-func (t tracedControl) LoadProgram(addr uint32, image []byte) error {
-	return t.sys.async().LoadProgram(addr, image)
-}
-
-func (t tracedControl) ReadMemory(addr uint32, n int) ([]byte, error) {
-	return t.sys.ReadMemory(addr, n)
-}
-
-func (t tracedControl) WriteMemory(addr uint32, p []byte) error {
-	return t.sys.async().WriteMemory(addr, p)
+// StartCtx is the handoff the FPX platform makes, with the run hooks
+// of netRunOpts.
+func (t tracedControl) StartCtx(tc tracing.Ctx, entry uint32, maxCycles uint64) error {
+	return t.StartOpts(entry, maxCycles, t.sys.netRunOpts(tc))
 }
 
 // netRunOpts builds the per-run hooks for a networked execution:
@@ -83,22 +67,6 @@ func (s *System) netRunOpts(tc tracing.Ctx) leon.RunOptions {
 			}
 		},
 	}
-}
-
-func (t tracedControl) Start(entry uint32, maxCycles uint64) error {
-	s := t.sys
-	return s.async().StartOpts(entry, maxCycles, s.netRunOpts(tracing.Ctx{}))
-}
-
-// StartCtx is the trace-aware handoff the FPX platform uses when the
-// exchange carries a trace context (fpx.CtxStarter).
-func (t tracedControl) StartCtx(tc tracing.Ctx, entry uint32, maxCycles uint64) error {
-	s := t.sys
-	return s.async().StartOpts(entry, maxCycles, s.netRunOpts(tc))
-}
-
-func (t tracedControl) CollectResult() (leon.RunResult, error) {
-	return t.sys.async().CollectResult()
 }
 
 // TraceReport is the JSON summary served by CmdTraceReport.

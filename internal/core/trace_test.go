@@ -107,14 +107,12 @@ func loadNet(p *fpx.Platform, img *link.Image) {
 func runDoneSignal(t testing.TB, p *fpx.Platform) <-chan struct{} {
 	t.Helper()
 	done := make(chan struct{}, 1)
-	if !p.SetRunDoneHook(func() {
+	p.SetRunDoneHook(func() {
 		select {
 		case done <- struct{}{}:
 		default:
 		}
-	}) {
-		t.Fatal("controller does not support the run-done hook")
-	}
+	})
 	return done
 }
 
@@ -172,7 +170,7 @@ func recordInProcess(s *System, img *link.Image) (leon.RunResult, *trace.Recorde
 	}
 	rec := trace.NewRecorder()
 	rec.MaxEvents = trace.SummaryMaxEvents
-	res, err := s.async().ExecuteOpts(img.Entry, 0, leon.RunOptions{
+	res, err := s.actrl.ExecuteOpts(img.Entry, 0, leon.RunOptions{
 		Before: func(c *leon.Controller) { rec.Attach(c.SoC().CPU) },
 		After:  func(*leon.Controller, leon.RunResult, time.Duration, error) { rec.Detach() },
 	})
@@ -349,7 +347,7 @@ func BenchmarkNetworkRunHooks(b *testing.B) {
 				opts = s.netRunOpts(tracing.Ctx{})
 			}
 			start := time.Now()
-			if _, err := s.async().ExecuteOpts(img.Entry, 0, opts); err != nil {
+			if _, err := s.actrl.ExecuteOpts(img.Entry, 0, opts); err != nil {
 				b.Fatal(err)
 			}
 			if hooked {

@@ -7,6 +7,7 @@ import (
 
 	"liquidarch/internal/leon"
 	"liquidarch/internal/netproto"
+	"liquidarch/internal/tracing"
 )
 
 func TestDedupCacheRememberAndLookup(t *testing.T) {
@@ -98,16 +99,16 @@ func TestRetransmitAnsweredFromCache(t *testing.T) {
 	}
 }
 
-// countingCtrl counts Start calls so a test can prove a duplicated
-// start never re-runs the program.
+// countingCtrl counts the platform's starts so a test can prove a
+// duplicated start never re-runs the program.
 type countingCtrl struct {
 	*Emulator
 	starts int
 }
 
-func (c *countingCtrl) Start(entry uint32, maxCycles uint64) error {
+func (c *countingCtrl) StartCtx(tc tracing.Ctx, entry uint32, maxCycles uint64) error {
 	c.starts++
-	return c.Emulator.Start(entry, maxCycles)
+	return c.Emulator.StartCtx(tc, entry, maxCycles)
 }
 
 // TestRetransmittedWriteNotReapplied: the dedup window makes mutating
@@ -235,7 +236,7 @@ func TestSetControlResetsDedup(t *testing.T) {
 	p := New(NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
 	req := netproto.Packet{Command: netproto.CmdStatus, Seq: 1, HasSeq: true}.Marshal()
 	p.HandlePayloadFrom("a:1", req)
-	p.SetControl(NewEmulator())
+	p.SetControl()
 	p.HandlePayloadFrom("a:1", req)
 	snap := p.Metrics().Snapshot()
 	if got := snap.Counters["liquid_fpx_dup_requests_total"]; got != 0 {

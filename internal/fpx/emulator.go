@@ -7,6 +7,7 @@ import (
 
 	"liquidarch/internal/leon"
 	"liquidarch/internal/sim"
+	"liquidarch/internal/tracing"
 )
 
 // Emulator stands in for the FPX hardware, playing the role of the
@@ -14,7 +15,7 @@ import (
 // accepts loads, pretends to execute programs in a fixed number of
 // cycles, and serves memory from a plain byte array. Control-software
 // tests run against it without building a processor. It implements
-// the asynchronous LEONControl shape: Start arms a pretend run that
+// the asynchronous LEONControl shape: a start arms a pretend run that
 // stays Running for AsyncDelay of wall time before any observation
 // (State, Cycles, CollectResult) finalizes it. All methods are
 // safe for concurrent use.
@@ -129,7 +130,7 @@ func (e *Emulator) LoadProgram(addr uint32, image []byte) error {
 	return nil
 }
 
-// Start implements LEONControl: the §3.1 handoff ack. The run charges
+// Start is the §3.1 handoff ack. The run charges
 // a deterministic cycle count proportional to the image size and
 // completes AsyncDelay later.
 func (e *Emulator) Start(entry uint32, maxCycles uint64) error {
@@ -163,6 +164,12 @@ func (e *Emulator) Start(entry uint32, maxCycles uint64) error {
 		})
 	}
 	return nil
+}
+
+// StartCtx implements LEONControl: Start, since a pretend run records
+// no spans.
+func (e *Emulator) StartCtx(_ tracing.Ctx, entry uint32, maxCycles uint64) error {
+	return e.Start(entry, maxCycles)
 }
 
 // CollectResult implements LEONControl: it blocks (conceptually)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
-	"sync/atomic"
 
 	"liquidarch/internal/leon"
 	"liquidarch/internal/metrics"
@@ -21,44 +20,31 @@ import (
 )
 
 // LEONControl is what the CPP needs from the LEON controller; it is
-// satisfied by *leon.Controller, *leon.AsyncController and by the
-// Emulator. The §3.1 handoff is asynchronous: Start writes the entry
-// address and returns as soon as the processor acknowledges, State and
-// Cycles are poll-safe while the run is in flight, and CollectResult
-// blocks until the run completes (for a self-driving implementation
-// like the AsyncController) or drives it to completion (for the bare
-// Controller).
+// satisfied by *leon.AsyncController and by the Emulator. The §3.1
+// handoff is asynchronous: StartCtx writes the entry address and
+// returns as soon as the processor acknowledges, State and Cycles are
+// poll-safe while the run is in flight, and CollectResult blocks until
+// the run completes. StartCtx takes the exchange's trace context, so
+// the run's spans nest under the trace that started it (a disabled
+// context records none). SetRunDoneHook asks for fn to be invoked every
+// time a run completes; fn must not block. A server mounted on the
+// platform parks held result waits on it.
 type LEONControl interface {
 	State() leon.State
 	LoadProgram(addr uint32, image []byte) error
-	Start(entry uint32, maxCycles uint64) error
+	StartCtx(tc tracing.Ctx, entry uint32, maxCycles uint64) error
 	Cycles() uint64
 	CollectResult() (leon.RunResult, error)
 	ReadMemory(addr uint32, n int) ([]byte, error)
 	WriteMemory(addr uint32, p []byte) error
 	LastResult() leon.RunResult
+	SetRunDoneHook(fn func())
 }
 
 // MaxReadLength caps a single Read Memory response.
 const MaxReadLength = 64 << 10
 
-// Stats counts platform activity. It predates the metrics registry and
-// is kept for compatibility; the registry (Platform.Metrics) carries
-// the same counts plus per-command and error detail. The fields are
-// mutated with atomic adds on the handle path and snapshotted with
-// atomic loads by Stats(), so reading them while boards run
-// concurrently is race-free.
-type Stats struct {
-	FramesIn        uint64
-	FramesOut       uint64
-	BadFrames       uint64
-	PassedThrough   uint64 // non-Liquid traffic the CPP ignored
-	ChunksReceived  uint64
-	LoadsCompleted  uint64
-	CommandsHandled uint64
-}
-
-// platformMetrics are the registry instruments behind Stats.
+// platformMetrics are the platform's registry instruments.
 type platformMetrics struct {
 	framesIn      *metrics.Counter
 	framesOut     *metrics.Counter
@@ -108,9 +94,10 @@ type Platform struct {
 	ReconfigAsyncFn func(tc tracing.Ctx, spec []byte) (netproto.ReconfigStatusResp, error)
 	// ReconfigStatusFn answers CmdReconfigStatus and CmdWaitReconfig.
 	// Calling it also pumps: a synthesis that completed while the board
-	// was busy is swapped in here, on the dispatching goroutine — the
-	// board worker when a server mounts this platform, which is the
-	// goroutine SoC mutation is confined to.
+	// was busy is swapped in here. The swap itself runs on the board's
+	// actor; the protocol state a full swap resets (SetControl) belongs
+	// to the dispatching goroutine, the board worker when a server
+	// mounts this platform.
 	ReconfigStatusFn func() netproto.ReconfigStatusResp
 	// ConfigFn, when set, implements CmdGetConfig.
 	ConfigFn func() []byte
@@ -127,8 +114,6 @@ type Platform struct {
 	load       *loadState
 	loadedAddr uint32
 	dedup      *dedupCache
-	stats      Stats
-	runDone    func() // completion hook, re-installed across SetControl
 	// reconfigWake, when set, is invoked (from the core's ticket
 	// watcher goroutine) whenever an asynchronous reconfiguration
 	// finishes synthesis — the server's cue to pump the swap and wake
@@ -212,48 +197,24 @@ func (p *Platform) SetFlightRecorder(fr *tracing.FlightRecorder) { p.flight = fr
 // FlightRecorder returns the attached flight recorder (nil when none).
 func (p *Platform) FlightRecorder() *tracing.FlightRecorder { return p.flight }
 
-// SetControl swaps the LEON controller behind the platform — the
-// moment after a new bitfile is loaded into the RAD and the rebuilt
-// processor comes out of reset.
-func (p *Platform) SetControl(ctrl LEONControl) {
-	p.ctrl = ctrl
+// SetControl is the platform's side of a bitfile reload: the rebuilt
+// processor comes out of reset behind the same controller, and what
+// the platform kept for the old one goes — the load in reassembly, the
+// loaded address and the dedup window.
+func (p *Platform) SetControl() {
 	p.load = nil
 	p.loadedAddr = 0
 	p.dedup = newDedupCache()
-	// Keep the completion hook across the swap: the server's waiter
-	// registry must still be woken by runs on the rebuilt processor.
-	if p.runDone != nil {
-		if n, ok := ctrl.(RunDoneNotifier); ok {
-			n.SetRunDoneHook(p.runDone)
-		}
-	}
 }
 
-// Control returns the LEON controller currently behind the platform.
-// The server's worker uses it to decide whether a CmdWaitResult
-// exchange can be parked (the board must be observably running).
+// Control returns the LEON controller behind the platform. The
+// server's worker uses it to decide whether a CmdWaitResult exchange
+// can be parked (the board must be observably running).
 func (p *Platform) Control() LEONControl { return p.ctrl }
 
-// RunDoneNotifier is the optional LEONControl extension a controller
-// implements to support server-held result waits: fn is invoked every
-// time a run completes. *leon.AsyncController implements it.
-type RunDoneNotifier interface {
-	SetRunDoneHook(fn func())
-}
-
 // SetRunDoneHook asks the platform's controller to invoke fn whenever
-// a run completes, and reports whether the controller supports
-// completion notification. The hook survives SetControl: it is
-// re-installed on the replacement controller (when that controller is
-// a notifier too). fn must not block.
-func (p *Platform) SetRunDoneHook(fn func()) bool {
-	p.runDone = fn
-	if n, ok := p.ctrl.(RunDoneNotifier); ok {
-		n.SetRunDoneHook(fn)
-		return true
-	}
-	return false
-}
+// a run completes. fn must not block.
+func (p *Platform) SetRunDoneHook(fn func()) { p.ctrl.SetRunDoneHook(fn) }
 
 // SetReconfigWakeHook asks the platform to invoke fn whenever an
 // asynchronous reconfiguration finishes its synthesis, and reports
@@ -290,21 +251,6 @@ func (p *Platform) ReconfigInFlight() bool {
 	return st.State != netproto.ReconfigNone && !st.Terminal()
 }
 
-// Stats returns a snapshot of the activity counters, taken with
-// atomic loads so it is safe against a concurrently running handle
-// path.
-func (p *Platform) Stats() Stats {
-	return Stats{
-		FramesIn:        atomic.LoadUint64(&p.stats.FramesIn),
-		FramesOut:       atomic.LoadUint64(&p.stats.FramesOut),
-		BadFrames:       atomic.LoadUint64(&p.stats.BadFrames),
-		PassedThrough:   atomic.LoadUint64(&p.stats.PassedThrough),
-		ChunksReceived:  atomic.LoadUint64(&p.stats.ChunksReceived),
-		LoadsCompleted:  atomic.LoadUint64(&p.stats.LoadsCompleted),
-		CommandsHandled: atomic.LoadUint64(&p.stats.CommandsHandled),
-	}
-}
-
 // LoadedAddr returns the address of the last fully reassembled load.
 func (p *Platform) LoadedAddr() uint32 { return p.loadedAddr }
 
@@ -326,17 +272,14 @@ func (p *Platform) HandleFrame(frame []byte) ([][]byte, error) {
 // or mints one when tracing is enabled and finishes it when the
 // exchange is handled.
 func (p *Platform) HandleFrameTraced(frame []byte, xc tracing.Ctx) ([][]byte, error) {
-	atomic.AddUint64(&p.stats.FramesIn, 1)
 	p.m.framesIn.Inc()
 	f, err := netproto.ParseFrame(frame)
 	if err != nil {
-		atomic.AddUint64(&p.stats.BadFrames, 1)
 		p.m.badFrames.Inc()
 		p.events.Warnf("wrappers rejected frame", "err", err)
 		return nil, fmt.Errorf("fpx: wrappers rejected frame: %w", err)
 	}
 	if f.UDP.DstPort != p.Port || !netproto.IsLiquidPacket(f.Payload) {
-		atomic.AddUint64(&p.stats.PassedThrough, 1)
 		p.m.passedThrough.Inc()
 		return nil, nil
 	}
@@ -344,7 +287,6 @@ func (p *Platform) HandleFrameTraced(frame []byte, xc tracing.Ctx) ([][]byte, er
 	frames := make([][]byte, len(resps))
 	for i, r := range resps {
 		frames[i] = netproto.BuildFrame(p.IP, f.IP.Src, p.Port, f.UDP.SrcPort, r.Marshal())
-		atomic.AddUint64(&p.stats.FramesOut, 1)
 		p.m.framesOut.Inc()
 	}
 	return frames, nil
@@ -436,7 +378,6 @@ func (p *Platform) HandlePayloadFromTraced(src string, payload []byte, xc tracin
 		p.flightOnError(xc.TraceID())
 		return resps
 	}
-	atomic.AddUint64(&p.stats.CommandsHandled, 1)
 	p.m.commands.With(netproto.CommandName(pkt.Command)).Inc()
 
 	// Resolve the exchange's trace and open the handle span. CmdTraces
@@ -565,14 +506,6 @@ func (p *Platform) dispatch(pkt netproto.Packet, tc tracing.Ctx) []netproto.Pack
 	}
 }
 
-// CtxStarter is the optional LEONControl extension a trace-aware
-// controller implements: Start with the exchange's trace context, so
-// the asynchronous run's spans (run, slices) nest under the trace that
-// started it.
-type CtxStarter interface {
-	StartCtx(tc tracing.Ctx, entry uint32, maxCycles uint64) error
-}
-
 // tracesCmd answers CmdTraces with completed exchange traces as JSON.
 // An 8-byte body selects (and force-completes) one trace id; an empty
 // body returns the whole completed ring. Oldest traces are dropped
@@ -689,7 +622,6 @@ func (p *Platform) loadChunk(body []byte) netproto.Packet {
 	if err != nil {
 		return p.errResp(netproto.CmdLoadProgram, err)
 	}
-	atomic.AddUint64(&p.stats.ChunksReceived, 1)
 	p.m.chunks.Inc()
 	if p.load == nil || p.load.addr != c.Addr || p.load.total != c.Total || len(p.load.buf) != int(c.TotalLen) {
 		p.load = &loadState{
@@ -725,7 +657,6 @@ func (p *Platform) loadChunk(body []byte) netproto.Packet {
 		return p.errResp(netproto.CmdLoadProgram, err)
 	}
 	p.loadedAddr = ls.addr
-	atomic.AddUint64(&p.stats.LoadsCompleted, 1)
 	p.m.loadsDone.Inc()
 	p.events.Infof("program load complete", "addr", fmt.Sprintf("%#x", ls.addr), "bytes", len(ls.buf))
 	ack := loadAck(netproto.StatusOK, ls)
@@ -751,12 +682,7 @@ func (p *Platform) start(body []byte, tc tracing.Ctx) netproto.Packet {
 		rep := netproto.RunReport{Status: netproto.StatusRunning, Cycles: p.ctrl.Cycles()}
 		return netproto.Packet{Command: netproto.CmdStartLEON | netproto.RespFlag, Body: rep.Marshal()}
 	}
-	if cs, ok := p.ctrl.(CtxStarter); ok && tc.On() {
-		err = cs.StartCtx(tc, entry, maxCycles)
-	} else {
-		err = p.ctrl.Start(entry, maxCycles)
-	}
-	if err != nil {
+	if err := p.ctrl.StartCtx(tc, entry, maxCycles); err != nil {
 		return p.errResp(netproto.CmdStartLEON, err)
 	}
 	rep := netproto.RunReport{Status: netproto.StatusRunning, Cycles: p.ctrl.Cycles()}

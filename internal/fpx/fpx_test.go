@@ -116,9 +116,7 @@ func TestFullRemoteSession(t *testing.T) {
 	// 3. Start (entry 0 = last load address): the §3.1 handoff acks
 	// immediately with "running"...
 	done := make(chan struct{})
-	if !p.SetRunDoneHook(func() { close(done) }) {
-		t.Fatal("controller does not support the run-done hook")
-	}
+	p.SetRunDoneHook(func() { close(done) })
 	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
 	rep, err := netproto.ParseRunReport(resps[0].Body)
 	if err != nil {
@@ -163,8 +161,12 @@ func TestFullRemoteSession(t *testing.T) {
 	if got := uint32(mr.Data[0])<<24 | uint32(mr.Data[1])<<16 | uint32(mr.Data[2])<<8 | uint32(mr.Data[3]); got != 0xBEEF {
 		t.Errorf("result = %#x", got)
 	}
-	if p.Stats().LoadsCompleted != 1 || p.Stats().CommandsHandled < 4 {
-		t.Errorf("stats = %+v", p.Stats())
+	snap := p.Metrics().Snapshot()
+	if got := snap.Counter("liquid_fpx_loads_completed_total"); got != 1 {
+		t.Errorf("loads completed = %d, want 1", got)
+	}
+	if got := snap.Counter(`liquid_fpx_commands_total{cmd="start"}`); got != 1 {
+		t.Errorf("start commands = %d, want 1", got)
 	}
 }
 
@@ -223,15 +225,15 @@ func TestNonLiquidTrafficPassesThrough(t *testing.T) {
 	if err != nil || len(outs) != 0 {
 		t.Errorf("non-liquid frame: %d responses, %v", len(outs), err)
 	}
-	if p.Stats().PassedThrough != 2 {
-		t.Errorf("PassedThrough = %d", p.Stats().PassedThrough)
+	if got := p.Metrics().Snapshot().Counter("liquid_fpx_frames_passthrough_total"); got != 2 {
+		t.Errorf("passed through = %d, want 2", got)
 	}
 	// Corrupt frame is counted and reported.
 	if _, err := p.HandleFrame([]byte{1, 2, 3}); err == nil {
 		t.Error("garbage frame accepted")
 	}
-	if p.Stats().BadFrames != 1 {
-		t.Errorf("BadFrames = %d", p.Stats().BadFrames)
+	if got := p.Metrics().Snapshot().Counter("liquid_fpx_frames_bad_total"); got != 1 {
+		t.Errorf("bad frames = %d, want 1", got)
 	}
 }
 
@@ -266,9 +268,7 @@ func TestFaultingProgramReportsStatusFault(t *testing.T) {
 		default: // the hook must not block
 		}
 	}
-	if !p.SetRunDoneHook(hook) {
-		t.Fatal("controller does not support the run-done hook")
-	}
+	p.SetRunDoneHook(hook)
 	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
 	if resps[0].Command != netproto.CmdStartLEON|netproto.RespFlag {
 		t.Fatalf("start response %#x", resps[0].Command)

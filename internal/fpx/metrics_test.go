@@ -55,16 +55,11 @@ func TestPlatformMetricsCounted(t *testing.T) {
 	if got := snap.Counter("liquid_fpx_frames_out_total"); got != 5 {
 		t.Errorf("frames_out = %d, want 5", got)
 	}
-
-	// The legacy Stats struct still agrees with the registry.
-	if st := p.Stats(); st.FramesIn != 5 || st.CommandsHandled != 5 {
-		t.Errorf("legacy stats diverged: %+v", st)
-	}
 }
 
-// TestStatsRaceFree hammers the legacy Stats() snapshot while the
-// handle path runs — the fields are atomic now, so this is clean
-// under -race (boards run concurrently behind the multi-board node).
+// TestStatsRaceFree hammers the registry snapshot while the handle
+// path runs: it is clean under -race (a scrape reads the counters
+// while boards run concurrently behind the multi-board node).
 func TestStatsRaceFree(t *testing.T) {
 	em := NewEmulator()
 	p := New(em, fpxIP, fpxPort)
@@ -79,7 +74,7 @@ func TestStatsRaceFree(t *testing.T) {
 				case <-done:
 					return
 				default:
-					_ = p.Stats()
+					_ = p.Metrics().Snapshot()
 				}
 			}
 		}()
@@ -93,8 +88,8 @@ func TestStatsRaceFree(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if got := p.Stats().CommandsHandled; got != 500 {
-		t.Errorf("CommandsHandled = %d, want 500", got)
+	if got := p.Metrics().Snapshot().Counter(`liquid_fpx_commands_total{cmd="status"}`); got != 500 {
+		t.Errorf("status commands = %d, want 500", got)
 	}
 }
 

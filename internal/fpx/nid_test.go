@@ -29,9 +29,10 @@ func TestSwitchRoutesByDestination(t *testing.T) {
 	if len(resps) != 1 {
 		t.Fatalf("%d responses", len(resps))
 	}
-	if nodeB.Stats().CommandsHandled != 1 || nodeA.Stats().CommandsHandled != 0 {
-		t.Errorf("command landed on the wrong node: A=%d B=%d",
-			nodeA.Stats().CommandsHandled, nodeB.Stats().CommandsHandled)
+	const handled = `liquid_fpx_commands_total{cmd="status"}`
+	a, b := nodeA.Metrics().Snapshot().Counter(handled), nodeB.Metrics().Snapshot().Counter(handled)
+	if a != 0 || b != 1 {
+		t.Errorf("command landed on the wrong node: A=%d B=%d", a, b)
 	}
 	// The response frame is addressed back to the sender.
 	f, err := netproto.ParseFrame(resps[0])

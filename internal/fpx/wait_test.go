@@ -86,9 +86,7 @@ func TestWaitResultCommand(t *testing.T) {
 	// by sleep-polling. The hook is armed mid-run; if the run already
 	// finished by the time we look, the state check skips the wait.
 	done := make(chan struct{})
-	if !p.SetRunDoneHook(func() { close(done) }) {
-		t.Fatal("controller does not support the run-done hook")
-	}
+	p.SetRunDoneHook(func() { close(done) })
 	if p.Control().State() == leon.StateRunning {
 		select {
 		case <-done:
@@ -115,17 +113,15 @@ func TestWaitResultCommand(t *testing.T) {
 	}
 }
 
-// TestRunDoneHookPlumbing: the platform exposes the controller's
-// completion hook when (and only when) the controller supports it, and
-// keeps it installed across a SetControl board swap.
+// TestRunDoneHookPlumbing: the platform hands the completion hook to
+// its controller, the emulator and the board actor alike, and the
+// SetControl reset of a bitfile reload leaves it installed.
 func TestRunDoneHookPlumbing(t *testing.T) {
 	// The emulator completes pretend runs on its pacing clock, so it
-	// supports the hook too (simulated nodes park waits against it).
+	// fires the hook too (simulated nodes park waits against it).
 	emu := NewEmulator()
 	emuFired := 0
-	if ok := New(emu, fpxIP, fpxPort).SetRunDoneHook(func() { emuFired++ }); !ok {
-		t.Error("emulator platform rejected the run-done hook")
-	}
+	New(emu, fpxIP, fpxPort).SetRunDoneHook(func() { emuFired++ })
 	if err := emu.LoadProgram(leon.MailboxEnd, []byte{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -138,22 +134,8 @@ func TestRunDoneHookPlumbing(t *testing.T) {
 
 	p := newLEONPlatform(t)
 	fired := make(chan struct{}, 4)
-	if ok := p.SetRunDoneHook(func() { fired <- struct{}{} }); !ok {
-		t.Fatal("async-controller platform rejected the run-done hook")
-	}
-
-	// Swap in a rebuilt board: the hook must survive the swap.
-	soc, err := leon.New(leon.DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl := leon.NewController(soc)
-	if err := ctrl.Boot(); err != nil {
-		t.Fatal(err)
-	}
-	swapped := leon.NewAsyncController(ctrl)
-	t.Cleanup(swapped.Close)
-	p.SetControl(swapped)
+	p.SetRunDoneHook(func() { fired <- struct{}{} })
+	p.SetControl()
 
 	obj := testProgram(t)
 	loadVia(t, p, obj)
@@ -164,6 +146,6 @@ func TestRunDoneHookPlumbing(t *testing.T) {
 	select {
 	case <-fired:
 	case <-time.After(5 * time.Second):
-		t.Fatal("run-done hook never fired after SetControl swap")
+		t.Fatal("run-done hook never fired after the SetControl reset")
 	}
 }

@@ -282,6 +282,27 @@ func (a *AsyncController) LastResult() RunResult {
 	return a.lastRes
 }
 
+// Reload is Controller.Reload served between step slices: a full
+// reconfiguration of the board this actor goes on serving. The actor
+// forgets its finished run with the old fabric, so State, LastResult
+// and CollectResult answer as for a freshly booted board: idle, with a
+// zero result.
+func (a *AsyncController) Reload(cfg Config) error {
+	err := ErrClosed
+	if derr := a.Do(func(c *Controller) {
+		old := c.SoC()
+		err = c.Reload(cfg)
+		if c.SoC() != old {
+			a.mu.Lock()
+			a.run = nil
+			a.mu.Unlock()
+		}
+	}); derr != nil {
+		return derr
+	}
+	return err
+}
+
 // LoadProgram writes a program image through the user port. While a
 // run is in flight the underlying controller rejects it ("cannot load
 // in state running") — the request itself is served between slices.
@@ -369,9 +390,10 @@ func (a *AsyncController) StartOpts(entry uint32, maxCycles uint64, opts RunOpti
 	return err
 }
 
-// StartCtx is the trace-aware handoff (fpx.CtxStarter): the actor's
-// per-slice spans land under tc. Platforms built on a bare actor (no
-// core.System wrapper) get run-slice visibility through this.
+// StartCtx is Start under an exchange trace: the actor's per-slice
+// spans land under tc (a disabled tc records none). It is the handoff
+// the FPX platform makes, so a platform built on a bare actor (no
+// core.System wrapper) gets run-slice visibility through it.
 func (a *AsyncController) StartCtx(tc tracing.Ctx, entry uint32, maxCycles uint64) error {
 	return a.StartOpts(entry, maxCycles, RunOptions{Trace: tc})
 }

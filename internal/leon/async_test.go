@@ -278,3 +278,82 @@ func TestAsyncCloseAbandonsRun(t *testing.T) {
 		t.Errorf("post-close collect err = %v", err)
 	}
 }
+
+// storeLoop stores on every iteration, so no fast-forward shortens it:
+// it runs until its budget ends or the actor is closed.
+const storeLoop = `
+_start:
+	set result, %g1
+loop:
+	st %g0, [%g1]
+	ba loop
+	nop
+result:	.word 0
+`
+
+// TestAsyncReload: a full swap served on the actor is refused with
+// ErrRunning while a run is in flight, and a refused configuration
+// changes nothing. A swap after a run boots the new fabric on the same
+// memories, and the actor then answers like a freshly booted board.
+func TestAsyncReload(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CPU.NWindows = 16
+
+	t.Run("refused mid-run", func(t *testing.T) {
+		a := newAsync(t)
+		obj := buildAt(t, storeLoop)
+		if err := a.LoadProgram(obj.Origin, obj.Code); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Start(obj.Origin, 1<<40); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Reload(cfg); !errors.Is(err, ErrRunning) {
+			t.Errorf("Reload mid-run = %v, want ErrRunning", err)
+		}
+		if st := a.State(); st != StateRunning {
+			t.Errorf("state after a refused reload = %v, want running", st)
+		}
+	})
+
+	t.Run("after a run", func(t *testing.T) {
+		a := newAsync(t)
+		obj := buildAt(t, shortProg)
+		if err := a.LoadProgram(obj.Origin, obj.Code); err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Execute(obj.Origin, 0)
+		if err != nil || res.Cycles == 0 {
+			t.Fatalf("run = %+v, %v", res, err)
+		}
+		resize := cfg
+		resize.SRAMSize *= 2
+		if err := a.Reload(resize); err == nil {
+			t.Fatal("a resize was reloaded")
+		}
+		if got, err := a.CollectResult(); err != nil || got != res {
+			t.Errorf("result after a refused reload = %+v, %v; want %+v", got, err, res)
+		}
+
+		if err := a.Reload(cfg); err != nil {
+			t.Fatal(err)
+		}
+		var windows int
+		if err := a.Do(func(c *Controller) { windows = c.SoC().Config.CPU.NWindows }); err != nil {
+			t.Fatal(err)
+		}
+		if windows != 16 {
+			t.Errorf("the actor serves %d register windows, want 16", windows)
+		}
+		if a.State() != StateIdle || a.Cycles() != 0 || a.LastResult() != (RunResult{}) {
+			t.Errorf("after the reload: state %v, %d cycles, last %+v; want idle and zero", a.State(), a.Cycles(), a.LastResult())
+		}
+		if got, err := a.CollectResult(); err != nil || got != (RunResult{}) {
+			t.Errorf("collect after the reload = %+v, %v; want a zero result", got, err)
+		}
+		// The program is still in SRAM and runs on the new fabric.
+		if got, err := a.Execute(obj.Origin, 0); err != nil || got.Cycles == 0 {
+			t.Errorf("run after the reload = %+v, %v", got, err)
+		}
+	})
+}

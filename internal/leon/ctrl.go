@@ -40,6 +40,10 @@ func (s State) String() string {
 // ErrBudget reports that a run exceeded its cycle budget.
 var ErrBudget = errors.New("leon: cycle budget exhausted")
 
+// ErrRunning reports a request that needs an idle processor — a
+// bitfile reload — made while a run is in flight.
+var ErrRunning = errors.New("leon: a run is in flight")
+
 // RunResult is what the hardware cycle counter and fault mailbox report
 // after a program run.
 type RunResult struct {
@@ -105,6 +109,23 @@ func (c *Controller) Boot() error {
 		}
 	}
 	return fmt.Errorf("leon: boot did not reach the poll loop: %w", ErrBudget)
+}
+
+// Reload reprograms the board's FPGA with cfg: the controller takes
+// the SoC that SoC.Reload builds on the same SRAM and SDRAM, boots it
+// and forgets the last run, which belonged to the old fabric. The
+// reload would kill a program, so Reload refuses with ErrRunning while
+// a run is in flight; a refused cfg leaves everything as it was.
+func (c *Controller) Reload(cfg Config) error {
+	if c.state == StateRunning {
+		return ErrRunning
+	}
+	soc, err := c.soc.Reload(cfg)
+	if err != nil {
+		return err
+	}
+	*c = Controller{soc: soc}
+	return c.Boot()
 }
 
 // LoadProgram writes a program image into SRAM through the user-side

@@ -93,7 +93,7 @@ func fillFailures() []fillFailure {
 			mount:   sdram(4),
 			addr:    failBase,
 			cycles:  1 + 1 + 8 + 2*2, // and the first chunk's handshake and two beats
-			ahb:     amba.Stats{BusErrors: 1},
+			ahb:     amba.Stats{WaitCycles: 8 + 2*2, BusErrors: 1},
 			adapter: ahbadapter.Stats{BurstChunks: 1},
 			ctrl:    mem.ControllerStats{Requests: 1, ReadBeats: 2},
 		},
@@ -104,7 +104,7 @@ func fillFailures() []fillFailure {
 			mount:   sdram(3),
 			addr:    failBase,
 			cycles:  1 + 1 + 8 + 2*2,
-			ahb:     amba.Stats{BusErrors: 1},
+			ahb:     amba.Stats{WaitCycles: 8 + 2*2, BusErrors: 1},
 			adapter: ahbadapter.Stats{BurstChunks: 1, WastedWords: 1},
 			ctrl:    mem.ControllerStats{Requests: 1, ReadBeats: 2},
 		},

@@ -193,31 +193,22 @@ func NewWithOptions(cfg Config, uartOut io.Writer, opts Options) (*SoC, error) {
 // options. Everything in the fabric is new — CPU, caches, SDRAM
 // controller and ports, adapter, peripherals, boot ROM — so statistics
 // and simulated time start from zero. The board's memory sizes are
-// fixed: a cfg naming other sizes is an error (CanReload). The new CPU
-// also takes over s's predecode and execution-profile tables
-// (cpu.NewFrom) rather than allocating its own, so s must not step once
-// Reload has succeeded: stop whatever drives it first. From then on
-// only the new SoC may use the memories.
+// fixed: a cfg naming other sizes is refused before anything is built.
+// The new CPU also takes over s's predecode and execution-profile
+// tables (cpu.NewFrom) rather than allocating its own, so s must not
+// step once Reload has succeeded (Controller.Reload swaps it out). From
+// then on only the new SoC may use the memories.
 func (s *SoC) Reload(cfg Config) (*SoC, error) {
-	if err := s.CanReload(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return newSoC(cfg, s.uartOut, Options{Quantum: s.Quantum}, s.SRAM, s.SDRAM, s.CPU)
-}
-
-// CanReload returns the error Reload would refuse cfg with, or nil:
-// cfg must be valid and name the board's memory sizes.
-func (s *SoC) CanReload(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
 	if cfg.SRAMSize != s.Config.SRAMSize {
-		return fmt.Errorf("leon: reload asks for %d bytes of SRAM; the board has %d", cfg.SRAMSize, s.Config.SRAMSize)
+		return nil, fmt.Errorf("leon: reload asks for %d bytes of SRAM; the board has %d", cfg.SRAMSize, s.Config.SRAMSize)
 	}
 	if cfg.SDRAMSize != s.Config.SDRAMSize {
-		return fmt.Errorf("leon: reload asks for %d bytes of SDRAM; the board has %d", cfg.SDRAMSize, s.Config.SDRAMSize)
+		return nil, fmt.Errorf("leon: reload asks for %d bytes of SDRAM; the board has %d", cfg.SDRAMSize, s.Config.SDRAMSize)
 	}
-	return nil
+	return newSoC(cfg, s.uartOut, Options{Quantum: s.Quantum}, s.SRAM, s.SDRAM, s.CPU)
 }
 
 // newSoC builds the fabric for a validated cfg around the board

@@ -113,8 +113,7 @@ type Log struct {
 	MinLevel Level
 
 	// Mirror, when non-nil, additionally receives one printf-style line
-	// per event — the compatibility shim for the old Server.Log hook
-	// and for -v console logging.
+	// per event: liquid-server -v points it at the console.
 	Mirror func(format string, args ...any)
 
 	// now is stubbed in tests.

@@ -121,11 +121,6 @@ type Server struct {
 	clk    sim.Clock
 	queues []chan job
 
-	// Log, when non-nil, receives one line per handled datagram. It is
-	// the legacy printf hook, kept as a compatibility shim over the
-	// structured event log (see Events).
-	Log func(format string, args ...any)
-
 	m       serverMetrics
 	events  *eventlog.Log
 	tracer  *tracing.Collector
@@ -353,7 +348,6 @@ func (s *Server) dispatch(bufp *[]byte, payload []byte, peer *net.UDPAddr) {
 		// and count instead of forging a source (the old code silently
 		// coerced non-v4 peers to 127.0.0.1).
 		s.events.Warnf("unmappable peer address", "peer", peer)
-		s.logf("drop from %v: unmappable peer address", peer)
 		s.dropOnReadLoop(j, board, "peer_addr")
 		return
 	}
@@ -450,7 +444,6 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 			pprof.SetGoroutineLabels(cmds[j.cmd].labels)
 			if err := s.process(p, j); err != nil {
 				s.events.Warnf("request dropped", "peer", j.peer, "board", board, "err", err)
-				s.logf("drop from %v: %v", j.peer, err)
 			}
 			pprof.SetGoroutineLabels(ctx)
 			s.bufs.Put(j.bufp)
@@ -461,7 +454,7 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 		// board's actor goroutine and must never block, and one token is
 		// enough — the worker releases every parked waiter per token.
 		wake := make(chan struct{}, 1)
-		canPark := p.SetRunDoneHook(func() {
+		p.SetRunDoneHook(func() {
 			select {
 			case wake <- struct{}{}:
 			default:
@@ -469,8 +462,8 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 		})
 		// rwake is the reconfiguration twin: the core's ticket watcher
 		// signals it when an asynchronous synthesis completes, and the
-		// worker pumps the swap HERE — this goroutine is the one SoC
-		// mutation is confined to — before releasing reconfig waiters.
+		// worker pumps the swap HERE — this goroutine owns the platform
+		// state a full swap resets — before releasing reconfig waiters.
 		rwake := make(chan struct{}, 1)
 		canParkReconfig := p.SetReconfigWakeHook(func() {
 			select {
@@ -531,7 +524,7 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 				if j.qspan.On() { // queue wait is over; processing begins
 					j.qspan.EndAttrs(cmds[j.cmd].queueAttrs...)
 				}
-				if pw, keep := s.tryPark(p, j, canPark, canParkReconfig, parked, wake, rwake); keep {
+				if pw, keep := s.tryPark(p, j, canParkReconfig, parked, wake, rwake); keep {
 					parked = append(parked, pw)
 					continue
 				} else if pw.key == dupSentinel {
@@ -619,7 +612,7 @@ const dupSentinel = "\x00dup"
 // (entry, true) to park, (zero, false) to process normally, or
 // (entry with key==dupSentinel, false) when j duplicates a parked
 // exchange and must be dropped.
-func (s *Server) tryPark(p *fpx.Platform, j job, canPark, canParkReconfig bool, parked []parkedWait, wake, rwake chan struct{}) (parkedWait, bool) {
+func (s *Server) tryPark(p *fpx.Platform, j job, canParkReconfig bool, parked []parkedWait, wake, rwake chan struct{}) (parkedWait, bool) {
 	pkt, err := netproto.ParsePacket(j.payload)
 	if err != nil {
 		return parkedWait{}, false
@@ -627,9 +620,6 @@ func (s *Server) tryPark(p *fpx.Platform, j job, canPark, canParkReconfig bool, 
 	var kind string
 	switch pkt.Command {
 	case netproto.CmdWaitResult:
-		if !canPark {
-			return parkedWait{}, false
-		}
 		kind = waitKindResult
 	case netproto.CmdWaitReconfig:
 		if !canParkReconfig {
@@ -732,15 +722,7 @@ func (s *Server) process(p *fpx.Platform, j job) error {
 	}
 	s.m.handleDur.With(j.cmd).Observe(s.clk.Since(j.start).Seconds())
 	s.events.Debugf("handled", "peer", j.peer, "cmd", j.cmd, "bytes", len(j.payload), "responses", len(outs))
-	s.logf("%v: %d byte request, %d responses", j.peer, len(j.payload), len(outs))
 	return nil
-}
-
-// logf feeds the legacy printf hook when installed.
-func (s *Server) logf(format string, args ...any) {
-	if s.Log != nil {
-		s.Log(format, args...)
-	}
 }
 
 // ipv4Of maps an IP to 4 bytes for the synthetic frame source.

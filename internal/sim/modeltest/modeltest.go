@@ -725,11 +725,13 @@ func (h *harness) finalCheck() error {
 				fmt.Sprintf("byte %#x = %#02x", leon.DefaultLoadAddr+off, sm[off]),
 				fmt.Sprintf("byte %#x = %#02x", leon.DefaultLoadAddr+off, rm[off]))
 		}
-		ss, rs := h.sut.plats[b].Stats(), h.refB.plats[b].Stats()
-		if ss.LoadsCompleted != rs.LoadsCompleted {
+		const loads = "liquid_fpx_loads_completed_total"
+		sl := h.sut.plats[b].Metrics().Snapshot().Counter(loads)
+		rl := h.refB.plats[b].Metrics().Snapshot().Counter(loads)
+		if sl != rl {
 			return h.diverge(len(h.trace), fmt.Sprintf("final-loads board=%d", b),
-				fmt.Sprintf("loads_completed=%d", ss.LoadsCompleted),
-				fmt.Sprintf("loads_completed=%d", rs.LoadsCompleted))
+				fmt.Sprintf("loads_completed=%d", sl),
+				fmt.Sprintf("loads_completed=%d", rl))
 		}
 	}
 	return nil
