@@ -44,7 +44,8 @@ chaos:
 # reference verifier kept in its test file. FuzzSuperblockDiff holds
 # the superblock dispatcher (StepN) to the single-step interpreter on
 # arbitrary instruction words, batch sizes, stop addresses and cycle
-# caps.
+# caps. FuzzDeliver feeds the client's delivery engine arbitrary reply
+# datagrams and holds its datagram, metric and span accounting equal.
 # The nightly workflow runs it.
 fuzz-smoke:
 	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 5s
@@ -55,6 +56,7 @@ fuzz-smoke:
 	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParseFrame -fuzztime 5s
 	$(GO) test ./internal/reconfig/ -run '^$$' -fuzz FuzzImageCodec -fuzztime 5s
 	$(GO) test ./internal/cpu/ -run '^$$' -fuzz FuzzSuperblockDiff -fuzztime 5s
+	$(GO) test ./internal/client/ -run '^$$' -fuzz FuzzDeliver -fuzztime 5s
 
 # cover-gate fails if statement coverage of the transport packages —
 # the ones the chaos work hardens — drops below the floor.

@@ -509,7 +509,7 @@ func BenchmarkReconfigCache(b *testing.B) {
 		runtime.ReadMemStats(&ms)
 		perSwap := float64(ms.TotalAlloc-allocated) / float64(b.N)
 		b.ReportMetric(perSwap, "B-alloc/swap")
-		if sys.PartialReconfigurations() != 0 {
+		if sys.Metrics().Snapshot().Counter(`liquid_core_reconfigurations_total{kind="partial"}`) != 0 {
 			b.Fatal("partial path used")
 		}
 		if os.Getenv("LIQUID_BENCH_GATE") != "" && perSwap > fullSwapAllocCeiling {

@@ -16,17 +16,28 @@
 //     instead of restarting, so an interrupted load never re-sends
 //     chunks the board already holds.
 //
+// One delivery engine (deliver) does all of this for every exchange: a
+// verb's request is a batch of one with a window of one, and a load is
+// a batch of chunks kept in flight through a sliding window. Both share
+// the reply filter, the backoff schedule, the retry budget and the span
+// accounting, and every reply is read into the client's one receive
+// buffer.
+//
 // A Client is not safe for concurrent use; open one client per
-// goroutine (they are cheap — one UDP socket each).
+// goroutine (they are cheap — one UDP socket and one 64 KiB receive
+// buffer each).
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
+	"strconv"
 	"time"
 
 	"liquidarch/internal/metrics"
@@ -213,6 +224,7 @@ type Client struct {
 	seq uint16
 	rng *rand.Rand
 	op  tracing.Ctx // active operation span context, if any
+	buf []byte      // every reply is read here; bodies alias it until the next read
 
 	reg *metrics.Registry
 	m   clientMetrics
@@ -247,6 +259,7 @@ func New(conn Conn, clk sim.Clock) *Client {
 		Retries:       3,
 		PollInterval:  2 * time.Millisecond,
 		rng:           rand.New(rand.NewSource(sim.Real.Now().UnixNano())),
+		buf:           make([]byte, 64<<10),
 		reg:           reg,
 		m:             newClientMetrics(reg),
 	}
@@ -310,184 +323,319 @@ func (c *Client) jittered(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// roundTrip sends pkt and waits for a response to the same exchange,
-// retransmitting with exponential backoff on timeout.
-func (c *Client) roundTrip(pkt netproto.Packet) (netproto.Packet, error) {
-	return c.exchangeCtx(context.Background(), pkt, time.Time{}, 0)
+// roundTrip is one request/response exchange of cmd: a batch of one
+// (see deliver). It returns the reply body, copied out of the read
+// buffer.
+func (c *Client) roundTrip(cmd uint8, body []byte) ([]byte, error) {
+	return c.exchangeCtx(context.Background(), cmd, body, time.Time{}, 0)
 }
 
-// exchangeCtx is roundTrip with the extensions the server-held wait
-// needs: an optional overall deadline (zero = none) at which attempts
-// stop and per-attempt read deadlines are capped — so WaitTimeout is
-// honored even when every exchange in a streak times out; extraWait,
-// which stretches every attempt's read deadline beyond the backoff
-// schedule (a parked wait legitimately answers up to the hold late,
-// which must not read as loss); and a ctx whose cancellation
-// interrupts even a blocked read by expiring the socket's read
-// deadline from the context's watcher goroutine.
-//
-// A CmdError response becomes an error; responses carrying a stale
-// exchange seq (duplicates, reordered strays) are counted and
-// discarded.
-func (c *Client) exchangeCtx(ctx context.Context, pkt netproto.Packet, overall time.Time, extraWait time.Duration) (netproto.Packet, error) {
-	c.seq++
-	pkt.Board, pkt.Seq, pkt.HasSeq, pkt.TraceID = c.Board, c.seq, true, c.TraceID
-	want := pkt.Command | netproto.RespFlag
-	raw := pkt.Marshal()
-	buf := make([]byte, 64<<10)
-	c.m.requests.With(netproto.CommandName(pkt.Command)).Inc()
-	start := c.clk.Now()
+// exchangeCtx is roundTrip with the bounds a server-held wait needs:
+// an overall deadline (zero = none) and a hold that stretches every
+// read (see batch), and a ctx whose cancellation interrupts even a
+// blocked read.
+func (c *Client) exchangeCtx(ctx context.Context, cmd uint8, body []byte, overall time.Time, hold time.Duration) ([]byte, error) {
+	var reply []byte
+	_, err := c.deliver(ctx, batch{
+		cmd: cmd, n: 1, window: 1, overall: overall, hold: hold,
+		body: func(int) []byte { return body },
+		reply: func(_ int, b []byte) (int, error) {
+			reply = bytes.Clone(b) // b aliases the buffer the next read reuses
+			return 1, nil
+		},
+	})
+	return reply, err
+}
 
-	// One exchange span; each datagram is an "attempt" (first) or
-	// "retry" (retransmission) child. Fetching traces (CmdTraces) is
-	// itself never traced, so pulling a trace does not grow it.
-	var xs tracing.SpanHandle
-	if pkt.Command != netproto.CmdTraces {
-		xc := c.op
-		if !xc.On() {
-			xc = c.traceCtx()
-		}
-		xs = xc.Start("exchange:" + netproto.CommandName(pkt.Command))
+// batch is one call of the delivery engine: n requests of one command,
+// sent in index order and answered in any order.
+type batch struct {
+	cmd    uint8
+	n      int
+	window int                // requests outstanding at most
+	body   func(i int) []byte // request i's body, built at its first send
+	// reply takes the reply to request i, whose body aliases the
+	// client's read buffer, and returns the floor the node reports:
+	// every request below it is held, and n or more ends the batch. An
+	// error fails the batch.
+	reply func(i int, body []byte) (floor int, err error)
+	// overall, when set, is the deadline at which the batch stops
+	// resending; every read deadline is capped at it.
+	overall time.Time
+	// hold stretches every read deadline beyond the backoff schedule: a
+	// parked wait legitimately answers up to the hold late, which must
+	// not read as loss.
+	hold time.Duration
+}
+
+// delivery is where a batch stopped.
+type delivery struct {
+	floor       int // every request below it is held by the node
+	outstanding int // requests sent and unanswered at the stop
+	resent      int // datagrams retransmitted
+	skipped     int // requests the floor passed before their first send
+}
+
+// flight is one request's delivery state. Its seq and datagram are
+// stamped at first send, so every resend is byte-identical and the
+// node's dedup window answers it without re-applying.
+type flight struct {
+	seq   uint16
+	raw   []byte
+	first time.Time // first send: the RTT's start
+	sends int
+	state uint8
+	xs    tracing.SpanHandle // "exchange:<cmd>"
+	att   tracing.SpanHandle // the open "attempt" or "retry" span, if any
+}
+
+// Request states within a batch.
+const (
+	unsent uint8 = iota
+	inFlight
+	settled
+)
+
+// endAttempt closes the open attempt or retry span, once.
+func (f *flight) endAttempt(outcome string) {
+	if f.att.On() {
+		f.att.EndAttrs(tracing.A("outcome", outcome))
+		f.att = tracing.SpanHandle{}
 	}
-	xchild := xs.Ctx()
+}
 
-	wait := c.Timeout
-	if wait <= 0 {
-		wait = 2 * time.Second
+// end settles the request, closing its open attempt span with outcome
+// and its exchange span with status.
+func (f *flight) end(outcome, status string) {
+	f.endAttempt(outcome)
+	f.state = settled
+	if f.xs.On() {
+		f.xs.EndAttrs(tracing.A("status", status), tracing.A("attempts", strconv.Itoa(f.sends)))
+	}
+}
+
+// deliver is the client's one delivery engine. It sends b's requests
+// in index order, keeping at most b.window outstanding (one while the
+// first request probes the node), matches each reply by board and
+// exchange seq, and hands it to b.reply, whose floor settles every
+// request below it: outstanding ones retire, unsent ones are skipped.
+// A round with no reply inside the backed-off timeout resends every
+// outstanding request; the board is unreachable after Retries such
+// rounds beyond the first, or once b.overall passes. A CmdError
+// answering b.cmd fails the batch. Every read lands in the client's
+// one buffer.
+func (c *Client) deliver(ctx context.Context, b batch) (delivery, error) {
+	base := c.Timeout
+	if base <= 0 {
+		base = 2 * time.Second
 	}
 	maxWait := c.MaxTimeout
 	if maxWait <= 0 {
-		maxWait = 16 * wait
+		maxWait = 16 * base
 	}
 	factor := c.BackoffFactor
 	if factor <= 1 {
 		factor = 2
 	}
-
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() {
 			// Unblock an in-flight Read: a deadline in the past makes it
-			// return a timeout error immediately, and the loop below
-			// notices ctx.Err() before retransmitting.
+			// return a timeout error at once, and the silent round that
+			// follows notices ctx.Err() before resending.
 			c.conn.SetReadDeadline(c.clk.Now())
 		})
 		defer stop()
 	}
+	// Each request is an "exchange:<cmd>" span with an "attempt" child
+	// for its first datagram and a "retry" child per resend. Fetching
+	// traces (CmdTraces) is never traced, so pulling a trace does not
+	// grow it.
+	xc := c.op
+	if !xc.On() {
+		xc = c.traceCtx()
+	}
+	if b.cmd == netproto.CmdTraces {
+		xc = tracing.Ctx{}
+	}
+	name := netproto.CommandName(b.cmd)
 
-	attempts := 0
-	var lastErr error
-	for attempt := 0; attempt <= c.Retries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			xs.EndAttrs(tracing.A("status", "canceled"))
-			return netproto.Packet{}, fmt.Errorf("client: exchange canceled: %w", err)
-		}
-		if attempt > 0 {
-			c.m.retries.Inc()
-			wait = time.Duration(float64(wait) * factor)
-			if wait > maxWait {
-				wait = maxWait
-			}
-			c.m.backoffs.Inc()
-			c.m.backoffDur.Observe(wait.Seconds())
-		}
-		if !overall.IsZero() && !c.clk.Now().Before(overall) {
-			break // caller's budget exhausted: do not start another attempt
-		}
-		aname := "attempt"
-		if attempt > 0 {
-			aname = "retry"
-		}
-		as := xchild.Start(aname)
-		if as.On() && attempt > 0 {
-			as = as.WithAttr("wait", wait.String())
-		}
-		if _, err := c.conn.Write(raw); err != nil {
+	var (
+		d       delivery
+		fs      = make([]flight, b.n)
+		out     []int // outstanding requests, in send order
+		next    int   // lowest request not yet sent
+		sent    int   // datagrams written
+		silent  int   // silent rounds in a row
+		probing = true
+		wait    = base
+		start   = c.clk.Now()
+		lastErr error
+	)
+	fail := func(outcome, status string, err error) (delivery, error) {
+		if status != "canceled" {
 			c.m.errors.Inc()
-			as.EndAttrs(tracing.A("outcome", "send_error"))
-			xs.EndAttrs(tracing.A("status", "error"))
-			return netproto.Packet{}, fmt.Errorf("client: send: %w", err)
 		}
-		attempts++
-		deadline := c.clk.Now().Add(c.jittered(wait) + extraWait)
-		if !overall.IsZero() && deadline.After(overall) {
-			deadline = overall
+		for _, i := range out {
+			fs[i].end(outcome, status)
 		}
-		for {
-			if err := c.conn.SetReadDeadline(deadline); err != nil {
-				c.m.errors.Inc()
-				as.EndAttrs(tracing.A("outcome", "socket_error"))
-				xs.EndAttrs(tracing.A("status", "error"))
-				return netproto.Packet{}, err
+		d.outstanding = len(out)
+		return d, err
+	}
+	send := func(i int) error {
+		f := &fs[i]
+		if f.sends == 0 {
+			c.seq++
+			f.seq = c.seq
+			f.raw = netproto.Packet{Command: b.cmd, Board: c.Board, Seq: c.seq, HasSeq: true,
+				TraceID: c.TraceID, Body: b.body(i)}.Marshal()
+			f.first = c.clk.Now()
+			f.state = inFlight
+			if xc.On() {
+				f.xs = xc.Start("exchange:" + name)
+				if b.n > 1 {
+					f.xs = f.xs.WithAttr("chunk", fmt.Sprintf("%d/%d", i+1, b.n))
+				}
 			}
-			n, err := c.conn.Read(buf)
+			f.att = f.xs.Ctx().Start("attempt")
+		} else if f.att = f.xs.Ctx().Start("retry"); f.att.On() {
+			f.att = f.att.WithAttr("wait", wait.String())
+		}
+		if _, err := c.conn.Write(f.raw); err != nil {
+			return fmt.Errorf("client: send: %w", err)
+		}
+		if f.sends == 0 {
+			c.m.requests.With(name).Inc()
+		} else {
+			c.m.retries.Inc()
+			d.resent++
+		}
+		f.sends++
+		sent++
+		return nil
+	}
+	// lift raises the floor to to (at most n) and on past every answered
+	// request, settling what it passes.
+	lift := func(to int) {
+		to = max(d.floor, min(to, b.n))
+		for to < b.n && fs[to].state == settled {
+			to++
+		}
+		for i := d.floor; i < to; i++ {
+			switch f := &fs[i]; f.state {
+			case unsent:
+				d.skipped++
+			case inFlight:
+				f.xs = f.xs.WithAttr("ack", "cumulative")
+				f.end("cumulative", "ok")
+			}
+		}
+		out = slices.DeleteFunc(out, func(i int) bool { return i < to })
+		d.floor = to
+		next = max(next, to)
+	}
+
+	for d.floor < b.n {
+		cw := b.window
+		if probing {
+			cw = 1
+		}
+		for next < b.n && len(out) < cw {
+			out = append(out, next)
+			next++
+			if err := send(out[len(out)-1]); err != nil {
+				return fail("send_error", "error", err)
+			}
+		}
+		deadline := c.clk.Now().Add(c.jittered(wait) + b.hold)
+		if !b.overall.IsZero() && deadline.After(b.overall) {
+			deadline = b.overall
+		}
+		if err := c.conn.SetReadDeadline(deadline); err != nil {
+			return fail("socket_error", "error", err)
+		}
+		replied := false
+		for !replied {
+			nr, err := c.conn.Read(c.buf)
 			if err != nil {
 				lastErr = err
-				c.m.timeouts.Inc()
-				as.EndAttrs(tracing.A("outcome", "timeout"))
-				break // timeout: retransmit
+				break
 			}
-			resp, err := netproto.ParsePacket(buf[:n])
+			resp, err := netproto.ParsePacket(c.buf[:nr])
 			if err != nil {
 				continue // stray datagram
 			}
-			if !resp.HasSeq || resp.Seq != pkt.Seq {
-				// A duplicated or delayed response from an earlier
-				// exchange (or an unsequenced stray): suppress it
-				// instead of mistaking it for this one's answer.
-				c.m.dupSuppressed.Inc()
-				continue
-			}
-			if resp.Board != pkt.Board {
-				// A response for another board, misdelivered by the
-				// network (or a chaotic relay): never this exchange's
-				// answer, even if the seq happens to collide.
-				c.m.dupSuppressed.Inc()
-				continue
-			}
-			if resp.Command == netproto.CmdError {
-				er, perr := netproto.ParseErrorResp(resp.Body)
-				if perr != nil {
-					c.m.errors.Inc()
-					as.EndAttrs(tracing.A("outcome", "bad_error_resp"))
-					xs.EndAttrs(tracing.A("status", "error"))
-					return netproto.Packet{}, fmt.Errorf("client: malformed error response: %w", perr)
+			k := -1
+			if resp.HasSeq && resp.Board == c.Board {
+				for j, i := range out {
+					if fs[i].seq == resp.Seq {
+						k = j
+						break
+					}
 				}
-				if er.Code != pkt.Command {
+			}
+			if k < 0 {
+				// A duplicated or delayed reply to an earlier request, an
+				// unsequenced stray, or a reply for another board
+				// misdelivered by the network: never this batch's answer,
+				// even if the seq happens to collide.
+				c.m.dupSuppressed.Inc()
+				continue
+			}
+			f := &fs[out[k]]
+			if resp.Command == netproto.CmdError {
+				er, err := netproto.ParseErrorResp(resp.Body)
+				if err != nil {
+					return fail("bad_error_resp", "error", fmt.Errorf("client: malformed error response: %w", err))
+				}
+				if er.Code != b.cmd {
 					continue // stale error for an earlier request
 				}
-				c.m.errors.Inc()
-				as.EndAttrs(tracing.A("outcome", "server_error"))
-				xs.EndAttrs(tracing.A("status", "error"), tracing.A("error", er.Msg))
-				return netproto.Packet{}, &ServerError{Cmd: pkt.Command, Msg: er.Msg}
+				f.xs = f.xs.WithAttr("error", er.Msg)
+				return fail("server_error", "error", &ServerError{Cmd: b.cmd, Msg: er.Msg})
 			}
-			if resp.Command != want {
-				continue // stale response from a retransmitted earlier request
+			if resp.Command != b.cmd|netproto.RespFlag {
+				continue // stale reply to an earlier request
 			}
-			body := make([]byte, len(resp.Body))
-			copy(body, resp.Body)
-			resp.Body = body
-			c.m.rtt.Observe(c.clk.Since(start).Seconds())
-			as.EndAttrs(tracing.A("outcome", "ok"))
-			if xs.On() {
-				xs.EndAttrs(tracing.A("status", "ok"),
-					tracing.A("attempts", fmt.Sprintf("%d", attempts)))
+			floor, err := b.reply(out[k], resp.Body)
+			if err != nil {
+				return fail("bad_reply", "error", err)
 			}
-			return resp, nil
+			c.m.rtt.Observe(c.clk.Since(f.first).Seconds())
+			f.end("ok", "ok")
+			out = slices.Delete(out, k, k+1)
+			probing, silent, wait = false, 0, base
+			lift(floor)
+			replied = true
+		}
+		if replied {
+			continue
+		}
+
+		// A silent round: back off, then resend everything outstanding.
+		c.m.timeouts.Inc()
+		for _, i := range out {
+			fs[i].endAttempt("timeout")
+		}
+		if err := ctx.Err(); err != nil {
+			return fail("canceled", "canceled", fmt.Errorf("client: exchange canceled: %w", err))
+		}
+		silent++
+		if silent > c.Retries || !b.overall.IsZero() && !c.clk.Now().Before(b.overall) {
+			c.m.unreachable.Inc()
+			return fail("timeout", "unreachable", &UnreachableError{
+				Board: c.Board, Cmd: name, Attempts: sent, Elapsed: c.clk.Since(start), Last: lastErr,
+			})
+		}
+		wait = min(time.Duration(float64(wait)*factor), maxWait)
+		c.m.backoffs.Inc()
+		c.m.backoffDur.Observe(wait.Seconds())
+		for _, i := range out {
+			if err := send(i); err != nil {
+				return fail("send_error", "error", err)
+			}
 		}
 	}
-	c.m.errors.Inc()
-	c.m.unreachable.Inc()
-	if lastErr == nil {
-		lastErr = fmt.Errorf("deadline before first attempt")
-	}
-	xs.EndAttrs(tracing.A("status", "unreachable"))
-	return netproto.Packet{}, &UnreachableError{
-		Board:    c.Board,
-		Cmd:      netproto.CommandName(pkt.Command),
-		Attempts: attempts,
-		Elapsed:  c.clk.Since(start),
-		Last:     lastErr,
-	}
+	return d, nil
 }
 
 // Status queries the controller state ("to check if LEON has started
@@ -495,27 +643,27 @@ func (c *Client) exchangeCtx(ctx context.Context, pkt netproto.Packet, overall t
 func (c *Client) Status() (st netproto.StatusResp, err error) {
 	op := c.beginOp("status")
 	defer func() { c.endOp(op, err) }()
-	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdStatus})
+	reply, err := c.roundTrip(netproto.CmdStatus, nil)
 	if err != nil {
 		return netproto.StatusResp{}, err
 	}
-	return netproto.ParseStatusResp(resp.Body)
+	return netproto.ParseStatusResp(reply)
 }
 
 // LoadProgram uploads an image to the given SRAM address, splitting it
-// into sequence-numbered chunks and keeping a sliding window of them
-// (Window, default 16) in flight, so a load costs ~chunks/window round
-// trips instead of one per chunk. Loads are idempotent and resumable:
-// every ack carries the server's reassembly progress, so when a chunk
-// the board already holds is re-sent — a retransmission, or this call
-// resuming an earlier interrupted load — the server re-acks without
-// re-applying and the window skips ahead to the first chunk the board
-// is missing. A silent round (no ack within the backed-off timeout)
-// triggers a go-back resend of everything outstanding above the
-// cumulative ack floor, byte-identical to the originals so the
-// server's dedup window recognizes the retransmissions. On failure the
-// returned error is a *LoadError carrying the acknowledged-chunk count
-// and the in-flight window state.
+// into sequence-numbered chunks and delivering them as one batch with a
+// sliding window (Window, default 16) in flight, so a load costs
+// ~chunks/window round trips instead of one per chunk. The first chunk
+// travels alone: if the server holds progress from an interrupted load,
+// its ack reveals the resume point before the window sprays chunks the
+// board already has. Loads are idempotent and resumable: every ack
+// carries the server's reassembly progress, and its lowest gap lifts
+// the batch's floor, so chunks the board already holds are never sent
+// and a re-sent one is re-acked without being re-applied. A silent
+// round resends everything outstanding, byte-identical to the
+// originals so the server's dedup window recognizes the
+// retransmissions. On failure the returned error is a *LoadError
+// carrying the acknowledged-chunk count and the in-flight window state.
 func (c *Client) LoadProgram(addr uint32, image []byte) (err error) {
 	op := c.beginOp("load")
 	defer func() { c.endOp(op, err) }()
@@ -523,275 +671,43 @@ func (c *Client) LoadProgram(addr uint32, image []byte) (err error) {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	return c.loadWindowed(netproto.ChunkImage(addr, image), window)
-}
-
-// loadWindowed pumps the chunk sequence through the sliding window.
-// The first chunk travels alone (a probe): if the server holds
-// progress from an interrupted load, its dup-ack reveals the real
-// resume point before the window sprays chunks the board already has.
-func (c *Client) loadWindowed(chunks []netproto.LoadChunk, window int) error {
+	chunks := netproto.ChunkImage(addr, image)
 	n := len(chunks)
-	if n == 0 {
-		return nil
-	}
-
-	var (
-		seqs     = make([]uint16, n)    // exchange seq pinned at first send
-		raws     = make([][]byte, n)    // exact datagram bytes (resends are identical)
-		sentAt   = make([]time.Time, n) // last transmission time, for RTT
-		assigned = make([]bool, n)      // sent at least once
-		ackedCh  = make([]bool, n)      // acknowledged (directly or by cumulative ack)
-		chspan   = make([]tracing.SpanHandle, n)
-		pend     = map[uint16]int{} // outstanding exchange seq → chunk index
-		base     = 0                // every chunk below base is held by the server
-		next     = 0                // lowest chunk not yet considered for sending
-		acked    = 0                // highest received count the server advertised
-		resumed  = false
-		firstAck = false
-		attempts = 0
-		start    = c.clk.Now()
-		lastErr  error
-	)
-
-	fail := func(cause error) error {
-		for i, sp := range chspan {
-			if sp.On() && !ackedCh[i] {
-				sp.EndAttrs(tracing.A("status", "error"))
-			}
-		}
-		return &LoadError{
-			ChunksAcked: acked, ChunksTotal: n,
-			HighestAck: base, Outstanding: len(pend), Window: window,
-			Err: cause,
-		}
-	}
-
-	send := func(i int) error {
-		if !assigned[i] {
-			c.seq++
-			seqs[i] = c.seq
-			raws[i] = netproto.Packet{
-				Command: netproto.CmdLoadProgram,
-				Board:   c.Board,
-				Seq:     c.seq,
-				HasSeq:  true,
-				TraceID: c.TraceID,
-				Body:    chunks[i].Marshal(),
-			}.Marshal()
-			assigned[i] = true
-			pend[seqs[i]] = i
-			c.m.requests.With("load").Inc()
-			xc := c.op
-			if !xc.On() {
-				xc = c.traceCtx()
-			}
-			if xc.On() {
-				chspan[i] = xc.Start("exchange:load").WithAttr("chunk", fmt.Sprintf("%d/%d", i+1, n))
-			}
-			chspan[i].Ctx().Start("attempt").End()
-		} else {
-			c.m.retries.Inc()
-			c.m.chunkResends.Inc()
-			chspan[i].Ctx().Start("retry").End()
-		}
-		if _, werr := c.conn.Write(raws[i]); werr != nil {
-			c.m.errors.Inc()
-			return fmt.Errorf("client: send: %w", werr)
-		}
-		sentAt[i] = c.clk.Now()
-		attempts++
-		return nil
-	}
-
-	// advance lifts the cumulative floor to the max of the server's
-	// advertised next-needed chunk and the locally-acked contiguous
-	// prefix, retiring outstanding exchanges below it and skipping
-	// never-sent chunks the server already holds (resume).
-	advance := func(serverNext int) {
-		nb := base
-		if serverNext > nb {
-			nb = serverNext
-		}
-		if nb > n {
-			nb = n
-		}
-		for nb < n && ackedCh[nb] {
-			nb++
-		}
-		if nb <= base {
-			return
-		}
-		for i := base; i < nb; i++ {
-			switch {
-			case !assigned[i]:
-				c.m.resumedChunks.Inc()
-				if !resumed {
-					resumed = true
-					c.m.resumedLoads.Inc()
-				}
-			case !ackedCh[i]:
-				delete(pend, seqs[i])
-				ackedCh[i] = true
-				if chspan[i].On() {
-					chspan[i].EndAttrs(tracing.A("status", "ok"), tracing.A("ack", "cumulative"))
-				}
-			}
-		}
-		base = nb
-		if next < base {
-			next = base
-		}
-	}
-
-	wait := c.Timeout
-	if wait <= 0 {
-		wait = 2 * time.Second
-	}
-	maxWait := c.MaxTimeout
-	if maxWait <= 0 {
-		maxWait = 16 * wait
-	}
-	factor := c.BackoffFactor
-	if factor <= 1 {
-		factor = 2
-	}
-	consec := 0 // consecutive silent rounds; bounded by Retries
-	buf := make([]byte, 64<<10)
-
-	for {
-		// Top up the window (a single probe until the first ack).
-		cw := window
-		if !firstAck {
-			cw = 1
-		}
-		for next < n && len(pend) < cw {
-			if next < base || ackedCh[next] {
-				next++
-				continue
-			}
-			if err := send(next); err != nil {
-				return fail(err)
-			}
-			next++
-		}
-		if base >= n {
-			return nil
-		}
-
-		// Wait for one acknowledgment (strays don't reset the clock).
-		deadline := c.clk.Now().Add(c.jittered(wait))
-		timedOut := false
-		for {
-			if err := c.conn.SetReadDeadline(deadline); err != nil {
-				c.m.errors.Inc()
-				return fail(err)
-			}
-			nr, rerr := c.conn.Read(buf)
-			if rerr != nil {
-				lastErr = rerr
-				c.m.timeouts.Inc()
-				timedOut = true
-				break
-			}
-			resp, perr := netproto.ParsePacket(buf[:nr])
-			if perr != nil || !resp.HasSeq {
-				continue // stray datagram
-			}
-			if resp.Board != c.Board {
-				c.m.dupSuppressed.Inc()
-				continue
-			}
-			idx, ok := pend[resp.Seq]
-			if !ok {
-				// An ack for a chunk already retired (a duplicated or
-				// reordered response), or a stray from an earlier
-				// exchange: suppress.
-				c.m.dupSuppressed.Inc()
-				continue
-			}
-			if resp.Command == netproto.CmdError {
-				er, eperr := netproto.ParseErrorResp(resp.Body)
-				if eperr != nil {
-					c.m.errors.Inc()
-					return fail(fmt.Errorf("client: malformed error response: %w", eperr))
-				}
-				if er.Code != netproto.CmdLoadProgram {
-					continue // stale error for an earlier request
-				}
-				c.m.errors.Inc()
-				return fail(&ServerError{Cmd: netproto.CmdLoadProgram, Msg: er.Msg})
-			}
-			if resp.Command != netproto.CmdLoadProgram|netproto.RespFlag {
-				continue // stale response from an earlier exchange
-			}
-			rep, rperr := netproto.ParseRunReport(resp.Body)
-			if rperr != nil {
-				return fail(fmt.Errorf("client: load chunk %d/%d: %w", idx+1, n, rperr))
+	acked := 0 // the most chunks the server has reported holding
+	d, err := c.deliver(context.Background(), batch{
+		cmd: netproto.CmdLoadProgram, n: n, window: window,
+		body: func(i int) []byte { return chunks[i].Marshal() },
+		reply: func(i int, body []byte) (int, error) {
+			rep, err := netproto.ParseRunReport(body)
+			if err != nil {
+				return 0, fmt.Errorf("client: load chunk %d/%d: %w", i+1, n, err)
 			}
 			if rep.Status != netproto.StatusOK && rep.Status != netproto.StatusPending {
-				return fail(fmt.Errorf("client: load chunk %d/%d: status %d", idx+1, n, rep.Status))
+				return 0, fmt.Errorf("client: load chunk %d/%d: status %d", i+1, n, rep.Status)
 			}
-			c.m.rtt.Observe(c.clk.Since(sentAt[idx]).Seconds())
-			delete(pend, seqs[idx])
-			ackedCh[idx] = true
-			if chspan[idx].On() {
-				chspan[idx].EndAttrs(tracing.A("status", "ok"))
-			}
-			received, serverNext := netproto.LoadAckProgress(rep)
-			if received > acked {
-				acked = received
-			}
-			firstAck = true
-			consec = 0
-			wait = c.Timeout
-			if wait <= 0 {
-				wait = 2 * time.Second
-			}
-			advance(serverNext)
+			received, gap := netproto.LoadAckProgress(rep)
+			acked = max(acked, received)
 			if rep.Status == netproto.StatusOK {
-				// The server confirmed the complete image (the OK ack is
-				// only ever sent for the chunk that finishes reassembly).
-				for i, sp := range chspan {
-					if sp.On() && !ackedCh[i] {
-						sp.EndAttrs(tracing.A("status", "ok"))
-					}
-				}
-				return nil
+				// The OK ack is only ever sent for the chunk that
+				// completes reassembly: the server holds the whole image.
+				return n, nil
 			}
-			break
-		}
-
-		if timedOut {
-			consec++
-			if consec > c.Retries {
-				c.m.errors.Inc()
-				c.m.unreachable.Inc()
-				return fail(&UnreachableError{
-					Board:    c.Board,
-					Cmd:      netproto.CommandName(netproto.CmdLoadProgram),
-					Attempts: attempts,
-					Elapsed:  c.clk.Since(start),
-					Last:     lastErr,
-				})
-			}
-			// Back off the next round's clock, then go back from the
-			// cumulative ack floor: resend everything outstanding.
-			wait = time.Duration(float64(wait) * factor)
-			if wait > maxWait {
-				wait = maxWait
-			}
-			c.m.backoffs.Inc()
-			c.m.backoffDur.Observe(wait.Seconds())
-			for i := base; i < next; i++ {
-				if assigned[i] && !ackedCh[i] {
-					if err := send(i); err != nil {
-						return fail(err)
-					}
-				}
-			}
+			return gap, nil
+		},
+	})
+	c.m.chunkResends.Add(uint64(d.resent))
+	if d.skipped > 0 {
+		c.m.resumedChunks.Add(uint64(d.skipped))
+		c.m.resumedLoads.Inc()
+	}
+	if err != nil {
+		return &LoadError{
+			ChunksAcked: acked, ChunksTotal: n,
+			HighestAck: d.floor, Outstanding: d.outstanding, Window: window,
+			Err: err,
 		}
 	}
+	return nil
 }
 
 // Start executes the loaded program (entry 0 = last load address) and
@@ -812,11 +728,11 @@ func (c *Client) StartAsync(entry uint32, maxCycles uint64) (err error) {
 	op := c.beginOp("start")
 	defer func() { c.endOp(op, err) }()
 	req := netproto.StartReq{Entry: entry, MaxCycles: maxCycles}
-	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdStartLEON, Body: req.Marshal()})
+	reply, err := c.roundTrip(netproto.CmdStartLEON, req.Marshal())
 	if err != nil {
 		return err
 	}
-	rep, err := netproto.ParseRunReport(resp.Body)
+	rep, err := netproto.ParseRunReport(reply)
 	if err != nil {
 		return err
 	}
@@ -833,11 +749,11 @@ func (c *Client) StartAsync(entry uint32, maxCycles uint64) (err error) {
 func (c *Client) Result() (rep netproto.RunReport, err error) {
 	op := c.beginOp("result")
 	defer func() { c.endOp(op, err) }()
-	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdResult})
+	reply, err := c.roundTrip(netproto.CmdResult, nil)
 	if err != nil {
 		return netproto.RunReport{}, err
 	}
-	return netproto.ParseRunReport(resp.Body)
+	return netproto.ParseRunReport(reply)
 }
 
 // WaitResult waits for the run to leave StatusRunning and returns the
@@ -895,19 +811,18 @@ func (c *Client) heldWait(ctx context.Context, cmd uint8, what string, done func
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("client: wait canceled: %w", err)
 		}
-		h := hold
-		if remain := c.clk.Until(deadline); remain < h {
-			h = remain // never ask the server to outlast our own budget
+		remain := c.clk.Until(deadline)
+		if remain <= 0 {
+			return fmt.Errorf("client: %s still in flight after %v", what, limit)
 		}
-		if h < time.Millisecond {
-			h = time.Millisecond
-		}
+		// Never ask the server to outlast our own budget.
+		h := max(min(hold, remain), time.Millisecond)
 		c.m.waitHolds.Inc()
 		before := c.clk.Now()
 		// The server may delay the reply up to h, so every read
 		// deadline is stretched by h beyond the retransmission schedule.
 		req := netproto.WaitResultReq{HoldMs: uint32(h / time.Millisecond)}
-		resp, err := c.exchangeCtx(ctx, netproto.Packet{Command: cmd, Body: req.Marshal()}, deadline, h)
+		reply, err := c.exchangeCtx(ctx, cmd, req.Marshal(), deadline, h)
 		held := c.clk.Since(before)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -919,12 +834,8 @@ func (c *Client) heldWait(ctx context.Context, cmd uint8, what string, done func
 			}
 			return err
 		}
-		if fin, err := done(resp.Body); fin || err != nil {
+		if fin, err := done(reply); fin || err != nil {
 			return err
-		}
-		remain := c.clk.Until(deadline)
-		if remain <= 0 {
-			return fmt.Errorf("client: %s still in flight after %v", what, limit)
 		}
 		if held >= interval {
 			// The server held the exchange and the wait outlasted the
@@ -934,7 +845,7 @@ func (c *Client) heldWait(ctx context.Context, cmd uint8, what string, done func
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("client: wait canceled: %w", ctx.Err())
-		case <-c.clk.After(min(interval, remain)):
+		case <-c.clk.After(min(interval, c.clk.Until(deadline))):
 		}
 	}
 }
@@ -950,11 +861,11 @@ func (c *Client) ReadMemory(addr uint32, n int) ([]byte, error) {
 			ask = chunk
 		}
 		req := netproto.MemReq{Addr: addr, Length: uint32(ask)}
-		resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdReadMemory, Body: req.Marshal()})
+		reply, err := c.roundTrip(netproto.CmdReadMemory, req.Marshal())
 		if err != nil {
 			return nil, err
 		}
-		mr, err := netproto.ParseMemResp(resp.Body)
+		mr, err := netproto.ParseMemResp(reply)
 		if err != nil {
 			return nil, err
 		}
@@ -971,11 +882,11 @@ func (c *Client) ReadMemory(addr uint32, n int) ([]byte, error) {
 // WriteMemory stores bytes at addr.
 func (c *Client) WriteMemory(addr uint32, data []byte) error {
 	req := netproto.MemReq{Addr: addr, Data: data}
-	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdWriteMemory, Body: req.Marshal()})
+	reply, err := c.roundTrip(netproto.CmdWriteMemory, req.Marshal())
 	if err != nil {
 		return err
 	}
-	_, err = netproto.ParseMemResp(resp.Body)
+	_, err = netproto.ParseMemResp(reply)
 	return err
 }
 
@@ -1013,11 +924,11 @@ func (c *Client) Reconfigure(spec []byte) (err error) {
 func (c *Client) ReconfigureAsync(spec []byte) (st netproto.ReconfigStatusResp, err error) {
 	op := c.beginOp("reconfigure")
 	defer func() { c.endOp(op, err) }()
-	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdReconfigure, Body: spec})
+	reply, err := c.roundTrip(netproto.CmdReconfigure, spec)
 	if err != nil {
 		return netproto.ReconfigStatusResp{}, err
 	}
-	rep, err := netproto.ParseRunReport(resp.Body)
+	rep, err := netproto.ParseRunReport(reply)
 	if err != nil {
 		return netproto.ReconfigStatusResp{}, err
 	}
@@ -1038,11 +949,11 @@ func (c *Client) Prewarm(specs []json.RawMessage) (queued uint32, err error) {
 	if err != nil {
 		return 0, fmt.Errorf("client: prewarm spec: %w", err)
 	}
-	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdReconfigure, Body: body})
+	reply, err := c.roundTrip(netproto.CmdReconfigure, body)
 	if err != nil {
 		return 0, err
 	}
-	rep, err := netproto.ParseRunReport(resp.Body)
+	rep, err := netproto.ParseRunReport(reply)
 	if err != nil {
 		return 0, err
 	}
@@ -1056,11 +967,11 @@ func (c *Client) Prewarm(specs []json.RawMessage) (queued uint32, err error) {
 func (c *Client) ReconfigStatus() (st netproto.ReconfigStatusResp, err error) {
 	op := c.beginOp("reconfig_status")
 	defer func() { c.endOp(op, err) }()
-	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdReconfigStatus})
+	reply, err := c.roundTrip(netproto.CmdReconfigStatus, nil)
 	if err != nil {
 		return netproto.ReconfigStatusResp{}, err
 	}
-	return netproto.ParseReconfigStatusResp(resp.Body)
+	return netproto.ParseReconfigStatusResp(reply)
 }
 
 // WaitReconfigure blocks until the asynchronous reconfiguration
@@ -1082,21 +993,21 @@ func (c *Client) WaitReconfigure(ctx context.Context) (st netproto.ReconfigStatu
 
 // GetConfig fetches the platform's active configuration description.
 func (c *Client) GetConfig() ([]byte, error) {
-	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdGetConfig})
+	reply, err := c.roundTrip(netproto.CmdGetConfig, nil)
 	if err != nil {
 		return nil, err
 	}
-	return resp.Body, nil
+	return reply, nil
 }
 
 // TraceReport pulls the instrumented-trace summary of the last run
 // (JSON; see core.TraceReport for the schema).
 func (c *Client) TraceReport() ([]byte, error) {
-	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdTraceReport})
+	reply, err := c.roundTrip(netproto.CmdTraceReport, nil)
 	if err != nil {
 		return nil, err
 	}
-	return resp.Body, nil
+	return reply, nil
 }
 
 // Traces pulls the server's exchange-trace spans over the control
@@ -1107,11 +1018,11 @@ func (c *Client) TraceReport() ([]byte, error) {
 // tracing.ChromeJSON. The fetch exchange itself is never traced.
 func (c *Client) Traces(id uint64) ([]tracing.TraceData, error) {
 	req := netproto.TracesReq{TraceID: id}
-	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdTraces, Body: req.Marshal()})
+	reply, err := c.roundTrip(netproto.CmdTraces, req.Marshal())
 	if err != nil {
 		return nil, err
 	}
-	tr, err := netproto.ParseTracesResp(resp.Body)
+	tr, err := netproto.ParseTracesResp(reply)
 	if err != nil {
 		return nil, err
 	}
@@ -1129,11 +1040,11 @@ func (c *Client) Traces(id uint64) ([]tracing.TraceData, error) {
 // channel (JSON; the same document the HTTP /statusz endpoint serves
 // under "metrics"). Unmarshals into metrics.Snapshot.
 func (c *Client) Stats() ([]byte, error) {
-	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdStats})
+	reply, err := c.roundTrip(netproto.CmdStats, nil)
 	if err != nil {
 		return nil, err
 	}
-	return resp.Body, nil
+	return reply, nil
 }
 
 // RunProgram is the whole §2.6 flow in one call: load, start, and read

@@ -2,6 +2,7 @@ package client
 
 import (
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -80,6 +81,34 @@ func TestStatusRoundTrip(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("status = %+v", got)
+	}
+}
+
+// TestExchangeReusesReadBuffer: every exchange reads into the client's
+// one receive buffer, so a Status round trip allocates a few hundred
+// bytes rather than a fresh 64 KiB buffer.
+func TestExchangeReusesReadBuffer(t *testing.T) {
+	addr := scriptServer(t, func(req netproto.Packet) [][]byte {
+		return [][]byte{netproto.Packet{Command: netproto.CmdStatus | netproto.RespFlag,
+			Body: netproto.StatusResp{State: 1, BootOK: true}.Marshal()}.Marshal()}
+	})
+	c := dialFast(t, addr)
+	for i := 0; i < 10; i++ { // warm-up: metric children, socket state
+		if _, err := c.Status(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const exchanges = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < exchanges; i++ {
+		if _, err := c.Status(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / exchanges; per >= 8<<10 {
+		t.Errorf("a Status exchange allocated %d B, want under 8 KiB", per)
 	}
 }
 

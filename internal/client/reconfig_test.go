@@ -105,7 +105,7 @@ func TestWaitReconfigureHeld(t *testing.T) {
 	addr := scriptServer(t, func(req netproto.Packet) [][]byte {
 		switch req.Command {
 		case netproto.CmdWaitReconfig:
-			if _, err := netproto.ParseWaitReconfigReq(req.Body); err != nil {
+			if _, err := netproto.ParseWaitResultReq(req.Body); err != nil {
 				t.Error(err)
 			}
 			return [][]byte{reconfigStatusPacket(netproto.CmdWaitReconfig, netproto.ReconfigStatusResp{

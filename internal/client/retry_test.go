@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"liquidarch/internal/netproto"
+	"liquidarch/internal/tracing"
 )
 
 // deafServer binds a UDP socket that never answers — the transport's
@@ -203,6 +204,9 @@ func TestWaitResultHonorsWaitTimeout(t *testing.T) {
 	c.Retries = 10 // uncapped, one poll alone would take >100s
 	c.Jitter = -1
 	c.WaitTimeout = 300 * time.Millisecond
+	col := tracing.New("client")
+	c.Tracer = col
+	c.TraceID = col.NewTraceID()
 
 	start := time.Now()
 	_, err = c.WaitResult()
@@ -218,6 +222,28 @@ func TestWaitResultHonorsWaitTimeout(t *testing.T) {
 	}
 	if elapsed < 280*time.Millisecond {
 		t.Errorf("WaitResult gave up after %v, before its %v budget", elapsed, c.WaitTimeout)
+	}
+	// The one exchange's read ran into the overall deadline, so nothing
+	// was retransmitted: no retry or backoff is counted, and the retry
+	// spans agree with the retries metric.
+	snap := c.Metrics().Snapshot()
+	retries := snap.Counters["liquid_client_retries_total"]
+	if retries != 0 {
+		t.Errorf("retries = %d, want 0: no datagram was resent", retries)
+	}
+	if got := snap.Counters["liquid_client_backoff_total"]; got != 0 {
+		t.Errorf("backoffs = %d, want 0: no resend waited", got)
+	}
+	spans := 0
+	for _, td := range col.TakeTrace(c.TraceID) {
+		for _, sp := range td.Spans {
+			if sp.Name == "retry" {
+				spans++
+			}
+		}
+	}
+	if uint64(spans) != retries {
+		t.Errorf("retry spans = %d, retries metric = %d", spans, retries)
 	}
 }
 

@@ -93,12 +93,8 @@ type System struct {
 	platform *fpx.Platform
 	manager  *reconfig.Manager
 
-	active      *synth.Image
-	reconfigs   uint64
-	partials    uint64
-	lastHit     bool
-	lastPartial bool
-	loadedProg  *link.Image
+	active     *synth.Image
+	loadedProg *link.Image
 
 	// pending is the one asynchronous reconfiguration this board can
 	// have in flight; lastReconfig records the most recent terminal
@@ -215,21 +211,6 @@ func (s *System) SoC() *leon.SoC {
 // Manager returns the reconfiguration cache manager.
 func (s *System) Manager() *reconfig.Manager { return s.manager }
 
-// Reconfigurations returns how many image swaps have happened.
-func (s *System) Reconfigurations() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reconfigs
-}
-
-// LastReconfigureHit reports whether the most recent reconfiguration
-// was served from the cache.
-func (s *System) LastReconfigureHit() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastHit
-}
-
 // Reconfigure swaps the node to cfg: the image comes from the
 // reconfiguration cache when pre-generated (milliseconds) or a fresh
 // synthesis run (≈1 modelled hour). Board memories — and therefore the
@@ -288,9 +269,6 @@ func (s *System) applyLocked(cfg leon.Config, img *synth.Image, hit, synthesized
 			return true, swapErr
 		}
 		s.cfg, s.active = cfg, img
-		s.reconfigs++
-		s.partials++
-		s.lastHit, s.lastPartial = hit, true
 		s.observeReconfigure(hit, true, synthesized, img.SynthTime)
 		return true, nil
 	}
@@ -304,8 +282,6 @@ func (s *System) applyLocked(cfg leon.Config, img *synth.Image, hit, synthesized
 	}
 	s.platform.SetControl()
 	s.cfg, s.active = cfg, img
-	s.reconfigs++
-	s.lastHit, s.lastPartial = hit, false
 	s.observeReconfigure(hit, false, synthesized, img.SynthTime)
 	return false, nil
 }
@@ -316,22 +292,6 @@ func onlyCachesDiffer(a, b leon.Config) bool {
 	a.ICache, b.ICache = cache.Config{}, cache.Config{}
 	a.DCache, b.DCache = cache.Config{}, cache.Config{}
 	return a == b
-}
-
-// PartialReconfigurations returns how many swaps took the partial
-// (cache-plugin) path.
-func (s *System) PartialReconfigurations() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.partials
-}
-
-// LastReconfigureWasPartial reports whether the most recent swap used
-// the partial path.
-func (s *System) LastReconfigureWasPartial() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastPartial
 }
 
 // CompileC compiles Liquid-C source and links it into a loadable

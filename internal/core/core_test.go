@@ -40,6 +40,12 @@ func newSystem(t *testing.T, cfg leon.Config) *System {
 	return s
 }
 
+// swaps reads liquid_core_reconfigurations_total{kind}: "hit" and
+// "miss" split the swaps by cache outcome, "partial" and "full" by path.
+func swaps(s *System, kind string) uint64 {
+	return s.Metrics().Snapshot().Counter(`liquid_core_reconfigurations_total{kind="` + kind + `"}`)
+}
+
 func TestCompileRunExitValue(t *testing.T) {
 	s := newSystem(t, leon.DefaultConfig())
 	img, err := s.CompileC("int main() { return 1234; }", lcc.Options{})
@@ -90,7 +96,7 @@ func TestReconfigurePreservesMemory(t *testing.T) {
 	if hit {
 		t.Error("fresh config claimed a cache hit")
 	}
-	if s.Reconfigurations() != 1 || s.LastReconfigureHit() {
+	if swaps(s, "hit")+swaps(s, "miss") != 1 || s.ReconfigureStatus().CacheHit {
 		t.Error("reconfiguration bookkeeping wrong")
 	}
 	// Exit value written before the swap is still readable.
@@ -169,8 +175,8 @@ func TestAutoTune(t *testing.T) {
 	if rep.Baseline.Cycles <= rep.Tuned.Cycles {
 		t.Error("tuned run not faster in cycles")
 	}
-	if s.Reconfigurations() != 1 {
-		t.Errorf("reconfigurations = %d", s.Reconfigurations())
+	if n := swaps(s, "hit") + swaps(s, "miss"); n != 1 {
+		t.Errorf("reconfigurations = %d", n)
 	}
 }
 
@@ -327,7 +333,7 @@ int main() {
 	if _, err := s.Reconfigure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if s.LastReconfigureWasPartial() {
+	if s.ReconfigureStatus().Partial {
 		t.Fatal("window change took the partial path")
 	}
 	if _, err := s.Run(img, 0); err != nil {

@@ -50,7 +50,7 @@ func ExampleSystem_Reconfigure() {
 		log.Fatal(err)
 	}
 	fmt.Println("dcache:", sys.Config().DCache.SizeBytes)
-	fmt.Println("partial:", sys.LastReconfigureWasPartial())
+	fmt.Println("partial:", sys.ReconfigureStatus().Partial)
 	// Output:
 	// dcache: 8192
 	// partial: true

@@ -57,7 +57,7 @@ func TestFullSwapHandsOverBoardMemory(t *testing.T) {
 	if _, err := s.Reconfigure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if s.LastReconfigureWasPartial() {
+	if s.ReconfigureStatus().Partial {
 		t.Fatal("a window-count change took the partial path")
 	}
 	if s.AsyncCtrl() != old {
@@ -122,7 +122,7 @@ func TestRepliesAfterFullSwap(t *testing.T) {
 	if _, err := s.Reconfigure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if s.LastReconfigureWasPartial() {
+	if s.ReconfigureStatus().Partial {
 		t.Fatal("a window-count change took the partial path")
 	}
 
@@ -217,7 +217,7 @@ func TestFullSwapKeepsAcknowledgedWrites(t *testing.T) {
 	if swapErr != nil {
 		t.Fatal(swapErr)
 	}
-	if s.PartialReconfigurations() != 0 {
+	if swaps(s, "partial") != 0 {
 		t.Fatal("window-count swaps took the partial path")
 	}
 

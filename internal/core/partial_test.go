@@ -25,11 +25,11 @@ func TestPartialReconfiguration(t *testing.T) {
 	if hit {
 		t.Error("fresh config hit")
 	}
-	if !s.LastReconfigureWasPartial() {
+	if !s.ReconfigureStatus().Partial {
 		t.Fatal("cache-only change did not take the partial path")
 	}
-	if s.PartialReconfigurations() != 1 {
-		t.Errorf("partials = %d", s.PartialReconfigurations())
+	if swaps(s, "partial") != 1 {
+		t.Errorf("partials = %d", swaps(s, "partial"))
 	}
 	if s.SoC() != socBefore {
 		t.Error("partial reconfiguration replaced the SoC")
@@ -66,7 +66,7 @@ func TestPartialDisabled(t *testing.T) {
 	if _, err := s.Reconfigure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if s.LastReconfigureWasPartial() {
+	if s.ReconfigureStatus().Partial {
 		t.Error("partial path used despite DisablePartial")
 	}
 	if s.SoC() == socBefore {
@@ -83,10 +83,10 @@ func TestNonCacheChangeIsFull(t *testing.T) {
 	if _, err := s.Reconfigure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if s.LastReconfigureWasPartial() {
+	if s.ReconfigureStatus().Partial {
 		t.Error("CPU change took the partial path")
 	}
-	if s.PartialReconfigurations() != 0 {
+	if swaps(s, "partial") != 0 {
 		t.Error("partial counter moved")
 	}
 }
@@ -117,7 +117,7 @@ int main() {
 	if _, err := s.Reconfigure(next); err != nil {
 		t.Fatal(err)
 	}
-	if !s.LastReconfigureWasPartial() {
+	if !s.ReconfigureStatus().Partial {
 		t.Fatal("expected partial path")
 	}
 	v, err := s.ExitValue(img)

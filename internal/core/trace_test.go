@@ -219,7 +219,7 @@ func TestNetworkTraceMatchesInProcess(t *testing.T) {
 				if _, err := s.Reconfigure(step.cfg); err != nil {
 					t.Fatalf("%s: %v", step.name, err)
 				}
-				if s.LastReconfigureWasPartial() != step.partial {
+				if s.ReconfigureStatus().Partial != step.partial {
 					t.Fatalf("%s: partial = %v", step.name, !step.partial)
 				}
 			}

@@ -351,9 +351,10 @@ func (p *Platform) HandlePayload(payload []byte) []netproto.Packet {
 
 // HandlePayloadFrom runs the CPP dispatch on one control-packet
 // payload from the peer identified by src ("ip:port"; "" when
-// unknown) and returns the response packets. This is the entry point
-// for the OS-socket server, which receives payloads with the IP/UDP
-// headers already stripped by the kernel.
+// unknown) and returns the response packets. It serves callers that
+// hold a bare payload, such as the model-based tests' reference
+// boards; the OS-socket server re-wraps each datagram as the IPv4/UDP
+// frame the FPX would see and enters through HandleFrameTraced.
 //
 // Requests carrying an exchange seq (the v4 header) pass through the
 // per-board dedup window: a retransmission of an exchange this board

@@ -276,15 +276,6 @@ func (o Op) Class() Class {
 	return opTable[o].class
 }
 
-// IsLoad reports whether the operation reads data memory.
-func (o Op) IsLoad() bool { return o.Class() == ClassLoad }
-
-// IsStore reports whether the operation writes data memory.
-func (o Op) IsStore() bool { return o.Class() == ClassStore }
-
-// IsDouble reports whether the operation moves a doubleword (LDD/STD).
-func (o Op) IsDouble() bool { return o == OpLDD || o == OpSTD }
-
 // Inst is a decoded instruction. Fields not meaningful for the
 // operation's class are zero.
 type Inst struct {

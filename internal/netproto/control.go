@@ -367,6 +367,7 @@ func ParseRunReport(b []byte) (RunReport, error) {
 // expires, or whose waiter table is full answers immediately
 // (StatusRunning while in flight), and the client asks again. HoldMs
 // 0 means "answer immediately" (equivalent to CmdResult).
+// CmdWaitReconfig, the held reconfiguration wait, carries the same body.
 type WaitResultReq struct {
 	HoldMs uint32
 }

@@ -141,16 +141,3 @@ func ReconfigAckInfo(rep RunReport) ReconfigStatusResp {
 func (r ReconfigStatusResp) Terminal() bool {
 	return r.State == ReconfigApplied || r.State == ReconfigFailed
 }
-
-// WaitReconfigReq is the body of CmdWaitReconfig; it reuses the
-// CmdWaitResult hold semantics (HoldMs 0 = answer immediately).
-type WaitReconfigReq = WaitResultReq
-
-// ParseWaitReconfigReq decodes the body (empty = HoldMs 0).
-func ParseWaitReconfigReq(b []byte) (WaitReconfigReq, error) {
-	r, err := ParseWaitResultReq(b)
-	if err != nil {
-		return WaitReconfigReq{}, fmt.Errorf("netproto: wait-reconfig request: %w", err)
-	}
-	return r, nil
-}
