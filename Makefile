@@ -128,8 +128,11 @@ bench-baseline:
 # BenchmarkNodeConcurrentClients) with the gates armed: the windowed
 # load must cost at least 2x fewer implied round trips than
 # stop-and-wait, and single-board runs/s must stay above half the
-# checked-in BENCH_load.json baseline. It never rewrites
-# BENCH_load.json (load-baseline does).
+# checked-in BENCH_load.json baseline. The runs/s compared are
+# host-independent: the median of 9 batches of 10 runs, each scaled by
+# a hostinfo.Calibrate timed just before it in the same process
+# (Boards1RefRunsPerSec). It never rewrites BENCH_load.json
+# (load-baseline does).
 LOAD_BENCH = 'BenchmarkLoadThroughput|BenchmarkNodeConcurrentClients/boards=1$$'
 load-smoke:
 	LIQUID_LOAD_GATE=1 $(GO) test -run '^$$' -bench $(LOAD_BENCH) -benchtime 1x -v ./internal/server/

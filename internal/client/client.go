@@ -225,6 +225,7 @@ type Client struct {
 	rng *rand.Rand
 	op  tracing.Ctx // active operation span context, if any
 	buf []byte      // every reply is read here; bodies alias it until the next read
+	fs  []flight    // deliver's flight table, cleared when its batch ends
 
 	reg *metrics.Registry
 	m   clientMetrics
@@ -338,7 +339,10 @@ func (c *Client) exchangeCtx(ctx context.Context, cmd uint8, body []byte, overal
 	var reply []byte
 	_, err := c.deliver(ctx, batch{
 		cmd: cmd, n: 1, window: 1, overall: overall, hold: hold,
-		body: func(int) []byte { return body },
+		datagram: func(_ int, h netproto.Packet) []byte {
+			h.Body = body
+			return h.Marshal()
+		},
 		reply: func(_ int, b []byte) (int, error) {
 			reply = bytes.Clone(b) // b aliases the buffer the next read reuses
 			return 1, nil
@@ -352,8 +356,10 @@ func (c *Client) exchangeCtx(ctx context.Context, cmd uint8, body []byte, overal
 type batch struct {
 	cmd    uint8
 	n      int
-	window int                // requests outstanding at most
-	body   func(i int) []byte // request i's body, built at its first send
+	window int // requests outstanding at most
+	// datagram encodes request i under header h, whose Body is unset:
+	// built once, at the request's first send.
+	datagram func(i int, h netproto.Packet) []byte
 	// reply takes the reply to request i, whose body aliases the
 	// client's read buffer, and returns the floor the node reports:
 	// every request below it is held, and n or more ends the batch. An
@@ -414,6 +420,16 @@ func (f *flight) end(outcome, status string) {
 	}
 }
 
+// flightTable returns the client's flight table sized for n requests.
+// deliver reuses it from batch to batch, as it does the read buffer,
+// and clears it when the batch ends so no datagram outlives its batch.
+func (c *Client) flightTable(n int) []flight {
+	if cap(c.fs) < n {
+		c.fs = make([]flight, n)
+	}
+	return c.fs[:n]
+}
+
 // deliver is the client's one delivery engine. It sends b's requests
 // in index order, keeping at most b.window outstanding (one while the
 // first request probes the node), matches each reply by board and
@@ -461,7 +477,7 @@ func (c *Client) deliver(ctx context.Context, b batch) (delivery, error) {
 
 	var (
 		d       delivery
-		fs      = make([]flight, b.n)
+		fs      = c.flightTable(b.n)
 		out     []int // outstanding requests, in send order
 		next    int   // lowest request not yet sent
 		sent    int   // datagrams written
@@ -471,6 +487,7 @@ func (c *Client) deliver(ctx context.Context, b batch) (delivery, error) {
 		start   = c.clk.Now()
 		lastErr error
 	)
+	defer clear(fs)
 	fail := func(outcome, status string, err error) (delivery, error) {
 		if status != "canceled" {
 			c.m.errors.Inc()
@@ -486,8 +503,7 @@ func (c *Client) deliver(ctx context.Context, b batch) (delivery, error) {
 		if f.sends == 0 {
 			c.seq++
 			f.seq = c.seq
-			f.raw = netproto.Packet{Command: b.cmd, Board: c.Board, Seq: c.seq, HasSeq: true,
-				TraceID: c.TraceID, Body: b.body(i)}.Marshal()
+			f.raw = b.datagram(i, netproto.Packet{Command: b.cmd, Board: c.Board, Seq: c.seq, HasSeq: true, TraceID: c.TraceID})
 			f.first = c.clk.Now()
 			f.state = inFlight
 			if xc.On() {
@@ -676,7 +692,9 @@ func (c *Client) LoadProgram(addr uint32, image []byte) (err error) {
 	acked := 0 // the most chunks the server has reported holding
 	d, err := c.deliver(context.Background(), batch{
 		cmd: netproto.CmdLoadProgram, n: n, window: window,
-		body: func(i int) []byte { return chunks[i].Marshal() },
+		// Each chunk is encoded straight into its datagram: one buffer
+		// per chunk, no intermediate body.
+		datagram: func(i int, h netproto.Packet) []byte { return chunks[i].MarshalPacket(h) },
 		reply: func(i int, body []byte) (int, error) {
 			rep, err := netproto.ParseRunReport(body)
 			if err != nil {

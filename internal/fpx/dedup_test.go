@@ -3,6 +3,7 @@ package fpx
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"liquidarch/internal/leon"
@@ -229,6 +230,47 @@ func TestForgedLoadLengthRefused(t *testing.T) {
 	}
 	if got := p.Metrics().Snapshot().Counters["liquid_fpx_load_chunks_total"]; got != 0 {
 		t.Errorf("forged chunk counted as received (%d)", got)
+	}
+}
+
+// TestForgedChunkCountRefused: a first chunk claiming the most chunks
+// a load can have, Total 65535 and an image length those chunks can
+// carry, is refused before the platform sizes a reassembly buffer from
+// it: the image cannot fit the board's SRAM. Four such datagrams at
+// four addresses, each claiming 90 MiB, draw CmdError and allocate
+// under 1 MB in total, on the emulator and on a LEON board.
+func TestForgedChunkCountRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    *Platform
+	}{
+		{"emulator", New(NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)},
+		{"leon", newLEONPlatform(t)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var datagrams [][]byte
+			for i := uint32(0); i < 4; i++ {
+				forged := netproto.LoadChunk{Seq: 0, Total: 65535, Addr: leon.DefaultLoadAddr + i<<12,
+					TotalLen: 65535 * netproto.MaxChunkData, Data: []byte{1, 2, 3, 4}}
+				datagrams = append(datagrams, netproto.Packet{Command: netproto.CmdLoadProgram, Seq: uint16(i), HasSeq: true,
+					Body: forged.Marshal()}.Marshal())
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i, d := range datagrams {
+				resps := tc.p.HandlePayloadFrom("forger:1", d)
+				if len(resps) != 1 || resps[0].Command != netproto.CmdError {
+					t.Fatalf("forged chunk %d answered %+v, want CmdError", i, resps)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("four forged first chunks allocated %d B, want under 1 MB", got)
+			}
+			if tc.p.load != nil {
+				t.Errorf("a forged chunk left a %d-byte reassembly buffer", len(tc.p.load.buf))
+			}
+		})
 	}
 }
 

@@ -115,12 +115,17 @@ func (e *Emulator) LastResult() leon.RunResult {
 	return e.last
 }
 
-// LoadProgram implements LEONControl.
+// SRAMSize implements LEONControl: the emulator stands in for a board
+// with the default configuration's SRAM.
+func (e *Emulator) SRAMSize() int { return leon.DefaultConfig().SRAMSize }
+
+// LoadProgram implements LEONControl, within the bounds a board's
+// controller applies (leon.CheckLoad).
 func (e *Emulator) LoadProgram(addr uint32, image []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if addr < leon.MailboxEnd {
-		return fmt.Errorf("fpx: emulator: load address %#x overlaps the mailbox", addr)
+	if err := leon.CheckLoad(addr, uint64(len(image)), e.SRAMSize()); err != nil {
+		return fmt.Errorf("fpx: emulator: %w", err)
 	}
 	for i, b := range image {
 		e.mem[addr+uint32(i)] = b

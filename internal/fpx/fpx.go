@@ -28,9 +28,11 @@ import (
 // the run's spans nest under the trace that started it (a disabled
 // context records none). SetRunDoneHook asks for fn to be invoked every
 // time a run completes; fn must not block. A server mounted on the
-// platform parks held result waits on it.
+// platform parks held result waits on it. SRAMSize is the board's SRAM
+// capacity, which bounds a load before its first chunk sizes a buffer.
 type LEONControl interface {
 	State() leon.State
+	SRAMSize() int
 	LoadProgram(addr uint32, image []byte) error
 	StartCtx(tc tracing.Ctx, entry uint32, maxCycles uint64) error
 	Cycles() uint64
@@ -617,14 +619,20 @@ func loadAck(status uint8, ls *loadState) netproto.Packet {
 // restarting its load — is re-acked with the current reassembly
 // progress but never re-applied, and a chunk for a different image
 // restarts the reassembly. Every ack carries (received, nextSeq) so a
-// resuming client can skip the chunks this board already holds.
+// resuming client can skip the chunks this board already holds. An
+// image's first chunk sizes the reassembly buffer from the length it
+// claims, so an image that cannot fit the board's SRAM is refused
+// before anything is allocated: the bound the controller applies when
+// the load completes.
 func (p *Platform) loadChunk(body []byte) netproto.Packet {
 	c, err := netproto.ParseLoadChunk(body)
 	if err != nil {
 		return p.errResp(netproto.CmdLoadProgram, err)
 	}
-	p.m.chunks.Inc()
 	if p.load == nil || p.load.addr != c.Addr || p.load.total != c.Total || len(p.load.buf) != int(c.TotalLen) {
+		if err := leon.CheckLoad(c.Addr, uint64(c.TotalLen), p.ctrl.SRAMSize()); err != nil {
+			return p.errResp(netproto.CmdLoadProgram, err)
+		}
 		p.load = &loadState{
 			addr:     c.Addr,
 			total:    c.Total,
@@ -632,6 +640,7 @@ func (p *Platform) loadChunk(body []byte) netproto.Packet {
 			received: make([]bool, c.Total),
 		}
 	}
+	p.m.chunks.Inc()
 	ls := p.load
 	if ls.received[c.Seq] {
 		// Re-ack, never re-apply: the chunk is already in the buffer.

@@ -82,6 +82,7 @@ type AsyncController struct {
 
 	state  atomic.Uint32 // State, published at slice boundaries
 	cycles atomic.Uint64 // run-relative cycle counter, ditto
+	sram   int           // the board's SRAM bytes, fixed for its life
 
 	mu      sync.Mutex
 	run     *runHandle // current or most recent run (nil before the first)
@@ -110,6 +111,7 @@ func NewAsyncController(ctrl *Controller) *AsyncController {
 	a := &AsyncController{
 		reqs: make(chan asyncReq),
 		quit: make(chan struct{}),
+		sram: ctrl.SoC().Config.SRAMSize,
 	}
 	a.publish(ctrl)
 	a.wg.Add(1)
@@ -302,6 +304,12 @@ func (a *AsyncController) Reload(cfg Config) error {
 	}
 	return err
 }
+
+// SRAMSize returns the board's SRAM capacity in bytes, the window
+// LoadProgram places images in. It never waits on the actor: a reload
+// keeps the board's memories, so the size is fixed for the board's
+// life.
+func (a *AsyncController) SRAMSize() int { return a.sram }
 
 // LoadProgram writes a program image through the user port. While a
 // run is in flight the underlying controller rejects it ("cannot load

@@ -128,6 +128,21 @@ func (c *Controller) Reload(cfg Config) error {
 	return c.Boot()
 }
 
+// CheckLoad reports why n bytes cannot be loaded at addr on a board
+// with sramSize bytes of SRAM — below the mailbox page's end, or not
+// inside SRAM — or nil when they fit: the bound LoadProgram applies.
+// A receiver that reassembles a load can apply it before it sizes a
+// buffer from the image length a first chunk claims.
+func CheckLoad(addr uint32, n uint64, sramSize int) error {
+	if addr < MailboxEnd {
+		return fmt.Errorf("leon: load address %#x overlaps the mailbox page", addr)
+	}
+	if addr < SRAMBase || uint64(addr)+n > uint64(SRAMBase)+uint64(sramSize) {
+		return fmt.Errorf("leon: load [%#x,+%d) outside SRAM", addr, n)
+	}
+	return nil
+}
+
 // LoadProgram writes a program image into SRAM through the user-side
 // port while the CPU is disconnected (the paper's load path: "programs
 // are sent to the FPX via UDP packets, then written directly to main
@@ -136,11 +151,8 @@ func (c *Controller) LoadProgram(addr uint32, image []byte) error {
 	if c.state == StateRunning || c.state == StateReset {
 		return fmt.Errorf("leon: cannot load in state %v", c.state)
 	}
-	if addr < MailboxEnd {
-		return fmt.Errorf("leon: load address %#x overlaps the mailbox page", addr)
-	}
-	if addr < SRAMBase || uint64(addr)+uint64(len(image)) > uint64(SRAMBase)+uint64(c.soc.Config.SRAMSize) {
-		return fmt.Errorf("leon: load [%#x,+%d) outside SRAM", addr, len(image))
+	if err := CheckLoad(addr, uint64(len(image)), c.soc.Config.SRAMSize); err != nil {
+		return err
 	}
 	// A fresh image may reuse addresses from the previous run; drop any
 	// instructions predecoded from the old contents. (The boot ROM's

@@ -133,23 +133,18 @@ type Packet struct {
 // the packet carries a seq, a board other than 0 or a trace id, and
 // otherwise the paper's v1 header.
 func (p Packet) Marshal() []byte {
+	return append(p.appendHeader(make([]byte, 0, traceHeaderLen+len(p.Body))), p.Body...)
+}
+
+// appendHeader appends the packet's header, v4 or v1 as Marshal
+// chooses, to b.
+func (p Packet) appendHeader(b []byte) []byte {
 	if !p.HasSeq && p.Board == 0 && p.TraceID == 0 {
-		out := make([]byte, headerLen+len(p.Body))
-		out[0], out[1] = Magic[0], Magic[1]
-		out[2] = Version
-		out[3] = p.Command
-		copy(out[headerLen:], p.Body)
-		return out
+		return append(b, Magic[0], Magic[1], Version, p.Command)
 	}
-	out := make([]byte, traceHeaderLen+len(p.Body))
-	out[0], out[1] = Magic[0], Magic[1]
-	out[2] = VersionTrace
-	out[3] = p.Command
-	out[4] = p.Board
-	binary.BigEndian.PutUint16(out[5:], p.Seq)
-	binary.BigEndian.PutUint64(out[7:], p.TraceID)
-	copy(out[traceHeaderLen:], p.Body)
-	return out
+	b = append(b, Magic[0], Magic[1], VersionTrace, p.Command, p.Board)
+	b = binary.BigEndian.AppendUint16(b, p.Seq)
+	return binary.BigEndian.AppendUint64(b, p.TraceID)
 }
 
 // ParsePacket validates the header and returns the command, board,
@@ -205,20 +200,42 @@ type LoadChunk struct {
 // loadChunkHeaderLen is the fixed part of a LoadChunk body.
 const loadChunkHeaderLen = 2 + 2 + 4 + 4 + 4
 
-// MaxChunkData is the largest chunk payload; frames stay under typical
-// MTUs.
-const MaxChunkData = 1024
+// ethernetMTU is the largest IPv4 packet one Ethernet frame carries,
+// the bound the FPX's frames meet on the wire.
+const ethernetMTU = 1500
+
+// chunkLineBytes is the granule a chunk's data is cut in: one 32-byte
+// cache line of the board's caches.
+const chunkLineBytes = 32
+
+// MaxChunkData is the largest chunk payload: the most whole 32-byte
+// lines whose v4 load datagram, wrapped in the FPX's IPv4/UDP frame,
+// still fits one Ethernet MTU (1500 − 20 − 8 − 15 − 16 = 1441 bytes,
+// rounded down to 1440). A v1 datagram, whose header is shorter, fits
+// too. Every chunk of a load but the last is this size, so a load costs
+// as few datagrams, and as few acks, as one frame per chunk allows.
+const MaxChunkData = (ethernetMTU - IPv4HeaderLen - UDPHeaderLen - traceHeaderLen - loadChunkHeaderLen) / chunkLineBytes * chunkLineBytes
 
 // Marshal encodes the chunk body.
 func (c LoadChunk) Marshal() []byte {
-	b := make([]byte, loadChunkHeaderLen+len(c.Data))
-	binary.BigEndian.PutUint16(b[0:], c.Seq)
-	binary.BigEndian.PutUint16(b[2:], c.Total)
-	binary.BigEndian.PutUint32(b[4:], c.Addr)
-	binary.BigEndian.PutUint32(b[8:], c.TotalLen)
-	binary.BigEndian.PutUint32(b[12:], c.Offset)
-	copy(b[loadChunkHeaderLen:], c.Data)
-	return b
+	return c.appendBody(make([]byte, 0, loadChunkHeaderLen+len(c.Data)))
+}
+
+// MarshalPacket encodes the datagram of p carrying the chunk as its
+// body — the bytes of p with Body set to c.Marshal() — in one buffer,
+// with no intermediate body. p.Body is ignored.
+func (c LoadChunk) MarshalPacket(p Packet) []byte {
+	return c.appendBody(p.appendHeader(make([]byte, 0, traceHeaderLen+loadChunkHeaderLen+len(c.Data))))
+}
+
+// appendBody appends the chunk's body encoding to b.
+func (c LoadChunk) appendBody(b []byte) []byte {
+	b = binary.BigEndian.AppendUint16(b, c.Seq)
+	b = binary.BigEndian.AppendUint16(b, c.Total)
+	b = binary.BigEndian.AppendUint32(b, c.Addr)
+	b = binary.BigEndian.AppendUint32(b, c.TotalLen)
+	b = binary.BigEndian.AppendUint32(b, c.Offset)
+	return append(b, c.Data...)
 }
 
 // ParseLoadChunk decodes a chunk body.

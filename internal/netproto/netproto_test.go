@@ -256,6 +256,50 @@ func TestLoadChunkValidation(t *testing.T) {
 	}
 }
 
+// TestMaxChunkFillsOneFrame: a load datagram carrying a MaxChunkData
+// chunk, under either header generation and wrapped in the FPX's
+// IPv4/UDP frame, fits one Ethernet MTU, and MaxChunkData is the most
+// whole lines that do. MaxChunkData is cut in lines, so a v4 datagram
+// leaves under one line of the frame unused: one data byte past that
+// room does not fit. MarshalPacket's one-buffer encoding is the
+// datagram Marshal builds around the chunk's body.
+func TestMaxChunkFillsOneFrame(t *testing.T) {
+	if MaxChunkData%chunkLineBytes != 0 {
+		t.Fatalf("MaxChunkData %d is not whole %d-byte lines", MaxChunkData, chunkLineBytes)
+	}
+	frameLen := func(hdr Packet, data int) int {
+		c := LoadChunk{Seq: 1, Total: 3, Addr: 0x40001000, TotalLen: 3 * MaxChunkData, Offset: MaxChunkData, Data: make([]byte, data)}
+		raw := c.MarshalPacket(hdr)
+		hdr.Body = c.Marshal()
+		if !bytes.Equal(raw, hdr.Marshal()) {
+			t.Fatalf("MarshalPacket differs from Marshal around the chunk body")
+		}
+		return len(BuildFrame(srcIP, dstIP, 4000, 5001, raw))
+	}
+	for _, tc := range []struct {
+		name string
+		hdr  Packet
+	}{
+		{"v4", Packet{Command: CmdLoadProgram, Board: 1, Seq: 9, HasSeq: true, TraceID: 0xabc}},
+		{"v1", Packet{Command: CmdLoadProgram}},
+	} {
+		if n := frameLen(tc.hdr, MaxChunkData); n > ethernetMTU {
+			t.Errorf("%s: a MaxChunkData chunk's frame is %d bytes, over the %d-byte MTU", tc.name, n, ethernetMTU)
+		}
+		if n := frameLen(tc.hdr, MaxChunkData+chunkLineBytes); n <= ethernetMTU {
+			t.Errorf("%s: one more line still fits (%d bytes): MaxChunkData is not the most whole lines", tc.name, n)
+		}
+	}
+	v4 := Packet{Command: CmdLoadProgram, HasSeq: true}
+	room := ethernetMTU - frameLen(v4, MaxChunkData)
+	if room >= chunkLineBytes {
+		t.Errorf("a v4 frame leaves %d bytes unused, a whole line", room)
+	}
+	if n := frameLen(v4, MaxChunkData+room+1); n <= ethernetMTU {
+		t.Errorf("a chunk one byte past the frame's room fits (%d bytes)", n)
+	}
+}
+
 func TestChunkImageCoversImage(t *testing.T) {
 	image := make([]byte, 2*MaxChunkData+100)
 	for i := range image {

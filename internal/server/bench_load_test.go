@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
@@ -20,10 +21,10 @@ import (
 // impliedRTTs = elapsed / (2 * loadBenchDelay).
 const loadBenchDelay = time.Millisecond
 
-// loadBenchChunks sizes the benchmark image: 96 chunks ≈ 97 KiB. A
-// stop-and-wait load pays ~1 RTT per chunk; the sliding window pays
-// ~ceil(chunks/window) plus the probe, so window=16 should land near
-// 96/16 + O(1) implied RTTs.
+// loadBenchChunks sizes the benchmark image in chunks: 96 chunks of
+// netproto.MaxChunkData bytes ≈ 134 KiB. A stop-and-wait load pays ~1
+// RTT per chunk; the sliding window pays ~ceil(chunks/window) plus the
+// probe, so window=16 should land near 96/16 + O(1) implied RTTs.
 const loadBenchChunks = 96
 
 // loadBenchRTTs collects per-window implied-RTT figures across the
@@ -93,24 +94,71 @@ type benchLoadJSON struct {
 	Figure string `json:"figure"`
 	Data   struct {
 		ImageChunks       int     `json:"ImageChunks"`
+		ChunkBytes        int     `json:"ChunkBytes"`
 		DelayMsEachWay    float64 `json:"DelayMsEachWay"`
 		Window1RTTs       float64 `json:"Window1RTTs"`
 		Window16RTTs      float64 `json:"Window16RTTs"`
 		RTTReduction      float64 `json:"RTTReduction"`
 		Boards1RunsPerSec float64 `json:"Boards1RunsPerSec"`
+		// Boards1RefRunsPerSec is the gated figure: single-board runs/s
+		// scaled to a host where hostinfo.Calibrate takes CalibRefMS
+		// (see calibratedRunsPerSec).
+		Boards1RefRunsPerSec float64 `json:"Boards1RefRunsPerSec"`
 		hostinfo.Host
 		Note string `json:"Note"`
 	} `json:"data"`
 }
 
+// Calibrated single-board throughput: loadGateRounds batches of
+// loadGateRuns back-to-back runs, each batch timed right after a host
+// calibration.
+const (
+	loadGateRounds = 9
+	loadGateRuns   = 10
+)
+
+// calibratedRunsPerSec times loadGateRounds batches of loadGateRuns
+// runs of run, each right after a host calibration (hostinfo.Calibrate),
+// and returns the median batch's runs/s scaled to the reference host:
+// multiplied by the calibration's time over hostinfo.CalibRefMS. The
+// host's speed cancels out of the scaled figure, as it does from
+// bench-smoke's calibrated ns/step, so a gate can hold it to a baseline
+// from another host or a slower hour of this one.
+func calibratedRunsPerSec(run func() error) (float64, error) {
+	scaled := make([]float64, 0, loadGateRounds)
+	for r := 0; r < loadGateRounds; r++ {
+		calibMS := hostinfo.Calibrate()
+		start := time.Now()
+		for i := 0; i < loadGateRuns; i++ {
+			if err := run(); err != nil {
+				return 0, err
+			}
+		}
+		perSec := loadGateRuns / time.Since(start).Seconds()
+		scaled = append(scaled, perSec*calibMS/hostinfo.CalibRefMS)
+	}
+	sort.Float64s(scaled)
+	return scaled[loadGateRounds/2], nil
+}
+
 // gateAndEmitLoadBench is called from the boards=1 leg of
-// BenchmarkNodeConcurrentClients. When LIQUID_LOAD_GATE=1 it fails the
-// run if single-board throughput regressed below half the checked-in
-// BENCH_load.json baseline; when LIQUID_LOAD_JSON names a path (set by
-// `make load-baseline`) it rewrites that file with the figures just
-// measured.
-func gateAndEmitLoadBench(b *testing.B, runsPerSec float64) {
-	if os.Getenv("LIQUID_LOAD_GATE") != "" {
+// BenchmarkNodeConcurrentClients with the leg's runs/s and one run of
+// its client. When LIQUID_LOAD_GATE=1 it fails the run if the
+// calibrated single-board throughput (calibratedRunsPerSec) fell below
+// half the checked-in BENCH_load.json baseline's; when LIQUID_LOAD_JSON
+// names a path (set by `make load-baseline`) it rewrites that file with
+// the figures just measured and the host stamp.
+func gateAndEmitLoadBench(b *testing.B, runsPerSec float64, run func() error) {
+	gate, out := os.Getenv("LIQUID_LOAD_GATE") != "", os.Getenv("LIQUID_LOAD_JSON")
+	if !gate && out == "" {
+		return
+	}
+	refRunsPerSec, err := calibratedRunsPerSec(run)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(refRunsPerSec, "ref-runs/s")
+	if gate {
 		path := os.Getenv("LIQUID_LOAD_BASELINE")
 		if path == "" {
 			path = "../../BENCH_load.json"
@@ -122,21 +170,25 @@ func gateAndEmitLoadBench(b *testing.B, runsPerSec float64) {
 			if err := json.Unmarshal(raw, &base); err != nil {
 				b.Fatalf("load gate: parse %s: %v", path, err)
 			}
-			if floor := base.Data.Boards1RunsPerSec / 2; runsPerSec < floor {
-				b.Fatalf("load gate: single-board throughput %.2f runs/s below floor %.2f (half of checked-in %.2f)",
-					runsPerSec, floor, base.Data.Boards1RunsPerSec)
+			want := base.Data.Boards1RefRunsPerSec
+			if want == 0 {
+				b.Fatalf("load gate: %s has no calibrated single-board figure; re-emit it with make load-baseline", path)
+			}
+			if floor := want / 2; refRunsPerSec < floor {
+				b.Fatalf("load gate: calibrated single-board throughput %.2f runs/s below floor %.2f (half of checked-in %.2f)",
+					refRunsPerSec, floor, want)
 			} else {
-				b.Logf("load gate: single-board %.2f runs/s >= floor %.2f", runsPerSec, floor)
+				b.Logf("load gate: calibrated single-board %.2f runs/s >= floor %.2f", refRunsPerSec, floor)
 			}
 		}
 	}
-	out := os.Getenv("LIQUID_LOAD_JSON")
 	if out == "" {
 		return
 	}
 	var j benchLoadJSON
-	j.Figure = "Pipelined control plane: sliding-window load round trips (BenchmarkLoadThroughput, 96-chunk image, 1 ms injected each-way delay) and single-board run throughput with the server-held wait (BenchmarkNodeConcurrentClients/boards=1, ~5 ms program, stock client)"
+	j.Figure = "Pipelined control plane: sliding-window load round trips (BenchmarkLoadThroughput, 96-chunk image, 1 ms injected each-way delay) and single-board run throughput with the server-held wait (BenchmarkNodeConcurrentClients/boards=1, ~5 ms program, stock client; Boards1RefRunsPerSec, the gated figure, is the median of 9 batches of 10 runs, each scaled to a host where hostinfo.Calibrate takes 10 ms)"
 	j.Data.ImageChunks = loadBenchChunks
+	j.Data.ChunkBytes = netproto.MaxChunkData
 	j.Data.DelayMsEachWay = loadBenchDelay.Seconds() * 1000
 	j.Data.Window1RTTs = round2(loadBenchRTTs[1])
 	j.Data.Window16RTTs = round2(loadBenchRTTs[16])
@@ -144,6 +196,7 @@ func gateAndEmitLoadBench(b *testing.B, runsPerSec float64) {
 		j.Data.RTTReduction = round2(loadBenchRTTs[1] / loadBenchRTTs[16])
 	}
 	j.Data.Boards1RunsPerSec = round2(runsPerSec)
+	j.Data.Boards1RefRunsPerSec = round2(refRunsPerSec)
 	j.Data.Host = hostinfo.Current()
 	j.Data.Note = "stop-and-wait pays ~1 RTT per chunk; the 16-chunk window overlaps them so the load is latency-bound on ~chunks/window round trips. The runs/s figure uses the stock client: the server parks the wait and replies on completion, so each run costs the program time plus network latency, not a poll interval."
 	raw, err := json.MarshalIndent(&j, "", "  ")

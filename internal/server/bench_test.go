@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"liquidarch/internal/asm"
 	"liquidarch/internal/client"
 	"liquidarch/internal/hostinfo"
 )
@@ -55,11 +56,7 @@ func BenchmarkNodeConcurrentClients(b *testing.B) {
 				go func(c *client.Client, iters int) {
 					defer wg.Done()
 					for j := 0; j < iters; j++ {
-						if err := c.StartAsync(obj.Origin, 0); err != nil {
-							b.Error(err)
-							return
-						}
-						if _, err := c.WaitResult(); err != nil {
+						if err := benchRun(c, obj); err != nil {
 							b.Error(err)
 							return
 						}
@@ -72,12 +69,22 @@ func BenchmarkNodeConcurrentClients(b *testing.B) {
 			b.ReportMetric(runsPerSec, "runs/s")
 			nodeBenchLegs[nBoards] = nodeLeg{N: b.N, NsPerOp: b.Elapsed().Nanoseconds() / int64(b.N), RunsPerSec: round2(runsPerSec)}
 			if nBoards == 1 {
-				gateAndEmitLoadBench(b, runsPerSec)
+				gateAndEmitLoadBench(b, runsPerSec, func() error { return benchRun(clients[0], obj) })
 			} else {
 				emitNodeBench(b)
 			}
 		})
 	}
+}
+
+// benchRun is one run round trip of the benchmark: StartAsync, then
+// the held WaitResult.
+func benchRun(c *client.Client, obj *asm.Object) error {
+	if err := c.StartAsync(obj.Origin, 0); err != nil {
+		return err
+	}
+	_, err := c.WaitResult()
+	return err
 }
 
 // nodeLeg is one board count's figures in BENCH_node.json.

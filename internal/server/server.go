@@ -74,6 +74,7 @@ type serverMetrics struct {
 	handleDur    *metrics.HistogramVec
 	parked       *metrics.Counter
 	wakeups      *metrics.CounterVec
+	acksFolded   *metrics.Counter
 }
 
 func newServerMetrics(r *metrics.Registry) serverMetrics {
@@ -87,6 +88,7 @@ func newServerMetrics(r *metrics.Registry) serverMetrics {
 		handleDur:    r.HistogramVec("liquid_server_handled_duration_seconds", "Wall time spent handling one datagram end to end.", "cmd", metrics.DefSecondsBuckets),
 		parked:       r.Counter("liquid_server_waits_parked_total", "CmdWaitResult exchanges parked on a board worker until run completion or hold expiry."),
 		wakeups:      r.CounterVec("liquid_server_wait_wakeups_total", "Parked wait releases, by reason (done, expired, shutdown).", "reason"),
+		acksFolded:   r.Counter("liquid_server_load_acks_folded_total", "Pending load acks not sent because the next chunk's ack, sent right after, advertises a gap past them (replies built = datagrams out + folded)."),
 	}
 }
 
@@ -398,10 +400,19 @@ func (s *Server) replyError(peer *net.UDPAddr, req netproto.Packet, msg string) 
 	pkt := req
 	pkt.Command = netproto.CmdError
 	pkt.Body = netproto.ErrorResp{Code: req.Command, Msg: msg}.Marshal()
-	raw := pkt.Marshal()
-	if n, err := s.conn.WriteTo(raw, peer); err != nil {
-		s.m.sendErrors.Inc()
-	} else {
+	s.send(peer, pkt.Marshal())
+}
+
+// send writes replies to peer in order, counting each datagram out; a
+// send error is counted and logged, and ends the sending.
+func (s *Server) send(peer *net.UDPAddr, replies ...[]byte) {
+	for _, r := range replies {
+		n, err := s.conn.WriteTo(r, peer)
+		if err != nil {
+			s.m.sendErrors.Inc()
+			s.events.Warnf("reply not sent", "peer", peer, "err", err)
+			return
+		}
 		s.m.datagramsOut.Inc()
 		s.m.bytesOut.Add(uint64(n))
 	}
@@ -435,18 +446,31 @@ type parkedWait struct {
 // once, on this goroutine, at release time; a retransmit of a
 // currently-parked exchange is dropped silently (the parked original
 // will answer with the same seq).
+//
+// The worker also folds load acks (see serve and settle): a Pending
+// ack to a sequenced chunk is held while the next chunk of the same
+// load from the same peer, already queued, is handled, and is sent
+// only if that chunk's ack does not settle it on the client. Each
+// folded ack counts in liquid_server_load_acks_folded_total, so the
+// replies the board builds equal the datagrams sent plus those folded.
 func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 	defer s.wg.Done()
 	boardLabel := strconv.Itoa(board)
 	pprof.Do(context.Background(), pprof.Labels("board", boardLabel), func(ctx context.Context) {
 		cmds := workerCmds(ctx, boardLabel)
-		runJob := func(j job) {
+		// handle processes j and returns its replies, unsent.
+		handle := func(j job) [][]byte {
 			pprof.SetGoroutineLabels(cmds[j.cmd].labels)
-			if err := s.process(p, j); err != nil {
+			replies, err := s.process(p, j)
+			if err != nil {
 				s.events.Warnf("request dropped", "peer", j.peer, "board", board, "err", err)
 			}
 			pprof.SetGoroutineLabels(ctx)
 			s.bufs.Put(j.bufp)
+			return replies
+		}
+		runJob := func(j job) {
+			s.send(j.peer, handle(j)...)
 			s.endTrace(j)
 		}
 
@@ -493,6 +517,40 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 			}
 		}
 
+		// serve handles j and then the fold: when j is a sequenced load
+		// chunk whose ack is Pending and the next job already queued is a
+		// chunk of the same load from the same peer, the ack is held while
+		// that chunk is handled, and settle sends or folds it. The held ack
+		// never waits behind anything else: serve returns a next job of any
+		// other kind that the lookahead took off the queue, after the ack
+		// has gone out, for the caller to handle next in its turn.
+		serve := func(j job) (next job, more bool) {
+			var held heldAck // held.reply is nil while no ack is held
+			for {
+				key, seq, chunk := loadChunkOf(j)
+				replies := handle(j)
+				if held.reply != nil {
+					s.settle(held, replies)
+					held = heldAck{}
+				}
+				if chunk && pendingAck(replies) {
+					if nj, ok := queued(queue); ok {
+						if nkey, _, nchunk := loadChunkOf(nj); nchunk && nkey == key {
+							if nj.qspan.On() {
+								nj.qspan.EndAttrs(cmds[nj.cmd].queueAttrs...)
+							}
+							held, j = heldAck{j: j, seq: seq, reply: replies[0]}, nj
+							continue
+						}
+						next, more = nj, true
+					}
+				}
+				s.send(j.peer, replies...)
+				s.endTrace(j)
+				return next, more
+			}
+		}
+
 		for {
 			// Arm a deadline only while something is parked.
 			var (
@@ -521,20 +579,22 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 					}
 					return
 				}
-				if j.qspan.On() { // queue wait is over; processing begins
-					j.qspan.EndAttrs(cmds[j.cmd].queueAttrs...)
+				for more := true; more; {
+					if j.qspan.On() { // queue wait is over; processing begins
+						j.qspan.EndAttrs(cmds[j.cmd].queueAttrs...)
+					}
+					if pw, keep := s.tryPark(p, j, canParkReconfig, parked, wake, rwake); keep {
+						parked = append(parked, pw)
+						break
+					} else if pw.key == dupSentinel {
+						// Retransmit of a currently-parked exchange: the parked
+						// original will answer; this copy is dropped.
+						s.bufs.Put(j.bufp)
+						s.endTrace(j)
+						break
+					}
+					j, more = serve(j)
 				}
-				if pw, keep := s.tryPark(p, j, canParkReconfig, parked, wake, rwake); keep {
-					parked = append(parked, pw)
-					continue
-				} else if pw.key == dupSentinel {
-					// Retransmit of a currently-parked exchange: the parked
-					// original will answer; this copy is dropped.
-					s.bufs.Put(j.bufp)
-					s.endTrace(j)
-					continue
-				}
-				runJob(j)
 
 			case <-wake:
 				if timer != nil {
@@ -693,36 +753,120 @@ func (s *Server) tryPark(p *fpx.Platform, j job, canParkReconfig bool, parked []
 }
 
 // process re-wraps the datagram as the raw frame the FPX would
-// receive, runs the hardware path, and relays response payloads to the
-// peer. Every failure is returned (and counted by reason) rather than
-// silently swallowed.
-func (s *Server) process(p *fpx.Platform, j job) error {
+// receive, runs the hardware path, and returns the reply payloads the
+// packet generator built, for the worker to send (or fold). Every
+// failure is returned (and counted by reason) rather than silently
+// swallowed.
+func (s *Server) process(p *fpx.Platform, j job) ([][]byte, error) {
 	frame := netproto.BuildFrame(j.src, p.IP, uint16(j.peer.Port), p.Port, j.payload)
 	outs, err := p.HandleFrameTraced(frame, j.trace)
 	if err != nil {
 		s.m.drops.With("platform").Inc()
-		return err
+		return nil, err
 	}
-	for _, raw := range outs {
+	for i, raw := range outs {
 		f, err := netproto.ParseFrame(raw)
 		if err != nil {
 			// The packet generator produced this frame itself; a parse
 			// failure here is a platform bug and must be loud, not a
 			// silent continue.
 			s.m.drops.With("response_parse").Inc()
-			return fmt.Errorf("server: generated response unparseable: %w", err)
+			return nil, fmt.Errorf("server: generated response unparseable: %w", err)
 		}
-		n, err := s.conn.WriteTo(f.Payload, j.peer)
-		if err != nil {
-			s.m.sendErrors.Inc()
-			return fmt.Errorf("server: send to %v: %w", j.peer, err)
-		}
-		s.m.datagramsOut.Inc()
-		s.m.bytesOut.Add(uint64(n))
+		outs[i] = f.Payload
 	}
 	s.m.handleDur.With(j.cmd).Observe(s.clk.Since(j.start).Seconds())
 	s.events.Debugf("handled", "peer", j.peer, "cmd", j.cmd, "bytes", len(j.payload), "responses", len(outs))
-	return nil
+	return outs, nil
+}
+
+// loadKey names one load from one peer: the peer's address and the
+// image a chunk belongs to.
+type loadKey struct {
+	src      [4]byte
+	port     int
+	addr     uint32
+	totalLen uint32
+	total    uint16
+}
+
+// loadChunkOf reports the load and chunk index of j when it is a
+// sequenced (v4) CmdLoadProgram chunk.
+func loadChunkOf(j job) (key loadKey, seq uint16, ok bool) {
+	pkt, err := netproto.ParsePacket(j.payload)
+	if err != nil || pkt.Command != netproto.CmdLoadProgram || !pkt.HasSeq {
+		return loadKey{}, 0, false
+	}
+	c, err := netproto.ParseLoadChunk(pkt.Body)
+	if err != nil {
+		return loadKey{}, 0, false
+	}
+	return loadKey{src: j.src, port: j.peer.Port, addr: c.Addr, totalLen: c.TotalLen, total: c.Total}, c.Seq, true
+}
+
+// loadAckOf reads a reply that is a load ack: its status and the gap
+// (the lowest chunk the board lacks) it advertises.
+func loadAckOf(reply []byte) (status uint8, gap int, ok bool) {
+	pkt, err := netproto.ParsePacket(reply)
+	if err != nil || pkt.Command != netproto.CmdLoadProgram|netproto.RespFlag {
+		return 0, 0, false
+	}
+	rep, err := netproto.ParseRunReport(pkt.Body)
+	if err != nil {
+		return 0, 0, false
+	}
+	_, gap = netproto.LoadAckProgress(rep)
+	return rep.Status, gap, true
+}
+
+// pendingAck reports whether replies is one Pending load ack.
+func pendingAck(replies [][]byte) bool {
+	if len(replies) != 1 {
+		return false
+	}
+	st, _, ok := loadAckOf(replies[0])
+	return ok && st == netproto.StatusPending
+}
+
+// queued takes the next job off queue without waiting. It reports
+// false when the queue is empty, or closed: the worker's next receive
+// then shuts it down.
+func queued(queue chan job) (job, bool) {
+	select {
+	case j, ok := <-queue:
+		return j, ok
+	default:
+		return job{}, false
+	}
+}
+
+// heldAck is a Pending load ack the worker keeps back while it handles
+// the next queued chunk of the same load (see worker).
+type heldAck struct {
+	j     job    // the chunk's job: its peer, and its trace to end
+	seq   uint16 // the chunk's index
+	reply []byte
+}
+
+// settle sends or folds the held ack h once the next chunk of its load
+// has been handled into replies. The ack is folded — counted, never
+// sent — only when the next reply is a load ack whose gap lies past the
+// held chunk: the client's cumulative floor then settles that chunk
+// too. A dedup re-ack of an earlier chunk carries an old gap, and any
+// other reply answers nothing about the held chunk, so then the held
+// ack goes out first, in order.
+func (s *Server) settle(h heldAck, replies [][]byte) {
+	folded := false
+	if len(replies) == 1 {
+		st, gap, ok := loadAckOf(replies[0])
+		folded = ok && (st == netproto.StatusPending || st == netproto.StatusOK) && gap > int(h.seq)
+	}
+	if folded {
+		s.m.acksFolded.Inc()
+	} else {
+		s.send(h.j.peer, h.reply)
+	}
+	s.endTrace(h.j)
 }
 
 // ipv4Of maps an IP to 4 bytes for the synthetic frame source.

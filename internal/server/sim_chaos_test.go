@@ -188,9 +188,14 @@ func TestControlPlaneUnderChaosSim(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		iters = 20_000
 	}
-	// Pad the image to ~11 chunks so the storm has enough traffic to
-	// provably rage on every pinned seed.
-	obj := assembleAt(t, countProg(iters)+"\t.space 8000\n")
+	// Pad the image to 11 chunks so the storm has enough traffic to
+	// provably rage on every pinned seed: countProg's three chunks and
+	// eight more. The padding is counted in chunks, not bytes, so the
+	// storm's traffic does not shrink when chunks grow.
+	obj := assembleAt(t, countProg(iters)+fmt.Sprintf("\t.space %d\n", 8*netproto.MaxChunkData))
+	if n := len(netproto.ChunkImage(obj.Origin, obj.Code)); n != 11 {
+		t.Fatalf("storm image is %d chunks, want 11", n)
+	}
 
 	// Clean-path baseline on the same fabric.
 	baseReps, baseHeads, _ := runNodeSim(t, 0, 1, obj, cleanLink())
