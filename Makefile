@@ -32,10 +32,13 @@ race-net:
 # the relay, the rest on the simulated fabric), the scripted
 # load-resumption and dedup regressions, the retry-span tracing check,
 # the held-wait tests (a wait the server answers early is re-issued at
-# the poll interval), and the client retry/backoff tests.
+# the poll interval), the held reconfigure waits and the board's one
+# wake (a deferred full swap lands as the run ends; a synthesis wake
+# leaves a result wait parked until its answer is final), and the
+# client retry/backoff tests.
 chaos:
 	$(GO) test -race ./internal/sim
-	$(GO) test -race -run 'Chaos|Retransmit|Resume|Suppressed|Dedup|Backoff|Jitter|WaitResult|WaitHold|HeldWait|LoadError|WrongBoard|StaleSeq|Windowed|RetrySpans' \
+	$(GO) test -race -run 'Chaos|Retransmit|Resume|Suppressed|Dedup|Backoff|Jitter|WaitResult|WaitHold|HeldWait|WaitReconfig|DeferredSwap|DeferredBehindRun|Wake|LoadError|WrongBoard|StaleSeq|Windowed|RetrySpans' \
 		./internal/server/... ./internal/client/... ./internal/fpx/...
 
 # fuzz-smoke gives each native fuzz target a few seconds on top of the
@@ -45,7 +48,8 @@ chaos:
 # the superblock dispatcher (StepN) to the single-step interpreter on
 # arbitrary instruction words, batch sizes, stop addresses and cycle
 # caps. FuzzDeliver feeds the client's delivery engine arbitrary reply
-# datagrams and holds its datagram, metric and span accounting equal.
+# datagrams and holds its datagram, metric and span accounting equal,
+# and a load to succeeding only after an OK ack to one of its chunks.
 # The nightly workflow runs it.
 fuzz-smoke:
 	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 5s

@@ -48,8 +48,8 @@ import (
 
 // DefaultWindow is the sliding-window depth LoadProgram keeps in
 // flight when Client.Window is zero: enough to fill a
-// continental-RTT pipe with 1 KiB chunks without overrunning the
-// server's per-board queue.
+// continental-RTT pipe with frame-sized chunks (netproto.MaxChunkData
+// bytes) without overrunning the server's per-board queue.
 const DefaultWindow = 16
 
 // DefaultWaitHold is the server-side hold WaitResult requests per
@@ -435,11 +435,13 @@ func (c *Client) flightTable(n int) []flight {
 // first request probes the node), matches each reply by board and
 // exchange seq, and hands it to b.reply, whose floor settles every
 // request below it: outstanding ones retire, unsent ones are skipped.
-// A round with no reply inside the backed-off timeout resends every
-// outstanding request; the board is unreachable after Retries such
-// rounds beyond the first, or once b.overall passes. A CmdError
-// answering b.cmd fails the batch. Every read lands in the client's
-// one buffer.
+// The batch ends only when a floor reaches n; once every request is
+// answered and none did, nothing left to send can raise it, and the
+// batch fails at once. A round with no reply inside the backed-off
+// timeout resends every outstanding request; the board is unreachable
+// after Retries such rounds beyond the first, or once b.overall
+// passes. A CmdError answering b.cmd fails the batch. Every read lands
+// in the client's one buffer.
 func (c *Client) deliver(ctx context.Context, b batch) (delivery, error) {
 	base := c.Timeout
 	if base <= 0 {
@@ -529,13 +531,12 @@ func (c *Client) deliver(ctx context.Context, b batch) (delivery, error) {
 		sent++
 		return nil
 	}
-	// lift raises the floor to to (at most n) and on past every answered
-	// request, settling what it passes.
+	// lift raises the floor to to (at most n), settling what it passes.
+	// A request its own reply settled stays above the floor until the
+	// node's floor passes it: that reply says the node held it, not that
+	// it still does.
 	lift := func(to int) {
 		to = max(d.floor, min(to, b.n))
-		for to < b.n && fs[to].state == settled {
-			to++
-		}
 		for i := d.floor; i < to; i++ {
 			switch f := &fs[i]; f.state {
 			case unsent:
@@ -561,6 +562,12 @@ func (c *Client) deliver(ctx context.Context, b batch) (delivery, error) {
 			if err := send(out[len(out)-1]); err != nil {
 				return fail("send_error", "error", err)
 			}
+		}
+		if len(out) == 0 {
+			// Every request is answered, yet the node's floor stops short
+			// (a load whose reassembly restarted under it): no resend can
+			// raise it.
+			return fail("unsettled", "error", fmt.Errorf("client: %s: all %d requests answered, but the node's floor stopped at %d", name, b.n, d.floor))
 		}
 		deadline := c.clk.Now().Add(c.jittered(wait) + b.hold)
 		if !b.overall.IsZero() && deadline.After(b.overall) {
@@ -710,7 +717,9 @@ func (c *Client) LoadProgram(addr uint32, image []byte) (err error) {
 				// completes reassembly: the server holds the whole image.
 				return n, nil
 			}
-			return gap, nil
+			// Only the OK ack ends the load: whatever gap a Pending ack
+			// claims, it settles no more than the chunks below the last.
+			return min(gap, n-1), nil
 		},
 	})
 	c.m.chunkResends.Add(uint64(d.resent))

@@ -14,10 +14,13 @@ import (
 // fuzzConn is a Conn that hands the client scripted datagrams, each
 // framed as a length byte and the bytes, then read timeouts; a
 // zero-length frame is one read timeout in between. It counts the
-// datagrams the client writes and ignores deadlines.
+// datagrams the client writes, notes whether it handed over an OK ack
+// to a load chunk already written, and ignores deadlines.
 type fuzzConn struct {
 	in     []byte
 	writes int
+	chunks map[uint16]bool // exchange seqs of the load chunks written
+	okAck  bool
 }
 
 func (f *fuzzConn) Read(b []byte) (int, error) {
@@ -30,10 +33,22 @@ func (f *fuzzConn) Read(b []byte) (int, error) {
 	if n == 0 {
 		return 0, os.ErrDeadlineExceeded
 	}
+	if p, err := netproto.ParsePacket(d); err == nil && p.Command == netproto.CmdLoadProgram|netproto.RespFlag && p.Board == 0 && f.chunks[p.Seq] {
+		if rep, err := netproto.ParseRunReport(p.Body); err == nil && rep.Status == netproto.StatusOK {
+			f.okAck = true
+		}
+	}
 	return copy(b, d), nil
 }
 
-func (f *fuzzConn) Write(b []byte) (int, error)     { f.writes++; return len(b), nil }
+func (f *fuzzConn) Write(b []byte) (int, error) {
+	f.writes++
+	if p, err := netproto.ParsePacket(b); err == nil && p.Command == netproto.CmdLoadProgram {
+		f.chunks[p.Seq] = true
+	}
+	return len(b), nil
+}
+
 func (f *fuzzConn) SetReadDeadline(time.Time) error { return nil }
 func (f *fuzzConn) Close() error                    { return nil }
 
@@ -51,7 +66,8 @@ func frames(dgrams ...[]byte) []byte {
 // arbitrary datagrams: one Status exchange reads statusIn, then a
 // three-chunk load reads loadIn. Whatever arrives, every datagram
 // written is a counted request or retry, every one has exactly one
-// attempt or retry span, and no span is recorded twice.
+// attempt or retry span, no span is recorded twice, and the load
+// succeeds only after an OK ack to one of its chunks.
 func FuzzDeliver(f *testing.F) {
 	reply := func(cmd uint8, seq uint16, body []byte) []byte {
 		return netproto.Packet{Command: cmd | netproto.RespFlag, Seq: seq, HasSeq: true, Body: body}.Marshal()
@@ -65,16 +81,22 @@ func FuzzDeliver(f *testing.F) {
 	f.Add(frames(status), []byte(nil))
 	f.Add(frames([]byte("noise"), status), []byte(nil))
 	f.Add([]byte(nil), frames(ack(2, netproto.StatusPending, 1), ack(3, netproto.StatusPending, 2), ack(4, netproto.StatusOK, 3)))
+	// A node whose reassembly restarted: every chunk Pending, gap 0.
+	f.Add([]byte(nil), frames(ack(2, netproto.StatusPending, 0), ack(3, netproto.StatusPending, 0), ack(4, netproto.StatusPending, 0)))
+	// A Pending ack claiming every chunk.
+	f.Add([]byte(nil), frames(ack(2, netproto.StatusPending, 3)))
 
 	f.Fuzz(func(t *testing.T, statusIn, loadIn []byte) {
-		conn := &fuzzConn{in: statusIn}
+		conn := &fuzzConn{in: statusIn, chunks: map[uint16]bool{}}
 		c := New(conn, sim.NewVirtualClock())
 		c.Retries, c.Window = 1, 2
 		col := tracing.New("client")
 		c.Tracer, c.TraceID = col, col.NewTraceID()
 		c.Status()
 		conn.in = loadIn
-		c.LoadProgram(0x40001000, make([]byte, 2*netproto.MaxChunkData+1))
+		if err := c.LoadProgram(0x40001000, make([]byte, 2*netproto.MaxChunkData+1)); err == nil && !conn.okAck {
+			t.Error("load succeeded without an OK ack")
+		}
 
 		snap := c.Metrics().Snapshot()
 		sends := snap.Counters["liquid_client_retries_total"]

@@ -379,6 +379,52 @@ func TestLoadErrorCarriesPartialProgress(t *testing.T) {
 	}
 }
 
+// TestLoadErrorWithoutOKAck: a load ends only on the node's OK ack. A
+// node whose reassembly restarts under the load (another peer's image,
+// or a full swap) answers every chunk Pending with its gap still at 0;
+// once every chunk is answered the load fails at once with a
+// *LoadError, without a resend or a silent round.
+func TestLoadErrorWithoutOKAck(t *testing.T) {
+	var mu sync.Mutex
+	chunks := 0
+	addr := scriptServer(t, func(req netproto.Packet) [][]byte {
+		if req.Command != netproto.CmdLoadProgram {
+			return nil
+		}
+		mu.Lock()
+		chunks++
+		mu.Unlock()
+		return [][]byte{netproto.Packet{Command: netproto.CmdLoadProgram | netproto.RespFlag,
+			Body: netproto.LoadAckReport(netproto.StatusPending, 1, 0).Marshal()}.Marshal()}
+	})
+	c := dialFast(t, addr)
+	c.Timeout = 2 * time.Second
+	start := time.Now()
+	err := c.LoadProgram(0x40001000, make([]byte, 2*netproto.MaxChunkData+1)) // 3 chunks
+	elapsed := time.Since(start)
+	var le *LoadError
+	if !errors.As(err, &le) {
+		t.Fatalf("err = %v, want *LoadError", err)
+	}
+	if le.ChunksTotal != 3 || le.HighestAck != 0 || le.Outstanding != 0 {
+		t.Errorf("LoadError = %+v, want 3 chunks, floor 0, none in flight", le)
+	}
+	if errors.Is(err, ErrBoardUnreachable) {
+		t.Errorf("every chunk was answered, yet the load reports the board unreachable: %v", err)
+	}
+	if elapsed >= c.Timeout {
+		t.Errorf("load failed after %v, want at once (before the %v timeout)", elapsed, c.Timeout)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if chunks != 3 {
+		t.Errorf("server saw %d chunk datagrams, want 3 (no resends)", chunks)
+	}
+	if got := c.Metrics().Snapshot().Counters["liquid_client_retries_total"]; got != 0 {
+		t.Errorf("retries = %d, want 0", got)
+	}
+}
+
 func TestLoadResumesFromServerProgress(t *testing.T) {
 	// The server already holds chunks 1-3 of 4 (a previous interrupted
 	// load): the first chunk is re-acked with the gap at 3, and the

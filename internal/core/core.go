@@ -101,6 +101,9 @@ type System struct {
 	// outcome for status polls after completion. Both under s.mu.
 	pending      *pendingReconfig
 	lastReconfig netproto.ReconfigStatusResp
+	// wake is the board's wake hook (see tracedControl.SetRunDoneHook),
+	// nil while none is installed. Under s.mu.
+	wake func()
 
 	// lastTrace is the last networked run's trace summary, served by
 	// CmdTraceReport.

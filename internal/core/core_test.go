@@ -202,18 +202,16 @@ func TestNetworkReconfigure(t *testing.T) {
 	// Reconfigure to 8 KB over the wire. The ack is immediate — a miss
 	// reports its ticket state in the spare fields — and the client
 	// follows up with CmdReconfigStatus until terminal.
-	// Synthesis completion is signaled through the reconfigure wake
-	// hook (this test plays the server's role); each wake is answered
-	// with one status poll, which also pumps the swap.
+	// Synthesis completion is signaled through the board's wake hook
+	// (this test plays the server's role); each wake is answered with
+	// one status poll, which also pumps the swap.
 	wake := make(chan struct{}, 1)
-	if !p.SetReconfigWakeHook(func() {
+	p.SetRunDoneHook(func() {
 		select {
 		case wake <- struct{}{}:
 		default:
 		}
-	}) {
-		t.Fatal("platform does not support asynchronous reconfiguration")
-	}
+	})
 	blob, _ := json.Marshal(Spec{DCacheBytes: 8 << 10})
 	resps = p.HandlePayload(netproto.Packet{Command: netproto.CmdReconfigure, Body: blob}.Marshal())
 	rep, err := netproto.ParseRunReport(resps[0].Body)

@@ -22,8 +22,9 @@ import (
 // ReconfigureStatus (wired as the platform's CmdReconfigStatus and
 // CmdWaitReconfig handler, so on a server it runs on the board worker
 // goroutine, which owns the platform state a full swap resets),
-// WaitReconfigure, or the ticket watcher once the server's wake hook
-// (or, serverless, the watcher itself) gets to it. Either kind of swap
+// WaitReconfigure, or the ticket watcher, which wakes whoever installed
+// the board's wake hook (the server's board worker) and pumps itself
+// only when no one did. Either kind of swap
 // runs on the board actor between step slices. A full swap is deferred
 // while a run is in flight (ReconfigSwapping) and lands at the next
 // pump after the run completes; partial (cache-only) swaps land
@@ -97,13 +98,20 @@ func (s *System) ReconfigureAsyncCtx(tc tracing.Ctx, cfg leon.Config) (netproto.
 }
 
 // watchTicket waits for the pending ticket's synthesis to finish, then
-// hands the swap to the board worker via the platform's wake hook — or
-// pumps directly when no server is mounted.
+// fires the board's wake hook, the same one every run completion fires:
+// the woken board worker pumps the swap on its own goroutine, which
+// owns the platform state a full swap resets. With no hook installed
+// (no server mounted), the watcher pumps the swap itself.
 func (s *System) watchTicket(p *pendingReconfig) {
 	<-p.ticket.Done()
-	if s.platform == nil || !s.platform.NotifyReconfig() {
+	s.mu.Lock()
+	wake := s.wake
+	s.mu.Unlock()
+	if wake == nil {
 		s.ReconfigureStatus()
+		return
 	}
+	wake()
 }
 
 // ReconfigureStatus reports the asynchronous reconfiguration state,
@@ -141,7 +149,7 @@ func (s *System) pumpLocked() netproto.ReconfigStatusResp {
 	partial, aerr := s.applyLocked(p.cfg, img, hit, !hit && !p.coalesced)
 	if errors.Is(aerr, leon.ErrRunning) {
 		// Image ready, board busy: the swap lands at the next pump
-		// after the run completes (the server pumps on run-done).
+		// after the run completes (the server pumps on every wake).
 		return netproto.ReconfigStatusResp{Status: netproto.StatusOK, State: netproto.ReconfigSwapping, CacheHit: hit}
 	}
 	return s.finishPendingLocked(p, hit, partial, aerr)

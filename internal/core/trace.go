@@ -25,6 +25,16 @@ type tracedControl struct {
 	sys *System
 }
 
+// SetRunDoneHook installs the board's one wake: the actor fires fn
+// after every run completion, and the ticket watcher fires it when a
+// pending reconfiguration's synthesis finishes (see watchTicket).
+func (t tracedControl) SetRunDoneHook(fn func()) {
+	t.sys.mu.Lock()
+	t.sys.wake = fn
+	t.sys.mu.Unlock()
+	t.AsyncController.SetRunDoneHook(fn)
+}
+
 // StartCtx is the handoff the FPX platform makes, with the run hooks
 // of netRunOpts.
 func (t tracedControl) StartCtx(tc tracing.Ctx, entry uint32, maxCycles uint64) error {

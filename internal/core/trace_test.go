@@ -101,9 +101,9 @@ func loadNet(p *fpx.Platform, img *link.Image) {
 	}
 }
 
-// runDoneSignal installs a run-done hook on p that signals the
-// returned channel. Only networked runs may happen on p's system, each
-// waited for before the next starts, so each completion is one signal.
+// runDoneSignal installs the board's wake hook on p, signalling the
+// returned channel. A signal means "look again": a run completed, or a
+// reconfiguration's synthesis finished.
 func runDoneSignal(t testing.TB, p *fpx.Platform) <-chan struct{} {
 	t.Helper()
 	done := make(chan struct{}, 1)
@@ -117,19 +117,21 @@ func runDoneSignal(t testing.TB, p *fpx.Platform) <-chan struct{} {
 }
 
 // runNet starts entry through the platform (CmdStartLEON, the
-// networked path; entry 0 is the loaded image's), waits for the
-// completion signal on done — no sleep polling — and collects the run
-// report with one CmdResult, as a remote client would.
+// networked path; entry 0 is the loaded image's), waits on done until
+// the board is no longer running — no sleep polling — and collects the
+// run report with one CmdResult, as a remote client would.
 func runNet(t testing.TB, p *fpx.Platform, done <-chan struct{}, entry uint32) netproto.RunReport {
 	t.Helper()
 	resps := p.HandlePayload(netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{Entry: entry}.Marshal()}.Marshal())
 	if rep, err := netproto.ParseRunReport(resps[0].Body); err != nil || rep.Status != netproto.StatusRunning {
 		t.Fatalf("start ack: %v %+v", err, rep)
 	}
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("run never completed")
+	for p.Control().State() == leon.StateRunning {
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("run never completed")
+		}
 	}
 	resps = p.HandlePayload(netproto.Packet{Command: netproto.CmdResult}.Marshal())
 	rep, err := netproto.ParseRunReport(resps[0].Body)

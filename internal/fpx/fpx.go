@@ -26,10 +26,14 @@ import (
 // poll-safe while the run is in flight, and CollectResult blocks until
 // the run completes. StartCtx takes the exchange's trace context, so
 // the run's spans nest under the trace that started it (a disabled
-// context records none). SetRunDoneHook asks for fn to be invoked every
-// time a run completes; fn must not block. A server mounted on the
-// platform parks held result waits on it. SRAMSize is the board's SRAM
-// capacity, which bounds a load before its first chunk sizes a buffer.
+// context records none). SetRunDoneHook installs the board's wake: fn
+// is invoked every time a run completes, and, on a controller that also
+// owns the board's reconfiguration (core's), every time a pending
+// reconfiguration's synthesis finishes. A call means "look again", not
+// "a run ended"; fn may run on more than one goroutine and must not
+// block. A server mounted on the platform releases its held waits on
+// it. SRAMSize is the board's SRAM capacity, which bounds a load before
+// its first chunk sizes a buffer.
 type LEONControl interface {
 	State() leon.State
 	SRAMSize() int
@@ -116,11 +120,6 @@ type Platform struct {
 	load       *loadState
 	loadedAddr uint32
 	dedup      *dedupCache
-	// reconfigWake, when set, is invoked (from the core's ticket
-	// watcher goroutine) whenever an asynchronous reconfiguration
-	// finishes synthesis — the server's cue to pump the swap and wake
-	// parked CmdWaitReconfig exchanges. Must not block.
-	reconfigWake func()
 
 	reg    *metrics.Registry
 	events *eventlog.Log
@@ -214,37 +213,15 @@ func (p *Platform) SetControl() {
 // can be parked (the board must be observably running).
 func (p *Platform) Control() LEONControl { return p.ctrl }
 
-// SetRunDoneHook asks the platform's controller to invoke fn whenever
-// a run completes. fn must not block.
+// SetRunDoneHook installs the board's one wake on the platform's
+// controller (see LEONControl). fn must not block.
 func (p *Platform) SetRunDoneHook(fn func()) { p.ctrl.SetRunDoneHook(fn) }
 
-// SetReconfigWakeHook asks the platform to invoke fn whenever an
-// asynchronous reconfiguration finishes its synthesis, and reports
-// whether this platform supports asynchronous reconfiguration at all
-// (the core wired ReconfigStatusFn). fn must not block; it typically
-// just signals the server's board worker, which then pumps the swap by
-// dispatching through ReconfigStatusFn on its own goroutine.
-func (p *Platform) SetReconfigWakeHook(fn func()) bool {
-	p.reconfigWake = fn
-	return p.ReconfigStatusFn != nil
-}
-
-// NotifyReconfig fires the reconfigure wake hook, reporting whether
-// one was installed. The core's ticket watcher calls it on synthesis
-// completion; when it returns false (no server mounted) the watcher
-// pumps the swap itself.
-func (p *Platform) NotifyReconfig() bool {
-	if p.reconfigWake == nil {
-		return false
-	}
-	p.reconfigWake()
-	return true
-}
-
 // ReconfigInFlight reports whether an asynchronous reconfiguration is
-// still non-terminal — the condition under which the server may park a
-// CmdWaitReconfig exchange. It polls through ReconfigStatusFn, so the
-// check itself pumps any swap that is ready to land.
+// still non-terminal (false when reconfiguration is not wired) — the
+// condition under which the server keeps a CmdWaitReconfig exchange
+// parked. It polls through ReconfigStatusFn, so the check itself pumps
+// any swap that is ready to land.
 func (p *Platform) ReconfigInFlight() bool {
 	if p.ReconfigStatusFn == nil {
 		return false

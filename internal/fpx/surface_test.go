@@ -53,19 +53,10 @@ func TestPlatformAccessors(t *testing.T) {
 
 // TestUnwiredReconfigSurface: a platform without the core's
 // reconfiguration functions rejects the reconfigure commands cleanly
-// and reports itself hold-incapable to the server layer.
+// and reports no reconfiguration in flight, so the server layer never
+// holds a reconfigure wait on it.
 func TestUnwiredReconfigSurface(t *testing.T) {
 	p := New(NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
-	if p.NotifyReconfig() {
-		t.Error("NotifyReconfig fired with no hook installed")
-	}
-	fired := false
-	if p.SetReconfigWakeHook(func() { fired = true }) {
-		t.Error("emulator platform claims asynchronous reconfiguration support")
-	}
-	if !p.NotifyReconfig() || !fired {
-		t.Error("installed wake hook did not fire")
-	}
 	if p.ReconfigInFlight() {
 		t.Error("unwired platform reports a reconfiguration in flight")
 	}

@@ -194,7 +194,8 @@ func TestReconfigureDeferredBehindRun(t *testing.T) {
 	if err := c.LoadProgram(obj.Origin, obj.Code); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.StartAsync(obj.Origin, 3_000_000); err != nil {
+	const budget = 3_000_000
+	if err := c.StartAsync(obj.Origin, budget); err != nil {
 		t.Fatal(err)
 	}
 
@@ -210,10 +211,12 @@ func TestReconfigureDeferredBehindRun(t *testing.T) {
 	}
 
 	// The run completes on its cycle budget; the deferred swap then
-	// lands via the run-done pump.
-	if rep, err := c.WaitResult(); err != nil || rep.Status == netproto.StatusRunning {
-		t.Fatalf("run: %v %+v", err, rep)
+	// lands via the run-done pump, after the run's report is out.
+	rep, err := c.WaitResult()
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkSpunOut(t, rep, budget)
 	final, err := c.WaitReconfigure(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -276,5 +279,140 @@ func TestPrewarmOverWire(t *testing.T) {
 	}
 	if got := snap.Gauges["liquid_reconfig_cache_entries"]; got < 3 {
 		t.Errorf("liquid_reconfig_cache_entries = %v over the wire, want >= 3", got)
+	}
+}
+
+// TestDeferredSwapLandsBeforeNextCommand: a full swap deferred behind a
+// run lands when the run ends, although no client waits on the swap:
+// every wake pumps the pending reconfiguration before the worker takes
+// its next command, so a GetConfig (which does not pump) sent after the
+// run's result already reports the new configuration.
+func TestDeferredSwapLandsBeforeNextCommand(t *testing.T) {
+	_, addr, _, _ := startSystemNode(t, 1, synth.Options{BitstreamBytes: 256})
+	c := dial(t, addr)
+
+	obj := assembleAt(t, spinProg)
+	if err := c.LoadProgram(obj.Origin, obj.Code); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 20_000_000
+	if err := c.StartAsync(obj.Origin, budget); err != nil {
+		t.Fatal(err)
+	}
+	// A change beyond the caches (SDRAM burst) needs a full swap, which
+	// waits for the run.
+	spec, _ := json.Marshal(core.Spec{DCacheBytes: 8 << 10, BurstWords: 8})
+	if _, err := c.ReconfigureAsync(spec); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		st, err := c.ReconfigStatus()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == netproto.ReconfigSwapping {
+			break
+		}
+		if st.Terminal() {
+			t.Fatalf("swap ended %+v before the run did: lengthen the run", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The parked wait is answered from the board that ran the spin,
+	// before the swap reloads it.
+	rep, err := c.WaitResult()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSpunOut(t, rep, budget)
+	blob, err := c.GetConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got core.Spec
+	if err := json.Unmarshal(blob, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.DCacheBytes != 8<<10 || got.BurstWords != 8 {
+		t.Errorf("config after the run = %s, want the deferred swap's (8 KiB D$, burst 8)", blob)
+	}
+}
+
+// TestSynthesisWakeLeavesResultWaitParked: a synthesis that finishes
+// while a CmdWaitResult is parked on a running board wakes the worker,
+// which lands the cache-only swap mid-run and leaves the result wait
+// parked, since its answer is not final yet. Only the run's end
+// releases it: one "done" wakeup in all. The wakeups are counted, not
+// the held exchanges: a run that outlasts the hold (under -race) has
+// the wait expire and re-arm, which counts as "expired".
+func TestSynthesisWakeLeavesResultWaitParked(t *testing.T) {
+	srv, addr, systems, _ := startSystemNode(t, 1, reconfigSynth)
+	runner := dial(t, addr)
+
+	obj := assembleAt(t, spinProg)
+	if err := runner.LoadProgram(obj.Origin, obj.Code); err != nil {
+		t.Fatal(err)
+	}
+	// The run must outlast the ~36 ms synthesis; the race detector slows
+	// stepping about tenfold.
+	budget := uint64(30_000_000)
+	if raceEnabled {
+		budget /= 8
+	}
+	if err := runner.StartAsync(obj.Origin, budget); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		rep netproto.RunReport
+		err error
+	}
+	waited := make(chan result, 1)
+	go func() {
+		rep, err := runner.WaitResult()
+		waited <- result{rep, err}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Metrics().Snapshot().Counters["liquid_server_waits_parked_total"] == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the result wait never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// A D-cache size the node has not synthesized: a cache-only swap
+	// that lands when the synthesis wake pumps it. Nothing else pumps:
+	// no status poll and no reconfigure wait follow.
+	c := dial(t, addr)
+	if st, err := c.ReconfigureAsync(specFor(8 << 10)); err != nil || st.Terminal() {
+		t.Fatalf("reconfigure ack: %v %+v", err, st)
+	}
+	for systems[0].Config().DCache.SizeBytes != 8<<10 {
+		if time.Now().After(deadline) {
+			t.Fatal("the synthesis wake never landed the swap")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if systems[0].AsyncCtrl().State() != leon.StateRunning {
+		t.Fatal("the run ended before the swap landed: lengthen the run")
+	}
+
+	r := <-waited
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	checkSpunOut(t, r.rep, budget)
+	if got := srv.Metrics().Snapshot().Counter(`liquid_server_wait_wakeups_total{reason="done"}`); got != 1 {
+		t.Errorf(`wait_wakeups_total{reason="done"} = %d, want 1: the synthesis wake released the result wait before its answer was final`, got)
+	}
+}
+
+// checkSpunOut fails t unless rep is the report of the spinProg run
+// that ended on its cycle budget: a fault (budget exhausted) after
+// about budget cycles. A board a full swap reloaded before the wait was
+// answered reports an idle board's zero result instead.
+func checkSpunOut(t *testing.T, rep netproto.RunReport, budget uint64) {
+	t.Helper()
+	if rep.Status != netproto.StatusFault || rep.Cycles < budget*99/100 || rep.Cycles > budget+1000 {
+		t.Fatalf("run report %+v, want the spin's own: a budget fault after ~%d cycles", rep, budget)
 	}
 }

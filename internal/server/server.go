@@ -51,12 +51,6 @@ const DefaultQueueCap = 64
 // buffering unboundedly.
 const maxParkedPerBoard = 64
 
-// Parked-exchange kinds: what completion event releases the wait.
-const (
-	waitKindResult   = "result"   // CmdWaitResult, released on run completion
-	waitKindReconfig = "reconfig" // CmdWaitReconfig, released when the swap lands
-)
-
 // maxHoldMs caps the server-side hold a client may request, so a
 // forged HoldMs cannot pin worker state for minutes. A client wanting
 // a longer wait simply re-issues the command.
@@ -99,7 +93,15 @@ type job struct {
 	peer    *net.UDPAddr
 	src     [4]byte // synthetic frame source (mapped peer IPv4)
 	cmd     string  // command label for telemetry
-	start   time.Time
+	// hdr is the control header the read loop parsed, its Body aliasing
+	// payload; a bare CmdStatus header when the datagram does not parse,
+	// which the worker neither parks nor folds.
+	hdr netproto.Packet
+	// load names the load a sequenced (v4) CmdLoadProgram chunk belongs
+	// to, and chunk is its index; load is zero for every other datagram.
+	load  loadKey
+	chunk uint16
+	start time.Time
 	// qspan covers the time from dispatch to worker pickup (the
 	// queue-wait hop of the exchange trace); zero when tracing is off.
 	qspan tracing.SpanHandle
@@ -331,7 +333,7 @@ func (s *Server) dispatch(bufp *[]byte, payload []byte, peer *net.UDPAddr) {
 		board = int(pkt.Board)
 		hdr = pkt
 	}
-	j := job{bufp: bufp, payload: payload, peer: peer, cmd: cmd}
+	j := job{bufp: bufp, payload: payload, peer: peer, cmd: cmd, hdr: hdr}
 	// Resolve the exchange's trace and open the queue-wait span. The
 	// span is handed to the board worker inside the job and ended at
 	// pickup, so its duration IS the queue wait; requests dropped on
@@ -361,6 +363,12 @@ func (s *Server) dispatch(bufp *[]byte, payload []byte, peer *net.UDPAddr) {
 		return
 	}
 	j.src, j.start = src, s.clk.Now()
+	if hdr.Command == netproto.CmdLoadProgram && hdr.HasSeq {
+		if c, err := netproto.ParseLoadChunk(hdr.Body); err == nil {
+			j.load = loadKey{src: src, port: peer.Port, addr: c.Addr, totalLen: c.TotalLen, total: c.Total}
+			j.chunk = c.Seq
+		}
+	}
 	select {
 	case s.queues[board] <- j:
 	default:
@@ -419,13 +427,11 @@ func (s *Server) send(peer *net.UDPAddr, replies ...[]byte) {
 }
 
 // parkedWait is one CmdWaitResult or CmdWaitReconfig exchange held by
-// a board worker until its completion event fires, the hold expires,
-// or the node shuts down. Entries are owned by the worker goroutine —
-// no locking.
+// a board worker until its answer is final, the hold expires, or the
+// node shuts down. Entries are owned by the worker goroutine — no
+// locking.
 type parkedWait struct {
 	j        job
-	kind     string // waitKindResult or waitKindReconfig
-	key      string // peer|seq identity for retransmit suppression ("" when the request carried no seq)
 	deadline time.Time
 	span     tracing.SpanHandle
 }
@@ -436,16 +442,22 @@ type parkedWait struct {
 // per command; the per-command label contexts (and queue-span
 // annotations) are built once per worker, not per job.
 //
-// Beyond plain draining, the worker is the board's waiter registry:
-// a CmdWaitResult that arrives while the board is running is parked
-// (bounded count, bounded hold) instead of answered, and replayed
-// through the normal handler the instant the AsyncController's
-// completion hook fires — so a waiting client learns of completion at
-// network latency rather than at its poll interval. Parking keeps the
-// dedup guarantees intact because the exchange is processed exactly
-// once, on this goroutine, at release time; a retransmit of a
-// currently-parked exchange is dropped silently (the parked original
-// will answer with the same seq).
+// Beyond plain draining, the worker is the board's waiter registry: a
+// CmdWaitResult or CmdWaitReconfig whose answer is not yet final (see
+// final) is parked (bounded count, bounded hold) instead of answered.
+// The board has one wake, the platform's run-done hook, which fires
+// when a run completes and, on a core-backed board, when a pending
+// reconfiguration's synthesis finishes. A token means "look again":
+// the worker replays through the normal handler, in park order, the
+// result waits whose run has ended, then pumps the pending
+// reconfiguration, then replays every wait still parked whose answer
+// is now final, so a waiting client learns of completion at network
+// latency rather than at its poll interval. A token that changes no
+// answer leaves every wait parked. Parking keeps the dedup guarantees
+// intact because the exchange is processed exactly once, on this
+// goroutine, at release time; a retransmit of a currently-parked
+// exchange is dropped silently (the parked original will answer with
+// the same seq).
 //
 // The worker also folds load acks (see serve and settle): a Pending
 // ack to a sequenced chunk is held while the next chunk of the same
@@ -474,9 +486,9 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 			s.endTrace(j)
 		}
 
-		// wake carries at most one token: the completion hook runs on the
-		// board's actor goroutine and must never block, and one token is
-		// enough — the worker releases every parked waiter per token.
+		// wake carries at most one token: the hook runs on the board's
+		// actor or its ticket watcher and must never block, and one token
+		// is enough — each one makes the worker look at every parked wait.
 		wake := make(chan struct{}, 1)
 		p.SetRunDoneHook(func() {
 			select {
@@ -484,36 +496,24 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 			default:
 			}
 		})
-		// rwake is the reconfiguration twin: the core's ticket watcher
-		// signals it when an asynchronous synthesis completes, and the
-		// worker pumps the swap HERE — this goroutine owns the platform
-		// state a full swap resets — before releasing reconfig waiters.
-		rwake := make(chan struct{}, 1)
-		canParkReconfig := p.SetReconfigWakeHook(func() {
-			select {
-			case rwake <- struct{}{}:
-			default:
-			}
-		})
 
 		var parked []parkedWait
-		release := func(i int, reason string) {
-			e := parked[i]
-			parked = append(parked[:i], parked[i+1:]...)
-			s.waiters.Add(-1)
-			s.m.wakeups.With(reason).Inc()
-			if e.span.On() {
-				e.span.EndAttrs(tracing.A("cmd", e.j.cmd), tracing.A("board", boardLabel), tracing.A("wake", reason))
-			}
-			runJob(e.j)
-		}
-		releaseKind := func(kind, reason string) {
+		// releaseWhere answers, in park order, every parked wait that
+		// ready picks.
+		releaseWhere := func(reason string, ready func(parkedWait) bool) {
 			for i := 0; i < len(parked); {
-				if parked[i].kind == kind {
-					release(i, reason)
-				} else {
+				e := parked[i]
+				if !ready(e) {
 					i++
+					continue
 				}
+				parked = append(parked[:i], parked[i+1:]...)
+				s.waiters.Add(-1)
+				s.m.wakeups.With(reason).Inc()
+				if e.span.On() {
+					e.span.EndAttrs(tracing.A("cmd", e.j.cmd), tracing.A("board", boardLabel), tracing.A("wake", reason))
+				}
+				runJob(e.j)
 			}
 		}
 
@@ -527,19 +527,19 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 		serve := func(j job) (next job, more bool) {
 			var held heldAck // held.reply is nil while no ack is held
 			for {
-				key, seq, chunk := loadChunkOf(j)
 				replies := handle(j)
+				ack := loadAckOf(j, replies)
 				if held.reply != nil {
-					s.settle(held, replies)
+					s.settle(held, ack)
 					held = heldAck{}
 				}
-				if chunk && pendingAck(replies) {
+				if ack.ok && ack.status == netproto.StatusPending {
 					if nj, ok := queued(queue); ok {
-						if nkey, _, nchunk := loadChunkOf(nj); nchunk && nkey == key {
+						if nj.load == j.load {
 							if nj.qspan.On() {
 								nj.qspan.EndAttrs(cmds[nj.cmd].queueAttrs...)
 							}
-							held, j = heldAck{j: j, seq: seq, reply: replies[0]}, nj
+							held, j = heldAck{j: j, reply: replies[0]}, nj
 							continue
 						}
 						next, more = nj, true
@@ -574,23 +574,15 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 					timer.Stop()
 				}
 				if !ok {
-					for len(parked) > 0 {
-						release(0, "shutdown")
-					}
+					releaseWhere("shutdown", func(parkedWait) bool { return true })
 					return
 				}
 				for more := true; more; {
 					if j.qspan.On() { // queue wait is over; processing begins
 						j.qspan.EndAttrs(cmds[j.cmd].queueAttrs...)
 					}
-					if pw, keep := s.tryPark(p, j, canParkReconfig, parked, wake, rwake); keep {
-						parked = append(parked, pw)
-						break
-					} else if pw.key == dupSentinel {
-						// Retransmit of a currently-parked exchange: the parked
-						// original will answer; this copy is dropped.
-						s.bufs.Put(j.bufp)
-						s.endTrace(j)
+					var taken bool
+					if parked, taken = s.park(p, j, parked); taken {
 						break
 					}
 					j, more = serve(j)
@@ -600,38 +592,24 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 				if timer != nil {
 					timer.Stop()
 				}
-				// Run complete: every parked result waiter gets its (now
-				// final) answer, in park order — and a full swap that was
-				// deferred behind this run can land now (ReconfigInFlight
-				// pumps through ReconfigStatusFn on this goroutine).
-				releaseKind(waitKindResult, "done")
-				if !p.ReconfigInFlight() {
-					releaseKind(waitKindReconfig, "done")
-				}
-
-			case <-rwake:
-				if timer != nil {
-					timer.Stop()
-				}
-				// Synthesis complete: pump the swap on this goroutine and,
-				// once the reconfiguration is terminal, answer its waiters.
-				// Still-in-flight means the swap is deferred behind a run
-				// (ReconfigSwapping) — the run-done wake will retry.
-				if !p.ReconfigInFlight() {
-					releaseKind(waitKindReconfig, "done")
-				}
+				// Look again. Result waits whose run has ended are answered
+				// first, from the board that ran it. Only then does the check
+				// pump, so a full swap deferred behind that run lands now,
+				// whether or not a wait is parked on it — a full swap reloads
+				// the board, which clears its last result. Last, every wait
+				// the pump made final is answered.
+				releaseWhere("done", func(e parkedWait) bool {
+					return e.j.hdr.Command == netproto.CmdWaitResult && final(p, e.j.hdr.Command, false)
+				})
+				reconfiguring := p.ReconfigInFlight()
+				releaseWhere("done", func(e parkedWait) bool { return final(p, e.j.hdr.Command, reconfiguring) })
 
 			case <-timerC:
+				// Hold expired: the handler answers StatusRunning (or the
+				// live reconfiguration state) and the client re-issues the
+				// wait.
 				now := s.clk.Now()
-				for i := 0; i < len(parked); {
-					if !parked[i].deadline.After(now) {
-						// Hold expired mid-run: the handler answers
-						// StatusRunning and the client re-issues the wait.
-						release(i, "expired")
-					} else {
-						i++
-					}
-				}
+				releaseWhere("expired", func(e parkedWait) bool { return !e.deadline.After(now) })
 			}
 		}
 	})
@@ -664,92 +642,53 @@ func workerCmds(board context.Context, boardLabel string) map[string]workerCmd {
 	return cmds
 }
 
-// dupSentinel marks a tryPark result meaning "drop this job: it is a
-// retransmit of an exchange already parked".
-const dupSentinel = "\x00dup"
+// final is the one rule for a held wait, deciding both whether it
+// parks and when a wake releases it: the answer to a CmdWaitResult is
+// final once the board is not running, the answer to a CmdWaitReconfig
+// once no reconfiguration is in flight (reconfiguring is
+// ReconfigInFlight's reading).
+func final(p *fpx.Platform, cmd uint8, reconfiguring bool) bool {
+	if cmd == netproto.CmdWaitReconfig {
+		return !reconfiguring
+	}
+	return p.Control().State() != leon.StateRunning
+}
 
-// tryPark decides whether job j should be parked. It returns
-// (entry, true) to park, (zero, false) to process normally, or
-// (entry with key==dupSentinel, false) when j duplicates a parked
-// exchange and must be dropped.
-func (s *Server) tryPark(p *fpx.Platform, j job, canParkReconfig bool, parked []parkedWait, wake, rwake chan struct{}) (parkedWait, bool) {
-	pkt, err := netproto.ParsePacket(j.payload)
-	if err != nil {
-		return parkedWait{}, false
+// park takes j when it is a held wait: it parks j while its answer is
+// not final, and drops it when it retransmits a wait already parked
+// (the parked original will answer with the same seq). It returns the
+// parked waits and whether it took j; a wait it does not take is
+// answered at once through the normal handler.
+func (s *Server) park(p *fpx.Platform, j job, parked []parkedWait) ([]parkedWait, bool) {
+	cmd := j.hdr.Command
+	if cmd != netproto.CmdWaitResult && cmd != netproto.CmdWaitReconfig {
+		return parked, false
 	}
-	var kind string
-	switch pkt.Command {
-	case netproto.CmdWaitResult:
-		kind = waitKindResult
-	case netproto.CmdWaitReconfig:
-		if !canParkReconfig {
-			return parkedWait{}, false
-		}
-		kind = waitKindReconfig
-	default:
-		return parkedWait{}, false
-	}
-	key := ""
-	if pkt.HasSeq {
-		key = j.peer.String() + "|" + strconv.Itoa(int(pkt.Seq))
+	if j.hdr.HasSeq {
 		for _, e := range parked {
-			if e.key == key {
+			if e.j.hdr.HasSeq && e.j.hdr.Seq == j.hdr.Seq && e.j.src == j.src && e.j.peer.Port == j.peer.Port {
 				s.m.drops.With("parked_dup").Inc()
-				s.events.Debugf("parked wait retransmit dropped", "peer", j.peer, "seq", pkt.Seq)
-				return parkedWait{key: dupSentinel}, false
+				s.events.Debugf("parked wait retransmit dropped", "peer", j.peer, "seq", j.hdr.Seq)
+				s.bufs.Put(j.bufp)
+				s.endTrace(j)
+				return parked, true
 			}
 		}
 	}
-	req, rerr := netproto.ParseWaitResultReq(pkt.Body)
-	if rerr != nil || req.HoldMs == 0 {
-		return parkedWait{}, false
+	req, err := netproto.ParseWaitResultReq(j.hdr.Body)
+	if err != nil || req.HoldMs == 0 || len(parked) >= maxParkedPerBoard {
+		return parked, false
 	}
-	holdMs := req.HoldMs
-	if holdMs > maxHoldMs {
-		holdMs = maxHoldMs
+	if final(p, cmd, cmd == netproto.CmdWaitReconfig && p.ReconfigInFlight()) {
+		return parked, false
 	}
-	if len(parked) >= maxParkedPerBoard {
-		return parkedWait{}, false
-	}
-	kindParked := 0
-	for _, e := range parked {
-		if e.kind == kind {
-			kindParked++
-		}
-	}
-	if kindParked == 0 {
-		// Drain any stale wake token from a previous completion BEFORE
-		// checking the state: drain-then-check cannot lose a wakeup (a
-		// completion after the drain re-sends the token), while
-		// check-then-drain could eat the very token this waiter needs.
-		ch := wake
-		if kind == waitKindReconfig {
-			ch = rwake
-		}
-		select {
-		case <-ch:
-		default:
-		}
-	}
-	if kind == waitKindResult {
-		if p.Control().State() != leon.StateRunning {
-			return parkedWait{}, false // answer immediately: result is already final
-		}
-	} else if !p.ReconfigInFlight() {
-		// Already terminal (the check pumps any ready swap first):
-		// answer immediately through the normal handler.
-		return parkedWait{}, false
-	}
-	span := j.trace.Start("park")
 	s.m.parked.Inc()
 	s.waiters.Add(1)
-	return parkedWait{
+	return append(parked, parkedWait{
 		j:        j,
-		kind:     kind,
-		key:      key,
-		deadline: s.clk.Now().Add(time.Duration(holdMs) * time.Millisecond),
-		span:     span,
-	}, true
+		deadline: s.clk.Now().Add(time.Duration(min(req.HoldMs, maxHoldMs)) * time.Millisecond),
+		span:     j.trace.Start("park"),
+	}), true
 }
 
 // process re-wraps the datagram as the raw frame the FPX would
@@ -781,7 +720,8 @@ func (s *Server) process(p *fpx.Platform, j job) ([][]byte, error) {
 }
 
 // loadKey names one load from one peer: the peer's address and the
-// image a chunk belongs to.
+// image a chunk belongs to. The zero key names none: every image has
+// at least one chunk.
 type loadKey struct {
 	src      [4]byte
 	port     int
@@ -790,42 +730,30 @@ type loadKey struct {
 	total    uint16
 }
 
-// loadChunkOf reports the load and chunk index of j when it is a
-// sequenced (v4) CmdLoadProgram chunk.
-func loadChunkOf(j job) (key loadKey, seq uint16, ok bool) {
-	pkt, err := netproto.ParsePacket(j.payload)
-	if err != nil || pkt.Command != netproto.CmdLoadProgram || !pkt.HasSeq {
-		return loadKey{}, 0, false
-	}
-	c, err := netproto.ParseLoadChunk(pkt.Body)
-	if err != nil {
-		return loadKey{}, 0, false
-	}
-	return loadKey{src: j.src, port: j.peer.Port, addr: c.Addr, totalLen: c.TotalLen, total: c.Total}, c.Seq, true
+// loadAck is a reply read as a load ack: its status and the gap (the
+// lowest chunk the board lacks) it advertises.
+type loadAck struct {
+	status uint8
+	gap    int
+	ok     bool // the replies were one load ack to a sequenced chunk
 }
 
-// loadAckOf reads a reply that is a load ack: its status and the gap
-// (the lowest chunk the board lacks) it advertises.
-func loadAckOf(reply []byte) (status uint8, gap int, ok bool) {
-	pkt, err := netproto.ParsePacket(reply)
+// loadAckOf reads the replies to j as a load ack; only a sequenced load
+// chunk's replies are parsed.
+func loadAckOf(j job, replies [][]byte) loadAck {
+	if j.load == (loadKey{}) || len(replies) != 1 {
+		return loadAck{}
+	}
+	pkt, err := netproto.ParsePacket(replies[0])
 	if err != nil || pkt.Command != netproto.CmdLoadProgram|netproto.RespFlag {
-		return 0, 0, false
+		return loadAck{}
 	}
 	rep, err := netproto.ParseRunReport(pkt.Body)
 	if err != nil {
-		return 0, 0, false
+		return loadAck{}
 	}
-	_, gap = netproto.LoadAckProgress(rep)
-	return rep.Status, gap, true
-}
-
-// pendingAck reports whether replies is one Pending load ack.
-func pendingAck(replies [][]byte) bool {
-	if len(replies) != 1 {
-		return false
-	}
-	st, _, ok := loadAckOf(replies[0])
-	return ok && st == netproto.StatusPending
+	_, gap := netproto.LoadAckProgress(rep)
+	return loadAck{status: rep.Status, gap: gap, ok: true}
 }
 
 // queued takes the next job off queue without waiting. It reports
@@ -843,25 +771,19 @@ func queued(queue chan job) (job, bool) {
 // heldAck is a Pending load ack the worker keeps back while it handles
 // the next queued chunk of the same load (see worker).
 type heldAck struct {
-	j     job    // the chunk's job: its peer, and its trace to end
-	seq   uint16 // the chunk's index
+	j     job // the chunk's job: its peer, its index, and its trace to end
 	reply []byte
 }
 
 // settle sends or folds the held ack h once the next chunk of its load
-// has been handled into replies. The ack is folded — counted, never
-// sent — only when the next reply is a load ack whose gap lies past the
-// held chunk: the client's cumulative floor then settles that chunk
-// too. A dedup re-ack of an earlier chunk carries an old gap, and any
-// other reply answers nothing about the held chunk, so then the held
-// ack goes out first, in order.
-func (s *Server) settle(h heldAck, replies [][]byte) {
-	folded := false
-	if len(replies) == 1 {
-		st, gap, ok := loadAckOf(replies[0])
-		folded = ok && (st == netproto.StatusPending || st == netproto.StatusOK) && gap > int(h.seq)
-	}
-	if folded {
+// has been handled into a reply read as next. The ack is folded —
+// counted, never sent — only when next is a load ack whose gap lies
+// past the held chunk: the client's cumulative floor then settles that
+// chunk too. A dedup re-ack of an earlier chunk carries an old gap, and
+// any other reply answers nothing about the held chunk, so then the
+// held ack goes out first, in order.
+func (s *Server) settle(h heldAck, next loadAck) {
+	if next.ok && (next.status == netproto.StatusPending || next.status == netproto.StatusOK) && next.gap > int(h.j.chunk) {
 		s.m.acksFolded.Inc()
 	} else {
 		s.send(h.j.peer, h.reply)
