@@ -50,6 +50,11 @@ chaos:
 # caps. FuzzDeliver feeds the client's delivery engine arbitrary reply
 # datagrams and holds its datagram, metric and span accounting equal,
 # and a load to succeeding only after an OK ack to one of its chunks.
+# FuzzHandle feeds the CPP's one entry (fpx.Platform.Handle, on an
+# emulator board) arbitrary datagram sequences from two peers and holds
+# it to one reply per Liquid payload, echoed request headers, payloads
+# answered or passed through, a bounded dedup window and reassembly
+# buffers within the board's SRAM.
 # The nightly workflow runs it.
 fuzz-smoke:
 	$(GO) test ./internal/netproto/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 5s
@@ -61,6 +66,7 @@ fuzz-smoke:
 	$(GO) test ./internal/reconfig/ -run '^$$' -fuzz FuzzImageCodec -fuzztime 5s
 	$(GO) test ./internal/cpu/ -run '^$$' -fuzz FuzzSuperblockDiff -fuzztime 5s
 	$(GO) test ./internal/client/ -run '^$$' -fuzz FuzzDeliver -fuzztime 5s
+	$(GO) test ./internal/fpx/ -run '^$$' -fuzz FuzzHandle -fuzztime 5s
 
 # cover-gate fails if statement coverage of the transport packages —
 # the ones the chaos work hardens — drops below the floor.

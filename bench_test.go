@@ -558,7 +558,7 @@ func BenchmarkProtocolLoad(b *testing.B) {
 	actrl := leon.NewAsyncController(ctrl)
 	defer actrl.Close()
 	platform := fpx.New(actrl, [4]byte{10, 0, 0, 2}, 5001)
-	srv, err := server.New(platform, "127.0.0.1:0")
+	srv, err := server.NewNode("127.0.0.1:0", platform)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -621,7 +621,7 @@ func newTracingNode(b *testing.B, traced bool) *tracingNode {
 	actrl := leon.NewAsyncController(ctrl)
 	b.Cleanup(actrl.Close)
 	platform := fpx.New(actrl, [4]byte{10, 0, 0, 2}, 5001)
-	srv, err := server.New(platform, "127.0.0.1:0")
+	srv, err := server.NewNode("127.0.0.1:0", platform)
 	if err != nil {
 		b.Fatal(err)
 	}

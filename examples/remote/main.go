@@ -42,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := server.New(sys.Platform(), "127.0.0.1:0")
+	srv, err := server.NewNode("127.0.0.1:0", sys.Platform())
 	if err != nil {
 		log.Fatal(err)
 	}

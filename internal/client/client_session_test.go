@@ -37,7 +37,7 @@ func emulatorServer(t *testing.T) (string, *fpx.Platform) {
 			if err != nil {
 				return
 			}
-			for _, resp := range platform.HandlePayload(buf[:n]) {
+			if resp, ok := platform.Handle(fpx.Peer{}, buf[:n], tracing.Ctx{}); ok {
 				conn.WriteToUDP(resp.Marshal(), peer)
 			}
 		}

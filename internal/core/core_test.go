@@ -187,12 +187,9 @@ func TestNetworkReconfigure(t *testing.T) {
 	p := s.Platform()
 
 	// GetConfig reports the active spec.
-	resps := p.HandlePayload(netproto.Packet{Command: netproto.CmdGetConfig}.Marshal())
-	if len(resps) != 1 {
-		t.Fatalf("%d responses", len(resps))
-	}
+	resp := handle(p, netproto.Packet{Command: netproto.CmdGetConfig})
 	var spec Spec
-	if err := json.Unmarshal(resps[0].Body, &spec); err != nil {
+	if err := json.Unmarshal(resp.Body, &spec); err != nil {
 		t.Fatal(err)
 	}
 	if spec.DCacheBytes != 4<<10 {
@@ -213,8 +210,8 @@ func TestNetworkReconfigure(t *testing.T) {
 		}
 	})
 	blob, _ := json.Marshal(Spec{DCacheBytes: 8 << 10})
-	resps = p.HandlePayload(netproto.Packet{Command: netproto.CmdReconfigure, Body: blob}.Marshal())
-	rep, err := netproto.ParseRunReport(resps[0].Body)
+	resp = handle(p, netproto.Packet{Command: netproto.CmdReconfigure, Body: blob})
+	rep, err := netproto.ParseRunReport(resp.Body)
 	if err != nil {
 		t.Fatalf("reconfigure ack: %v", err)
 	}
@@ -229,8 +226,8 @@ func TestNetworkReconfigure(t *testing.T) {
 			// Fallback pump: the wake fires on synthesis completion; a
 			// swap deferred past that point lands on a later poll.
 		}
-		resps = p.HandlePayload(netproto.Packet{Command: netproto.CmdReconfigStatus}.Marshal())
-		if st, err = netproto.ParseReconfigStatusResp(resps[0].Body); err != nil {
+		resp = handle(p, netproto.Packet{Command: netproto.CmdReconfigStatus})
+		if st, err = netproto.ParseReconfigStatusResp(resp.Body); err != nil {
 			t.Fatalf("reconfig status: %v", err)
 		}
 	}
@@ -241,13 +238,13 @@ func TestNetworkReconfigure(t *testing.T) {
 		t.Errorf("D$ after network reconfigure = %d", got)
 	}
 	// Bad spec errors cleanly.
-	resps = p.HandlePayload(netproto.Packet{Command: netproto.CmdReconfigure, Body: []byte("{bad json")}.Marshal())
-	if resps[0].Command != netproto.CmdError {
+	resp = handle(p, netproto.Packet{Command: netproto.CmdReconfigure, Body: []byte("{bad json")})
+	if resp.Command != netproto.CmdError {
 		t.Error("bad spec did not error")
 	}
 	blob, _ = json.Marshal(Spec{DCacheBytes: 3000})
-	resps = p.HandlePayload(netproto.Packet{Command: netproto.CmdReconfigure, Body: blob}.Marshal())
-	if resps[0].Command != netproto.CmdError {
+	resp = handle(p, netproto.Packet{Command: netproto.CmdReconfigure, Body: blob})
+	if resp.Command != netproto.CmdError {
 		t.Error("invalid config did not error")
 	}
 }

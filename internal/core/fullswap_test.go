@@ -127,16 +127,16 @@ func TestRepliesAfterFullSwap(t *testing.T) {
 	}
 
 	zero := netproto.RunReport{Status: netproto.StatusOK}
-	resps := p.HandlePayload(netproto.Packet{Command: netproto.CmdStatus}.Marshal())
-	st, err := netproto.ParseStatusResp(resps[0].Body)
+	resp := handle(p, netproto.Packet{Command: netproto.CmdStatus})
+	st, err := netproto.ParseStatusResp(resp.Body)
 	if want := (netproto.StatusResp{State: uint8(leon.StateIdle), BootOK: true, Last: zero}); err != nil || st != want {
 		t.Errorf("status after the swap = %+v, %v; want %+v", st, err, want)
 	}
-	resps = p.HandlePayload(netproto.Packet{Command: netproto.CmdResult}.Marshal())
-	if resps[0].Command != netproto.CmdResult|netproto.RespFlag {
-		t.Fatalf("result after the swap answered with command %#x", resps[0].Command)
+	resp = handle(p, netproto.Packet{Command: netproto.CmdResult})
+	if resp.Command != netproto.CmdResult|netproto.RespFlag {
+		t.Fatalf("result after the swap answered with command %#x", resp.Command)
 	}
-	if rep, err := netproto.ParseRunReport(resps[0].Body); err != nil || rep != zero {
+	if rep, err := netproto.ParseRunReport(resp.Body); err != nil || rep != zero {
 		t.Errorf("result after the swap = %+v, %v; want %+v", rep, err, zero)
 	}
 }

@@ -25,8 +25,8 @@ func TestNetworkTraceReport(t *testing.T) {
 	p := s.Platform()
 
 	// Before any run: a clean error.
-	resps := p.HandlePayload(netproto.Packet{Command: netproto.CmdTraceReport}.Marshal())
-	if resps[0].Command != netproto.CmdError {
+	resp := handle(p, netproto.Packet{Command: netproto.CmdTraceReport})
+	if resp.Command != netproto.CmdError {
 		t.Fatal("trace before any run did not error")
 	}
 
@@ -46,12 +46,12 @@ int main() {
 	runNet(t, p, runDoneSignal(t, p), 0)
 
 	// Pull the trace summary.
-	resps = p.HandlePayload(netproto.Packet{Command: netproto.CmdTraceReport}.Marshal())
-	if resps[0].Command != netproto.CmdTraceReport|netproto.RespFlag {
-		t.Fatalf("trace response command %#x", resps[0].Command)
+	resp = handle(p, netproto.Packet{Command: netproto.CmdTraceReport})
+	if resp.Command != netproto.CmdTraceReport|netproto.RespFlag {
+		t.Fatalf("trace response command %#x", resp.Command)
 	}
 	var tr TraceReport
-	if err := json.Unmarshal(resps[0].Body, &tr); err != nil {
+	if err := json.Unmarshal(resp.Body, &tr); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Instructions == 0 || tr.MemEvents == 0 || len(tr.HotSpots) == 0 {
@@ -94,10 +94,17 @@ int main() {
     return buf[5];
 }`
 
+// handle hands pkt to p as one datagram, as a remote client would, and
+// returns the reply.
+func handle(p *fpx.Platform, pkt netproto.Packet) netproto.Packet {
+	resp, _ := p.Handle(fpx.Peer{}, pkt.Marshal(), tracing.Ctx{})
+	return resp
+}
+
 // loadNet loads img through the platform, as a remote client would.
 func loadNet(p *fpx.Platform, img *link.Image) {
 	for _, ch := range netproto.ChunkImage(img.Origin, img.Code) {
-		p.HandlePayload(netproto.Packet{Command: netproto.CmdLoadProgram, Body: ch.Marshal()}.Marshal())
+		handle(p, netproto.Packet{Command: netproto.CmdLoadProgram, Body: ch.Marshal()})
 	}
 }
 
@@ -122,8 +129,8 @@ func runDoneSignal(t testing.TB, p *fpx.Platform) <-chan struct{} {
 // run report with one CmdResult, as a remote client would.
 func runNet(t testing.TB, p *fpx.Platform, done <-chan struct{}, entry uint32) netproto.RunReport {
 	t.Helper()
-	resps := p.HandlePayload(netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{Entry: entry}.Marshal()}.Marshal())
-	if rep, err := netproto.ParseRunReport(resps[0].Body); err != nil || rep.Status != netproto.StatusRunning {
+	resp := handle(p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{Entry: entry}.Marshal()})
+	if rep, err := netproto.ParseRunReport(resp.Body); err != nil || rep.Status != netproto.StatusRunning {
 		t.Fatalf("start ack: %v %+v", err, rep)
 	}
 	for p.Control().State() == leon.StateRunning {
@@ -133,8 +140,8 @@ func runNet(t testing.TB, p *fpx.Platform, done <-chan struct{}, entry uint32) n
 			t.Fatal("run never completed")
 		}
 	}
-	resps = p.HandlePayload(netproto.Packet{Command: netproto.CmdResult}.Marshal())
-	rep, err := netproto.ParseRunReport(resps[0].Body)
+	resp = handle(p, netproto.Packet{Command: netproto.CmdResult})
+	rep, err := netproto.ParseRunReport(resp.Body)
 	if err != nil || rep.Status != netproto.StatusOK {
 		t.Fatalf("result: %v %+v", err, rep)
 	}
@@ -233,8 +240,8 @@ func TestNetworkTraceMatchesInProcess(t *testing.T) {
 		}
 
 		rep := runNet(t, p, done, img.Entry)
-		resps := p.HandlePayload(netproto.Packet{Command: netproto.CmdTraceReport}.Marshal())
-		served := resps[0].Body
+		resp := handle(p, netproto.Packet{Command: netproto.CmdTraceReport})
+		served := resp.Body
 		var tr TraceReport
 		if err := json.Unmarshal(served, &tr); err != nil {
 			t.Fatalf("%s: trace report: %v", step.name, err)

@@ -2,7 +2,6 @@ package fpx
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -11,35 +10,56 @@ import (
 	"liquidarch/internal/tracing"
 )
 
+// Two peers of the dedup tests.
+var (
+	peerA = Peer{IP: [4]byte{1, 2, 3, 4}, Port: 100}
+	peerB = Peer{IP: [4]byte{5, 6, 7, 8}, Port: 100}
+)
+
+// handle hands raw to p as one untraced datagram from src and returns
+// the reply; a datagram that draws none fails the test.
+func handle(t testing.TB, p *Platform, src Peer, raw []byte) netproto.Packet {
+	t.Helper()
+	resp, ok := p.Handle(src, raw, tracing.Ctx{})
+	if !ok {
+		t.Fatalf("no reply to % x", raw)
+	}
+	return resp
+}
+
 func TestDedupCacheRememberAndLookup(t *testing.T) {
 	d := newDedupCache()
-	k := dedupKey{src: "1.2.3.4:5", cmd: netproto.CmdStatus, seq: 9}
+	k := dedupKey{src: peerA, cmd: netproto.CmdStatus, seq: 9}
 	if _, ok := d.lookup(k); ok {
 		t.Fatal("empty cache claims a hit")
 	}
-	resp := []netproto.Packet{{Command: netproto.CmdStatus | netproto.RespFlag}}
+	resp := netproto.Packet{Command: netproto.CmdStatus | netproto.RespFlag}
 	d.remember(k, resp)
 	got, ok := d.lookup(k)
-	if !ok || len(got) != 1 || got[0].Command != resp[0].Command {
+	if !ok || got.Command != resp.Command {
 		t.Fatalf("lookup after remember: %v %v", got, ok)
 	}
 	// Same src, different seq: a different exchange.
-	if _, ok := d.lookup(dedupKey{src: "1.2.3.4:5", cmd: netproto.CmdStatus, seq: 10}); ok {
+	if _, ok := d.lookup(dedupKey{src: peerA, cmd: netproto.CmdStatus, seq: 10}); ok {
 		t.Fatal("different seq hit the cache")
 	}
 	// Same seq, different src: a different client's exchange.
-	if _, ok := d.lookup(dedupKey{src: "9.9.9.9:1", cmd: netproto.CmdStatus, seq: 9}); ok {
+	if _, ok := d.lookup(dedupKey{src: peerB, cmd: netproto.CmdStatus, seq: 9}); ok {
 		t.Fatal("different source hit the cache")
+	}
+	// Same address, different port: a different client too.
+	if _, ok := d.lookup(dedupKey{src: Peer{IP: peerA.IP, Port: peerA.Port + 1}, cmd: netproto.CmdStatus, seq: 9}); ok {
+		t.Fatal("different source port hit the cache")
 	}
 }
 
 func TestDedupCacheEvictsFIFO(t *testing.T) {
 	d := newDedupCache()
 	key := func(i int) dedupKey {
-		return dedupKey{src: fmt.Sprintf("10.0.0.1:%d", i), cmd: netproto.CmdStatus, seq: uint16(i)}
+		return dedupKey{src: Peer{IP: [4]byte{10, 0, 0, 1}, Port: uint16(i)}, cmd: netproto.CmdStatus, seq: uint16(i)}
 	}
 	for i := 0; i < DedupWindow+1; i++ {
-		d.remember(key(i), nil)
+		d.remember(key(i), netproto.Packet{})
 	}
 	if _, ok := d.lookup(key(0)); ok {
 		t.Error("oldest exchange survived a full window of newer ones")
@@ -57,11 +77,11 @@ func TestDedupCacheEvictsFIFO(t *testing.T) {
 
 func TestDedupCacheUpdateInPlace(t *testing.T) {
 	d := newDedupCache()
-	k := dedupKey{src: "a", cmd: 1, seq: 1}
-	d.remember(k, []netproto.Packet{{Command: 1}})
-	d.remember(k, []netproto.Packet{{Command: 2}})
+	k := dedupKey{src: peerA, cmd: 1, seq: 1}
+	d.remember(k, netproto.Packet{Command: 1})
+	d.remember(k, netproto.Packet{Command: 2})
 	got, ok := d.lookup(k)
-	if !ok || got[0].Command != 2 {
+	if !ok || got.Command != 2 {
 		t.Fatalf("update in place: %v %v", got, ok)
 	}
 	if len(d.m) != 1 {
@@ -71,21 +91,18 @@ func TestDedupCacheUpdateInPlace(t *testing.T) {
 
 // TestRetransmitAnsweredFromCache: a v4 exchange handled twice from
 // the same source is answered from the dedup window the second time —
-// identical responses, no second dispatch.
+// identical replies, no second dispatch.
 func TestRetransmitAnsweredFromCache(t *testing.T) {
 	p := New(NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
 	req := netproto.Packet{Command: netproto.CmdStatus, Seq: 5, HasSeq: true}.Marshal()
 
-	first := p.HandlePayloadFrom("1.2.3.4:100", req)
-	second := p.HandlePayloadFrom("1.2.3.4:100", req)
-	if len(first) != 1 || len(second) != 1 {
-		t.Fatalf("responses: %d / %d", len(first), len(second))
-	}
-	if !bytes.Equal(first[0].Marshal(), second[0].Marshal()) {
+	first := handle(t, p, peerA, req)
+	second := handle(t, p, peerA, req)
+	if !bytes.Equal(first.Marshal(), second.Marshal()) {
 		t.Error("retransmission drew a different response than the original")
 	}
-	if !second[0].HasSeq || second[0].Seq != 5 {
-		t.Errorf("response does not echo the exchange seq: %+v", second[0])
+	if !second.HasSeq || second.Seq != 5 {
+		t.Errorf("response does not echo the exchange seq: %+v", second)
 	}
 	snap := p.Metrics().Snapshot()
 	if got := snap.Counters["liquid_fpx_dup_requests_total"]; got != 1 {
@@ -93,10 +110,26 @@ func TestRetransmitAnsweredFromCache(t *testing.T) {
 	}
 
 	// The same seq from a DIFFERENT source is a fresh exchange.
-	p.HandlePayloadFrom("5.6.7.8:100", req)
+	handle(t, p, peerB, req)
 	snap = p.Metrics().Snapshot()
 	if got := snap.Counters["liquid_fpx_dup_requests_total"]; got != 1 {
 		t.Errorf("other-source request hit the dedup window (re-acks = %d)", got)
+	}
+}
+
+// TestReackEchoesRequest: a re-ack echoes the datagram it answers — one
+// that repeats an exchange's peer, command and seq under another trace
+// id gets that trace id back, not the original's.
+func TestReackEchoesRequest(t *testing.T) {
+	p := New(NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
+	req := netproto.Packet{Command: netproto.CmdStatus, Seq: 5, HasSeq: true, TraceID: 1}
+	handle(t, p, peerA, req.Marshal())
+	req.TraceID = 2
+	if resp := handle(t, p, peerA, req.Marshal()); resp.TraceID != 2 || resp.Seq != 5 {
+		t.Errorf("re-ack echoes seq %d trace %#x, want seq 5 trace 2", resp.Seq, resp.TraceID)
+	}
+	if got := p.Metrics().Snapshot().Counters["liquid_fpx_dup_requests_total"]; got != 1 {
+		t.Errorf("dedup re-acks = %d, want 1", got)
 	}
 }
 
@@ -121,20 +154,18 @@ func TestRetransmittedWriteNotReapplied(t *testing.T) {
 	// Load a one-chunk image so start has something to run.
 	chunk := netproto.ChunkImage(leon.DefaultLoadAddr, bytes.Repeat([]byte{1}, 64))[0]
 	load := netproto.Packet{Command: netproto.CmdLoadProgram, Seq: 1, HasSeq: true, Body: chunk.Marshal()}.Marshal()
-	if resps := p.HandlePayloadFrom("src:1", load); len(resps) != 1 {
-		t.Fatalf("load responses: %d", len(resps))
-	}
+	handle(t, p, peerA, load)
 	start := netproto.Packet{Command: netproto.CmdStartLEON, Seq: 2, HasSeq: true,
 		Body: netproto.StartReq{Entry: leon.DefaultLoadAddr}.Marshal()}.Marshal()
-	r1 := p.HandlePayloadFrom("src:1", start)
+	r1 := handle(t, p, peerA, start)
 	if em.starts != 1 {
 		t.Fatalf("start ran the program %d times, want 1", em.starts)
 	}
-	r2 := p.HandlePayloadFrom("src:1", start) // retransmission
+	r2 := handle(t, p, peerA, start) // retransmission
 	if em.starts != 1 {
 		t.Errorf("retransmitted start re-ran the program (%d starts)", em.starts)
 	}
-	if !bytes.Equal(r1[0].Marshal(), r2[0].Marshal()) {
+	if !bytes.Equal(r1.Marshal(), r2.Marshal()) {
 		t.Error("retransmitted start drew a different report")
 	}
 }
@@ -142,16 +173,15 @@ func TestRetransmittedWriteNotReapplied(t *testing.T) {
 func TestV1RequestsBypassDedup(t *testing.T) {
 	p := New(NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
 	req := netproto.Packet{Command: netproto.CmdStatus}.Marshal() // v1: no seq
-	p.HandlePayloadFrom("1.2.3.4:100", req)
-	p.HandlePayloadFrom("1.2.3.4:100", req)
+	handle(t, p, peerA, req)
+	handle(t, p, peerA, req)
 	snap := p.Metrics().Snapshot()
 	if got := snap.Counters["liquid_fpx_dup_requests_total"]; got != 0 {
 		t.Errorf("v1 requests hit the dedup window (%d re-acks)", got)
 	}
 	// Responses to v1 requests stay v1-shaped.
-	resps := p.HandlePayload(req)
-	if len(resps) != 1 || resps[0].HasSeq || resps[0].Marshal()[2] != netproto.Version {
-		t.Errorf("v1 request drew a v4 response: %+v", resps)
+	if resp := handle(t, p, peerA, req); resp.HasSeq || resp.Marshal()[2] != netproto.Version {
+		t.Errorf("v1 request drew a v4 response: %+v", resp)
 	}
 }
 
@@ -165,11 +195,7 @@ func TestDuplicateChunkReackedWithProgress(t *testing.T) {
 	send := func(seq uint16, c netproto.LoadChunk) netproto.RunReport {
 		t.Helper()
 		raw := netproto.Packet{Command: netproto.CmdLoadProgram, Seq: seq, HasSeq: true, Body: c.Marshal()}.Marshal()
-		resps := p.HandlePayloadFrom("src:1", raw)
-		if len(resps) != 1 {
-			t.Fatalf("chunk %d: %d responses", c.Seq, len(resps))
-		}
-		rep, err := netproto.ParseRunReport(resps[0].Body)
+		rep, err := netproto.ParseRunReport(handle(t, p, peerA, raw).Body)
 		if err != nil {
 			t.Fatalf("chunk %d ack: %v", c.Seq, err)
 		}
@@ -218,11 +244,11 @@ func TestDuplicateChunkReackedWithProgress(t *testing.T) {
 func TestForgedLoadLengthRefused(t *testing.T) {
 	p := New(NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
 	forged := netproto.LoadChunk{Seq: 0, Total: 2, Addr: leon.DefaultLoadAddr, TotalLen: 0xF0000000}
-	resps := p.HandlePayload(netproto.Packet{Command: netproto.CmdLoadProgram, Body: forged.Marshal()}.Marshal())
-	if len(resps) != 1 || resps[0].Command != netproto.CmdError {
-		t.Fatalf("forged chunk answered %+v, want CmdError", resps)
+	resp := handle(t, p, peerA, netproto.Packet{Command: netproto.CmdLoadProgram, Body: forged.Marshal()}.Marshal())
+	if resp.Command != netproto.CmdError {
+		t.Fatalf("forged chunk answered %+v, want CmdError", resp)
 	}
-	if er, err := netproto.ParseErrorResp(resps[0].Body); err != nil || er.Code != netproto.CmdLoadProgram {
+	if er, err := netproto.ParseErrorResp(resp.Body); err != nil || er.Code != netproto.CmdLoadProgram {
 		t.Errorf("error = %+v, %v", er, err)
 	}
 	if p.load != nil {
@@ -258,9 +284,8 @@ func TestForgedChunkCountRefused(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i, d := range datagrams {
-				resps := tc.p.HandlePayloadFrom("forger:1", d)
-				if len(resps) != 1 || resps[0].Command != netproto.CmdError {
-					t.Fatalf("forged chunk %d answered %+v, want CmdError", i, resps)
+				if resp := handle(t, tc.p, peerB, d); resp.Command != netproto.CmdError {
+					t.Fatalf("forged chunk %d answered %+v, want CmdError", i, resp)
 				}
 			}
 			runtime.ReadMemStats(&after)
@@ -277,9 +302,9 @@ func TestForgedChunkCountRefused(t *testing.T) {
 func TestSetControlResetsDedup(t *testing.T) {
 	p := New(NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
 	req := netproto.Packet{Command: netproto.CmdStatus, Seq: 1, HasSeq: true}.Marshal()
-	p.HandlePayloadFrom("a:1", req)
+	handle(t, p, peerA, req)
 	p.SetControl()
-	p.HandlePayloadFrom("a:1", req)
+	handle(t, p, peerA, req)
 	snap := p.Metrics().Snapshot()
 	if got := snap.Counters["liquid_fpx_dup_requests_total"]; got != 0 {
 		t.Errorf("dedup window survived SetControl (%d re-acks)", got)

@@ -1,14 +1,18 @@
-// Package fpx models the FPX side of Fig. 3: the layered Internet
-// protocol wrappers that parse and format raw IPv4/UDP frames, the
-// Control Packet Processor (CPP) that routes LEON command packets to
-// the LEON controller, and the packet generator that transmits
-// response frames. It also provides the hardware Emulator the paper's
-// control software used for debugging before the bitfile existed.
+// Package fpx models the FPX side of Fig. 3: the Control Packet
+// Processor (CPP) that routes LEON command packets to the LEON
+// controller and answers each with one reply, and, over it, the layered
+// Internet protocol wrappers and packet generator that parse and
+// format raw IPv4/UDP frames for the NID switch of Fig. 2. A node
+// behind a host UDP socket hands each datagram to the CPP directly
+// (Platform.Handle); the wrappers serve frame traffic (HandleFrame). It
+// also provides the hardware Emulator the paper's control software used
+// for debugging before the bitfile existed.
 package fpx
 
 import (
 	"encoding/json"
 	"fmt"
+	"net/netip"
 	"runtime"
 	"strconv"
 
@@ -68,10 +72,10 @@ type platformMetrics struct {
 
 func newPlatformMetrics(r *metrics.Registry) platformMetrics {
 	return platformMetrics{
-		framesIn:      r.Counter("liquid_fpx_frames_in_total", "Raw frames entering the protocol wrappers."),
-		framesOut:     r.Counter("liquid_fpx_frames_out_total", "Response frames emitted by the packet generator."),
+		framesIn:      r.Counter("liquid_fpx_frames_in_total", "Datagram payloads the CPP took."),
+		framesOut:     r.Counter("liquid_fpx_frames_out_total", "Replies the packet generator built (one per Liquid payload)."),
 		badFrames:     r.Counter("liquid_fpx_frames_bad_total", "Frames the IPv4/UDP wrappers rejected (checksum, truncation)."),
-		passedThrough: r.Counter("liquid_fpx_frames_passthrough_total", "Non-Liquid traffic the CPP passed through untouched."),
+		passedThrough: r.Counter("liquid_fpx_frames_passthrough_total", "Non-Liquid traffic passed through untouched."),
 		commands:      r.CounterVec("liquid_fpx_commands_total", "Control commands dispatched by the CPP.", "cmd"),
 		protoErrors:   r.CounterVec("liquid_fpx_protocol_errors_total", "Commands answered with CmdError.", "cmd"),
 		chunks:        r.Counter("liquid_fpx_load_chunks_total", "Program-load chunks received."),
@@ -125,8 +129,8 @@ type Platform struct {
 	events *eventlog.Log
 	m      platformMetrics
 
-	// tracer, when non-nil, records one span tree per exchange. The
-	// handle path is structured so a nil tracer adds zero allocations.
+	// tracer, when non-nil, is the collector CmdTraces answers from and
+	// in which a CmdError reply finishes its exchange's trace.
 	tracer *tracing.Collector
 	// flight, when non-nil, dumps the recent traces + eventlog tail
 	// whenever this platform answers with CmdError.
@@ -174,29 +178,19 @@ func (p *Platform) Metrics() *metrics.Registry { return p.reg }
 // Events returns the node's structured event log.
 func (p *Platform) Events() *eventlog.Log { return p.events }
 
-// EnableTracing attaches a span collector to the platform's handle
-// path: every exchange records a span tree under the trace id the
-// request carried (v4 header), or, for an untraced request, under the
-// id the server assigned it — or one the platform mints and finishes
-// itself when no server did. Such an exchange-scoped trace covers the
-// exchange only: the run or reconfiguration it starts records spans
-// only when the client sent a trace id. A multi-board node passes the
-// same collector to all its platforms so the node exports one merged
-// timeline.
+// EnableTracing attaches the node's span collector: CmdTraces answers
+// from it, and a CmdError reply finishes its exchange's trace in it
+// before a flight dump. The platform resolves and mints no traces; the
+// handle spans are recorded under the trace its caller passes to
+// Handle. A multi-board node passes the same collector to all its
+// platforms so the node exports one merged timeline.
 func (p *Platform) EnableTracing(col *tracing.Collector) { p.tracer = col }
-
-// Tracer returns the attached span collector (nil when tracing is
-// disabled).
-func (p *Platform) Tracer() *tracing.Collector { return p.tracer }
 
 // SetFlightRecorder attaches the crash-dump flight recorder: whenever
 // this platform answers with CmdError, the recorder dumps the recent
 // completed traces plus the eventlog tail to a timestamped file
 // (rate-limited).
 func (p *Platform) SetFlightRecorder(fr *tracing.FlightRecorder) { p.flight = fr }
-
-// FlightRecorder returns the attached flight recorder (nil when none).
-func (p *Platform) FlightRecorder() *tracing.FlightRecorder { return p.flight }
 
 // SetControl is the platform's side of a bitfile reload: the rebuilt
 // processor comes out of reset behind the same controller, and what
@@ -230,60 +224,38 @@ func (p *Platform) ReconfigInFlight() bool {
 	return st.State != netproto.ReconfigNone && !st.Terminal()
 }
 
-// LoadedAddr returns the address of the last fully reassembled load.
-func (p *Platform) LoadedAddr() uint32 { return p.loadedAddr }
-
-// HandleFrame is the full hardware path: the protocol wrappers parse
-// the raw IPv4/UDP frame, the CPP routes Liquid control packets, and
-// the packet generator formats zero or more response frames addressed
-// back to the sender. Non-Liquid or wrong-port traffic produces no
-// responses (it would pass through to the switch fabric).
-func (p *Platform) HandleFrame(frame []byte) ([][]byte, error) {
-	return p.HandleFrameTraced(frame, tracing.Ctx{})
+// Peer is a datagram's sender: the IPv4 address and UDP port a reply
+// goes back to, and the identity the dedup window keys on.
+type Peer struct {
+	IP   [4]byte
+	Port uint16
 }
 
-// HandleFrameTraced is HandleFrame within the exchange's trace: the
-// OS-socket server resolves the trace at dispatch time — the id the
-// request carried, or one it assigns — records its queue-wait span
-// there and passes the trace down here, so the platform's handle spans
-// land in the same trace without looking it up again. A disabled xc
-// means none was resolved: the platform uses the request's trace id,
-// or mints one when tracing is enabled and finishes it when the
-// exchange is handled.
-func (p *Platform) HandleFrameTraced(frame []byte, xc tracing.Ctx) ([][]byte, error) {
-	p.m.framesIn.Inc()
+// String formats the peer as "a.b.c.d:port".
+func (p Peer) String() string { return netip.AddrPortFrom(netip.AddrFrom4(p.IP), p.Port).String() }
+
+// HandleFrame is the protocol-wrapper layer of Fig. 3 over Handle: the
+// wrappers parse the raw IPv4/UDP frame, traffic for another port
+// passes through, the CPP handles the payload, and the packet generator
+// formats its reply as a frame addressed back to the sender. Traffic
+// that passes through (toward the switch fabric) draws no frame. It
+// records no spans.
+func (p *Platform) HandleFrame(frame []byte) ([]byte, error) {
 	f, err := netproto.ParseFrame(frame)
 	if err != nil {
 		p.m.badFrames.Inc()
 		p.events.Warnf("wrappers rejected frame", "err", err)
 		return nil, fmt.Errorf("fpx: wrappers rejected frame: %w", err)
 	}
-	if f.UDP.DstPort != p.Port || !netproto.IsLiquidPacket(f.Payload) {
+	if f.UDP.DstPort != p.Port {
 		p.m.passedThrough.Inc()
 		return nil, nil
 	}
-	resps := p.HandlePayloadFromTraced(peerKey(f.IP.Src, f.UDP.SrcPort), f.Payload, xc)
-	frames := make([][]byte, len(resps))
-	for i, r := range resps {
-		frames[i] = netproto.BuildFrame(p.IP, f.IP.Src, p.Port, f.UDP.SrcPort, r.Marshal())
-		p.m.framesOut.Inc()
+	reply, ok := p.Handle(Peer{IP: f.IP.Src, Port: f.UDP.SrcPort}, f.Payload, tracing.Ctx{})
+	if !ok {
+		return nil, nil
 	}
-	return frames, nil
-}
-
-// peerKey formats a frame's source as "a.b.c.d:port", the peer
-// identity the dedup window keys on.
-func peerKey(ip [4]byte, port uint16) string {
-	var buf [len("255.255.255.255:65535")]byte
-	b := buf[:0]
-	for i, octet := range ip {
-		if i > 0 {
-			b = append(b, '.')
-		}
-		b = strconv.AppendUint(b, uint64(octet), 10)
-	}
-	b = append(b, ':')
-	return string(strconv.AppendUint(b, uint64(port), 10))
+	return netproto.BuildFrame(p.IP, f.IP.Src, p.Port, f.UDP.SrcPort, reply.Marshal()), nil
 }
 
 // handleSpanNames holds each command's "handle:<cmd>" span name, so
@@ -320,114 +292,85 @@ func (p *Platform) handleAttrs(board uint8, outcome int) []tracing.Attr {
 	return p.spanAttrs[outcome]
 }
 
-// HandlePayload runs the CPP dispatch on one control-packet payload
-// and returns the response packets, without a peer identity (exchange
-// dedup then keys on command+seq alone). Prefer HandlePayloadFrom when
-// the caller knows who sent the packet.
-func (p *Platform) HandlePayload(payload []byte) []netproto.Packet {
-	return p.HandlePayloadFrom("", payload)
-}
-
-// HandlePayloadFrom runs the CPP dispatch on one control-packet
-// payload from the peer identified by src ("ip:port"; "" when
-// unknown) and returns the response packets. It serves callers that
-// hold a bare payload, such as the model-based tests' reference
-// boards; the OS-socket server re-wraps each datagram as the IPv4/UDP
-// frame the FPX would see and enters through HandleFrameTraced.
+// Handle is the CPP's one entry: it takes the payload of one datagram
+// from src and returns the one reply the packet generator sends back.
+// It reports false, with no reply, for a payload that is not a Liquid
+// control packet, which passes through.
+//
+// xc is the exchange's trace as the caller resolved it (the server:
+// the id the request carried, or one it assigned); the handle span is
+// recorded under it, and a disabled xc records none. Only a
+// client-traced exchange hands its context to the run or
+// reconfiguration it starts: a server-assigned trace is complete by the
+// time that work records anything.
 //
 // Requests carrying an exchange seq (the v4 header) pass through the
 // per-board dedup window: a retransmission of an exchange this board
 // already answered — the client's ack was lost or delayed — is
-// answered with the cached responses instead of being re-applied, so
-// a duplicated start never double-starts and a duplicated write never
-// double-writes. Every response echoes the request's board and seq so
-// the client can discard strays.
-func (p *Platform) HandlePayloadFrom(src string, payload []byte) []netproto.Packet {
-	return p.HandlePayloadFromTraced(src, payload, tracing.Ctx{})
-}
-
-// HandlePayloadFromTraced is HandlePayloadFrom within the exchange's
-// trace xc (see HandleFrameTraced). Every added tracing step below is
-// gated on p.tracer so the disabled path stays allocation-identical to
-// the pre-tracing handle path. A trace the platform mints here is
-// finished before it returns; one passed in belongs to the caller.
-func (p *Platform) HandlePayloadFromTraced(src string, payload []byte, xc tracing.Ctx) []netproto.Packet {
+// answered with the cached reply instead of being re-applied, so a
+// duplicated start never double-starts and a duplicated write never
+// double-writes. Every reply, a re-ack too, echoes the request's
+// board, seq and trace id so the client can discard strays.
+func (p *Platform) Handle(src Peer, payload []byte, xc tracing.Ctx) (netproto.Packet, bool) {
+	p.m.framesIn.Inc()
+	if !netproto.IsLiquidPacket(payload) {
+		p.m.passedThrough.Inc()
+		return netproto.Packet{}, false
+	}
+	p.m.framesOut.Inc()
 	pkt, err := netproto.ParsePacket(payload)
 	if err != nil {
-		resps := []netproto.Packet{p.errResp(netproto.CmdStatus, err)}
+		resp := p.errResp(netproto.CmdStatus, err)
 		p.flightOnError(xc.TraceID())
-		return resps
+		return resp, true
 	}
 	p.m.commands.With(netproto.CommandName(pkt.Command)).Inc()
 
-	// Resolve the exchange's trace and open the handle span. CmdTraces
-	// itself is never traced: fetching a trace must not grow it. Only a
-	// client-traced exchange hands its context (tc) to the run or
-	// reconfiguration it starts: an exchange-scoped trace is complete
-	// by the time that work records anything.
+	// Open the handle span. CmdTraces itself is never traced: fetching
+	// a trace must not grow it.
 	var (
-		hspan  tracing.SpanHandle
-		tc     tracing.Ctx
-		minted bool
+		hspan tracing.SpanHandle
+		tc    tracing.Ctx
 	)
-	if p.tracer != nil && pkt.Command != netproto.CmdTraces {
-		if !xc.On() {
-			id := pkt.TraceID
-			if id == 0 {
-				id, minted = p.tracer.NewTraceID(), true
-			}
-			xc = p.tracer.Trace(id)
-		}
+	if xc.On() && pkt.Command != netproto.CmdTraces {
 		hspan = xc.Start(handleSpanNames[pkt.Command])
 		if pkt.TraceID != 0 {
 			tc = hspan.Ctx()
 		}
 	}
 
-	var key dedupKey
+	var (
+		resp    netproto.Packet
+		key     dedupKey
+		outcome = outcomeOK
+		hit     bool
+	)
 	useDedup := pkt.HasSeq && !p.DedupDisabled
 	if useDedup {
 		key = dedupKey{src: src, cmd: pkt.Command, seq: pkt.Seq}
-		if resp, ok := p.dedup.lookup(key); ok {
-			p.m.dupSuppressed.Inc()
-			p.events.Debugf("dedup re-ack", "src", src, "cmd", netproto.CommandName(pkt.Command), "seq", pkt.Seq)
-			if hspan.On() {
-				hspan.EndAttrs(p.handleAttrs(pkt.Board, outcomeDedup)...)
-			}
-			if minted {
-				p.tracer.Finish(xc.TraceID())
-			}
-			return resp
+		resp, hit = p.dedup.lookup(key)
+	}
+	if hit {
+		p.m.dupSuppressed.Inc()
+		p.events.Debugf("dedup re-ack", "src", src, "cmd", netproto.CommandName(pkt.Command), "seq", pkt.Seq)
+		outcome = outcomeDedup
+	} else {
+		resp = p.dispatch(pkt, tc)
+		if useDedup {
+			p.dedup.remember(key, resp)
 		}
-	}
-	resps := p.dispatch(pkt, tc)
-	isErr := false
-	for i := range resps {
-		resps[i].Board = pkt.Board
-		resps[i].Seq = pkt.Seq
-		resps[i].HasSeq = pkt.HasSeq
-		resps[i].TraceID = pkt.TraceID
-		if resps[i].Command == netproto.CmdError {
-			isErr = true
-		}
-	}
-	if useDedup {
-		p.dedup.remember(key, resps)
-	}
-	if hspan.On() {
-		outcome := outcomeOK
-		if isErr {
+		if resp.Command == netproto.CmdError {
 			outcome = outcomeError
 		}
+	}
+	resp.Board, resp.Seq, resp.HasSeq, resp.TraceID = pkt.Board, pkt.Seq, pkt.HasSeq, pkt.TraceID
+	if hspan.On() {
 		hspan.EndAttrs(p.handleAttrs(pkt.Board, outcome)...)
 	}
-	if isErr {
+	if outcome == outcomeError {
 		p.flightOnError(xc.TraceID())
 	}
-	if minted {
-		p.tracer.Finish(xc.TraceID())
-	}
-	return resps
+	return resp, true
 }
 
 // flightOnError finishes the erroring exchange's trace (so the dump
@@ -447,42 +390,42 @@ func (p *Platform) flightOnError(traceID uint64) {
 	}
 }
 
-// dispatch routes one parsed control packet to its handler. tc is the
-// exchange's trace context — disabled when tracing is off or the client
-// sent no trace id; only the handlers that hand work to lower layers
-// thread it further.
-func (p *Platform) dispatch(pkt netproto.Packet, tc tracing.Ctx) []netproto.Packet {
+// dispatch routes one parsed control packet to its handler and returns
+// the handler's one reply. tc is the exchange's trace context —
+// disabled when tracing is off or the client sent no trace id; only the
+// handlers that hand work to lower layers thread it further.
+func (p *Platform) dispatch(pkt netproto.Packet, tc tracing.Ctx) netproto.Packet {
 	switch pkt.Command {
 	case netproto.CmdStatus:
-		return []netproto.Packet{p.status()}
+		return p.status()
 	case netproto.CmdLoadProgram:
-		return []netproto.Packet{p.loadChunk(pkt.Body)}
+		return p.loadChunk(pkt.Body)
 	case netproto.CmdStartLEON:
-		return []netproto.Packet{p.start(pkt.Body, tc)}
+		return p.start(pkt.Body, tc)
 	case netproto.CmdReadMemory:
-		return []netproto.Packet{p.readMem(pkt.Body)}
+		return p.readMem(pkt.Body)
 	case netproto.CmdWriteMemory:
-		return []netproto.Packet{p.writeMem(pkt.Body)}
+		return p.writeMem(pkt.Body)
 	case netproto.CmdReconfigure:
-		return []netproto.Packet{p.reconfigure(pkt.Body, tc)}
+		return p.reconfigure(pkt.Body, tc)
 	case netproto.CmdGetConfig:
-		return []netproto.Packet{p.getConfig()}
+		return p.getConfig()
 	case netproto.CmdTraceReport:
-		return []netproto.Packet{p.traceReport()}
+		return p.traceReport()
 	case netproto.CmdStats:
-		return []netproto.Packet{p.statsReport()}
+		return p.statsReport()
 	case netproto.CmdResult:
-		return []netproto.Packet{p.result()}
+		return p.result()
 	case netproto.CmdTraces:
-		return []netproto.Packet{p.tracesCmd(pkt.Body)}
+		return p.tracesCmd(pkt.Body)
 	case netproto.CmdWaitResult:
-		return []netproto.Packet{p.waitResult()}
+		return p.waitResult()
 	case netproto.CmdReconfigStatus:
-		return []netproto.Packet{p.reconfigStatus(netproto.CmdReconfigStatus)}
+		return p.reconfigStatus(netproto.CmdReconfigStatus)
 	case netproto.CmdWaitReconfig:
-		return []netproto.Packet{p.reconfigStatus(netproto.CmdWaitReconfig)}
+		return p.reconfigStatus(netproto.CmdWaitReconfig)
 	default:
-		return []netproto.Packet{p.errResp(pkt.Command, fmt.Errorf("unknown command %#02x", pkt.Command))}
+		return p.errResp(pkt.Command, fmt.Errorf("unknown command %#02x", pkt.Command))
 	}
 }
 
@@ -677,7 +620,10 @@ func (p *Platform) start(body []byte, tc tracing.Ctx) netproto.Packet {
 }
 
 // parseStart decodes a StartReq body and resolves the entry address
-// (0 means "address of the last load").
+// (0 means "address of the last load"). A cycle budget above the
+// controller's default is clamped to it: a start from the wire cannot
+// hold the board longer than a default run (0 keeps meaning the
+// default).
 func (p *Platform) parseStart(body []byte) (entry uint32, maxCycles uint64, err error) {
 	req, err := netproto.ParseStartReq(body)
 	if err != nil {
@@ -690,7 +636,7 @@ func (p *Platform) parseStart(body []byte) (entry uint32, maxCycles uint64, err 
 	if entry == 0 {
 		return 0, 0, fmt.Errorf("no program loaded")
 	}
-	return entry, req.MaxCycles, nil
+	return entry, min(req.MaxCycles, leon.DefaultMaxCycles), nil
 }
 
 // result answers CmdResult. While the run is still in flight it
@@ -708,9 +654,8 @@ func (p *Platform) result() netproto.Packet {
 // replays it through this handler at wake time, so by the time the
 // dispatch runs the answer is final (or the hold expired and the
 // StatusRunning reply tells the client to ask again). A platform
-// driven without a parking server — tests feeding HandlePayload
-// directly — simply answers immediately, which is the HoldMs=0
-// behavior.
+// driven without a parking server — tests calling Handle directly —
+// simply answers immediately, which is the HoldMs=0 behavior.
 func (p *Platform) waitResult() netproto.Packet {
 	return p.resultPacket(netproto.CmdWaitResult)
 }

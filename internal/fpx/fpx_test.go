@@ -3,6 +3,7 @@ package fpx
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -38,30 +39,29 @@ func newLEONPlatform(t *testing.T) *Platform {
 }
 
 // sendCmd wraps a packet in a frame, runs the hardware path, and
-// returns the parsed response packets.
-func sendCmd(t *testing.T, p *Platform, pkt netproto.Packet) []netproto.Packet {
+// returns the parsed reply.
+func sendCmd(t *testing.T, p *Platform, pkt netproto.Packet) netproto.Packet {
 	t.Helper()
 	frame := netproto.BuildFrame(hostIP, fpxIP, hostPort, fpxPort, pkt.Marshal())
-	outs, err := p.HandleFrame(frame)
+	out, err := p.HandleFrame(frame)
 	if err != nil {
 		t.Fatalf("HandleFrame: %v", err)
 	}
-	resps := make([]netproto.Packet, len(outs))
-	for i, raw := range outs {
-		f, err := netproto.ParseFrame(raw)
-		if err != nil {
-			t.Fatalf("response frame: %v", err)
-		}
-		if f.IP.Dst != hostIP || f.UDP.DstPort != hostPort {
-			t.Fatalf("response misaddressed: %v:%d", f.IP.Dst, f.UDP.DstPort)
-		}
-		rp, err := netproto.ParsePacket(f.Payload)
-		if err != nil {
-			t.Fatalf("response payload: %v", err)
-		}
-		resps[i] = rp
+	if out == nil {
+		t.Fatal("no reply frame")
 	}
-	return resps
+	f, err := netproto.ParseFrame(out)
+	if err != nil {
+		t.Fatalf("response frame: %v", err)
+	}
+	if f.IP.Dst != hostIP || f.UDP.DstPort != hostPort {
+		t.Fatalf("response misaddressed: %v:%d", f.IP.Dst, f.UDP.DstPort)
+	}
+	rp, err := netproto.ParsePacket(f.Payload)
+	if err != nil {
+		t.Fatalf("response payload: %v", err)
+	}
+	return rp
 }
 
 // testProgram stores 0xBEEF at its result word and returns.
@@ -88,11 +88,8 @@ func TestFullRemoteSession(t *testing.T) {
 	obj := testProgram(t)
 
 	// 1. Status: idle.
-	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStatus})
-	if len(resps) != 1 {
-		t.Fatalf("%d status responses", len(resps))
-	}
-	st, err := netproto.ParseStatusResp(resps[0].Body)
+	resp := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStatus})
+	st, err := netproto.ParseStatusResp(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +100,8 @@ func TestFullRemoteSession(t *testing.T) {
 	// 2. Load the program in one chunk.
 	chunks := netproto.ChunkImage(obj.Origin, obj.Code)
 	for _, c := range chunks {
-		resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdLoadProgram, Body: c.Marshal()})
-		rep, err := netproto.ParseRunReport(resps[0].Body)
+		resp = sendCmd(t, p, netproto.Packet{Command: netproto.CmdLoadProgram, Body: c.Marshal()})
+		rep, err := netproto.ParseRunReport(resp.Body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,8 +114,8 @@ func TestFullRemoteSession(t *testing.T) {
 	// immediately with "running"...
 	done := make(chan struct{})
 	p.SetRunDoneHook(func() { close(done) })
-	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
-	rep, err := netproto.ParseRunReport(resps[0].Body)
+	resp = sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
+	rep, err := netproto.ParseRunReport(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +129,8 @@ func TestFullRemoteSession(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("run never completed")
 	}
-	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdStatus})
-	st, err = netproto.ParseStatusResp(resps[0].Body)
+	resp = sendCmd(t, p, netproto.Packet{Command: netproto.CmdStatus})
+	st, err = netproto.ParseStatusResp(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +138,8 @@ func TestFullRemoteSession(t *testing.T) {
 		t.Fatal("status still running after the run-done hook fired")
 	}
 	// ...and the final report is collected with CmdResult.
-	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdResult})
-	rep, err = netproto.ParseRunReport(resps[0].Body)
+	resp = sendCmd(t, p, netproto.Packet{Command: netproto.CmdResult})
+	rep, err = netproto.ParseRunReport(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +150,8 @@ func TestFullRemoteSession(t *testing.T) {
 	// 4. Read back the result.
 	addr, _ := obj.Symbol("result")
 	req := netproto.MemReq{Addr: addr, Length: 4}
-	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdReadMemory, Body: req.Marshal()})
-	mr, err := netproto.ParseMemResp(resps[0].Body)
+	resp = sendCmd(t, p, netproto.Packet{Command: netproto.CmdReadMemory, Body: req.Marshal()})
+	mr, err := netproto.ParseMemResp(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +186,8 @@ func TestMultiPacketLoadOutOfOrder(t *testing.T) {
 
 	var lastStatus uint8
 	for _, idx := range order {
-		resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdLoadProgram, Body: chunks[idx].Marshal()})
-		rep, err := netproto.ParseRunReport(resps[0].Body)
+		resp := sendCmd(t, p, netproto.Packet{Command: netproto.CmdLoadProgram, Body: chunks[idx].Marshal()})
+		rep, err := netproto.ParseRunReport(resp.Body)
 		if err != nil {
 			// Post-completion duplicates restart reassembly and
 			// report pending; both are acceptable.
@@ -201,8 +198,8 @@ func TestMultiPacketLoadOutOfOrder(t *testing.T) {
 	_ = lastStatus
 	// Verify memory contents via read-back.
 	req := netproto.MemReq{Addr: leon.DefaultLoadAddr, Length: uint32(len(image))}
-	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdReadMemory, Body: req.Marshal()})
-	mr, err := netproto.ParseMemResp(resps[0].Body)
+	resp := sendCmd(t, p, netproto.Packet{Command: netproto.CmdReadMemory, Body: req.Marshal()})
+	mr, err := netproto.ParseMemResp(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,15 +212,15 @@ func TestNonLiquidTrafficPassesThrough(t *testing.T) {
 	p := newLEONPlatform(t)
 	// Wrong port.
 	frame := netproto.BuildFrame(hostIP, fpxIP, hostPort, fpxPort+1, netproto.Packet{Command: netproto.CmdStatus}.Marshal())
-	outs, err := p.HandleFrame(frame)
-	if err != nil || len(outs) != 0 {
-		t.Errorf("wrong-port frame: %d responses, %v", len(outs), err)
+	out, err := p.HandleFrame(frame)
+	if err != nil || out != nil {
+		t.Errorf("wrong-port frame: reply %x, %v", out, err)
 	}
 	// Right port, not a Liquid payload.
 	frame = netproto.BuildFrame(hostIP, fpxIP, hostPort, fpxPort, []byte("GET /"))
-	outs, err = p.HandleFrame(frame)
-	if err != nil || len(outs) != 0 {
-		t.Errorf("non-liquid frame: %d responses, %v", len(outs), err)
+	out, err = p.HandleFrame(frame)
+	if err != nil || out != nil {
+		t.Errorf("non-liquid frame: reply %x, %v", out, err)
 	}
 	if got := p.Metrics().Snapshot().Counter("liquid_fpx_frames_passthrough_total"); got != 2 {
 		t.Errorf("passed through = %d, want 2", got)
@@ -239,16 +236,51 @@ func TestNonLiquidTrafficPassesThrough(t *testing.T) {
 
 func TestStartWithoutLoadFails(t *testing.T) {
 	p := newLEONPlatform(t)
-	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
-	if resps[0].Command != netproto.CmdError {
-		t.Fatalf("response command %#x, want CmdError", resps[0].Command)
+	resp := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
+	if resp.Command != netproto.CmdError {
+		t.Fatalf("response command %#x, want CmdError", resp.Command)
 	}
-	er, err := netproto.ParseErrorResp(resps[0].Body)
+	er, err := netproto.ParseErrorResp(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if er.Code != netproto.CmdStartLEON {
 		t.Errorf("error resp = %+v", er)
+	}
+}
+
+// budgetCtrl records the cycle budget of every start the platform
+// hands the controller.
+type budgetCtrl struct {
+	*Emulator
+	budgets []uint64
+}
+
+func (c *budgetCtrl) StartCtx(tc tracing.Ctx, entry uint32, maxCycles uint64) error {
+	c.budgets = append(c.budgets, maxCycles)
+	return c.Emulator.StartCtx(tc, entry, maxCycles)
+}
+
+// TestStartBudgetClamped: a start from the wire cannot hold the board
+// longer than a default run. A budget above leon.DefaultMaxCycles
+// reaches the controller as the default; 0 (the default) and a small
+// budget reach it unchanged.
+func TestStartBudgetClamped(t *testing.T) {
+	ctrl := &budgetCtrl{Emulator: NewEmulator()}
+	p := New(ctrl, fpxIP, fpxPort)
+	for _, c := range netproto.ChunkImage(leon.DefaultLoadAddr, make([]byte, 64)) {
+		sendCmd(t, p, netproto.Packet{Command: netproto.CmdLoadProgram, Body: c.Marshal()})
+	}
+	for _, budget := range []uint64{^uint64(0), 0, 10} {
+		resp := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{MaxCycles: budget}.Marshal()})
+		if resp.Command != netproto.CmdStartLEON|netproto.RespFlag {
+			t.Fatalf("budget %#x: start answered %#x", budget, resp.Command)
+		}
+		sendCmd(t, p, netproto.Packet{Command: netproto.CmdResult}) // the pretend run settles
+	}
+	want := []uint64{leon.DefaultMaxCycles, 0, 10}
+	if !slices.Equal(ctrl.budgets, want) {
+		t.Errorf("budgets reaching the controller %v, want %v", ctrl.budgets, want)
 	}
 }
 
@@ -269,9 +301,9 @@ func TestFaultingProgramReportsStatusFault(t *testing.T) {
 		}
 	}
 	p.SetRunDoneHook(hook)
-	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
-	if resps[0].Command != netproto.CmdStartLEON|netproto.RespFlag {
-		t.Fatalf("start response %#x", resps[0].Command)
+	resp := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
+	if resp.Command != netproto.CmdStartLEON|netproto.RespFlag {
+		t.Fatalf("start response %#x", resp.Command)
 	}
 	// The start ack is the §3.1 handoff: the run faults on the board's
 	// actor afterwards, and a result query before then would rightly
@@ -284,8 +316,8 @@ func TestFaultingProgramReportsStatusFault(t *testing.T) {
 	// CmdResult collects the faulted run; CmdWaitResult reports the
 	// same final report.
 	for _, cmd := range []uint8{netproto.CmdResult, netproto.CmdWaitResult} {
-		resps = sendCmd(t, p, netproto.Packet{Command: cmd})
-		rep, err := netproto.ParseRunReport(resps[0].Body)
+		resp = sendCmd(t, p, netproto.Packet{Command: cmd})
+		rep, err := netproto.ParseRunReport(resp.Body)
 		if err != nil || rep.Status != netproto.StatusFault || rep.TT != 0x02 {
 			t.Errorf("%s report = %+v, %v, want fault tt=2", netproto.CommandName(cmd), rep, err)
 		}
@@ -295,13 +327,13 @@ func TestFaultingProgramReportsStatusFault(t *testing.T) {
 func TestWriteMemoryCommand(t *testing.T) {
 	p := newLEONPlatform(t)
 	req := netproto.MemReq{Addr: leon.DefaultLoadAddr + 64, Data: []byte{1, 2, 3, 4}}
-	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdWriteMemory, Body: req.Marshal()})
-	if _, err := netproto.ParseMemResp(resps[0].Body); err != nil {
+	resp := sendCmd(t, p, netproto.Packet{Command: netproto.CmdWriteMemory, Body: req.Marshal()})
+	if _, err := netproto.ParseMemResp(resp.Body); err != nil {
 		t.Fatal(err)
 	}
 	rreq := netproto.MemReq{Addr: leon.DefaultLoadAddr + 64, Length: 4}
-	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdReadMemory, Body: rreq.Marshal()})
-	mr, _ := netproto.ParseMemResp(resps[0].Body)
+	resp = sendCmd(t, p, netproto.Packet{Command: netproto.CmdReadMemory, Body: rreq.Marshal()})
+	mr, _ := netproto.ParseMemResp(resp.Body)
 	if !bytes.Equal(mr.Data, []byte{1, 2, 3, 4}) {
 		t.Errorf("read back % x", mr.Data)
 	}
@@ -310,8 +342,8 @@ func TestWriteMemoryCommand(t *testing.T) {
 func TestReadLengthCap(t *testing.T) {
 	p := newLEONPlatform(t)
 	req := netproto.MemReq{Addr: leon.SRAMBase, Length: MaxReadLength + 1}
-	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdReadMemory, Body: req.Marshal()})
-	if _, err := netproto.ParseErrorResp(resps[0].Body); err != nil {
+	resp := sendCmd(t, p, netproto.Packet{Command: netproto.CmdReadMemory, Body: req.Marshal()})
+	if _, err := netproto.ParseErrorResp(resp.Body); err != nil {
 		t.Error("oversized read not rejected")
 	}
 }
@@ -320,11 +352,11 @@ func TestUnknownCommand(t *testing.T) {
 	p := newLEONPlatform(t)
 	// 0x0B was the retired blocking start; it is unrouted like 0x7F.
 	for _, cmd := range []uint8{0x7F, 0x0B} {
-		resps := sendCmd(t, p, netproto.Packet{Command: cmd})
-		if resps[0].Command != netproto.CmdError {
-			t.Fatalf("opcode %#x: response command %#x", cmd, resps[0].Command)
+		resp := sendCmd(t, p, netproto.Packet{Command: cmd})
+		if resp.Command != netproto.CmdError {
+			t.Fatalf("opcode %#x: response command %#x", cmd, resp.Command)
 		}
-		er, err := netproto.ParseErrorResp(resps[0].Body)
+		er, err := netproto.ParseErrorResp(resp.Body)
 		if err != nil || er.Code != cmd || !strings.Contains(er.Msg, "unknown command") {
 			t.Errorf("opcode %#x: error = %+v, %v", cmd, er, err)
 		}
@@ -333,8 +365,8 @@ func TestUnknownCommand(t *testing.T) {
 
 func TestReconfigureUnwired(t *testing.T) {
 	p := newLEONPlatform(t)
-	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdReconfigure})
-	if _, err := netproto.ParseErrorResp(resps[0].Body); err != nil {
+	resp := sendCmd(t, p, netproto.Packet{Command: netproto.CmdReconfigure})
+	if _, err := netproto.ParseErrorResp(resp.Body); err != nil {
 		t.Error("unwired reconfigure did not error")
 	}
 	// Wired: a swap applied inside the ack answers StatusOK with the
@@ -344,8 +376,8 @@ func TestReconfigureUnwired(t *testing.T) {
 		called = true
 		return netproto.ReconfigStatusResp{Status: netproto.StatusOK, State: netproto.ReconfigApplied}, nil
 	}
-	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdReconfigure, Body: []byte("{}")})
-	rep, err := netproto.ParseRunReport(resps[0].Body)
+	resp = sendCmd(t, p, netproto.Packet{Command: netproto.CmdReconfigure, Body: []byte("{}")})
+	rep, err := netproto.ParseRunReport(resp.Body)
 	if err != nil || rep.Status != netproto.StatusOK || netproto.ReconfigAckInfo(rep).State != netproto.ReconfigApplied {
 		t.Errorf("reconfigure resp %+v, %v", rep, err)
 	}
@@ -361,14 +393,14 @@ func TestEmulatorBehavesLikeHardware(t *testing.T) {
 	for _, c := range netproto.ChunkImage(obj.Origin, obj.Code) {
 		sendCmd(t, p, netproto.Packet{Command: netproto.CmdLoadProgram, Body: c.Marshal()})
 	}
-	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
-	rep, err := netproto.ParseRunReport(resps[0].Body)
+	resp := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
+	rep, err := netproto.ParseRunReport(resp.Body)
 	if err != nil || rep.Status != netproto.StatusRunning {
 		t.Errorf("emulator start ack: %+v, %v", rep, err)
 	}
 	// The emulator's pretend run settles by the first observation.
-	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdResult})
-	rep, err = netproto.ParseRunReport(resps[0].Body)
+	resp = sendCmd(t, p, netproto.Packet{Command: netproto.CmdResult})
+	rep, err = netproto.ParseRunReport(resp.Body)
 	if err != nil || rep.Status != netproto.StatusOK || rep.Cycles == 0 {
 		t.Errorf("emulator run: %+v, %v", rep, err)
 	}
@@ -376,8 +408,8 @@ func TestEmulatorBehavesLikeHardware(t *testing.T) {
 	// execute, so the result word stays zero — that is the expected
 	// fidelity gap the real hardware closed).
 	req := netproto.MemReq{Addr: obj.Origin, Length: 8}
-	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdReadMemory, Body: req.Marshal()})
-	mr, _ := netproto.ParseMemResp(resps[0].Body)
+	resp = sendCmd(t, p, netproto.Packet{Command: netproto.CmdReadMemory, Body: req.Marshal()})
+	mr, _ := netproto.ParseMemResp(resp.Body)
 	if !bytes.Equal(mr.Data, obj.Code[:8]) {
 		t.Error("emulator memory readback differs")
 	}

@@ -98,15 +98,12 @@ func TestStatsRaceFree(t *testing.T) {
 func TestStatsCommand(t *testing.T) {
 	p := newLEONPlatform(t)
 	sendCmd(t, p, netproto.Packet{Command: netproto.CmdStatus})
-	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStats})
-	if len(resps) != 1 {
-		t.Fatalf("responses = %d", len(resps))
-	}
-	if resps[0].Command != netproto.CmdStats|netproto.RespFlag {
-		t.Fatalf("response command = %#02x", resps[0].Command)
+	resp := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStats})
+	if resp.Command != netproto.CmdStats|netproto.RespFlag {
+		t.Fatalf("response command = %#02x", resp.Command)
 	}
 	var snap metrics.Snapshot
-	if err := json.Unmarshal(resps[0].Body, &snap); err != nil {
+	if err := json.Unmarshal(resp.Body, &snap); err != nil {
 		t.Fatalf("stats body is not a snapshot: %v", err)
 	}
 	if got := snap.Counter(`liquid_fpx_commands_total{cmd="status"}`); got != 1 {

@@ -48,12 +48,12 @@ func (s *Switch) Attach(p *Platform) error {
 // Stats returns a snapshot of the counters.
 func (s *Switch) Stats() SwitchStats { return s.stats }
 
-// Route delivers a frame: frames addressed to an attached platform run
-// through that platform's wrappers and CPP, and the responses come
-// back toward the ingress port. Frames for other destinations are
-// returned as forwarded (second return value true) so the caller can
-// put them on the line card.
-func (s *Switch) Route(frame []byte) (responses [][]byte, forwarded bool, err error) {
+// Route delivers a frame: a frame addressed to an attached platform
+// runs through that platform's wrappers and CPP, and its reply frame,
+// if any, comes back toward the ingress port. Frames for other
+// destinations are returned as forwarded (second return value true) so
+// the caller can put them on the line card.
+func (s *Switch) Route(frame []byte) (reply []byte, forwarded bool, err error) {
 	f, err := netproto.ParseFrame(frame)
 	if err != nil {
 		s.stats.Bad++
@@ -65,6 +65,6 @@ func (s *Switch) Route(frame []byte) (responses [][]byte, forwarded bool, err er
 		return nil, true, nil
 	}
 	s.stats.Delivered++
-	out, err := node.HandleFrame(frame)
-	return out, false, err
+	reply, err = node.HandleFrame(frame)
+	return reply, false, err
 }

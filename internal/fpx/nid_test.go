@@ -22,12 +22,12 @@ func TestSwitchRoutesByDestination(t *testing.T) {
 	status := netproto.Packet{Command: netproto.CmdStatus}.Marshal()
 	// A frame for node B lands on node B.
 	frame := netproto.BuildFrame(hostIP, [4]byte{10, 0, 0, 3}, hostPort, 5001, status)
-	resps, forwarded, err := sw.Route(frame)
+	reply, forwarded, err := sw.Route(frame)
 	if err != nil || forwarded {
 		t.Fatalf("route: %v forwarded=%v", err, forwarded)
 	}
-	if len(resps) != 1 {
-		t.Fatalf("%d responses", len(resps))
+	if reply == nil {
+		t.Fatal("no reply frame")
 	}
 	const handled = `liquid_fpx_commands_total{cmd="status"}`
 	a, b := nodeA.Metrics().Snapshot().Counter(handled), nodeB.Metrics().Snapshot().Counter(handled)
@@ -35,7 +35,7 @@ func TestSwitchRoutesByDestination(t *testing.T) {
 		t.Errorf("command landed on the wrong node: A=%d B=%d", a, b)
 	}
 	// The response frame is addressed back to the sender.
-	f, err := netproto.ParseFrame(resps[0])
+	f, err := netproto.ParseFrame(reply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +45,9 @@ func TestSwitchRoutesByDestination(t *testing.T) {
 
 	// Unknown destination: forwarded toward the line card.
 	other := netproto.BuildFrame(hostIP, [4]byte{10, 0, 0, 99}, hostPort, 5001, status)
-	resps, forwarded, err = sw.Route(other)
-	if err != nil || !forwarded || len(resps) != 0 {
-		t.Errorf("foreign frame: %v forwarded=%v resps=%d", err, forwarded, len(resps))
+	reply, forwarded, err = sw.Route(other)
+	if err != nil || !forwarded || reply != nil {
+		t.Errorf("foreign frame: %v forwarded=%v reply=%x", err, forwarded, reply)
 	}
 
 	// Garbage is counted and reported.

@@ -26,28 +26,30 @@ func TestEmulatorWriteMemory(t *testing.T) {
 }
 
 // TestPlatformAccessors covers the observability plumbing a node wires
-// at boot: the event log always exists, tracing and flight recording
-// are nil until attached, and LoadedAddr tracks the last full load.
+// at boot: the event log always exists, and a status reply's loaded
+// address tracks the last full load.
 func TestPlatformAccessors(t *testing.T) {
 	p := New(NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
 	if p.Events() == nil {
 		t.Error("platform has no event log")
 	}
-	if p.Tracer() != nil {
-		t.Error("tracer attached before EnableTracing")
+	loadedAddr := func() uint32 {
+		t.Helper()
+		st, err := netproto.ParseStatusResp(handle(t, p, peerA, netproto.Packet{Command: netproto.CmdStatus}.Marshal()).Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.LoadedAddr
 	}
-	if p.FlightRecorder() != nil {
-		t.Error("flight recorder attached before SetFlightRecorder")
-	}
-	if p.LoadedAddr() != 0 {
-		t.Errorf("LoadedAddr = %#x before any load", p.LoadedAddr())
+	if got := loadedAddr(); got != 0 {
+		t.Errorf("LoadedAddr = %#x before any load", got)
 	}
 	img := make([]byte, 64)
 	for _, ch := range netproto.ChunkImage(leon.DefaultLoadAddr, img) {
-		p.HandlePayload(netproto.Packet{Command: netproto.CmdLoadProgram, Body: ch.Marshal()}.Marshal())
+		handle(t, p, peerA, netproto.Packet{Command: netproto.CmdLoadProgram, Body: ch.Marshal()}.Marshal())
 	}
-	if p.LoadedAddr() != leon.DefaultLoadAddr {
-		t.Errorf("LoadedAddr = %#x after load, want %#x", p.LoadedAddr(), leon.DefaultLoadAddr)
+	if got := loadedAddr(); got != leon.DefaultLoadAddr {
+		t.Errorf("LoadedAddr = %#x after load, want %#x", got, leon.DefaultLoadAddr)
 	}
 }
 
@@ -61,9 +63,8 @@ func TestUnwiredReconfigSurface(t *testing.T) {
 		t.Error("unwired platform reports a reconfiguration in flight")
 	}
 	for _, cmd := range []uint8{netproto.CmdReconfigStatus, netproto.CmdWaitReconfig, netproto.CmdGetConfig, netproto.CmdTraceReport} {
-		resps := p.HandlePayload(netproto.Packet{Command: cmd}.Marshal())
-		if len(resps) != 1 || resps[0].Command != netproto.CmdError {
-			t.Errorf("unwired %s answered %+v, want CmdError", netproto.CommandName(cmd), resps)
+		if resp := handle(t, p, peerA, netproto.Packet{Command: cmd}.Marshal()); resp.Command != netproto.CmdError {
+			t.Errorf("unwired %s answered %+v, want CmdError", netproto.CommandName(cmd), resp)
 		}
 	}
 }

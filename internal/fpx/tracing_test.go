@@ -34,46 +34,46 @@ func benchPlatform(b *testing.B) *Platform {
 func TestV4TraceEcho(t *testing.T) {
 	p := newLEONPlatform(t)
 
-	resps := sendCmd(t, p, netproto.Packet{
+	resp := sendCmd(t, p, netproto.Packet{
 		Command: netproto.CmdStatus,
 		Seq:     7, HasSeq: true,
 		TraceID: 0xDEADBEEFCAFE,
 	})
-	if len(resps) != 1 {
-		t.Fatalf("%d responses", len(resps))
+	if resp.TraceID != 0xDEADBEEFCAFE {
+		t.Errorf("trace id not echoed: %+v", resp)
 	}
-	if resps[0].TraceID != 0xDEADBEEFCAFE {
-		t.Errorf("trace id not echoed: %+v", resps[0])
-	}
-	if !resps[0].HasSeq || resps[0].Seq != 7 {
-		t.Errorf("seq not echoed alongside trace: %+v", resps[0])
+	if !resp.HasSeq || resp.Seq != 7 {
+		t.Errorf("seq not echoed alongside trace: %+v", resp)
 	}
 
-	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdStatus, Seq: 8, HasSeq: true})
-	if resps[0].TraceID != 0 || resps[0].Seq != 8 {
-		t.Errorf("untraced request got a traced response: %+v", resps[0])
+	resp = sendCmd(t, p, netproto.Packet{Command: netproto.CmdStatus, Seq: 8, HasSeq: true})
+	if resp.TraceID != 0 || resp.Seq != 8 {
+		t.Errorf("untraced request got a traced response: %+v", resp)
 	}
-	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdStatus})
-	if resps[0].HasSeq || resps[0].Marshal()[2] != netproto.Version {
-		t.Errorf("v1 request got a v4 response: %+v", resps[0])
+	resp = sendCmd(t, p, netproto.Packet{Command: netproto.CmdStatus})
+	if resp.HasSeq || resp.Marshal()[2] != netproto.Version {
+		t.Errorf("v1 request got a v4 response: %+v", resp)
 	}
 }
 
-// TestTracesCommand exercises the CmdTraces fetch path: a traced
-// exchange's spans come back as JSON TraceData, and the fetch removes
-// the trace from the ring.
+// TestTracesCommand exercises the CmdTraces fetch path: an exchange
+// handled in a trace records its spans there, they come back as JSON
+// TraceData, and the fetch removes the trace from the ring.
 func TestTracesCommand(t *testing.T) {
 	p := newLEONPlatform(t)
 	col := tracing.New("server")
 	p.EnableTracing(col)
 
 	id := col.NewTraceID()
-	sendCmd(t, p, netproto.Packet{Command: netproto.CmdStatus, Seq: 1, HasSeq: true, TraceID: id})
+	status := netproto.Packet{Command: netproto.CmdStatus, Seq: 1, HasSeq: true, TraceID: id}
+	if _, ok := p.Handle(peerA, status.Marshal(), col.Trace(id)); !ok {
+		t.Fatal("no reply to a traced status")
+	}
 
 	fetch := netproto.Packet{Command: netproto.CmdTraces, Seq: 2, HasSeq: true,
 		Body: netproto.TracesReq{TraceID: id}.Marshal()}
-	resps := sendCmd(t, p, fetch)
-	tr, err := netproto.ParseTracesResp(resps[0].Body)
+	resp := sendCmd(t, p, fetch)
+	tr, err := netproto.ParseTracesResp(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,8 @@ func TestTracesCommand(t *testing.T) {
 
 	// The fetch removed the trace: a second fetch returns none.
 	fetch.Seq = 3
-	resps = sendCmd(t, p, fetch)
-	tr, _ = netproto.ParseTracesResp(resps[0].Body)
+	resp = sendCmd(t, p, fetch)
+	tr, _ = netproto.ParseTracesResp(resp.Body)
 	_ = json.Unmarshal(tr.JSON, &tds)
 	if len(tds) != 0 {
 		t.Errorf("trace still present after take: %+v", tds)
@@ -124,10 +124,10 @@ func TestFlightDumpOnCmdError(t *testing.T) {
 	// Start without a loaded program → CmdError.
 	id := col.NewTraceID()
 	req := netproto.StartReq{Entry: 0, MaxCycles: 10}
-	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Seq: 1, HasSeq: true,
-		TraceID: id, Body: req.Marshal()})
-	if resps[0].Command != netproto.CmdError {
-		t.Fatalf("expected CmdError, got %#x", resps[0].Command)
+	resp, _ := p.Handle(peerA, netproto.Packet{Command: netproto.CmdStartLEON, Seq: 1, HasSeq: true,
+		TraceID: id, Body: req.Marshal()}.Marshal(), col.Trace(id))
+	if resp.Command != netproto.CmdError {
+		t.Fatalf("expected CmdError, got %#x", resp.Command)
 	}
 	if fr.Dumps() != 1 {
 		t.Fatalf("flight dumps = %d, want 1", fr.Dumps())
@@ -172,12 +172,12 @@ func TestDisabledTracingAddsZeroAllocs(t *testing.T) {
 	// Same seq every run: the dedup cache answers from memory, so the
 	// measurement isolates the parse/trace/echo plumbing.
 	base := testing.AllocsPerRun(200, func() {
-		if out := p.HandlePayloadFrom("10.0.0.1:41000", untraced); len(out) != 1 {
+		if _, ok := p.Handle(peerA, untraced, tracing.Ctx{}); !ok {
 			t.Fatal("no response")
 		}
 	})
 	traced := testing.AllocsPerRun(200, func() {
-		if out := p.HandlePayloadFrom("10.0.0.1:41000", withID); len(out) != 1 {
+		if _, ok := p.Handle(peerA, withID, tracing.Ctx{}); !ok {
 			t.Fatal("no response")
 		}
 	})
@@ -196,7 +196,7 @@ func BenchmarkHandleStatusTraceIDNoTracer(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.HandlePayloadFrom("10.0.0.1:41000", raw)
+		p.Handle(peerA, raw, tracing.Ctx{})
 	}
 }
 
@@ -208,6 +208,6 @@ func BenchmarkHandleStatusUntraced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.HandlePayloadFrom("10.0.0.1:41000", raw)
+		p.Handle(peerA, raw, tracing.Ctx{})
 	}
 }

@@ -37,8 +37,8 @@ loop:
 func loadVia(t *testing.T, p *Platform, obj *asm.Object) {
 	t.Helper()
 	for _, ch := range netproto.ChunkImage(obj.Origin, obj.Code) {
-		resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdLoadProgram, Body: ch.Marshal()})
-		rep, err := netproto.ParseRunReport(resps[0].Body)
+		resp := sendCmd(t, p, netproto.Packet{Command: netproto.CmdLoadProgram, Body: ch.Marshal()})
+		rep, err := netproto.ParseRunReport(resp.Body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,8 +57,8 @@ func TestWaitResultCommand(t *testing.T) {
 	obj := spinProgram(t)
 	loadVia(t, p, obj)
 
-	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
-	rep, err := netproto.ParseRunReport(resps[0].Body)
+	resp := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
+	rep, err := netproto.ParseRunReport(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,19 +67,19 @@ func TestWaitResultCommand(t *testing.T) {
 	}
 
 	// Mid-run, the wait answers "running" like a result poll would.
-	resps = sendCmd(t, p, netproto.Packet{
+	resp = sendCmd(t, p, netproto.Packet{
 		Command: netproto.CmdWaitResult,
 		Body:    netproto.WaitResultReq{HoldMs: 500}.Marshal(),
 	})
-	rep, err = netproto.ParseRunReport(resps[0].Body)
+	rep, err = netproto.ParseRunReport(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Status != netproto.StatusRunning {
 		t.Fatalf("mid-run wait = %+v, want running", rep)
 	}
-	if resps[0].Command != netproto.CmdWaitResult|netproto.RespFlag {
-		t.Fatalf("wait answered with command %#x", resps[0].Command)
+	if resp.Command != netproto.CmdWaitResult|netproto.RespFlag {
+		t.Fatalf("wait answered with command %#x", resp.Command)
 	}
 
 	// Completion is signaled through the run-done hook, not discovered
@@ -95,13 +95,13 @@ func TestWaitResultCommand(t *testing.T) {
 		}
 	}
 
-	waitResps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdWaitResult, Body: netproto.WaitResultReq{HoldMs: 500}.Marshal()})
-	resResps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdResult})
-	waitRep, err := netproto.ParseRunReport(waitResps[0].Body)
+	waitResp := sendCmd(t, p, netproto.Packet{Command: netproto.CmdWaitResult, Body: netproto.WaitResultReq{HoldMs: 500}.Marshal()})
+	resResp := sendCmd(t, p, netproto.Packet{Command: netproto.CmdResult})
+	waitRep, err := netproto.ParseRunReport(waitResp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resRep, err := netproto.ParseRunReport(resResps[0].Body)
+	resRep, err := netproto.ParseRunReport(resResp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +139,9 @@ func TestRunDoneHookPlumbing(t *testing.T) {
 
 	obj := testProgram(t)
 	loadVia(t, p, obj)
-	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
-	if rep, err := netproto.ParseRunReport(resps[0].Body); err != nil || rep.Status != netproto.StatusRunning {
-		t.Fatalf("start ack %+v, %v", resps[0], err)
+	resp := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
+	if rep, err := netproto.ParseRunReport(resp.Body); err != nil || rep.Status != netproto.StatusRunning {
+		t.Fatalf("start ack %+v, %v", resp, err)
 	}
 	select {
 	case <-fired:

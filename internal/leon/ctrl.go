@@ -37,6 +37,11 @@ func (s State) String() string {
 	}
 }
 
+// DefaultMaxCycles is the cycle budget of a run started with none
+// (maxCycles 0): about 143 s of simulated time at the base system's
+// 30 MHz.
+const DefaultMaxCycles = 1 << 32
+
 // ErrBudget reports that a run exceeded its cycle budget.
 var ErrBudget = errors.New("leon: cycle budget exhausted")
 
@@ -171,7 +176,7 @@ func (c *Controller) LoadProgram(addr uint32, image []byte) error {
 // completion with StepRun/CollectResult (the paper's §3.1 start → poll
 // → collect flow) or steps the SoC directly (the steady-state path the
 // throughput benchmarks measure). maxCycles bounds the whole run,
-// handoff included (0 means a large default).
+// handoff included (0 means DefaultMaxCycles).
 func (c *Controller) Start(entry uint32, maxCycles uint64) error {
 	if c.state != StateIdle && c.state != StateDone && c.state != StateFault {
 		return fmt.Errorf("leon: cannot execute in state %v", c.state)
@@ -180,7 +185,7 @@ func (c *Controller) Start(entry uint32, maxCycles uint64) error {
 		return fmt.Errorf("leon: entry %#x outside user SRAM", entry)
 	}
 	if maxCycles == 0 {
-		maxCycles = 1 << 32
+		maxCycles = DefaultMaxCycles
 	}
 	// Clear the fault mailbox, publish the start address, reconnect.
 	sram := c.soc.SRAM

@@ -400,7 +400,7 @@ func TestWorkerProfileLabels(t *testing.T) {
 		release:  make(chan struct{}),
 	}
 	platform := fpx.New(sc, [4]byte{10, 0, 0, 2}, 5001)
-	srv, err := New(platform, "127.0.0.1:0")
+	srv, err := NewNode("127.0.0.1:0", platform)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 // Package server implements the Reconfiguration Server of Fig. 1: the
 // network daemon that controls access to the FPX platforms, sequencing
 // the loading and execution of applications. It binds a real UDP
-// socket; each datagram is re-wrapped into a synthetic IPv4/UDP frame
-// so the FPX protocol wrappers and Control Packet Processor run on the
-// exact bytes the hardware would see.
+// socket, so the host's stack has already checked the IPv4/UDP layers
+// the FPX's protocol wrappers check on the line: each datagram goes to
+// its board's Control Packet Processor as it was read (fpx.Platform's
+// Handle, with the sender as its peer), and the one reply comes back as
+// one datagram.
 //
 // A Server is a node hosting one or more boards (platforms), mirroring
 // the four-port NID switch of Fig. 2. Datagrams carry a board id in
@@ -91,8 +93,8 @@ type job struct {
 	bufp    *[]byte // pooled backing array, returned after processing
 	payload []byte  // the datagram bytes within bufp
 	peer    *net.UDPAddr
-	src     [4]byte // synthetic frame source (mapped peer IPv4)
-	cmd     string  // command label for telemetry
+	src     fpx.Peer // the sender as the platform knows it (IPv4 and port)
+	cmd     string   // command label for telemetry
 	// hdr is the control header the read loop parsed, its Body aliasing
 	// payload; a bare CmdStatus header when the datagram does not parse,
 	// which the worker neither parks nor folds.
@@ -107,8 +109,8 @@ type job struct {
 	qspan tracing.SpanHandle
 	// trace is the exchange's resolved trace — the id the packet
 	// carried, or a server-assigned one for untraced requests — passed
-	// down so the platform's spans land in it; disabled when tracing is
-	// off.
+	// to the platform, whose handle span lands in it; disabled when
+	// tracing is off. The server is the only place that resolves it.
 	trace tracing.Ctx
 	// ownTrace marks a server-assigned trace: it covers this exchange
 	// only, and the server finishes it once the exchange ends.
@@ -136,16 +138,10 @@ type Server struct {
 	closed bool
 }
 
-// New binds a UDP socket at addr (e.g. "127.0.0.1:0") serving a single
-// platform as board 0 — the historical one-board node.
-func New(platform *fpx.Platform, addr string) (*Server, error) {
-	return NewNode(addr, platform)
-}
-
-// NewNode binds a UDP socket at addr serving platforms as boards
-// 0..len-1. Node telemetry (socket counters, queue depth, drops) is
-// registered on board 0's metrics registry, so one snapshot covers the
-// whole node's network face.
+// NewNode binds a UDP socket at addr (e.g. "127.0.0.1:0") serving
+// platforms as boards 0..len-1. Node telemetry (socket counters, queue
+// depth, drops) is registered on board 0's metrics registry, so one
+// snapshot covers the whole node's network face.
 func NewNode(addr string, platforms ...*fpx.Platform) (*Server, error) {
 	return newNode(addr, DefaultQueueCap, platforms...)
 }
@@ -251,10 +247,6 @@ func (s *Server) EnableTracing(col *tracing.Collector) {
 		"Spans dropped: past a trace's span bound, or ending after their trace completed.", col.SpansDropped)
 }
 
-// Tracer returns the node's span collector (nil when tracing is
-// disabled).
-func (s *Server) Tracer() *tracing.Collector { return s.tracer }
-
 // SetFlightRecorder attaches a flight recorder to every board
 // platform (CmdError responses trigger a dump).
 func (s *Server) SetFlightRecorder(fr *tracing.FlightRecorder) {
@@ -303,8 +295,8 @@ func (s *Server) Serve() error {
 		}
 		peer, ok := addr.(*net.UDPAddr)
 		if !ok {
-			// A transport that does not speak UDP addressing cannot be
-			// mapped into the synthetic frame source.
+			// A transport that does not speak UDP addressing names no
+			// peer a reply can go back to.
 			s.m.drops.With("peer_addr").Inc()
 			s.events.Warnf("non-UDP peer address", "peer", addr)
 			s.bufs.Put(bufp)
@@ -346,11 +338,11 @@ func (s *Server) dispatch(bufp *[]byte, payload []byte, peer *net.UDPAddr) {
 		j.trace = s.tracer.Trace(id)
 		j.qspan = j.trace.Start("queue")
 	}
-	src, ok := ipv4Of(peer.IP)
+	ip, ok := ipv4Of(peer.IP)
 	if !ok {
-		// A peer address the synthetic IPv4 frame cannot carry: drop
-		// and count instead of forging a source (the old code silently
-		// coerced non-v4 peers to 127.0.0.1).
+		// A peer the platform cannot name (the dedup window and the
+		// load fold key on an IPv4 sender): drop and count instead of
+		// forging a source.
 		s.events.Warnf("unmappable peer address", "peer", peer)
 		s.dropOnReadLoop(j, board, "peer_addr")
 		return
@@ -362,10 +354,10 @@ func (s *Server) dispatch(bufp *[]byte, payload []byte, peer *net.UDPAddr) {
 		s.replyError(peer, hdr, fmt.Sprintf("no board %d on this node (%d boards)", board, len(s.boards)))
 		return
 	}
-	j.src, j.start = src, s.clk.Now()
+	j.src, j.start = fpx.Peer{IP: ip, Port: uint16(peer.Port)}, s.clk.Now()
 	if hdr.Command == netproto.CmdLoadProgram && hdr.HasSeq {
 		if c, err := netproto.ParseLoadChunk(hdr.Body); err == nil {
-			j.load = loadKey{src: src, port: peer.Port, addr: c.Addr, totalLen: c.TotalLen, total: c.Total}
+			j.load = loadKey{src: j.src, addr: c.Addr, totalLen: c.TotalLen, total: c.Total}
 			j.chunk = c.Seq
 		}
 	}
@@ -408,22 +400,20 @@ func (s *Server) replyError(peer *net.UDPAddr, req netproto.Packet, msg string) 
 	pkt := req
 	pkt.Command = netproto.CmdError
 	pkt.Body = netproto.ErrorResp{Code: req.Command, Msg: msg}.Marshal()
-	s.send(peer, pkt.Marshal())
+	s.send(peer, pkt)
 }
 
-// send writes replies to peer in order, counting each datagram out; a
-// send error is counted and logged, and ends the sending.
-func (s *Server) send(peer *net.UDPAddr, replies ...[]byte) {
-	for _, r := range replies {
-		n, err := s.conn.WriteTo(r, peer)
-		if err != nil {
-			s.m.sendErrors.Inc()
-			s.events.Warnf("reply not sent", "peer", peer, "err", err)
-			return
-		}
-		s.m.datagramsOut.Inc()
-		s.m.bytesOut.Add(uint64(n))
+// send writes one reply to peer, counting the datagram out; a send
+// error is counted and logged.
+func (s *Server) send(peer *net.UDPAddr, reply netproto.Packet) {
+	n, err := s.conn.WriteTo(reply.Marshal(), peer)
+	if err != nil {
+		s.m.sendErrors.Inc()
+		s.events.Warnf("reply not sent", "peer", peer, "err", err)
+		return
 	}
+	s.m.datagramsOut.Inc()
+	s.m.bytesOut.Add(uint64(n))
 }
 
 // parkedWait is one CmdWaitResult or CmdWaitReconfig exchange held by
@@ -470,19 +460,21 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 	boardLabel := strconv.Itoa(board)
 	pprof.Do(context.Background(), pprof.Labels("board", boardLabel), func(ctx context.Context) {
 		cmds := workerCmds(ctx, boardLabel)
-		// handle processes j and returns its replies, unsent.
-		handle := func(j job) [][]byte {
+		// handle hands j to the platform and returns its reply, unsent;
+		// ok is false for a payload that passes through (no reply).
+		handle := func(j job) (reply netproto.Packet, ok bool) {
 			pprof.SetGoroutineLabels(cmds[j.cmd].labels)
-			replies, err := s.process(p, j)
-			if err != nil {
-				s.events.Warnf("request dropped", "peer", j.peer, "board", board, "err", err)
-			}
+			reply, ok = p.Handle(j.src, j.payload, j.trace)
+			s.m.handleDur.With(j.cmd).Observe(s.clk.Since(j.start).Seconds())
+			s.events.Debugf("handled", "peer", j.peer, "cmd", j.cmd, "bytes", len(j.payload))
 			pprof.SetGoroutineLabels(ctx)
 			s.bufs.Put(j.bufp)
-			return replies
+			return reply, ok
 		}
 		runJob := func(j job) {
-			s.send(j.peer, handle(j)...)
+			if reply, ok := handle(j); ok {
+				s.send(j.peer, reply)
+			}
 			s.endTrace(j)
 		}
 
@@ -525,11 +517,11 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 		// other kind that the lookahead took off the queue, after the ack
 		// has gone out, for the caller to handle next in its turn.
 		serve := func(j job) (next job, more bool) {
-			var held heldAck // held.reply is nil while no ack is held
+			var held heldAck // held.j.load is zero while no ack is held
 			for {
-				replies := handle(j)
-				ack := loadAckOf(j, replies)
-				if held.reply != nil {
+				reply, ok := handle(j)
+				ack := loadAckOf(j, reply)
+				if held.j.load != (loadKey{}) {
 					s.settle(held, ack)
 					held = heldAck{}
 				}
@@ -539,13 +531,15 @@ func (s *Server) worker(board int, p *fpx.Platform, queue chan job) {
 							if nj.qspan.On() {
 								nj.qspan.EndAttrs(cmds[nj.cmd].queueAttrs...)
 							}
-							held, j = heldAck{j: j, reply: replies[0]}, nj
+							held, j = heldAck{j: j, reply: reply}, nj
 							continue
 						}
 						next, more = nj, true
 					}
 				}
-				s.send(j.peer, replies...)
+				if ok {
+					s.send(j.peer, reply)
+				}
 				s.endTrace(j)
 				return next, more
 			}
@@ -666,7 +660,7 @@ func (s *Server) park(p *fpx.Platform, j job, parked []parkedWait) ([]parkedWait
 	}
 	if j.hdr.HasSeq {
 		for _, e := range parked {
-			if e.j.hdr.HasSeq && e.j.hdr.Seq == j.hdr.Seq && e.j.src == j.src && e.j.peer.Port == j.peer.Port {
+			if e.j.hdr.HasSeq && e.j.hdr.Seq == j.hdr.Seq && e.j.src == j.src {
 				s.m.drops.With("parked_dup").Inc()
 				s.events.Debugf("parked wait retransmit dropped", "peer", j.peer, "seq", j.hdr.Seq)
 				s.bufs.Put(j.bufp)
@@ -691,40 +685,11 @@ func (s *Server) park(p *fpx.Platform, j job, parked []parkedWait) ([]parkedWait
 	}), true
 }
 
-// process re-wraps the datagram as the raw frame the FPX would
-// receive, runs the hardware path, and returns the reply payloads the
-// packet generator built, for the worker to send (or fold). Every
-// failure is returned (and counted by reason) rather than silently
-// swallowed.
-func (s *Server) process(p *fpx.Platform, j job) ([][]byte, error) {
-	frame := netproto.BuildFrame(j.src, p.IP, uint16(j.peer.Port), p.Port, j.payload)
-	outs, err := p.HandleFrameTraced(frame, j.trace)
-	if err != nil {
-		s.m.drops.With("platform").Inc()
-		return nil, err
-	}
-	for i, raw := range outs {
-		f, err := netproto.ParseFrame(raw)
-		if err != nil {
-			// The packet generator produced this frame itself; a parse
-			// failure here is a platform bug and must be loud, not a
-			// silent continue.
-			s.m.drops.With("response_parse").Inc()
-			return nil, fmt.Errorf("server: generated response unparseable: %w", err)
-		}
-		outs[i] = f.Payload
-	}
-	s.m.handleDur.With(j.cmd).Observe(s.clk.Since(j.start).Seconds())
-	s.events.Debugf("handled", "peer", j.peer, "cmd", j.cmd, "bytes", len(j.payload), "responses", len(outs))
-	return outs, nil
-}
-
 // loadKey names one load from one peer: the peer's address and the
 // image a chunk belongs to. The zero key names none: every image has
 // at least one chunk.
 type loadKey struct {
-	src      [4]byte
-	port     int
+	src      fpx.Peer
 	addr     uint32
 	totalLen uint32
 	total    uint16
@@ -735,20 +700,16 @@ type loadKey struct {
 type loadAck struct {
 	status uint8
 	gap    int
-	ok     bool // the replies were one load ack to a sequenced chunk
+	ok     bool // the reply was a load ack to a sequenced chunk
 }
 
-// loadAckOf reads the replies to j as a load ack; only a sequenced load
-// chunk's replies are parsed.
-func loadAckOf(j job, replies [][]byte) loadAck {
-	if j.load == (loadKey{}) || len(replies) != 1 {
+// loadAckOf reads the reply to j as a load ack; only a sequenced load
+// chunk's reply is read.
+func loadAckOf(j job, reply netproto.Packet) loadAck {
+	if j.load == (loadKey{}) || reply.Command != netproto.CmdLoadProgram|netproto.RespFlag {
 		return loadAck{}
 	}
-	pkt, err := netproto.ParsePacket(replies[0])
-	if err != nil || pkt.Command != netproto.CmdLoadProgram|netproto.RespFlag {
-		return loadAck{}
-	}
-	rep, err := netproto.ParseRunReport(pkt.Body)
+	rep, err := netproto.ParseRunReport(reply.Body)
 	if err != nil {
 		return loadAck{}
 	}
@@ -772,7 +733,7 @@ func queued(queue chan job) (job, bool) {
 // the next queued chunk of the same load (see worker).
 type heldAck struct {
 	j     job // the chunk's job: its peer, its index, and its trace to end
-	reply []byte
+	reply netproto.Packet
 }
 
 // settle sends or folds the held ack h once the next chunk of its load
@@ -791,10 +752,10 @@ func (s *Server) settle(h heldAck, next loadAck) {
 	s.endTrace(h.j)
 }
 
-// ipv4Of maps an IP to 4 bytes for the synthetic frame source.
-// IPv4 and IPv4-mapped-IPv6 peers map exactly; anything else reports
-// false (counted as drops{peer_addr} by the caller) instead of being
-// forged into a loopback source.
+// ipv4Of maps an IP to the 4 bytes of a platform peer. IPv4 and
+// IPv4-mapped-IPv6 peers map exactly; anything else reports false
+// (counted as drops{peer_addr} by the caller) instead of being forged
+// into a loopback source.
 func ipv4Of(ip net.IP) ([4]byte, bool) {
 	var out [4]byte
 	v4 := ip.To4()

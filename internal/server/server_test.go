@@ -13,6 +13,7 @@ import (
 	"liquidarch/internal/fpx"
 	"liquidarch/internal/leon"
 	"liquidarch/internal/netproto"
+	"liquidarch/internal/tracing"
 )
 
 // restoreGOMAXPROCS undoes the node's scheduler-thread bump at test
@@ -61,7 +62,7 @@ func serveNode(t testing.TB, srv *Server) string {
 // startServer boots a LEON platform and serves it on loopback.
 func startServer(t testing.TB) (*Server, string) {
 	t.Helper()
-	srv, err := New(newBoard(t, [4]byte{10, 0, 0, 2}), "127.0.0.1:0")
+	srv, err := NewNode("127.0.0.1:0", newBoard(t, [4]byte{10, 0, 0, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestClientRetransmission(t *testing.T) {
 				seen[key] = true // drop first copy
 				continue
 			}
-			for _, resp := range platform.HandlePayload(buf[:n]) {
+			if resp, ok := platform.Handle(fpx.Peer{}, buf[:n], tracing.Ctx{}); ok {
 				conn.WriteToUDP(resp.Marshal(), peer)
 			}
 		}
@@ -274,7 +275,7 @@ func TestClientTimesOutAgainstDeadServer(t *testing.T) {
 func TestServerCloseStopsServe(t *testing.T) {
 	em := fpx.NewEmulator()
 	platform := fpx.New(em, [4]byte{10, 0, 0, 2}, 5001)
-	srv, err := New(platform, "127.0.0.1:0")
+	srv, err := NewNode("127.0.0.1:0", platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestServerCloseStopsServe(t *testing.T) {
 func TestBadBindAddress(t *testing.T) {
 	em := fpx.NewEmulator()
 	platform := fpx.New(em, [4]byte{10, 0, 0, 2}, 5001)
-	if _, err := New(platform, "not-an-address"); err == nil {
+	if _, err := NewNode("not-an-address", platform); err == nil {
 		t.Error("bad address accepted")
 	}
 }

@@ -377,10 +377,11 @@ func TestWindowedLoadUnderLossSim(t *testing.T) {
 
 // TestStartBudgetAtCounterTopSim sends a StartReq whose MaxCycles
 // carries the run's cycle limit to the top of the board's cycle
-// counter, and one past it, across the fabric: the node passes the
-// budget to the board as it is, and the run must start and complete
-// within a host-time bound. The limit once wrapped, so the first never
-// left the handoff and the second failed its budget before it began.
+// counter, and one past it, across the fabric: the run must start and
+// complete within a host-time bound. The limit once wrapped, so the
+// first never left the handoff and the second failed its budget before
+// it began. The node now clamps a wire budget to leon.DefaultMaxCycles;
+// leon's TestStartBudgetAtCounterTop pins the saturation itself.
 func TestStartBudgetAtCounterTopSim(t *testing.T) {
 	obj := assembleAt(t, countProg(100))
 	soc, err := leon.New(leon.DefaultConfig(), nil)

@@ -47,11 +47,12 @@ func TestModelSmoke(t *testing.T) {
 }
 
 // TestModelReconfigIdleMix sweeps pinned seeds over the
-// reconfiguration-plus-idle op mix across lossy links: budget-length poll-loop idles (fast-forwarded by the
-// simulator, but every virtual cycle must read back as simulated
-// time in the run reports) interleaved with cache reconfigurations
-// and enough runs and reads to keep memory and configuration state
-// moving. Every observable must match the sequential reference.
+// reconfiguration-plus-idle op mix across lossy links: budget-length
+// poll-loop idles (stepped in full, each ending in its budget fault
+// with a cycle count at the budget) interleaved with cache
+// reconfigurations and enough runs and reads to keep memory and
+// configuration state moving. Every observable must match the
+// sequential reference.
 func TestModelReconfigIdleMix(t *testing.T) {
 	n := smokeSeeds(t)/2 + 1
 	for seed := int64(1); seed <= int64(n); seed++ {

@@ -38,6 +38,7 @@ import (
 	"liquidarch/internal/server"
 	"liquidarch/internal/sim"
 	"liquidarch/internal/synth"
+	"liquidarch/internal/tracing"
 )
 
 // modelSynth keeps the modelled ≈1 h synthesis around 3.6 ms of clock
@@ -76,9 +77,10 @@ type Config struct {
 	LoadHeavy bool
 	// IdleMix skews the op mix to reconfigurations and long poll-loop
 	// idles: programs that spin on a never-written mailbox word until
-	// the cycle budget expires. The simulator fast-forwards those spins,
-	// so the mix is cheap in wall time while every fast-forwarded cycle
-	// must still surface as simulated time in the run reports.
+	// the cycle budget expires. A networked run carries a trace summary,
+	// whose profile and memory hook keep spin fast-forward off, so both
+	// sides step each idle in full; the mix checks that it ends in its
+	// budget fault with a cycle count at the budget.
 	IdleMix bool
 }
 
@@ -131,9 +133,9 @@ const resultAddr = leon.DefaultLoadAddr + 0x10000
 // pattern relocated into user code, spinning on an uncacheable
 // mailbox word that stays zero for the whole run (the fault trap
 // type, cleared at start) until the cycle budget expires. The spin is
-// side-effect-free over uncached memory, so the simulator
-// fast-forwards it — but the budget fault and the reported cycle
-// count must land exactly where per-step emulation lands them.
+// side-effect-free over uncached memory, but a networked run's trace
+// summary keeps fast-forward off, so it is stepped in full; the budget
+// fault and the reported cycle count must match the reference exactly.
 const pollSrc = `
 _start:
 	set %#x, %%g1
@@ -240,11 +242,11 @@ func (b *boardSet) idle() {
 // ref drives one request through a board's platform directly — the
 // sequential reference path — and renders the response observable.
 func (b *boardSet) ref(board int, cmd uint8, body []byte) (netproto.Packet, error) {
-	resps := b.plats[board].HandlePayloadFrom("model-ref", netproto.Packet{Command: cmd, Body: body}.Marshal())
-	if len(resps) == 0 {
+	// A v1 request carries no seq, so the peer (none here) keys no dedup.
+	resp, ok := b.plats[board].Handle(fpx.Peer{}, netproto.Packet{Command: cmd, Body: body}.Marshal(), tracing.Ctx{})
+	if !ok {
 		return netproto.Packet{}, fmt.Errorf("no response to %s", netproto.CommandName(cmd))
 	}
-	resp := resps[0]
 	if resp.Command == netproto.CmdError {
 		er, err := netproto.ParseErrorResp(resp.Body)
 		if err != nil {
@@ -493,10 +495,9 @@ func (h *harness) opLoad(board int, addr uint32, img []byte) (got, want string) 
 }
 
 // opIdlePoll loads the never-satisfied poll loop and runs it into its
-// cycle budget on both sides. The spin is fast-forwarded, so the op is
-// cheap in wall time, but the budget fault and the reported cycle
-// count — which must include every fast-forwarded cycle as simulated
-// time — have to match the reference exactly.
+// cycle budget on both sides, stepping it in full (see IdleMix). The
+// op checks the budget fault and a cycle count at the budget, and both
+// have to match the reference exactly.
 func (h *harness) opIdlePoll(board int) (got, want string) {
 	if _, err := programs(); err != nil {
 		return obsErr(err), "ok"
@@ -505,15 +506,15 @@ func (h *harness) opIdlePoll(board int) (got, want string) {
 		return "load:" + g, "load:" + w
 	}
 	// The reported count excludes the short ROM handoff, so it lands
-	// just under the budget — but never far under, unless the idle
-	// spin's virtual cycles were skipped instead of forwarded.
+	// just under the budget — but never far under, unless the run
+	// ended before its budget did.
 	const cycleFloor = runBudget - 1000
 	rep, err := h.cli.Start(0, runBudget)
 	switch {
 	case err != nil:
 		got = obsErr(err)
 	case rep.Cycles < cycleFloor:
-		// Fast-forwarded cycles must read back as simulated time.
+		// An idle run must spend its whole budget.
 		got = fmt.Sprintf("error: idle run reported %d cycles, below its %d budget", rep.Cycles, runBudget)
 	default:
 		got = fmt.Sprintf("%+v", rep)
